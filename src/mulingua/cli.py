@@ -10,11 +10,11 @@ export).
 Exit codes: 0 for success (all axioms pass, formula true, type
 inhabited), 1 for a refutation (a failing axiom, a false formula, an
 uninhabited type, a failed check), 2 for usage, parse, or budget
-errors.  Built-in names (the group/gis theories, the cyclic and
-interval-system models, the pitch-class structures, the
-transposition/inversion quiver) are available without loading any
-files; `.mul` files extend them.  MULINGUA_BUDGET overrides the element
-budget.
+errors and for input nested too deeply.  Built-in names (the group/gis
+theories, the cyclic and interval-system models, the pitch-class
+structures, the transposition/inversion quiver) are available without
+loading any files; `.mul` files extend them.  MULINGUA_BUDGET, a
+positive integer, overrides the element budget.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .diagnostics import BudgetError, MulinguaError, ParseError
 from .dsl import (
-    Workspace, _group_action_from, builtin_workspace, load_source,
+    Workspace, builtin_workspace, group_action_from, load_source,
     parse_type_node,
 )
 from .kernel import validate_signature, well_formed_context
@@ -35,7 +35,8 @@ from .proofs import (
     inhabit, render_witness,
 )
 from .semantics import (
-    Atom, all_environments, check_theory, eval_formula, render_value,
+    Atom, all_environments, check_theory, element_budget, eval_formula,
+    render_value,
 )
 from .sexpr import parse_sexprs
 from .voiceleading import (
@@ -69,6 +70,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except MulinguaError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 
@@ -112,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     autos = sub.add_parser("autos", help="enumerate quiver automorphisms")
     autos.add_argument("quiver")
-    autos.add_argument("--budget", type=int, default=None)
+    autos.add_argument("--budget", type=_positive_int, default=None)
     autos.add_argument("files", nargs="*")
     autos.set_defaults(run=_run_autos)
 
@@ -121,6 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
     dot.add_argument("files", nargs="*")
     dot.set_defaults(run=_run_dot)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, as a non-positive value is
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _usage(message: str) -> int:
@@ -185,8 +200,9 @@ def _run_eval(args, ws: Workspace) -> int:
         verdict = well_formed_formula(st.signature, ctx, formula)
     if not verdict:
         return _usage(f"formula is not well-formed here: {verdict.reason}")
-    for env in all_environments(st, ctx):
-        if not eval_formula(st, formula, env):
+    budget = element_budget()
+    for env in all_environments(st, ctx, budget):
+        if not eval_formula(st, formula, env, budget):
             assignment = " ".join(
                 f"({name} {render_value(env[name], st)})"
                 for name in ctx.names())
@@ -261,7 +277,7 @@ def _run_vls(args, ws: Workspace) -> int:
             if len(parts) != 3:
                 return _usage("action rules are action:PITCH-TYPE:FUN")
             q = vls(st.carrier(parts[1]),
-                    _group_action_from(st, parts[1], parts[2]))
+                    group_action_from(st, parts[1], parts[2]))
         else:
             return _usage(f"unknown rule {rule!r}")
     print(f"vertices: {len(q.vertices)}")

@@ -679,7 +679,7 @@ def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
             pitch_type = _sym(items[4], "a base type")
             act_name = _sym(items[5], "a function symbol")
             try:
-                rule = _group_action_from(st, pitch_type, act_name)
+                rule = group_action_from(st, pitch_type, act_name)
                 q = vls(st.carrier(pitch_type), rule)
             except StructureError as err:
                 raise node.error(str(err)) from None
@@ -705,8 +705,8 @@ def _resolve_structure(node: SNode, ws: Workspace) -> Structure:
     return ws.structures[name]
 
 
-def _group_action_from(st: Structure, pitch_type: str,
-                       act_name: str) -> GroupAction:
+def group_action_from(st: Structure, pitch_type: str,
+                      act_name: str) -> GroupAction:
     """Project a group-with-action structure onto a plain group plus an
     action table: the structure must carry star/e/inv on the acting type
     and an action symbol (acting type, pitch type) -> pitch type."""

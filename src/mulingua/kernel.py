@@ -61,16 +61,11 @@ def _wf_type(sig: Signature, ctx: Context, t: TypeExpr) -> None:
             _wf_type(sig, ctx, b)
         case Power(a):
             _wf_type(sig, ctx, a)
-        case Pi(x, index_type, body) | Sigma(x, index_type, body):
+        case Pi(x, outer, inner) | Sigma(x, outer, inner) | W(x, outer, inner):
             if ctx.type_of(x) is not None:
                 raise TypeCheckError(f"binder shadowing: {x!r} is already in scope")
-            _wf_type(sig, ctx, index_type)
-            _wf_type(sig, ctx.extend(x, index_type), body)
-        case W(x, label_type, arity_body):
-            if ctx.type_of(x) is not None:
-                raise TypeCheckError(f"binder shadowing: {x!r} is already in scope")
-            _wf_type(sig, ctx, label_type)
-            _wf_type(sig, ctx.extend(x, label_type), arity_body)
+            _wf_type(sig, ctx, outer)
+            _wf_type(sig, ctx.extend(x, outer), inner)
         case FamApp(name, args):
             fam = sig.fun(name)
             if fam is None or not fam.is_family:

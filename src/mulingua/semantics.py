@@ -15,8 +15,8 @@ Every enumeration follows one canonical order (carrier order, pairs
 lexicographic, injections left first, tables by output tuples), so all
 results are deterministic.  Function-type carriers are enumerated
 lazily; the element budget (default 10^6, override via the
-MULINGUA_BUDGET environment variable) bounds any enumeration a
-quantifier actually demands.
+MULINGUA_BUDGET environment variable, a positive integer) bounds any
+enumeration a quantifier actually demands.
 """
 
 from __future__ import annotations
@@ -44,16 +44,21 @@ Env = dict[str, "Value"]
 
 def element_budget(budget: Optional[int] = None) -> int:
     """Resolve the effective element budget (argument, then environment
-    variable, then default)."""
+    variable, then default).  The environment variable must hold a
+    positive integer; an argument is trusted as given."""
     if budget is not None:
         return budget
     raw = os.environ.get("MULINGUA_BUDGET")
     if raw:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise BudgetError(
                 f"MULINGUA_BUDGET must be an integer, got {raw!r}") from None
+        if value <= 0:
+            raise BudgetError(
+                f"MULINGUA_BUDGET must be a positive integer, got {raw!r}")
+        return value
     return DEFAULT_BUDGET
 
 
@@ -209,7 +214,6 @@ class Structure:
     element_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._eval_cache: dict[int, Optional[tuple[Term, Value]]] = {}
         for base in self.signature.base_types:
             if base not in self.carriers:
                 raise StructureError(f"no carrier for base type {base!r}")
@@ -530,9 +534,6 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
 # evaluation
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-
 def eval_term(st: Structure, term: Term, env: Optional[Env] = None,
               budget: Optional[int] = None) -> Value:
     """Compositional evaluation of a checked term."""
@@ -542,20 +543,17 @@ def eval_term(st: Structure, term: Term, env: Optional[Env] = None,
 
 
 def _eval(st: Structure, term: Term, env: Env, budget: int) -> Value:
-    # Closed subterms (notably big predicate lambdas) evaluate the same
-    # under every environment, so memoize them per structure.  The cache
-    # entry keeps a reference to the term so its id stays valid.
-    if isinstance(term, (Lambda, FormulaTerm)):
-        cached = st._eval_cache.get(id(term), _MISSING)
-        if cached is _MISSING:
-            if free_vars(term):
-                st._eval_cache[id(term)] = None
-            else:
-                value = _eval_node(st, term, {}, budget)
-                st._eval_cache[id(term)] = (term, value)
-                return value
-        elif cached is not None:
-            return cached[1]
+    # Closed lambdas and formula terms (notably big predicate lambdas)
+    # evaluate the same under every environment.  Such a term keeps
+    # (structure, value) of its last evaluation on itself, so the value
+    # is freed together with the term and the structure holds nothing.
+    if isinstance(term, (Lambda, FormulaTerm)) and not free_vars(term):
+        memo = term.__dict__.get("_closed_value")
+        if memo is not None and memo[0] is st:
+            return memo[1]
+        value = _eval_node(st, term, {}, budget)
+        object.__setattr__(term, "_closed_value", (st, value))
+        return value
     return _eval_node(st, term, env, budget)
 
 
@@ -703,6 +701,7 @@ def derivable(st: Structure, ctx: Context, f: Formula,
               budget: Optional[int] = None) -> bool:
     """True when the formula evaluates to true under every substitution
     of the context in this model."""
+    budget = element_budget(budget)
     return all(eval_formula(st, f, env, budget)
                for env in all_environments(st, ctx, budget))
 
@@ -766,6 +765,7 @@ def check_theory(st: Structure, th: Theory, structure_name: str = "structure",
         raise StructureError(
             f"structure is over {st.signature.name!r}, theory over "
             f"{th.signature.name!r}")
+    budget = element_budget(budget)
     results = []
     for axiom in th.axioms:
         counterexample = None

@@ -5,24 +5,45 @@ mutually recursive: formulas contain terms, terms embed formulas (via
 ``FormulaTerm``), and type expressions may mention terms (family
 application) and formulas (propositions read as types).
 
-Binding forms (``Lambda``, ``Pi``, ``Sigma``, ``W``, ``Forall``,
-``Exists``) compare and hash up to renaming of their bound variable;
-all other nodes are plain structural data. ``substitute`` performs
+Every node class derives from ``_Node`` and names its fields in
+``__match_args__``.  A field holds a child node, a tuple of child nodes,
+or plain data (a name or an index).  The binding forms (``Lambda``,
+``Pi``, ``Sigma``, ``W``, ``Forall``, ``Exists``) all have the layout
+``(binder, outer, inner)``: the bound name, a type the binder does not
+scope over, and the body it does scope over.  So ``alpha_key``,
+``free_vars`` and ``substitute`` are each written once, over the fields,
+with variables and binders as the only special cases; ``show`` is one
+keyword table plus the bare names (``Var``, ``Base``) and the head forms
+(``App`` of a symbol, ``FamApp``).
+
+Binding forms compare and hash up to renaming of their bound variable;
+all other nodes are plain structural data.  ``substitute`` performs
 simultaneous capture-avoiding substitution across all three categories.
+
+Data derived from a node is memoized on the frozen instance, beside its
+fields: ``free_vars`` and ``alpha_key`` are computed once per node, and
+the evaluator keeps a closed term's value on the term (see
+``semantics._eval``), so derived data is freed together with the node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 # ---------------------------------------------------------------------------
 # node classes
 # ---------------------------------------------------------------------------
 
-class _Binding:
-    """Mixin for nodes with one bound variable: alpha-aware equality."""
+class _Node:
+    """Base of every syntax node.  Subclasses are frozen dataclasses whose
+    ``__match_args__`` list their fields in order."""
+
+
+class _Binding(_Node):
+    """Base of the nodes ``(binder, outer, inner)`` with one bound
+    variable scoping over ``inner``: alpha-aware equality."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -40,27 +61,27 @@ class _Binding:
 # -- type expressions -------------------------------------------------------
 
 @dataclass(frozen=True)
-class Base:
+class Base(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Zero:
+class Zero(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Unit:
+class Unit(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Prop:
+class Prop(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Universe:
+class Universe(_Node):
     """The level-1 kind of types.
 
     Only legal as the declared codomain of a function symbol, which turns
@@ -70,19 +91,19 @@ class Universe:
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Node):
     left: "TypeExpr"
     right: "TypeExpr"
 
 
 @dataclass(frozen=True)
-class Coproduct:
+class Coproduct(_Node):
     left: "TypeExpr"
     right: "TypeExpr"
 
 
 @dataclass(frozen=True)
-class Arrow:
+class Arrow(_Node):
     dom: "TypeExpr"
     cod: "TypeExpr"
 
@@ -112,12 +133,12 @@ class W(_Binding):
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_Node):
     inner: "TypeExpr"
 
 
 @dataclass(frozen=True)
-class FamApp:
+class FamApp(_Node):
     """A declared type family applied to argument terms."""
 
     name: str
@@ -125,7 +146,7 @@ class FamApp:
 
 
 @dataclass(frozen=True)
-class PropType:
+class PropType(_Node):
     """A proposition read as the (sub-singleton) type of its proofs."""
 
     prop: "Formula"
@@ -140,12 +161,12 @@ TypeExpr = Union[
 # -- terms ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class App:
+class App(_Node):
     """Application of a signature symbol (head is a name) or of a term."""
 
     head: Union[str, "Term"]
@@ -153,28 +174,28 @@ class App:
 
 
 @dataclass(frozen=True)
-class Pair:
+class Pair(_Node):
     first: "Term"
     second: "Term"
 
 
 @dataclass(frozen=True)
-class Proj1:
+class Proj1(_Node):
     pair: "Term"
 
 
 @dataclass(frozen=True)
-class Proj2:
+class Proj2(_Node):
     pair: "Term"
 
 
 @dataclass(frozen=True)
-class Inl:
+class Inl(_Node):
     value: "Term"
 
 
 @dataclass(frozen=True)
-class Inr:
+class Inr(_Node):
     value: "Term"
 
 
@@ -186,7 +207,7 @@ class Lambda(_Binding):
 
 
 @dataclass(frozen=True)
-class TupleProj:
+class TupleProj(_Node):
     """0-based projection from a right-nested product spine."""
 
     tuple_term: "Term"
@@ -194,7 +215,7 @@ class TupleProj:
 
 
 @dataclass(frozen=True)
-class Sup:
+class Sup(_Node):
     """Tree constructor: a label plus a branch function into the same
     tree type."""
 
@@ -203,17 +224,17 @@ class Sup:
 
 
 @dataclass(frozen=True)
-class FormulaTerm:
+class FormulaTerm(_Node):
     formula: "Formula"
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Absurd:
+class Absurd(_Node):
     """Eliminate a term of the empty type at any expected type."""
 
     scrutinee: "Term"
@@ -228,13 +249,13 @@ Term = Union[
 # -- formulas ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RelAtom:
+class RelAtom(_Node):
     name: str
     args: tuple["Term", ...]
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     """Typed equality of two terms."""
 
     type: "TypeExpr"
@@ -243,7 +264,7 @@ class Eq:
 
 
 @dataclass(frozen=True)
-class Member:
+class Member(_Node):
     """Propositional membership: a predicate evaluated at an element."""
 
     element: "Term"
@@ -251,35 +272,35 @@ class Member:
 
 
 @dataclass(frozen=True)
-class Top:
+class Top(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     body: "Formula"
 
 
@@ -414,106 +435,57 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
+# generic traversal
+# ---------------------------------------------------------------------------
+
+def _fields(node: Node) -> list:
+    return [getattr(node, name) for name in node.__match_args__]
+
+
+def _map_fields(node: Node, f: Callable) -> list:
+    """The node's field values with ``f`` applied to each child node,
+    inside tuples too; names and indices pass through unchanged."""
+    out = []
+    for value in _fields(node):
+        if isinstance(value, _Node):
+            value = f(value)
+        elif isinstance(value, tuple):
+            value = tuple(map(f, value))
+        out.append(value)
+    return out
+
+
+def _children(node: Node) -> Iterator[Node]:
+    for value in _fields(node):
+        if isinstance(value, _Node):
+            yield value
+        elif isinstance(value, tuple):
+            yield from value
+
+
+# ---------------------------------------------------------------------------
 # alpha-equivalence
 # ---------------------------------------------------------------------------
 
-def alpha_key(node: Node, env: Optional[dict[str, int]] = None, depth: int = 0):
-    """Canonical hashable rendering: bound variables become binder depths,
-    free variables keep their names.  Two nodes are alpha-equivalent iff
-    their keys are equal."""
-    if env is None:
-        env = {}
+def alpha_key(node: Node):
+    """Canonical hashable rendering, memoized on the node: bound variables
+    become binder depths (de Bruijn levels), free variables keep their
+    names.  Two nodes are alpha-equivalent iff their keys are equal."""
+    key = node.__dict__.get("_alpha_key")
+    if key is None:
+        key = _key(node, {}, 0)
+        object.__setattr__(node, "_alpha_key", key)
+    return key
 
-    def key(n: Node, e: dict[str, int], d: int):
-        match n:
-            case Var(name):
-                return ("var", e.get(name, name))
-            case App(head, args):
-                h = head if isinstance(head, str) else key(head, e, d)
-                return ("app", isinstance(head, str), h, tuple(key(a, e, d) for a in args))
-            case Pair(a, b):
-                return ("pair", key(a, e, d), key(b, e, d))
-            case Proj1(t):
-                return ("pr1", key(t, e, d))
-            case Proj2(t):
-                return ("pr2", key(t, e, d))
-            case Inl(t):
-                return ("inl", key(t, e, d))
-            case Inr(t):
-                return ("inr", key(t, e, d))
-            case Lambda(x, ann, body):
-                inner = {**e, x: d}
-                return ("lambda", key(ann, e, d), key(body, inner, d + 1))
-            case TupleProj(t, i):
-                return ("proj", key(t, e, d), i)
-            case Sup(label, branches):
-                return ("sup", key(label, e, d), key(branches, e, d))
-            case FormulaTerm(f):
-                return ("fterm", key(f, e, d))
-            case Star():
-                return ("star",)
-            case Absurd(t):
-                return ("absurd", key(t, e, d))
 
-            case Base(name):
-                return ("base", name)
-            case Zero():
-                return ("zero",)
-            case Unit():
-                return ("unit",)
-            case Prop():
-                return ("prop",)
-            case Universe():
-                return ("universe",)
-            case Product(a, b):
-                return ("product", key(a, e, d), key(b, e, d))
-            case Coproduct(a, b):
-                return ("coproduct", key(a, e, d), key(b, e, d))
-            case Arrow(a, b):
-                return ("arrow", key(a, e, d), key(b, e, d))
-            case Pi(x, ix, body):
-                inner = {**e, x: d}
-                return ("pi", key(ix, e, d), key(body, inner, d + 1))
-            case Sigma(x, ix, body):
-                inner = {**e, x: d}
-                return ("sigma", key(ix, e, d), key(body, inner, d + 1))
-            case W(x, lt, ab):
-                inner = {**e, x: d}
-                return ("w", key(lt, e, d), key(ab, inner, d + 1))
-            case Power(a):
-                return ("power", key(a, e, d))
-            case FamApp(name, args):
-                return ("famapp", name, tuple(key(a, e, d) for a in args))
-            case PropType(f):
-                return ("proptype", key(f, e, d))
-
-            case RelAtom(name, args):
-                return ("rel", name, tuple(key(a, e, d) for a in args))
-            case Eq(t, l, r):
-                return ("eq", key(t, e, d), key(l, e, d), key(r, e, d))
-            case Member(el, pred):
-                return ("member", key(el, e, d), key(pred, e, d))
-            case Top():
-                return ("top",)
-            case Bottom():
-                return ("bottom",)
-            case And(l, r):
-                return ("and", key(l, e, d), key(r, e, d))
-            case Or(l, r):
-                return ("or", key(l, e, d), key(r, e, d))
-            case Implies(l, r):
-                return ("implies", key(l, e, d), key(r, e, d))
-            case Not(b):
-                return ("not", key(b, e, d))
-            case Forall(x, t, body):
-                inner = {**e, x: d}
-                return ("forall", key(t, e, d), key(body, inner, d + 1))
-            case Exists(x, t, body):
-                inner = {**e, x: d}
-                return ("exists", key(t, e, d), key(body, inner, d + 1))
-        raise TypeError(f"not a syntax node: {n!r}")
-
-    return key(node, env, depth)
+def _key(node: Node, bound: dict[str, int], depth: int):
+    if isinstance(node, Var):
+        return (Var, bound.get(node.name, node.name))
+    if isinstance(node, _Binding):
+        x, outer, inner = _fields(node)
+        return (type(node), _key(outer, bound, depth),
+                _key(inner, {**bound, x: depth}, depth + 1))
+    return (type(node), *_map_fields(node, lambda n: _key(n, bound, depth)))
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
@@ -525,45 +497,18 @@ def alpha_eq(a: Node, b: Node) -> bool:
 # ---------------------------------------------------------------------------
 
 def free_vars(node: Node) -> frozenset[str]:
-    match node:
-        case Var(name):
-            return frozenset({name})
-        case App(head, args):
-            acc = free_vars(head) if not isinstance(head, str) else frozenset()
-            for a in args:
-                acc |= free_vars(a)
-            return acc
-        case Pair(a, b) | Product(a, b) | Coproduct(a, b) | Arrow(a, b) \
-                | And(a, b) | Or(a, b) | Implies(a, b):
-            return free_vars(a) | free_vars(b)
-        case Proj1(t) | Proj2(t) | Inl(t) | Inr(t) | Absurd(t) | Power(t) | Not(t):
-            return free_vars(t)
-        case Lambda(x, ann, body):
-            return free_vars(ann) | (free_vars(body) - {x})
-        case TupleProj(t, _):
-            return free_vars(t)
-        case Sup(label, branches):
-            return free_vars(label) | free_vars(branches)
-        case FormulaTerm(f) | PropType(f):
-            return free_vars(f)
-        case Star() | Base(_) | Zero() | Unit() | Prop() | Universe() | Top() | Bottom():
-            return frozenset()
-        case Pi(x, ix, body) | Sigma(x, ix, body):
-            return free_vars(ix) | (free_vars(body) - {x})
-        case W(x, lt, ab):
-            return free_vars(lt) | (free_vars(ab) - {x})
-        case FamApp(_, args) | RelAtom(_, args):
-            acc = frozenset()
-            for a in args:
-                acc |= free_vars(a)
-            return acc
-        case Eq(t, l, r):
-            return free_vars(t) | free_vars(l) | free_vars(r)
-        case Member(el, pred):
-            return free_vars(el) | free_vars(pred)
-        case Forall(x, t, body) | Exists(x, t, body):
-            return free_vars(t) | (free_vars(body) - {x})
-    raise TypeError(f"not a syntax node: {node!r}")
+    """The variables free in the node, memoized on it."""
+    names = node.__dict__.get("_free_vars")
+    if names is None:
+        if isinstance(node, Var):
+            names = frozenset((node.name,))
+        elif isinstance(node, _Binding):
+            x, outer, inner = _fields(node)
+            names = free_vars(outer) | (free_vars(inner) - {x})
+        else:
+            names = frozenset().union(*map(free_vars, _children(node)))
+        object.__setattr__(node, "_free_vars", names)
+    return names
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -577,192 +522,73 @@ def substitute(node: Node, subst: Mapping[str, Term]) -> Node:
     """Simultaneous capture-avoiding substitution of terms for variables.
 
     Works uniformly on terms, type expressions, and formulas; bound
-    variables are renamed when a replacement would capture them.
+    variables are renamed when a replacement would capture them.  A node
+    in which no substituted variable is free comes back unchanged.
     """
-    if not subst:
+    return _substitute(node, dict(subst))
+
+
+def _substitute(node: Node, s: dict[str, Term]) -> Node:
+    if s.keys().isdisjoint(free_vars(node)):
         return node
+    if isinstance(node, Var):
+        return s[node.name]
+    if isinstance(node, _Binding):
+        x, outer, inner = _fields(node)
+        new_x, inner_s = _under_binder(x, inner, s)
+        return type(node)(new_x, _substitute(outer, s),
+                          _substitute(inner, inner_s))
+    return type(node)(*_map_fields(node, lambda n: _substitute(n, s)))
 
-    def go(n: Node, s: Mapping[str, Term]) -> Node:
-        match n:
-            case Var(name):
-                return s.get(name, n)
-            case App(head, args):
-                new_head = head if isinstance(head, str) else go(head, s)
-                return App(new_head, tuple(go(a, s) for a in args))
-            case Pair(a, b):
-                return Pair(go(a, s), go(b, s))
-            case Proj1(t):
-                return Proj1(go(t, s))
-            case Proj2(t):
-                return Proj2(go(t, s))
-            case Inl(t):
-                return Inl(go(t, s))
-            case Inr(t):
-                return Inr(go(t, s))
-            case Lambda(x, ann, body):
-                new_x, new_body, inner = _under_binder(x, body, s)
-                return Lambda(new_x, go(ann, s), go(new_body, inner) if inner else new_body)
-            case TupleProj(t, i):
-                return TupleProj(go(t, s), i)
-            case Sup(label, branches):
-                return Sup(go(label, s), go(branches, s))
-            case FormulaTerm(f):
-                return FormulaTerm(go(f, s))
-            case Star() | Base(_) | Zero() | Unit() | Prop() | Universe() | Top() | Bottom():
-                return n
-            case Absurd(t):
-                return Absurd(go(t, s))
 
-            case Product(a, b):
-                return Product(go(a, s), go(b, s))
-            case Coproduct(a, b):
-                return Coproduct(go(a, s), go(b, s))
-            case Arrow(a, b):
-                return Arrow(go(a, s), go(b, s))
-            case Pi(x, ix, body):
-                new_x, new_body, inner = _under_binder(x, body, s)
-                return Pi(new_x, go(ix, s), go(new_body, inner) if inner else new_body)
-            case Sigma(x, ix, body):
-                new_x, new_body, inner = _under_binder(x, body, s)
-                return Sigma(new_x, go(ix, s), go(new_body, inner) if inner else new_body)
-            case W(x, lt, ab):
-                new_x, new_ab, inner = _under_binder(x, ab, s)
-                return W(new_x, go(lt, s), go(new_ab, inner) if inner else new_ab)
-            case Power(a):
-                return Power(go(a, s))
-            case FamApp(name, args):
-                return FamApp(name, tuple(go(a, s) for a in args))
-            case PropType(f):
-                return PropType(go(f, s))
-
-            case RelAtom(name, args):
-                return RelAtom(name, tuple(go(a, s) for a in args))
-            case Eq(t, l, r):
-                return Eq(go(t, s), go(l, s), go(r, s))
-            case Member(el, pred):
-                return Member(go(el, s), go(pred, s))
-            case And(l, r):
-                return And(go(l, s), go(r, s))
-            case Or(l, r):
-                return Or(go(l, s), go(r, s))
-            case Implies(l, r):
-                return Implies(go(l, s), go(r, s))
-            case Not(b):
-                return Not(go(b, s))
-            case Forall(x, t, body):
-                new_x, new_body, inner = _under_binder(x, body, s)
-                return Forall(new_x, go(t, s), go(new_body, inner) if inner else new_body)
-            case Exists(x, t, body):
-                new_x, new_body, inner = _under_binder(x, body, s)
-                return Exists(new_x, go(t, s), go(new_body, inner) if inner else new_body)
-        raise TypeError(f"not a syntax node: {n!r}")
-
-    def _under_binder(x: str, body: Node, s: Mapping[str, Term]):
-        """Restrict the substitution to the binder's scope and rename the
-        binder if any replacement would capture it.  Returns the (possibly
-        fresh) binder, the body ready for the inner substitution, and that
-        substitution (None when nothing is left to do)."""
-        body_fv = free_vars(body)
-        active = {k: v for k, v in s.items() if k != x and k in body_fv}
-        if not active:
-            return x, body, None
-        if any(x in free_vars(v) for v in active.values()):
-            avoid = set(body_fv)
-            for v in active.values():
-                avoid |= free_vars(v)
-            avoid |= set(active)
-            new_x = fresh_name(x, avoid)
-            active[x] = Var(new_x)
-            return new_x, body, active
-        return x, body, active
-
-    return go(node, dict(subst))
+def _under_binder(x: str, inner: Node,
+                  s: dict[str, Term]) -> tuple[str, dict[str, Term]]:
+    """Restrict the substitution to the binder's scope and rename the
+    binder if any replacement would capture it.  Returns the (possibly
+    fresh) binder and the substitution for the scope."""
+    inner_fv = free_vars(inner)
+    active = {k: v for k, v in s.items() if k != x and k in inner_fv}
+    if any(x in free_vars(v) for v in active.values()):
+        avoid = set(inner_fv)
+        for v in active.values():
+            avoid |= free_vars(v)
+        avoid |= set(active)
+        new_x = fresh_name(x, avoid)
+        active[x] = Var(new_x)
+        return new_x, active
+    return x, active
 
 
 # ---------------------------------------------------------------------------
 # rendering (S-expression style, used in diagnostics and by the DSL printer)
 # ---------------------------------------------------------------------------
 
+_KEYWORDS: dict[type, str] = {
+    Zero: "0", Unit: "1", Prop: "Prop", Universe: "Type",
+    Product: "*", Coproduct: "+", Arrow: "->", Pi: "pi", Sigma: "sigma",
+    W: "w", Power: "power", PropType: "prop",
+    App: "apply", Pair: "pair", Proj1: "pr1", Proj2: "pr2", Inl: "inl",
+    Inr: "inr", Lambda: "lambda", TupleProj: "proj", Sup: "sup",
+    FormulaTerm: "formula", Star: "star", Absurd: "absurd",
+    RelAtom: "rel", Eq: "=", Member: "in", Top: "top", Bottom: "bottom",
+    And: "and", Or: "or", Implies: "implies", Not: "not",
+    Forall: "forall", Exists: "exists",
+}
+
+
 def show(node: Node) -> str:
     match node:
-        case Var(name):
+        case Var(name) | Base(name):
             return name
-        case App(head, args):
-            if isinstance(head, str):
-                return f"({head}{''.join(' ' + show(a) for a in args)})"
-            return f"(apply {show(head)}{''.join(' ' + show(a) for a in args)})"
-        case Pair(a, b):
-            return f"(pair {show(a)} {show(b)})"
-        case Proj1(t):
-            return f"(pr1 {show(t)})"
-        case Proj2(t):
-            return f"(pr2 {show(t)})"
-        case Inl(t):
-            return f"(inl {show(t)})"
-        case Inr(t):
-            return f"(inr {show(t)})"
-        case Lambda(x, ann, body):
-            return f"(lambda ({x} {show(ann)}) {show(body)})"
-        case TupleProj(t, i):
-            return f"(proj {show(t)} {i})"
-        case Sup(label, branches):
-            return f"(sup {show(label)} {show(branches)})"
-        case FormulaTerm(f):
-            return f"(formula {show(f)})"
-        case Star():
-            return "star"
-        case Absurd(t):
-            return f"(absurd {show(t)})"
-
-        case Base(name):
-            return name
-        case Zero():
-            return "0"
-        case Unit():
-            return "1"
-        case Prop():
-            return "Prop"
-        case Universe():
-            return "Type"
-        case Product(a, b):
-            return f"(* {show(a)} {show(b)})"
-        case Coproduct(a, b):
-            return f"(+ {show(a)} {show(b)})"
-        case Arrow(a, b):
-            return f"(-> {show(a)} {show(b)})"
-        case Pi(x, ix, body):
-            return f"(pi ({x} {show(ix)}) {show(body)})"
-        case Sigma(x, ix, body):
-            return f"(sigma ({x} {show(ix)}) {show(body)})"
-        case W(x, lt, ab):
-            return f"(w ({x} {show(lt)}) {show(ab)})"
-        case Power(a):
-            return f"(power {show(a)})"
-        case FamApp(name, args):
-            return f"({name}{''.join(' ' + show(a) for a in args)})"
-        case PropType(f):
-            return f"(prop {show(f)})"
-
-        case RelAtom(name, args):
-            return f"(rel {name}{''.join(' ' + show(a) for a in args)})"
-        case Eq(t, l, r):
-            return f"(= {show(t)} {show(l)} {show(r)})"
-        case Member(el, pred):
-            return f"(in {show(el)} {show(pred)})"
-        case Top():
-            return "top"
-        case Bottom():
-            return "bottom"
-        case And(l, r):
-            return f"(and {show(l)} {show(r)})"
-        case Or(l, r):
-            return f"(or {show(l)} {show(r)})"
-        case Implies(l, r):
-            return f"(implies {show(l)} {show(r)})"
-        case Not(b):
-            return f"(not {show(b)})"
-        case Forall(x, t, body):
-            return f"(forall ({x} {show(t)}) {show(body)})"
-        case Exists(x, t, body):
-            return f"(exists ({x} {show(t)}) {show(body)})"
-    raise TypeError(f"not a syntax node: {node!r}")
+        case App(str() as head, args) | FamApp(head, args):
+            return f"({' '.join([head, *map(show, args)])})"
+        case _Binding():
+            x, outer, inner = _fields(node)
+            return f"({_KEYWORDS[type(node)]} ({x} {show(outer)}) {show(inner)})"
+    parts = [_KEYWORDS[type(node)]]
+    for value in _map_fields(node, show):
+        if isinstance(value, tuple):
+            parts.extend(value)
+        else:
+            parts.append(str(value))
+    return parts[0] if len(parts) == 1 else f"({' '.join(parts)})"

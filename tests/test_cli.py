@@ -193,3 +193,28 @@ def test_shipped_demo_file():
     assert run(["prove", "z4", "has-idempotent", demo])[0] == 0
     code, out, _ = run(["eval", "z4", "squares-cover", demo])
     assert code == 1 and "((a 1))" in out
+
+
+def test_deep_nesting_exits_two_without_traceback(tmp_path):
+    deep = tmp_path / "deep.mul"
+    deep.write_text("(type deep " + "(power " * 1200 + "G" + ")" * 1200 + ")")
+    code, out, err = run(["check", str(deep)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("raw", ["-5", "0"])
+def test_non_positive_budget_variable_exits_two(monkeypatch, raw):
+    monkeypatch.setenv("MULINGUA_BUDGET", raw)
+    code, out, err = run(["model-check", "group", "z12"])
+    assert code == 2 and out == ""
+    assert f"MULINGUA_BUDGET must be a positive integer, got '{raw}'" in err
+
+
+@pytest.mark.parametrize("raw", ["-5", "0", "many"])
+def test_autos_budget_flag_must_be_positive(raw, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["autos", "ti-quiver", f"--budget={raw}"])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err

@@ -99,6 +99,36 @@ def test_budget_env_var_override(monkeypatch):
     assert element_budget() == 10 ** 6
 
 
+@pytest.mark.parametrize("raw", ["-5", "0"])
+def test_budget_env_var_must_be_positive(monkeypatch, raw):
+    from mulingua.semantics import element_budget
+    monkeypatch.setenv("MULINGUA_BUDGET", raw)
+    with pytest.raises(BudgetError, match="positive integer"):
+        element_budget()
+    assert element_budget(3) == 3
+
+
+def test_theory_check_reads_the_budget_variable_once(monkeypatch):
+    import types
+    from mulingua import semantics
+
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    fake_os = types.SimpleNamespace(environ=Environ(MULINGUA_BUDGET="1000"))
+    monkeypatch.setattr(semantics, "os", fake_os)
+    assert check_theory(Z12, make_group_theory()).passed
+    assert reads == ["MULINGUA_BUDGET"]
+    reads.clear()
+    ctx = Context.of(("a", G), ("b", G))
+    assert derivable(Z12, ctx, Eq(G, Var("a"), Var("a")))
+    assert reads == ["MULINGUA_BUDGET"]
+
+
 def test_tree_type_of_leaves_is_finite():
     t = W("x", G, Zero())
     carrier = interpret_type(Z12, t)
