@@ -49,6 +49,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        element_budget()  # reject a malformed MULINGUA_BUDGET before any work
+    except BudgetError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    try:
         ws = builtin_workspace()
         for path in getattr(args, "files", []):
             with open(path, "r", encoding="utf-8") as handle:
@@ -267,9 +272,10 @@ def _run_vls(args, ws: Workspace) -> int:
             q = vls_of_structure(structure_to_sigma_vls(st))
         elif rule.startswith("winding:"):
             parts = rule.split(":")
-            if len(parts) != 3:
+            try:
+                n, w = map(int, parts[1:])
+            except ValueError:  # not two parts, or not integers
                 return _usage("winding rules are winding:N:W")
-            n, w = int(parts[1]), int(parts[2])
             base = st.signature.base_types[0]
             q = vls(st.carrier(base), WindingPaths(n, w))
         elif rule.startswith("action:"):

@@ -28,10 +28,18 @@ Grammar sketch::
 Types use ``(* A B)``, ``(+ A B)``, ``(-> A B)``, ``(pi (x A) B)``,
 ``(sigma (x A) B)``, ``(w (x A) B)``, ``(power A)``, ``(prop F)``,
 ``0``, ``1``, ``Prop``, and family application ``(F t ...)``; a
-function symbol whose codomain is ``Type`` declares a family.  Formulas
-use ``(forall (x A) F)``, ``(exists (x A) F)``, ``(and F G)``,
+function symbol whose codomain is ``Type`` declares a family.  Terms
+are variables, ``star``, symbol application ``(f t ...)``,
+``(pair s t)``, ``(pr1 t)``, ``(pr2 t)``, ``(inl t)``, ``(inr t)``,
+``(lambda (x A) t)``, ``(apply f t ...)``, ``(proj t i)``,
+``(sup l b)``, ``(formula F)``, ``(absurd t)``.  Formulas use
+``(forall (x A) F)``, ``(exists (x A) F)``, ``(and F G)``,
 ``(or F G)``, ``(implies F G)``, ``(not F)``, ``(= A s t)``,
-``(in t P)``, ``(rel R t ...)``, ``top``, ``bottom``.
+``(in t P)``, ``(rel R t ...)``, ``top``, ``bottom``.  The reader
+follows ``syntax._KEYWORDS``, the table ``show`` prints with: one
+generic reader covers all three, with ``*``, ``+``, ``->``, ``and``,
+``or`` and ``implies`` also taking more than two arguments, nested to
+the right.
 
 Carrier element names may be symbols or bare integers; the words
 ``star``, ``true``, and ``false`` are reserved for value literals.
@@ -41,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby, repeat
 from typing import Optional
 
 from . import musiclib
@@ -53,11 +63,9 @@ from .semantics import (
 )
 from .sexpr import SNode, Sym, parse_sexprs
 from .syntax import (
-    Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr,
-    Lambda, Member, Not, Or, Pair, Pi, Power, Product, Prop, PropType,
-    Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature, Star, Sup, Term,
-    Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, show,
+    FIELD_SORTS, KEYWORD_CLASSES, And, App, Arrow, Base, Context, Coproduct,
+    FamApp, Formula, FunSymbol, Implies, Or, Pi, Power, Product, Prop,
+    RelSymbol, Signature, Term, TypeExpr, Var, _Binding, show,
 )
 from .voiceleading import (
     GroupAction, Quiver, WindingPaths, sigma_vls_signature,
@@ -128,167 +136,100 @@ def _element_name(node: SNode) -> str:
 # types, terms, formulas
 # ---------------------------------------------------------------------------
 
+# One reader for the three sorts, driven by the keyword table ``show``
+# prints with.  Per sort: its name in messages, what heads a list of it,
+# and the classes of a symbol that is no keyword, alone and as a head.
+_SORTS = {
+    "TypeExpr": ("type expression", "a type constructor", Base, FamApp),
+    "Term": ("term", "a term head", Var, App),
+    "Formula": ("formula", "a formula head", None, None),
+}
+_NOUNS = {"TypeExpr": "type", "Term": "term", "Formula": "formula", "int": "index"}
+# what the forms (apply f t ...) and (rel R t ...) start with
+_HEADS = {"Term": "a function term", "str": "a relation name"}
+# binary forms written with two or more arguments, nested to the right
+_RIGHT_NESTED = frozenset((Product, Coproduct, Arrow, And, Or, Implies))
+
+
 def parse_type_node(node: SNode) -> TypeExpr:
+    return _read(node, "TypeExpr")
+
+
+def parse_term_node(node: SNode) -> Term:
+    return _read(node, "Term")
+
+
+def parse_formula_node(node: SNode) -> Formula:
+    return _read(node, "Formula")
+
+
+def _read(node: SNode, sort: str):
+    """Read the node as a field of a sort in ``FIELD_SORTS``."""
     v = node.value
-    if isinstance(v, int):
-        if v == 0:
-            return Zero()
-        if v == 1:
-            return Unit()
-        raise node.error(f"unexpected number {v} in type position")
+    if sort == "int":  # checked to be a number by the caller
+        return v
+    if sort == "str":
+        return _sym(node, _HEADS[sort])
+    what, head_what, atom, head_form = _SORTS[sort]
+    keywords = KEYWORD_CLASSES[sort]
     if isinstance(v, Sym):
-        if v.text == "Prop":
-            return Prop()
-        if v.text == "Type":
-            return Universe()
-        return Base(v.text)
-    if isinstance(v, list):
-        if not v:
-            raise node.error("empty type expression")
-        head = _sym(v[0], "a type constructor")
-        rest = v[1:]
-        if head in ("*", "+", "->"):
-            if len(rest) < 2:
-                raise node.error(f"'{head}' takes at least two types")
-            parts = [parse_type_node(r) for r in rest]
-            ctor = {"*": Product, "+": Coproduct, "->": Arrow}[head]
-            out = parts[-1]
-            for p in reversed(parts[:-1]):
-                out = ctor(p, out)
-            return out
-        if head in ("pi", "sigma", "w"):
-            if len(rest) != 2:
-                raise node.error(f"'{head}' takes a binder and a body")
-            binder, index_type = _parse_binder(rest[0])
-            body = parse_type_node(rest[1])
-            ctor = {"pi": Pi, "sigma": Sigma, "w": W}[head]
-            return ctor(binder, index_type, body)
-        if head == "power":
-            if len(rest) != 1:
-                raise node.error("'power' takes one type")
-            return Power(parse_type_node(rest[0]))
-        if head == "prop":
-            if len(rest) != 1:
-                raise node.error("'prop' takes one formula")
-            return PropType(parse_formula_node(rest[0]))
-        return FamApp(head, tuple(parse_term_node(r) for r in rest))
-    raise node.error("expected a type expression")
+        cls = keywords.get(v.text)
+        if cls is not None and not FIELD_SORTS[cls]:
+            return cls()
+        if atom is None:
+            raise node.error(f"unknown {what} {v.text!r}")
+        return atom(v.text)
+    if isinstance(v, int) and sort == "TypeExpr":
+        if str(v) in keywords:  # the numerals 0 and 1
+            return keywords[str(v)]()
+        raise node.error(f"unexpected number {v} in type position")
+    if not isinstance(v, list):
+        raise node.error(f"expected a {what}")
+    if not v:
+        raise node.error(f"empty {what}")
+    head, rest = _sym(v[0], head_what), v[1:]
+    cls = keywords.get(head)
+    sorts = FIELD_SORTS.get(cls)
+    if not sorts:  # no keyword, or one that stands alone
+        if head_form is None:
+            raise node.error(f"unknown {what} head {head!r}")
+        return head_form(head, tuple(map(_read, rest, repeat("Term"))))
+    if cls in _RIGHT_NESTED:
+        if len(rest) < 2:
+            raise node.error(f"'{head}' takes at least two {_NOUNS[sort]}s")
+        parts = reversed([*map(_read, rest, repeat(sort))])
+        return reduce(lambda right, left: cls(left, right), parts)
+    if issubclass(cls, _Binding):
+        if len(rest) != 2:
+            raise node.error(f"'{head}' takes a binder and a body")
+        return cls(*_parse_binder(rest[0]), _read(rest[1], sorts[2]))
+    if sorts[-1] == "Term...":
+        if not rest:
+            raise node.error(f"'{head}' takes {_HEADS[sorts[0]]}")
+        return cls(_read(rest[0], sorts[0]),
+                   tuple(map(_read, rest[1:], repeat("Term"))))
+    if len(rest) != len(sorts) or ("int" in sorts and any(
+            s == "int" and not isinstance(r.value, int)
+            for r, s in zip(rest, sorts))):
+        raise node.error(f"'{head}' takes {_takes(sorts)}")
+    return cls(*map(_read, rest, sorts))
+
+
+def _takes(sorts: tuple[str, ...]) -> str:
+    """Fields in words: 'one type', 'a type and two terms', ..."""
+    if len(sorts) == 1:
+        return f"one {_NOUNS[sorts[0]]}"
+    return " and ".join(
+        f"two {_NOUNS[s]}s" if len(list(g)) == 2
+        else f"{'an' if s == 'int' else 'a'} {_NOUNS[s]}"
+        for s, g in groupby(sorts))
 
 
 def _parse_binder(node: SNode) -> tuple[str, TypeExpr]:
     items = _items(node, "a binder (x A)")
     if len(items) != 2:
         raise node.error("a binder is written (x A)")
-    return _sym(items[0], "a variable"), parse_type_node(items[1])
-
-
-def parse_term_node(node: SNode) -> Term:
-    v = node.value
-    if isinstance(v, Sym):
-        if v.text == "star":
-            return Star()
-        return Var(v.text)
-    if isinstance(v, list):
-        if not v:
-            raise node.error("empty term")
-        head = _sym(v[0], "a term head")
-        rest = v[1:]
-        match head:
-            case "pair":
-                if len(rest) != 2:
-                    raise node.error("'pair' takes two terms")
-                return Pair(parse_term_node(rest[0]), parse_term_node(rest[1]))
-            case "pr1" | "pr2":
-                if len(rest) != 1:
-                    raise node.error(f"'{head}' takes one term")
-                ctor = Proj1 if head == "pr1" else Proj2
-                return ctor(parse_term_node(rest[0]))
-            case "inl" | "inr":
-                if len(rest) != 1:
-                    raise node.error(f"'{head}' takes one term")
-                ctor = Inl if head == "inl" else Inr
-                return ctor(parse_term_node(rest[0]))
-            case "lambda":
-                if len(rest) != 2:
-                    raise node.error("'lambda' takes a binder and a body")
-                binder, annot = _parse_binder(rest[0])
-                return Lambda(binder, annot, parse_term_node(rest[1]))
-            case "proj":
-                if len(rest) != 2 or not isinstance(rest[1].value, int):
-                    raise node.error("'proj' takes a term and an index")
-                return TupleProj(parse_term_node(rest[0]), rest[1].value)
-            case "sup":
-                if len(rest) != 2:
-                    raise node.error("'sup' takes a label and a branch function")
-                return Sup(parse_term_node(rest[0]), parse_term_node(rest[1]))
-            case "formula":
-                if len(rest) != 1:
-                    raise node.error("'formula' takes one formula")
-                return FormulaTerm(parse_formula_node(rest[0]))
-            case "absurd":
-                if len(rest) != 1:
-                    raise node.error("'absurd' takes one term")
-                return Absurd(parse_term_node(rest[0]))
-            case "apply":
-                if not rest:
-                    raise node.error("'apply' takes a function term")
-                return App(parse_term_node(rest[0]),
-                           tuple(parse_term_node(r) for r in rest[1:]))
-            case _:
-                return App(head, tuple(parse_term_node(r) for r in rest))
-    raise node.error("expected a term")
-
-
-def parse_formula_node(node: SNode) -> Formula:
-    v = node.value
-    if isinstance(v, Sym):
-        if v.text == "top":
-            return Top()
-        if v.text == "bottom":
-            return Bottom()
-        raise node.error(f"unknown formula {v.text!r}")
-    if isinstance(v, list):
-        if not v:
-            raise node.error("empty formula")
-        head = _sym(v[0], "a formula head")
-        rest = v[1:]
-        match head:
-            case "and" | "or" | "implies":
-                if len(rest) < 2:
-                    raise node.error(f"'{head}' takes at least two formulas")
-                parts = [parse_formula_node(r) for r in rest]
-                ctor = {"and": And, "or": Or, "implies": Implies}[head]
-                out = parts[-1]
-                for p in reversed(parts[:-1]):
-                    out = ctor(p, out)
-                return out
-            case "not":
-                if len(rest) != 1:
-                    raise node.error("'not' takes one formula")
-                return Not(parse_formula_node(rest[0]))
-            case "forall" | "exists":
-                if len(rest) != 2:
-                    raise node.error(f"'{head}' takes a binder and a body")
-                binder, var_type = _parse_binder(rest[0])
-                ctor = Forall if head == "forall" else Exists
-                return ctor(binder, var_type, parse_formula_node(rest[1]))
-            case "=":
-                if len(rest) != 3:
-                    raise node.error("'=' takes a type and two terms")
-                return Eq(parse_type_node(rest[0]),
-                          parse_term_node(rest[1]), parse_term_node(rest[2]))
-            case "in":
-                if len(rest) != 2:
-                    raise node.error("'in' takes an element and a predicate")
-                return Member(parse_term_node(rest[0]), parse_term_node(rest[1]))
-            case "rel":
-                if not rest:
-                    raise node.error("'rel' takes a relation name")
-                return RelAtom(_sym(rest[0], "a relation name"),
-                               tuple(parse_term_node(r) for r in rest[1:]))
-            case _:
-                raise node.error(f"unknown formula head {head!r}")
-    raise node.error("expected a formula")
+    return _sym(items[0], "a variable"), _read(items[1], "TypeExpr")
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,6 @@ def make_group_theory() -> Theory:
     )
 
 
-def _range_carrier(tag: str, n: int) -> FinSet:
-    return FinSet(tuple(Atom(tag, i) for i in range(n)))
-
-
 def cyclic_group_structure(n: int, tag: str = "G") -> Structure:
     """Integers mod n under addition, as a model of the group signature."""
     atoms = [Atom(tag, i) for i in range(n)]

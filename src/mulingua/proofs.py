@@ -135,10 +135,9 @@ def _first(st: Structure, t: TypeExpr, env: Env, budget: int) -> Optional[Value]
 
 
 def _domain(st: Structure, t: TypeExpr, env: Env, budget: int) -> list[Value]:
-    size = type_size(st, t, env, budget)
-    if size > budget:
+    if type_size(st, t, env, budget) > budget:
         raise BudgetError(
-            f"index enumeration of {size} elements exceeds the budget ({budget})")
+            f"index enumeration of more than {budget} elements exceeds the budget")
     return list(iter_type(st, t, env, budget))
 
 

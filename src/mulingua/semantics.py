@@ -227,12 +227,6 @@ class Structure:
         except KeyError:
             raise StructureError(f"no carrier for base type {name!r}") from None
 
-    def atom_name(self, v: Atom) -> str:
-        names = self.element_names.get(v.carrier)
-        if names is not None and 0 <= v.index < len(names):
-            return names[v.index]
-        return f"(atom {v.carrier} {v.index})"
-
     def named_atom(self, carrier: str, name: str) -> Atom:
         names = self.element_names.get(carrier)
         if names is None or name not in names:
@@ -307,10 +301,13 @@ class Structure:
 def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
               budget: Optional[int] = None) -> int:
     """Cardinality of the interpretation, computed arithmetically where
-    possible.  Raises ``BudgetError`` for tree types that keep growing
-    past the depth bound."""
+    possible.  Exact up to the budget; any larger size is reported as
+    budget + 1, so a huge type costs no huge arithmetic.  Raises
+    ``BudgetError`` for tree types that keep growing past the depth
+    bound."""
     env = env or {}
     budget = element_budget(budget)
+    cap = budget + 1
     match t:
         case Base(name):
             return len(st.carrier(name))
@@ -321,33 +318,36 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
         case Prop():
             return 2
         case Product(a, b):
-            return type_size(st, a, env, budget) * type_size(st, b, env, budget)
+            return min(type_size(st, a, env, budget) * type_size(st, b, env, budget), cap)
         case Coproduct(a, b):
-            return type_size(st, a, env, budget) + type_size(st, b, env, budget)
+            return min(type_size(st, a, env, budget) + type_size(st, b, env, budget), cap)
         case Arrow(a, b):
-            return type_size(st, b, env, budget) ** type_size(st, a, env, budget)
+            return _capped_power(type_size(st, b, env, budget),
+                                 type_size(st, a, env, budget), cap)
         case Power(a):
-            return 2 ** type_size(st, a, env, budget)
+            return _capped_power(2, type_size(st, a, env, budget), cap)
         case Pi(x, index_type, body):
             if x not in free_vars(body):
-                return type_size(st, body, env, budget) ** type_size(st, index_type, env, budget)
+                return _capped_power(type_size(st, body, env, budget),
+                                     type_size(st, index_type, env, budget), cap)
             _guard(type_size(st, index_type, env, budget), budget)
             total = 1
             for v in iter_type(st, index_type, env, budget):
-                total *= type_size(st, body, {**env, x: v}, budget)
+                total = min(total * type_size(st, body, {**env, x: v}, budget), cap)
             return total
         case Sigma(x, index_type, body):
             if x not in free_vars(body):
-                return type_size(st, index_type, env, budget) * type_size(st, body, env, budget)
+                return min(type_size(st, index_type, env, budget)
+                           * type_size(st, body, env, budget), cap)
             _guard(type_size(st, index_type, env, budget), budget)
             total = 0
             for v in iter_type(st, index_type, env, budget):
-                total += type_size(st, body, {**env, x: v}, budget)
+                total = min(total + type_size(st, body, {**env, x: v}, budget), cap)
             return total
         case W(_, _, _):
             return len(_tree_values(st, t, env, budget))
         case FamApp(_, _):
-            return len(_family_set(st, t, env, budget))
+            return min(len(_family_set(st, t, env, budget)), cap)
         case PropType(f):
             return 1 if eval_formula(st, f, env, budget) else 0
         case Universe():
@@ -355,10 +355,18 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
     raise StructureError(f"not a type expression: {t!r}")
 
 
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    """``min(base ** exp, cap)``, without computing a power past the cap:
+    from base 2 up, an exponent of cap's bit length already exceeds it."""
+    if base >= 2 and exp >= cap.bit_length():
+        return cap
+    return min(base ** exp, cap)
+
+
 def _guard(size: int, budget: int) -> None:
     if size > budget:
         raise BudgetError(
-            f"enumeration of {size} elements exceeds the element budget ({budget})")
+            f"enumeration of more than {budget} elements exceeds the element budget")
 
 
 def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,

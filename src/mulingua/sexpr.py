@@ -4,7 +4,9 @@ The reader produces position-tagged nodes: every atom and list carries
 the 1-based line and column where it started, so later passes can point
 at the offending expression.  Atoms are symbols, integers, exact
 rationals (``19/2``), or double-quoted strings; ``;`` starts a comment
-to end of line.
+to end of line.  Lists nest at most ``MAX_DEPTH`` deep, so that reading
+and every later pass over the nodes stay well within Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .diagnostics import ParseError
 _INT = re.compile(r"[+-]?[0-9]+$")
 _RATIONAL = re.compile(r"[+-]?[0-9]+/[0-9]+$")
 _DELIMITERS = set(" \t\r\n();\"")
+MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,7 @@ class _Reader:
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def read_all(self) -> tuple[list[SNode], int]:
         nodes = []
@@ -98,7 +102,11 @@ class _Reader:
         line, col = self.line, self.col
         c = self._peek()
         if c == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    f"expressions nested more than {MAX_DEPTH} deep", line, col)
             self._advance()
+            self.depth += 1
             items = []
             while True:
                 self._skip_blank()
@@ -106,6 +114,7 @@ class _Reader:
                     raise ParseError("unclosed '('", line, col)
                 if self._peek() == ")":
                     self._advance()
+                    self.depth -= 1
                     return SNode(items, line, col)
                 items.append(self._read())
         if c == ")":

@@ -28,8 +28,8 @@ the evaluator keeps a closed term's value on the term (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Mapping, Optional, Union, get_args
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +573,22 @@ _KEYWORDS: dict[type, str] = {
     RelAtom: "rel", Eq: "=", Member: "in", Top: "top", Bottom: "bottom",
     And: "and", Or: "or", Implies: "implies", Not: "not",
     Forall: "forall", Exists: "exists",
+}
+
+
+# The keyword table read backwards, for the ``.mul`` reader: per class the
+# sort of each field, from its annotation (``TypeExpr``, ``Term``,
+# ``Formula``, ``str``, ``int``, or ``Term...`` for a tuple of terms; an
+# application head reads as a term), and per sort the class of each keyword.
+_ANNOTATED = {"tuple[Term, ...]": "Term...", "Union[str, Term]": "Term"}
+FIELD_SORTS: dict[type, tuple[str, ...]] = {
+    cls: tuple(_ANNOTATED.get(a, a)
+               for a in (f.type.replace("'", "") for f in fields(cls)))
+    for cls in get_args(Node)
+}
+KEYWORD_CLASSES: dict[str, dict[str, type]] = {
+    sort: {kw: cls for cls, kw in _KEYWORDS.items() if cls in get_args(union)}
+    for sort, union in (("TypeExpr", TypeExpr), ("Term", Term), ("Formula", Formula))
 }
 
 

@@ -1,11 +1,16 @@
 """The command-line verbs, their exit codes, and report determinism."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from mulingua.cli import main
+from mulingua.sexpr import MAX_DEPTH
 
 
 def run(argv):
@@ -154,6 +159,13 @@ def test_vls_with_rule_argument(tmp_path):
     assert code == 0 and out == "vertices: 2\narrows: 4\n"
 
 
+@pytest.mark.parametrize("rule", ["winding:a:1", "winding:12:1.5",
+                                  "winding:12", "winding:12:1:1"])
+def test_malformed_winding_rule_exits_two(rule):
+    code, out, err = run(["vls", "z12", rule])
+    assert (code, out, err) == (2, "", "winding rules are winding:N:W\n")
+
+
 def test_reports_are_byte_deterministic():
     for argv in (["model-check", "gis", "z12gis"],
                  ["prove", "z12music", "(allInterval 0 1 4 6)"],
@@ -201,7 +213,42 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path):
     code, out, err = run(["check", str(deep)])
     assert code == 2
     assert out == ""
-    assert err == "error: input nested too deeply\n"
+    # the list one level past the limit opens after "(type deep " and
+    # 255 "(power "s
+    assert err == f"{deep}: 1:1797: expressions nested more than 256 deep\n"
+
+
+def _nested_formula(depth):
+    """A true formula whose lists nest exactly ``depth`` deep, counting
+    the declaration around it."""
+    nots = depth - 2
+    return f"(formula deep (and top {'(not ' * nots}top{')' * nots}))"
+
+
+def test_input_at_the_nesting_limit_still_runs(tmp_path):
+    at_limit = tmp_path / "limit.mul"
+    at_limit.write_text(_nested_formula(MAX_DEPTH))
+    assert run(["check", str(at_limit)]) == (0, "formula deep: parsed\n", "")
+    assert run(["eval", "z12", "deep", str(at_limit)]) == (0, "true\n", "")
+    past = tmp_path / "past.mul"
+    past.write_text(_nested_formula(MAX_DEPTH + 1))
+    code, out, err = run(["eval", "z12", "deep", str(past)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{past}: 1:")
+
+
+def test_sizes_stop_growing_at_the_budget(tmp_path):
+    big = tmp_path / "big.mul"
+    big.write_text("(formula big (forall (x (power (power (power G)))) top))")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("MULINGUA_BUDGET", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "mulingua.cli", "eval", "z12", "big", str(big)],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("budget exceeded: enumeration of more than "
+                           "1000000 elements exceeds the element budget\n")
 
 
 @pytest.mark.parametrize("raw", ["-5", "0"])
@@ -210,6 +257,20 @@ def test_non_positive_budget_variable_exits_two(monkeypatch, raw):
     code, out, err = run(["model-check", "group", "z12"])
     assert code == 2 and out == ""
     assert f"MULINGUA_BUDGET must be a positive integer, got '{raw}'" in err
+
+
+@pytest.mark.parametrize("raw, problem", [
+    ("-5", "a positive integer, got '-5'"),
+    ("many", "an integer, got 'many'"),
+])
+@pytest.mark.parametrize("argv", [["model-check", "group", "z12"],
+                                  ["vls", "ti-quiver"]])
+def test_malformed_budget_variable_is_not_an_exceeded_budget(
+        monkeypatch, raw, problem, argv):
+    monkeypatch.setenv("MULINGUA_BUDGET", raw)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: MULINGUA_BUDGET must be {problem}\n"
 
 
 @pytest.mark.parametrize("raw", ["-5", "0", "many"])

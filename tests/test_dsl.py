@@ -112,6 +112,93 @@ def test_formula_show_parse_round_trip():
         assert parse_formula_node(parse_one(show(f))) == f
 
 
+# Malformed input in type (T), term (E) and formula (F) position, one or
+# more per keyword form, with the exact error and where it points.
+MALFORMED = [
+    ("T", "5", "1:1: unexpected number 5 in type position"),
+    ("T", "(* G 5)", "1:6: unexpected number 5 in type position"),
+    ("T", '"s"', "1:1: expected a type expression"),
+    ("T", "1/2", "1:1: expected a type expression"),
+    ("T", "()", "1:1: empty type expression"),
+    ("T", "(* G ())", "1:6: empty type expression"),
+    ("T", "(5 G)", "1:2: expected a type constructor"),
+    ("T", "(* G)", "1:1: '*' takes at least two types"),
+    ("T", "(+ G)", "1:1: '+' takes at least two types"),
+    ("T", "(-> G)", "1:1: '->' takes at least two types"),
+    ("T", "(pi (x G))", "1:1: 'pi' takes a binder and a body"),
+    ("T", "(pi (x G) G G)", "1:1: 'pi' takes a binder and a body"),
+    ("T", "(sigma x G)", "1:8: expected a binder (x A)"),
+    ("T", "(w (x) G)", "1:4: a binder is written (x A)"),
+    ("T", "(pi (5 G) G)", "1:6: expected a variable"),
+    ("T", "(power)", "1:1: 'power' takes one type"),
+    ("T", "(power G G)", "1:1: 'power' takes one type"),
+    ("T", "(prop)", "1:1: 'prop' takes one formula"),
+    ("T", "(prop top bottom)", "1:1: 'prop' takes one formula"),
+    ("T", "(prop x)", "1:7: unknown formula 'x'"),
+    ("T", "(F (pair a))", "1:4: 'pair' takes two terms"),
+    ("T", "(Prop 5)", "1:7: expected a term"),
+    ("E", "5", "1:1: expected a term"),
+    ("E", '"s"', "1:1: expected a term"),
+    ("E", "1/2", "1:1: expected a term"),
+    ("E", "()", "1:1: empty term"),
+    ("E", "(3 a)", "1:2: expected a term head"),
+    ("E", "(pair a)", "1:1: 'pair' takes two terms"),
+    ("E", "(pr1)", "1:1: 'pr1' takes one term"),
+    ("E", "(pr2 a b)", "1:1: 'pr2' takes one term"),
+    ("E", "(inl)", "1:1: 'inl' takes one term"),
+    ("E", "(inr a b)", "1:1: 'inr' takes one term"),
+    ("E", "(lambda (x G))", "1:1: 'lambda' takes a binder and a body"),
+    ("E", "(lambda x G a)", "1:1: 'lambda' takes a binder and a body"),
+    ("E", "(lambda (x Type 1) a)", "1:9: a binder is written (x A)"),
+    ("E", "(proj t)", "1:1: 'proj' takes a term and an index"),
+    ("E", "(proj t x)", "1:1: 'proj' takes a term and an index"),
+    ("E", "(proj t 1/2)", "1:1: 'proj' takes a term and an index"),
+    ("E", "(proj (pair) 1)", "1:7: 'pair' takes two terms"),
+    ("E", "(sup l)", "1:1: 'sup' takes two terms"),
+    ("E", "(formula)", "1:1: 'formula' takes one formula"),
+    ("E", "(formula a)", "1:10: unknown formula 'a'"),
+    ("E", "(absurd)", "1:1: 'absurd' takes one term"),
+    ("E", "(apply)", "1:1: 'apply' takes a function term"),
+    ("E", "(apply (pr1) a)", "1:8: 'pr1' takes one term"),
+    ("E", "(star a 5)", "1:9: expected a term"),
+    ("E", "(f\n  (pair a b c))", "2:3: 'pair' takes two terms"),
+    ("F", "5", "1:1: expected a formula"),
+    ("F", "x", "1:1: unknown formula 'x'"),
+    ("F", "and", "1:1: unknown formula 'and'"),
+    ("F", '"s"', "1:1: expected a formula"),
+    ("F", "()", "1:1: empty formula"),
+    ("F", "(5)", "1:2: expected a formula head"),
+    ("F", "(and top)", "1:1: 'and' takes at least two formulas"),
+    ("F", "(or)", "1:1: 'or' takes at least two formulas"),
+    ("F", "(implies top)", "1:1: 'implies' takes at least two formulas"),
+    ("F", "(not)", "1:1: 'not' takes one formula"),
+    ("F", "(not top top)", "1:1: 'not' takes one formula"),
+    ("F", "(forall (x G))", "1:1: 'forall' takes a binder and a body"),
+    ("F", "(exists ((x) G) top)", "1:10: expected a variable"),
+    ("F", "(= G a)", "1:1: '=' takes a type and two terms"),
+    ("F", "(= G a b c)", "1:1: '=' takes a type and two terms"),
+    ("F", "(= (* G) a b)", "1:4: '*' takes at least two types"),
+    ("F", "(in a)", "1:1: 'in' takes two terms"),
+    ("F", "(rel)", "1:1: 'rel' takes a relation name"),
+    ("F", "(rel 5 a)", "1:6: expected a relation name"),
+    ("F", "(rel R 5)", "1:8: expected a term"),
+    ("F", "(foo a)", "1:1: unknown formula head 'foo'"),
+    ("F", "(top)", "1:1: unknown formula head 'top'"),
+    ("F", "(pair a b)", "1:1: unknown formula head 'pair'"),
+    ("F", "(forall (x (* G)) top)", "1:12: '*' takes at least two types"),
+    ("F", "(and top\n bottom\n (not))", "3:2: 'not' takes one formula"),
+]
+
+
+@pytest.mark.parametrize("sort, text, message", MALFORMED)
+def test_malformed_expressions_are_reported_in_place(sort, text, message):
+    parse = {"T": parse_type_node, "E": parse_term_node,
+             "F": parse_formula_node}[sort]
+    with pytest.raises(ParseError) as err:
+        parse(parse_one(text))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # declarations
 # ---------------------------------------------------------------------------

@@ -77,6 +77,33 @@ def test_dependent_sigma_size():
     assert type_size(MUSIC12, t) == sum(range(12))
 
 
+def test_sizes_are_exact_up_to_the_budget_and_budget_plus_one_above():
+    fin = FamApp("fin", (Var("p"),))
+    cases = [  # (type, structure, exact size)
+        (Product(G, G), Z12, 144),
+        (Coproduct(G, Product(G, G)), Z12, 156),
+        (Arrow(G, Prop()), Z12, 2 ** 12),
+        (Power(G), Z12, 2 ** 12),
+        (Pi("x", G, G), Z12, 12 ** 12),
+        (Sigma("x", G, G), Z12, 144),
+        (Sigma("p", Base("PC"), fin), MUSIC12, sum(range(12))),
+        (Pi("p", Base("PC"), fin), MUSIC12, 0),
+        (Pi("p", Base("PC"), Coproduct(Unit(), fin)), MUSIC12, 479001600),
+        (Pi("x", Base("PC"), fin), MUSIC12, 5 ** 12),
+    ]
+    env = {"p": Atom("PC", 5)}
+    for t, st, exact in cases:
+        for budget in (exact - 1, exact, exact + 1, 10 ** 6):
+            if budget >= 12:  # dependent fibers enumerate a 12-element index
+                assert type_size(st, t, env, budget) == min(exact, budget + 1)
+    assert type_size(MUSIC12, fin, env, budget=3) == 4
+    # a size with thousands of digits is never computed
+    huge = Power(Power(Power(G)))
+    assert type_size(Z12, huge) == 10 ** 6 + 1
+    assert type_size(Z12, Arrow(huge, G), budget=10) == 11
+    assert type_size(Z12, Pi("x", G, huge), budget=10) == 11
+
+
 def test_budget_overflow_on_materialization():
     with pytest.raises(BudgetError):
         interpret_type(Z12, Arrow(G, G))  # 12^12 tables

@@ -4,6 +4,7 @@ value memo."""
 
 import dataclasses
 import gc
+import typing
 import weakref
 
 from hypothesis import given, settings, strategies as hst
@@ -17,8 +18,8 @@ from mulingua.syntax import (
     Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
     FamApp, Forall, FormulaTerm, Implies, Inl, Inr, Lambda, Member, Not, Or,
     Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
-    Star, Sup, Top, TupleProj, Unit, Universe, Var, W, Zero, _Node,
-    alpha_key, free_vars, show, substitute,
+    Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero,
+    _Node, alpha_key, free_vars, show, substitute,
 )
 
 from generators import random_formula, random_typed_term
@@ -85,6 +86,20 @@ def test_golden_table_lists_every_node_class():
     classes = set(_node_classes())
     assert listed == classes
     assert len(classes) == 38
+
+
+def test_every_golden_rendering_reads_back_to_the_same_node():
+    for node, text in SHOWN:
+        if isinstance(node, typing.get_args(TypeExpr)):
+            parse = parse_type_node
+        elif isinstance(node, typing.get_args(Term)):
+            parse = parse_term_node
+        else:
+            parse = parse_formula_node
+        (sexpr,) = parse_sexprs(text)
+        back = parse(sexpr)
+        assert back == node and type(back) is type(node), text
+        assert alpha_key(back) == alpha_key(node)
 
 
 def test_apply_with_no_arguments_and_nullary_symbols():
