@@ -58,10 +58,10 @@ from .diagnostics import StructureError
 from .kernel import validate_signature
 from .semantics import (
     Atom, FinSet, InlV, InrV, PairV, RatV, SectionV, StarV, Structure,
-    TableV, Theory, TheoryAxiom, TreeV, TruthV, Value, iter_type,
+    TableV, Theory, TheoryAxiom, TreeV, TruthV, Value, interpret_type,
     render_value,
 )
-from .sexpr import SNode, Sym, parse_sexprs
+from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
     FIELD_SORTS, KEYWORD_CLASSES, And, App, Arrow, Base, Context, Coproduct,
     FamApp, Formula, FunSymbol, Implies, Or, Pi, Power, Product, Prop,
@@ -197,6 +197,8 @@ def _read(node: SNode, sort: str):
     if cls in _RIGHT_NESTED:
         if len(rest) < 2:
             raise node.error(f"'{head}' takes at least two {_NOUNS[sort]}s")
+        if len(rest) > MAX_DEPTH:  # each argument past the first nests one deeper
+            raise node.error(f"'{head}' takes at most {MAX_DEPTH} {_NOUNS[sort]}s")
         parts = reversed([*map(_read, rest, repeat(sort))])
         return reduce(lambda right, left: cls(left, right), parts)
     if issubclass(cls, _Binding):
@@ -283,7 +285,7 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
                 return InlV(inner) if head == "inl" else InrV(inner)
             case "set":
                 domain_t = _subset_domain(node, expected)
-                dom = list(iter_type(scratch, domain_t))
+                dom = interpret_type(scratch, domain_t)
                 members = {parse_value_node(r, domain_t, scratch) for r in rest}
                 unknown = members - set(dom)
                 if unknown:
@@ -300,7 +302,7 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
                                     parse_value_node(pair[1], out_t, scratch)))
                 if key_t is not None:
                     order = {k: i for i, k in
-                             enumerate(iter_type(scratch, key_t))}
+                             enumerate(interpret_type(scratch, key_t))}
                     entries.sort(key=lambda kv: order.get(kv[0], len(order)))
                 ctor = TableV if head == "table" else SectionV
                 return ctor(tuple(entries))

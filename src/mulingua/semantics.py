@@ -5,7 +5,8 @@ to function symbols, subsets to relation symbols, and set-valued tables
 to type families.  Types are interpreted compositionally: products as
 cartesian products, coproducts as tagged unions, function types as all
 tables, dependent products as all sections, powers as tables into the
-two truth values, and tree types by depth-bounded enumeration.
+two truth values, and tree types by their leaves (a tree type that
+also has a branching label has infinitely many trees).
 
 Truth values are classical: ``Prop`` denotes {false, true}, conjunction
 is meet, disjunction join, implication the order, and the quantifiers
@@ -13,10 +14,13 @@ are iterated meets and joins over the interpreted bound type.
 
 Every enumeration follows one canonical order (carrier order, pairs
 lexicographic, injections left first, tables by output tuples), so all
-results are deterministic.  Function-type carriers are enumerated
-lazily; the element budget (default 10^6, override via the
-MULINGUA_BUDGET environment variable, a positive integer) bounds any
-enumeration a quantifier actually demands.
+results are deterministic.  Enumeration is lazy, and the first
+element of a type is found without enumerating the rest: it is the
+canonical inhabitant that ``proofs.inhabit`` returns, and a dependent
+product's first section is decided fiber by fiber.  The element budget
+(default 10^6, override via the MULINGUA_BUDGET environment variable, a
+positive integer) bounds every domain, index and quantifier range that
+is enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
 from .syntax import (
@@ -37,7 +41,6 @@ from .syntax import (
 )
 
 DEFAULT_BUDGET = 10 ** 6
-DEFAULT_TREE_DEPTH = 6
 
 Env = dict[str, "Value"]
 
@@ -303,8 +306,7 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
     """Cardinality of the interpretation, computed arithmetically where
     possible.  Exact up to the budget; any larger size is reported as
     budget + 1, so a huge type costs no huge arithmetic.  Raises
-    ``BudgetError`` for tree types that keep growing past the depth
-    bound."""
+    ``BudgetError`` for tree types with infinitely many trees."""
     env = env or {}
     budget = element_budget(budget)
     cap = budget + 1
@@ -330,22 +332,20 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             if x not in free_vars(body):
                 return _capped_power(type_size(st, body, env, budget),
                                      type_size(st, index_type, env, budget), cap)
-            _guard(type_size(st, index_type, env, budget), budget)
             total = 1
-            for v in iter_type(st, index_type, env, budget):
+            for v in _elements(st, index_type, env, budget):
                 total = min(total * type_size(st, body, {**env, x: v}, budget), cap)
             return total
         case Sigma(x, index_type, body):
             if x not in free_vars(body):
                 return min(type_size(st, index_type, env, budget)
                            * type_size(st, body, env, budget), cap)
-            _guard(type_size(st, index_type, env, budget), budget)
             total = 0
-            for v in iter_type(st, index_type, env, budget):
+            for v in _elements(st, index_type, env, budget):
                 total = min(total + type_size(st, body, {**env, x: v}, budget), cap)
             return total
         case W(_, _, _):
-            return len(_tree_values(st, t, env, budget))
+            return sum(1 for _ in iter_type(st, t, env, budget))
         case FamApp(_, _):
             return min(len(_family_set(st, t, env, budget)), cap)
         case PropType(f):
@@ -363,18 +363,50 @@ def _capped_power(base: int, exp: int, cap: int) -> int:
     return min(base ** exp, cap)
 
 
-def _guard(size: int, budget: int) -> None:
-    if size > budget:
+def _elements(st: Structure, t: TypeExpr, env: Env,
+              budget: int) -> Iterator[Value]:
+    """``iter_type`` once the type's size is known to be within the
+    budget: every domain, index and quantifier range is enumerated so."""
+    if type_size(st, t, env, budget) > budget:
         raise BudgetError(
             f"enumeration of more than {budget} elements exceeds the element budget")
+    return iter_type(st, t, env, budget)
+
+
+def _product(factors: Iterable[Iterable[Value]],
+             repeat: int = 1) -> Iterator[tuple[Value, ...]]:
+    """``itertools.product(*factors, repeat=repeat)`` that reads only the
+    first element of each factor, and no factor past an empty one, before
+    it yields the first tuple; the factors are materialised only when a
+    second tuple is asked for."""
+    if repeat == 0:
+        yield ()
+        return
+    firsts, rests = [], []
+    for factor in factors:
+        rest = iter(factor)
+        first = next(rest, None)
+        if first is None:
+            return
+        firsts.append(first)
+        rests.append(rest)
+    yield tuple(firsts) * repeat
+    pools = [[first, *rest] for first, rest in zip(firsts, rests)]
+    tuples = itertools.product(*pools, repeat=repeat)
+    next(tuples)
+    yield from tuples
 
 
 def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
               budget: Optional[int] = None) -> Iterator[Value]:
-    """Lazily enumerate the interpretation in canonical order."""
+    """Lazily enumerate the interpretation in canonical order.  The first
+    element is the type's canonical inhabitant."""
     env = env or {}
     budget = element_budget(budget)
     match t:
+        case PropType(f):  # first: the case inhabitation search meets most
+            if eval_formula(st, f, env, budget):
+                yield StarV()
         case Base(name):
             yield from st.carrier(name)
         case Zero():
@@ -384,39 +416,46 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
         case Prop():
             yield from PROP_SET
         case Product(a, b):
-            for va in iter_type(st, a, env, budget):
-                for vb in iter_type(st, b, env, budget):
-                    yield PairV(va, vb)
+            for va, vb in _product((iter_type(st, a, env, budget),
+                                    iter_type(st, b, env, budget))):
+                yield PairV(va, vb)
         case Coproduct(a, b):
             for va in iter_type(st, a, env, budget):
                 yield InlV(va)
             for vb in iter_type(st, b, env, budget):
                 yield InrV(vb)
         case Arrow(a, b):
-            dom = list(iter_type(st, a, env, budget))
-            cod = list(iter_type(st, b, env, budget))
-            for outputs in itertools.product(cod, repeat=len(dom)):
+            dom = list(_elements(st, a, env, budget))
+            for outputs in _product((iter_type(st, b, env, budget),), len(dom)):
                 yield TableV(tuple(zip(dom, outputs)))
         case Power(a):
-            dom = list(iter_type(st, a, env, budget))
-            for outputs in itertools.product(PROP_SET, repeat=len(dom)):
+            dom = list(_elements(st, a, env, budget))
+            for outputs in _product((PROP_SET,), len(dom)):
                 yield TableV(tuple(zip(dom, outputs)))
         case Pi(x, index_type, body):
-            index = list(iter_type(st, index_type, env, budget))
-            fibers = [list(iter_type(st, body, {**env, x: v}, budget)) for v in index]
-            for combo in itertools.product(*fibers):
+            index = list(_elements(st, index_type, env, budget))
+            fibers = (iter_type(st, body, {**env, x: v}, budget) for v in index)
+            for combo in _product(fibers):
                 yield SectionV(tuple(zip(index, combo)))
         case Sigma(x, index_type, body):
-            for v in iter_type(st, index_type, env, budget):
+            for v in _elements(st, index_type, env, budget):
                 for w in iter_type(st, body, {**env, x: v}, budget):
                     yield PairV(v, w)
-        case W(_, _, _):
-            yield from _tree_values(st, t, env, budget)
+        case W(x, label_type, arity_body):
+            # The leaves are the trees of depth one.  With a branching
+            # label besides, every tree can be grown again, without end.
+            leaves = branches = False
+            for label in _elements(st, label_type, env, budget):
+                arity = iter_type(st, arity_body, {**env, x: label}, budget)
+                if next(arity, None) is None:
+                    leaves = True
+                    yield TreeV(label, ())
+                else:
+                    branches = True
+            if leaves and branches:
+                raise BudgetError(f"tree type {show(t)} has infinitely many trees")
         case FamApp(_, _):
             yield from _family_set(st, t, env, budget)
-        case PropType(f):
-            if eval_formula(st, f, env, budget):
-                yield StarV()
         case _:
             raise StructureError(f"cannot enumerate {t!r}")
 
@@ -424,9 +463,7 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
 def interpret_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
                    budget: Optional[int] = None) -> FinSet:
     """Materialize the interpretation as a finite set (budget-checked)."""
-    budget = element_budget(budget)
-    _guard(type_size(st, t, env, budget), budget)
-    return FinSet(tuple(iter_type(st, t, env, budget)))
+    return FinSet(tuple(_elements(st, t, env or {}, element_budget(budget))))
 
 
 def _family_set(st: Structure, t: FamApp, env: Env, budget: int) -> FinSet:
@@ -440,33 +477,6 @@ def _family_set(st: Structure, t: FamApp, env: Env, budget: int) -> FinSet:
         raise StructureError(
             f"family table {t.name!r} has no entry for "
             f"{tuple(map(st.render, key))}") from None
-
-
-def _tree_values(st: Structure, t: W, env: Env, budget: int,
-                 depth: int = DEFAULT_TREE_DEPTH) -> tuple[TreeV, ...]:
-    """All trees of the type, found as the fixpoint of depth-bounded
-    enumeration; errors if new trees still appear at the bound."""
-    labels = list(iter_type(st, t.label_type, env, budget))
-    arities = {
-        label: len(list(iter_type(st, t.arity_body, {**env, t.binder: label}, budget)))
-        for label in labels
-    }
-    level: tuple[TreeV, ...] = ()
-    for _ in range(depth):
-        grown: list[TreeV] = []
-        for label in labels:
-            expected = len(level) ** arities[label]
-            if len(grown) + expected > budget:
-                raise BudgetError(
-                    f"tree enumeration exceeds the element budget ({budget})")
-            for combo in itertools.product(level, repeat=arities[label]):
-                grown.append(TreeV(label, combo))
-        new_level = tuple(grown)
-        if new_level == level:
-            return level
-        level = new_level
-    raise BudgetError(
-        f"tree type still grows at depth {depth}; it has no finite enumeration")
 
 
 def value_in_type(st: Structure, v: Value, t: TypeExpr,
@@ -498,20 +508,20 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
         case Arrow(a, b):
             if not isinstance(v, TableV):
                 return False
-            dom = tuple(iter_type(st, a, env, budget))
+            dom = tuple(_elements(st, a, env, budget))
             return (v.domain_values() == dom
                     and all(value_in_type(st, out, b, env, budget)
                             for _, out in v.entries))
         case Power(a):
             if not isinstance(v, TableV):
                 return False
-            dom = tuple(iter_type(st, a, env, budget))
+            dom = tuple(_elements(st, a, env, budget))
             return (v.domain_values() == dom
                     and all(isinstance(out, TruthV) for _, out in v.entries))
         case Pi(x, index_type, body):
             if not isinstance(v, (SectionV, TableV)):
                 return False
-            index = tuple(iter_type(st, index_type, env, budget))
+            index = tuple(_elements(st, index_type, env, budget))
             if v.domain_values() != index:
                 return False
             return all(
@@ -527,7 +537,7 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
                 return False
             if not value_in_type(st, v.label, label_type, env, budget):
                 return False
-            arity = list(iter_type(st, arity_body, {**env, x: v.label}, budget))
+            arity = list(_elements(st, arity_body, {**env, x: v.label}, budget))
             return (len(v.branches) == len(arity)
                     and all(value_in_type(st, b, t, env, budget)
                             for b in v.branches))
@@ -615,10 +625,9 @@ def _eval_node(st: Structure, term: Term, env: Env, budget: int) -> Value:
         case Inr(t):
             return InrV(_eval(st, t, env, budget))
         case Lambda(x, annot, body):
-            _guard(type_size(st, annot, env, budget), budget)
             return TableV(tuple(
                 (v, _eval(st, body, {**env, x: v}, budget))
-                for v in iter_type(st, annot, env, budget)))
+                for v in _elements(st, annot, env, budget)))
         case FormulaTerm(f):
             return TruthV(eval_formula(st, f, env, budget))
         case Star():
@@ -673,18 +682,12 @@ def eval_formula(st: Structure, f: Formula, env: Optional[Env] = None,
         case Forall(x, t, body):
             return all(
                 eval_formula(st, body, {**env, x: v}, budget)
-                for v in _quantifier_domain(st, t, env, budget))
+                for v in _elements(st, t, env, budget))
         case Exists(x, t, body):
             return any(
                 eval_formula(st, body, {**env, x: v}, budget)
-                for v in _quantifier_domain(st, t, env, budget))
+                for v in _elements(st, t, env, budget))
     raise StructureError(f"not a formula: {f!r}")
-
-
-def _quantifier_domain(st: Structure, t: TypeExpr, env: Env,
-                       budget: int) -> Iterator[Value]:
-    _guard(type_size(st, t, env, budget), budget)
-    return iter_type(st, t, env, budget)
 
 
 def all_environments(st: Structure, ctx: Context,
@@ -699,7 +702,7 @@ def all_environments(st: Structure, ctx: Context,
             yield dict(env)
             return
         name, t = entries[i]
-        for v in _quantifier_domain(st, t, env, budget):
+        for v in _elements(st, t, env, budget):
             yield from rec(i + 1, {**env, name: v})
 
     yield from rec(0, {})

@@ -237,18 +237,65 @@ def test_input_at_the_nesting_limit_still_runs(tmp_path):
     assert err.startswith(f"{past}: 1:")
 
 
-def test_sizes_stop_growing_at_the_budget(tmp_path):
-    big = tmp_path / "big.mul"
-    big.write_text("(formula big (forall (x (power (power (power G)))) top))")
+def run_subprocess(argv):
+    """Run the CLI in a child process that a hang cannot outlive."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     env.pop("MULINGUA_BUDGET", None)
-    done = subprocess.run(
-        [sys.executable, "-m", "mulingua.cli", "eval", "z12", "big", str(big)],
+    return subprocess.run(
+        [sys.executable, "-m", "mulingua.cli", *argv],
         capture_output=True, text=True, env=env, timeout=10)
+
+
+def test_sizes_stop_growing_at_the_budget(tmp_path):
+    big = tmp_path / "big.mul"
+    big.write_text("(formula big (forall (x (power (power (power G)))) top))")
+    done = run_subprocess(["eval", "z12", "big", str(big)])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == ("budget exceeded: enumeration of more than "
                            "1000000 elements exceeds the element budget\n")
+
+
+# A function type out of (power (power G)) into 1 has one element, but
+# its domain has 2^4096: every enumeration of a domain is budgeted.
+HUGE_DOMAIN = "(-> (power (power G)) 1)"
+
+
+@pytest.mark.parametrize("verb, source", [
+    (["eval", "z12", "f"], f"(formula f (forall (h {HUGE_DOMAIN}) top))"),
+    (["check"], f"""
+     (signature big (types G) (fun (c () {HUGE_DOMAIN})))
+     (structure m of big
+       (carrier G (0 1 2 3 4 5 6 7 8 9 10 11))
+       (fun c (() (table))))"""),
+], ids=["quantifier", "table-value"])
+def test_huge_domains_exit_two_at_once(tmp_path, verb, source):
+    path = tmp_path / "huge.mul"
+    path.write_text(source)
+    done = run_subprocess([*verb, str(path)])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("budget exceeded: enumeration of more than "
+                           "1000000 elements exceeds the element budget\n")
+
+
+def test_forall_over_infinite_tree_type_exits_two(tmp_path):
+    path = tmp_path / "trees.mul"
+    path.write_text("(formula trees (forall (t (w (p PC) (fin p))) top))")
+    assert run(["eval", "z12music", "trees", str(path)]) == (
+        2, "", "budget exceeded: tree type (w (p PC) (fin p)) has infinitely "
+               "many trees\n")
+
+
+def test_wide_nary_form_fails_with_a_position(tmp_path):
+    wide = tmp_path / "wide.mul"
+    wide.write_text("\n(type wide (* " + "G " * 1500 + "))")
+    assert run(["prove", "z12", "wide", str(wide)]) == (
+        2, "", f"{wide}: 2:12: '*' takes at most {MAX_DEPTH} types\n")
+    wide.write_text("(type wide (* " + "G " * MAX_DEPTH + "))")
+    code, out, err = run(["prove", "z12", "wide", str(wide)])
+    assert (code, err) == (0, "")
+    assert out == "inhabited\nproof: " + "(0, " * (MAX_DEPTH - 1) + "0" \
+        + ")" * (MAX_DEPTH - 1) + "\n"
 
 
 @pytest.mark.parametrize("raw", ["-5", "0"])

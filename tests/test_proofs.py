@@ -271,3 +271,45 @@ def test_witness_is_first_in_enumeration_order():
         proof = inhabit(st, t)
         assert proof is not None
         assert proof.value == next(iter(iter_type(st, t)))
+
+
+# ---------------------------------------------------------------------------
+# golden proof objects
+# ---------------------------------------------------------------------------
+
+def _digest(lines):
+    import hashlib
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_all_interval_proofs_match_golden_digest():
+    # proof objects and refutations are part of the output contract:
+    # any change to the search order or to the texts shows here
+    rng = random.Random(67)
+    lines = []
+    for mask in rng.sample(range(4096), 300):
+        chord = pcs(*(p for p in range(12) if mask >> p & 1))
+        t = all_interval_type(MUSIC12, chord)
+        proof = inhabit(MUSIC12, t)
+        if proof is not None:
+            lines.append(render_witness(proof.value, MUSIC12))
+        else:
+            missing = first_empty_fiber(MUSIC12, t)
+            lines.append(f"{MUSIC12.render(missing)} "
+                         f"{explain_refutation(MUSIC12, t)}")
+    assert _digest(lines) == (
+        "420056d888bca58d89fc161cca546bd7116551c6894f1097c37989f7d8df2912")
+
+
+def test_formula_proofs_match_golden_digest():
+    rng = random.Random(71)
+    lines = []
+    for _ in range(300):
+        st = random_tiny_structure(rng, rng.randrange(4))
+        f = random_closed_formula(rng, 4)
+        t = prop_as_type(f)
+        proof = inhabit(st, t)
+        lines.append(repr(proof.value) if proof is not None
+                     else explain_refutation(st, t))
+    assert _digest(lines) == (
+        "68689a353377bb29e04798812fcab1b0dc9eab7d8465366f052494d07cd2d371")

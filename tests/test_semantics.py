@@ -22,7 +22,7 @@ from mulingua.semantics import (
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
     Forall, Implies, Lambda, Member, Not, Or, Pi, Power, Product, Prop,
-    RelAtom, Sigma, Top, Unit, Var, W, Zero,
+    PropType, RelAtom, Sigma, Top, Unit, Var, W, Zero,
 )
 
 from generators import (
@@ -167,6 +167,75 @@ def test_tree_type_with_growth_overflows():
     t = W("p", Base("PC"), FamApp("fin", (Var("p"),)))
     with pytest.raises(BudgetError):
         type_size(MUSIC12, t)
+
+
+def test_infinite_tree_type_yields_its_leaves_then_refuses():
+    from mulingua.proofs import inhabit
+    from mulingua.semantics import TreeV
+    t = W("p", Base("PC"), FamApp("fin", (Var("p"),)))
+    # (fin 0) is empty, so pitch class 0 is the one leaf; every other
+    # label branches, so trees grow without end
+    assert inhabit(MUSIC12, t).value == TreeV(Atom("PC", 0), ())
+    with pytest.raises(BudgetError, match=r"^tree type \(w \(p PC\) \(fin p\)\) "
+                                          r"has infinitely many trees$"):
+        type_size(MUSIC12, t)
+
+
+def test_tree_type_without_leaves_is_empty():
+    assert type_size(Z12, W("x", G, Unit())) == 0
+    assert interpret_type(Z12, W("x", Zero(), Unit())) == FinSet(())
+
+
+def test_product_reads_one_element_per_factor_before_the_first_tuple():
+    from mulingua.semantics import _product
+    reads = []
+
+    def factor(name, size):
+        for i in range(size):
+            reads.append((name, i))
+            yield i
+
+    empty = _product([factor("a", 3), factor("b", 0), factor("c", 2)])
+    assert next(empty, None) is None and reads == [("a", 0)]
+    reads.clear()
+    tuples = _product(factor(n, 2) for n in "ab")
+    assert next(tuples) == (0, 0) and reads == [("a", 0), ("b", 0)]
+    assert next(_product([factor("c", 2)], repeat=0)) == ()
+    assert ("c", 0) not in reads
+
+
+def test_product_follows_itertools_order():
+    from mulingua.semantics import _product
+    rng = random.Random(73)
+    for _ in range(200):
+        pools = [list(range(rng.randrange(4))) for _ in range(rng.randrange(4))]
+        repeat = rng.randrange(3)
+        assert (list(_product(map(iter, pools), repeat))
+                == list(itertools.product(*pools, repeat=repeat)))
+
+
+def test_arrow_witness_searches_the_codomain_once(monkeypatch):
+    from mulingua import semantics
+    from mulingua.proofs import inhabit
+    calls = []
+    evaluate = semantics.eval_formula
+
+    def counting(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(semantics, "eval_formula", counting)
+    # the first x with x * x = e other than e itself is 6
+    square_root = Sigma("x", G, PropType(And(
+        Eq(G, App("star", (Var("x"), Var("x"))), App("e")),
+        Not(Eq(G, Var("x"), App("e"))))))
+    alone = inhabit(Z12, square_root).value
+    searched = len(calls)
+    calls.clear()
+    table = inhabit(Z12, Arrow(G, square_root)).value
+    assert len(calls) == searched
+    assert table == TableV(tuple((g, alone) for g in Z12.carrier("G")))
+    assert alone.first == Atom("G", 6)
 
 
 def test_value_in_type():
