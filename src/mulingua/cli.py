@@ -40,8 +40,7 @@ from .semantics import (
 )
 from .sexpr import parse_sexprs
 from .voiceleading import (
-    WindingPaths, enumerate_automorphisms, structure_to_sigma_vls, to_dot,
-    vls, vls_of_structure,
+    WindingPaths, enumerate_automorphisms, to_dot, vls, vls_of_structure,
 )
 
 
@@ -269,7 +268,7 @@ def _run_vls(args, ws: Workspace) -> int:
             return _usage(f"unknown structure {args.target!r}")
         rule = args.rule
         if rule == "table":
-            q = vls_of_structure(structure_to_sigma_vls(st))
+            q = vls_of_structure(st)
         elif rule.startswith("winding:"):
             parts = rule.split(":")
             try:

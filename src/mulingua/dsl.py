@@ -68,8 +68,8 @@ from .syntax import (
     RelSymbol, Signature, Term, TypeExpr, Var, _Binding, show,
 )
 from .voiceleading import (
-    GroupAction, Quiver, WindingPaths, sigma_vls_signature,
-    structure_to_sigma_vls, vls, vls_of_structure,
+    GroupAction, Quiver, WindingPaths, sigma_vls_signature, vls,
+    vls_of_structure,
 )
 
 
@@ -609,7 +609,7 @@ def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 raise node.error("(quiver NAME table STRUCT)")
             st = _resolve_structure(items[3], ws)
             try:
-                q = vls_of_structure(structure_to_sigma_vls(st))
+                q = vls_of_structure(st)
             except StructureError as err:
                 raise node.error(str(err)) from None
             q.element_names = dict(st.element_names)

@@ -352,7 +352,7 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return 1 if eval_formula(st, f, env, budget) else 0
         case Universe():
             raise StructureError("'Type' has no finite interpretation")
-    raise StructureError(f"not a type expression: {t!r}")
+    raise StructureError(f"not a type expression: {show(t)}")
 
 
 def _capped_power(base: int, exp: int, cap: int) -> int:
@@ -457,7 +457,7 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
         case FamApp(_, _):
             yield from _family_set(st, t, env, budget)
         case _:
-            raise StructureError(f"cannot enumerate {t!r}")
+            raise StructureError(f"cannot enumerate {show(t)}")
 
 
 def interpret_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
@@ -815,7 +815,8 @@ def check_structure_hom(h: StructureHom,
     symbol, and preservation of every relation.  Compatibility with the
     constructors is checked at base types and extended componentwise
     through products, coproducts, and (for bijective components) powers
-    and function types."""
+    and function types; a value that cannot be transported so fails the
+    check with the reason."""
     budget = element_budget(budget)
     sig = h.source.signature
     if sig != h.target.signature:
@@ -830,35 +831,40 @@ def check_structure_hom(h: StructureHom,
             if cmap[v] not in h.target.carrier(base):
                 return Verdict.failed(
                     f"component map for {base!r} leaves the target carrier")
-    for sym in sig.fun_symbols:
-        if sym.is_family:
-            continue
-        try:
-            domains = [list(iter_type(h.source, t, budget=budget))
-                       for t in sym.domain]
-        except BudgetError:
-            return Verdict.failed(f"domain of {sym.name!r} exceeds the budget")
-        for args in itertools.product(*domains):
-            mapped_args = tuple(
-                _transport(h, v, t, budget)
-                for v, t in zip(args, sym.domain))
-            lhs = _transport(h, h.source.fun_tables[sym.name][args],
-                             sym.codomain, budget)
-            rhs = h.target.fun_tables[sym.name][mapped_args]
-            if lhs != rhs:
-                shown = ", ".join(h.source.render(a) for a in args)
+    try:
+        for sym in sig.fun_symbols:
+            if sym.is_family:
+                continue
+            try:
+                domains = [list(iter_type(h.source, t, budget=budget))
+                           for t in sym.domain]
+            except BudgetError:
                 return Verdict.failed(
-                    f"square for {sym.name!r} fails at ({shown}): "
-                    f"{h.target.render(lhs)} != {h.target.render(rhs)}")
-    for rel in sig.rel_symbols:
-        for tup in h.source.rel_tables.get(rel.name, frozenset()):
-            mapped = tuple(
-                _transport(h, v, t, budget)
-                for v, t in zip(tup, rel.arity_types))
-            if mapped not in h.target.rel_tables.get(rel.name, frozenset()):
-                shown = ", ".join(h.source.render(v) for v in tup)
-                return Verdict.failed(
-                    f"relation {rel.name!r} not preserved at ({shown})")
+                    f"domain of {sym.name!r} exceeds the budget")
+            for args in itertools.product(*domains):
+                mapped_args = tuple(
+                    _transport(h, v, t, budget)
+                    for v, t in zip(args, sym.domain))
+                lhs = _transport(h, h.source.fun_tables[sym.name][args],
+                                 sym.codomain, budget)
+                rhs = h.target.fun_tables[sym.name][mapped_args]
+                if lhs != rhs:
+                    shown = ", ".join(h.source.render(a) for a in args)
+                    return Verdict.failed(
+                        f"square for {sym.name!r} fails at ({shown}): "
+                        f"{h.target.render(lhs)} != {h.target.render(rhs)}")
+        for rel in sig.rel_symbols:
+            for tup in h.source.rel_tables.get(rel.name, frozenset()):
+                mapped = tuple(
+                    _transport(h, v, t, budget)
+                    for v, t in zip(tup, rel.arity_types))
+                accepted = h.target.rel_tables.get(rel.name, frozenset())
+                if mapped not in accepted:
+                    shown = ", ".join(h.source.render(v) for v in tup)
+                    return Verdict.failed(
+                        f"relation {rel.name!r} not preserved at ({shown})")
+    except StructureError as err:  # a component that cannot be transported
+        return Verdict.failed(str(err))
     return Verdict.passed()
 
 

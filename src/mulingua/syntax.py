@@ -398,12 +398,6 @@ class Signature:
                 return r
         return None
 
-    def families(self) -> tuple[FunSymbol, ...]:
-        return tuple(f for f in self.fun_symbols if f.is_family)
-
-    def constants(self) -> tuple[FunSymbol, ...]:
-        return tuple(f for f in self.fun_symbols if f.is_constant)
-
 
 @dataclass(frozen=True)
 class Context:

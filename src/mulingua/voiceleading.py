@@ -9,6 +9,21 @@ payload drawn from the rule's fiber at (x, y).  The source map takes
 the first component of the pair component, the target the second.
 Quivers carry no composition law, so winding classes can be truncated
 at a maximum winding number without breaking anything.
+
+A model of the minimal signature is a plain ``Structure``, and a map
+between two models a ``StructureHom``; ``vls_of_structure`` and
+``hom_to_quiver_hom`` carry them to a quiver and a quiver hom::
+
+    >>> p, up, down = Atom("Pitch", 0), Atom("Arrow", 0), Atom("Arrow", 1)
+    >>> loops = sigma_vls_structure(FinSet.of(p), FinSet.of(up, down),
+    ...                             {(p, p): FinSet.of(up, down)})
+    >>> len(vls_of_structure(loops).arrows)
+    2
+    >>> swap = StructureHom(loops, loops, {"Pitch": {p: p},
+    ...                                    "Arrow": {up: down, down: up}})
+    >>> loop = PairV(PairV(p, p), up)
+    >>> hom_to_quiver_hom(swap).gamma1[loop] == PairV(PairV(p, p), down)
+    True
 """
 
 from __future__ import annotations
@@ -20,21 +35,20 @@ from typing import Optional, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
 from .semantics import (
-    Atom, FinSet, PairV, Structure, TableV, TruthV, Value, element_budget,
-    render_value,
+    Atom, FinSet, PairV, Structure, StructureHom, TableV, TruthV, Value,
+    check_structure_hom, element_budget, render_value,
 )
 from .syntax import Base, FunSymbol, Power, Signature
 
 __all__ = [
-    "ExplicitTable", "GroupAction", "Quiver", "QuiverHom",
-    "SigmaVLSStructure", "StructureIso", "VLRule", "WindingPaths",
-    "arrow_payload", "arrow_source", "arrow_target",
+    "ExplicitTable", "GroupAction", "Quiver", "QuiverHom", "VLRule",
+    "WindingPaths", "arrow_payload", "arrow_source", "arrow_target",
     "check_quiver_hom", "compose_quiver_homs", "conjugation_automorphism",
     "enumerate_automorphisms", "hom_to_quiver_hom", "identity_quiver_hom",
     "invert_quiver_hom",
-    "list_subjective", "sigma_vls_signature", "sigma_vls_to_structure",
-    "structure_to_sigma_vls", "to_dot", "transporters",
-    "validate_group_action", "vls", "vls_of_structure",
+    "list_subjective", "sigma_vls_signature", "sigma_vls_structure",
+    "to_dot", "transporters", "validate_group_action", "vls",
+    "vls_of_structure",
 ]
 
 
@@ -397,114 +411,56 @@ def sigma_vls_signature() -> Signature:
     )
 
 
-@dataclass(eq=False)
-class SigmaVLSStructure:
-    """A model of the minimal signature: pitch carrier, arrow carrier,
-    and a total table of arrow subsets per ordered pitch pair."""
-
-    pitch_carrier: FinSet
-    arrow_carrier: FinSet
-    vlr_table: dict[tuple[Value, Value], FinSet]
-
-    def __post_init__(self) -> None:
-        for x in self.pitch_carrier:
-            for y in self.pitch_carrier:
-                if (x, y) not in self.vlr_table:
-                    raise StructureError(
-                        "vlr table is not total on pitch pairs")
-                for t in self.vlr_table[(x, y)]:
-                    if t not in self.arrow_carrier:
-                        raise StructureError(
-                            "vlr table leaves the arrow carrier")
-
-
-def vls_of_structure(m: SigmaVLSStructure) -> Quiver:
-    """Same construction as ``vls`` with the structure's table as an
-    explicit rule."""
-    return vls(m.pitch_carrier, ExplicitTable(dict(m.vlr_table)))
-
-
-def sigma_vls_to_structure(m: SigmaVLSStructure,
-                           element_names: Optional[dict[str, tuple[str, ...]]] = None,
-                           ) -> Structure:
-    """Repackage as a generic structure over the minimal signature, with
-    subsets as tables into the truth values."""
-    arrows = tuple(m.arrow_carrier)
-    table = {}
-    for (x, y), fiber in m.vlr_table.items():
-        table[(x, y)] = TableV(tuple(
-            (a, TruthV(a in fiber)) for a in arrows))
-    return Structure(
+def sigma_vls_structure(pitch: FinSet, arrows: FinSet,
+                        fibers: dict[tuple[Value, Value], FinSet]) -> Structure:
+    """A model of the minimal signature: the pitch and arrow carriers and
+    the arrow subset at each ordered pitch pair, which must be given for
+    every pair."""
+    for fiber in fibers.values():  # the tables below would drop a stray arrow
+        if any(t not in arrows for t in fiber):
+            raise StructureError("vlr table leaves the arrow carrier")
+    st = Structure(
         signature=sigma_vls_signature(),
-        carriers={"Pitch": m.pitch_carrier, "Arrow": m.arrow_carrier},
-        fun_tables={"vlr": table},
-        element_names=element_names or {},
+        carriers={"Pitch": pitch, "Arrow": arrows},
+        fun_tables={"vlr": {
+            pair: TableV(tuple((a, TruthV(a in fiber)) for a in arrows))
+            for pair, fiber in fibers.items()}},
     )
+    verdict = st.validate()
+    if not verdict:
+        raise StructureError(verdict.reason)
+    return st
 
 
-def structure_to_sigma_vls(st: Structure) -> SigmaVLSStructure:
-    """Extract the table form from a structure over the minimal
-    signature."""
+def vls_of_structure(st: Structure) -> Quiver:
+    """Same construction as ``vls`` with the structure's vlr table as an
+    explicit rule."""
     if st.signature != sigma_vls_signature():
         raise StructureError("structure is not over the pitch/arrow signature")
-    pitch = st.carrier("Pitch")
-    arrows = st.carrier("Arrow")
-    vlr = st.fun_tables["vlr"]
-    table = {}
-    for x in pitch:
-        for y in pitch:
-            subset = vlr[(x, y)]
-            assert isinstance(subset, TableV)
-            table[(x, y)] = FinSet(tuple(
-                a for a, flag in subset.entries if flag == TruthV(True)))
-    return SigmaVLSStructure(pitch, arrows, table)
+    return vls(st.carrier("Pitch"), ExplicitTable({
+        pair: FinSet(tuple(
+            a for a, flag in subset.entries if flag == TruthV(True)))
+        for pair, subset in st.fun_tables["vlr"].items()}))
 
 
-@dataclass(eq=False)
-class StructureIso:
-    """Pitch and arrow bijections between two table structures."""
-
-    source: SigmaVLSStructure
-    target: SigmaVLSStructure
-    pitch_map: dict[Value, Value]
-    arrow_map: dict[Value, Value]
-
-
-def hom_to_quiver_hom(h: StructureIso) -> QuiverHom:
+def hom_to_quiver_hom(h: StructureHom) -> QuiverHom:
     """The quiver map ((x, y), t) -> ((h x, h y), h t) induced by a
-    structure isomorphism.  Requires the square relating the two vlr
-    tables to commute; the first violating pitch pair is reported
-    otherwise.  The assignment is functorial: identities map to
-    identities and composites to composites."""
-    _check_bijection(h.pitch_map, h.source.pitch_carrier, h.target.pitch_carrier,
-                     "pitch")
-    _check_bijection(h.arrow_map, h.source.arrow_carrier, h.target.arrow_carrier,
-                     "arrow")
-    for x in h.source.pitch_carrier:
-        for y in h.source.pitch_carrier:
-            moved = {h.arrow_map[t] for t in h.source.vlr_table[(x, y)]}
-            expected = set(h.target.vlr_table[(h.pitch_map[x], h.pitch_map[y])])
-            if moved != expected:
-                raise StructureError(
-                    f"vlr square fails at ({render_value(x)}, {render_value(y)})")
-    gamma0 = dict(h.pitch_map)
-    gamma1 = {}
-    for x in h.source.pitch_carrier:
-        for y in h.source.pitch_carrier:
-            for t in h.source.vlr_table[(x, y)]:
-                arrow = PairV(PairV(x, y), t)
-                gamma1[arrow] = PairV(
-                    PairV(gamma0[x], gamma0[y]), h.arrow_map[t])
-    return QuiverHom(gamma1, gamma0)
-
-
-def _check_bijection(mapping: dict[Value, Value], source: FinSet,
-                     target: FinSet, what: str) -> None:
-    if set(mapping) != set(source.elements):
-        raise StructureError(f"{what} map is not total on the source carrier")
-    images = list(mapping.values())
-    if len(set(images)) != len(images) or set(images) != set(target.elements):
-        raise StructureError(f"{what} map is not a bijection onto the target")
+    homomorphism of structures over the minimal signature.  Requires the
+    square relating the two vlr tables to commute, which transports arrow
+    subsets and so needs a bijective arrow component; the first
+    violating pitch pair is reported otherwise.  The assignment is
+    functorial: identities map to identities and composites to
+    composites."""
+    verdict = check_structure_hom(h)
+    if not verdict:
+        raise StructureError(verdict.reason)
+    source = vls_of_structure(h.source)
+    pitch_map, arrow_map = h.component_maps["Pitch"], h.component_maps["Arrow"]
+    gamma1 = {
+        a: PairV(PairV(pitch_map[source.src[a]], pitch_map[source.tgt[a]]),
+                 arrow_map[arrow_payload(a)])
+        for a in source.arrows}
+    return QuiverHom(gamma1, dict(pitch_map))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from .semantics import (
     Atom, FinSet, InlV, InrV, PairV, RatV, StarV, TreeV, Value,
 )
 
-WTree = TreeV
-
 R = TypeVar("R")
 
 

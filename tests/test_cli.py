@@ -70,6 +70,11 @@ def test_prove_plain_type_expression():
     assert code == 1
 
 
+def test_prove_names_an_unenumerable_type_as_written():
+    code, out, err = run(["prove", "z12", "Type"])
+    assert (code, out, err) == (2, "", "error: cannot enumerate Type\n")
+
+
 def test_eval_dominance_depends_on_model():
     code, out, _ = run(["eval", "harm-minor", "dominance"])
     assert code == 0 and out.strip() == "true"
@@ -157,6 +162,18 @@ def test_vls_with_rule_argument(tmp_path):
     """)
     code, out, _ = run(["vls", "r2", "action:X:act", str(src)])
     assert code == 0 and out == "vertices: 2\narrows: 4\n"
+
+
+def test_vls_table_rule_on_a_declared_structure():
+    demo = str(pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
+    code, out, err = run(["vls", "loops", "table", demo])
+    assert (code, out, err) == (0, "vertices: 1\narrows: 2\n", "")
+
+
+def test_vls_table_rule_needs_the_pitch_arrow_signature():
+    code, out, err = run(["vls", "z12", "table"])
+    assert (code, out) == (2, "")
+    assert "structure is not over the pitch/arrow signature" in err
 
 
 @pytest.mark.parametrize("rule", ["winding:a:1", "winding:12:1.5",

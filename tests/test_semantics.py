@@ -21,8 +21,8 @@ from mulingua.semantics import (
 )
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, Implies, Lambda, Member, Not, Or, Pi, Power, Product, Prop,
-    PropType, RelAtom, Sigma, Top, Unit, Var, W, Zero,
+    Forall, FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Power, Product,
+    Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Var, W, Zero,
 )
 
 from generators import (
@@ -527,6 +527,19 @@ def test_component_map_must_land_in_target_carrier():
     stray = {a: Atom("elsewhere", 0) for a in Z12.carrier("G")}
     v = check_structure_hom(StructureHom(Z12, Z12, {"G": stray}))
     assert not v and "target carrier" in v.reason
+
+
+def test_non_bijective_component_at_a_power_fails_the_check():
+    sig = Signature(name="everything", base_types=("X",),
+                    fun_symbols=(FunSymbol("all", (), Power(Base("X"))),))
+    xs = FinSet.of(Atom("X", 0), Atom("X", 1))
+    st = Structure(sig, {"X": xs}, {"all": {
+        (): TableV(tuple((x, TruthV(True)) for x in xs))}})
+    collapse = StructureHom(st, st, {"X": {x: Atom("X", 0) for x in xs}})
+    verdict = check_structure_hom(collapse)
+    assert not verdict
+    assert verdict.reason == ("cannot transport along (power X): "
+                              "component is not a bijection")
 
 
 def test_relation_preservation():

@@ -1,21 +1,22 @@
 """Voice-leading spaces: construction, transporters, homomorphisms,
 conjugation, automorphism enumeration, and the table structures."""
 
+import doctest
 import itertools
 import random
 
 import pytest
 
+import mulingua.voiceleading
 from mulingua.diagnostics import BudgetError, StructureError
 from mulingua.musiclib import pitch_universe, ti_group
-from mulingua.semantics import Atom, FinSet, PairV
+from mulingua.semantics import Atom, FinSet, PairV, StructureHom, identity_hom
 from mulingua.voiceleading import (
-    ExplicitTable, GroupAction, QuiverHom, SigmaVLSStructure,
-    StructureIso, WindingPaths, arrow_payload, arrow_source, arrow_target,
-    check_quiver_hom, compose_quiver_homs, conjugation_automorphism,
-    enumerate_automorphisms, hom_to_quiver_hom, identity_quiver_hom,
-    invert_quiver_hom, list_subjective, sigma_vls_signature,
-    sigma_vls_to_structure, structure_to_sigma_vls, to_dot, transporters,
+    ExplicitTable, GroupAction, QuiverHom, WindingPaths, arrow_payload,
+    arrow_source, arrow_target, check_quiver_hom, compose_quiver_homs,
+    conjugation_automorphism, enumerate_automorphisms, hom_to_quiver_hom,
+    identity_quiver_hom, invert_quiver_hom, list_subjective,
+    sigma_vls_signature, sigma_vls_structure, to_dot, transporters,
     validate_group_action, vls, vls_of_structure,
 )
 
@@ -276,24 +277,26 @@ def test_parallel_arrow_blowup_is_refused():
 def ti_table_structure():
     table = {(x, y): transporters(TI_RULE, x, y)
              for x in PITCH for y in PITCH}
-    return SigmaVLSStructure(PITCH, TI.elements(), table)
+    return sigma_vls_structure(PITCH, TI.elements(), table)
+
+
+def ti_hom(pitch_map, arrow_map):
+    m = ti_table_structure()
+    return StructureHom(m, m, {"Pitch": pitch_map, "Arrow": arrow_map})
 
 
 def test_table_structure_round_trip():
     m = ti_table_structure()
+    assert m.signature == sigma_vls_signature()
     q = vls_of_structure(m)
     assert len(q.vertices) == 12 and len(q.arrows) == 288
     assert [(q.src[a], q.tgt[a], arrow_payload(a)) for a in q.arrows] == \
         list_subjective(TI_QUIVER)
-    generic = sigma_vls_to_structure(m)
-    assert generic.signature == sigma_vls_signature()
-    again = structure_to_sigma_vls(generic)
-    assert again.vlr_table == m.vlr_table
 
 
 def test_empty_arrow_carrier():
     point = FinSet.of(Atom("Pitch", 0))
-    m = SigmaVLSStructure(point, FinSet(()), {
+    m = sigma_vls_structure(point, FinSet(()), {
         (Atom("Pitch", 0), Atom("Pitch", 0)): FinSet(())})
     q = vls_of_structure(m)
     assert len(q.vertices) == 1 and len(q.arrows) == 0
@@ -304,63 +307,90 @@ def test_two_pitch_one_arrow():
     arrow = Atom("Arrow", 0)
     table = {(x, y): FinSet(()) for x in pitches for y in pitches}
     table[(Atom("Pitch", 0), Atom("Pitch", 1))] = FinSet.of(arrow)
-    q = vls_of_structure(SigmaVLSStructure(pitches, FinSet.of(arrow), table))
+    q = vls_of_structure(sigma_vls_structure(pitches, FinSet.of(arrow), table))
     assert len(q.vertices) == 2 and len(q.arrows) == 1
 
 
 def test_vlr_table_must_be_total():
     with pytest.raises(StructureError, match="not total"):
-        SigmaVLSStructure(PITCH, TI.elements(), {})
+        sigma_vls_structure(PITCH, TI.elements(), {})
+
+
+def test_vlr_table_must_stay_in_the_arrow_carrier():
+    point, stray = Atom("Pitch", 0), Atom("Arrow", 1)
+    with pytest.raises(StructureError, match="leaves the arrow carrier"):
+        sigma_vls_structure(FinSet.of(point), FinSet.of(Atom("Arrow", 0)),
+                            {(point, point): FinSet.of(stray)})
 
 
 def test_induced_hom_from_identity():
     m = ti_table_structure()
-    h = StructureIso(m, m, {x: x for x in PITCH},
-                     {g: g for g in TI.elements()})
-    induced = hom_to_quiver_hom(h)
+    induced = hom_to_quiver_hom(identity_hom(m))
     assert induced == identity_quiver_hom(vls_of_structure(m))
 
 
 def test_induced_hom_matches_conjugation():
-    m = ti_table_structure()
     t1 = TI.transposition(1)
     t1_inv = TI.group.fun_tables["inv"][(t1,)]
     star = TI.group.fun_tables["star"]
     pitch_map = {x: TI.action[(t1, x)] for x in PITCH}
     arrow_map = {g: star[(star[(t1, g)], t1_inv)] for g in TI.elements()}
-    induced = hom_to_quiver_hom(StructureIso(m, m, pitch_map, arrow_map))
+    induced = hom_to_quiver_hom(ti_hom(pitch_map, arrow_map))
     conjugated = conjugation_automorphism(TI_QUIVER, t1)
     assert induced.gamma0 == conjugated.gamma0
     assert induced.gamma1 == conjugated.gamma1
 
 
 def test_induced_hom_rejects_broken_square():
-    m = ti_table_structure()
     atoms = list(TI.elements())
     swapped = dict(zip(atoms, atoms))
     swapped[atoms[0]], swapped[atoms[1]] = atoms[1], atoms[0]
-    with pytest.raises(StructureError, match=r"vlr square fails at \("):
-        hom_to_quiver_hom(StructureIso(
-            m, m, {x: x for x in PITCH}, swapped))
+    with pytest.raises(StructureError,
+                       match=r"square for 'vlr' fails at \("):
+        hom_to_quiver_hom(ti_hom({x: x for x in PITCH}, swapped))
+
+
+def test_induced_hom_needs_a_bijective_arrow_component():
+    collapse = {g: TI.transposition(0) for g in TI.elements()}
+    with pytest.raises(StructureError, match="not a bijection"):
+        hom_to_quiver_hom(ti_hom({x: x for x in PITCH}, collapse))
+
+
+def test_induced_hom_allows_a_non_bijective_pitch_component():
+    point, up = Atom("Pitch", 0), Atom("Arrow", 0)
+    points = FinSet.of(point, Atom("Pitch", 1))
+    source = sigma_vls_structure(points, FinSet.of(up), {
+        (x, y): FinSet.of(up) for x in points for y in points})
+    target = sigma_vls_structure(FinSet.of(point), FinSet.of(up), {
+        (point, point): FinSet.of(up)})
+    induced = hom_to_quiver_hom(StructureHom(source, target, {
+        "Pitch": {x: point for x in points}, "Arrow": {up: up}}))
+    loop = PairV(PairV(point, point), up)
+    assert set(induced.gamma1.values()) == {loop}
+    assert check_quiver_hom(vls_of_structure(source),
+                            vls_of_structure(target), induced)
 
 
 def test_induced_hom_is_functorial_on_identities_and_composites():
-    m = ti_table_structure()
     star = TI.group.fun_tables["star"]
     inv = TI.group.fun_tables["inv"]
 
-    def iso_for(phi):
+    def hom_for(phi):
         phi_inv = inv[(phi,)]
-        return StructureIso(
-            m, m,
+        return ti_hom(
             {x: TI.action[(phi, x)] for x in PITCH},
             {g: star[(star[(phi, g)], phi_inv)] for g in TI.elements()})
 
     t2, t3 = TI.transposition(2), TI.transposition(3)
-    lhs = hom_to_quiver_hom(iso_for(star[(t2, t3)]))
-    rhs = compose_quiver_homs(hom_to_quiver_hom(iso_for(t3)),
-                              hom_to_quiver_hom(iso_for(t2)))
+    lhs = hom_to_quiver_hom(hom_for(star[(t2, t3)]))
+    rhs = compose_quiver_homs(hom_to_quiver_hom(hom_for(t3)),
+                              hom_to_quiver_hom(hom_for(t2)))
     assert lhs == rhs
+
+
+def test_module_docstring_example_runs():
+    result = doctest.testmod(mulingua.voiceleading)
+    assert result.attempted > 0 and result.failed == 0
 
 
 # ---------------------------------------------------------------------------
