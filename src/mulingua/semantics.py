@@ -815,8 +815,8 @@ def check_structure_hom(h: StructureHom,
     symbol, and preservation of every relation.  Compatibility with the
     constructors is checked at base types and extended componentwise
     through products, coproducts, and (for bijective components) powers
-    and function types; a value that cannot be transported so fails the
-    check with the reason."""
+    and function types; a component that is not a bijection where one
+    is needed fails the check with the reason."""
     budget = element_budget(budget)
     sig = h.source.signature
     if sig != h.target.signature:
@@ -863,9 +863,13 @@ def check_structure_hom(h: StructureHom,
                     shown = ", ".join(h.source.render(v) for v in tup)
                     return Verdict.failed(
                         f"relation {rel.name!r} not preserved at ({shown})")
-    except StructureError as err:  # a component that cannot be transported
+    except _NotBijective as err:
         return Verdict.failed(str(err))
     return Verdict.passed()
+
+
+class _NotBijective(StructureError):
+    """A table whose domain component is not a bijection: a failed check."""
 
 
 def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
@@ -897,8 +901,8 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
                 _transport(h, arg, dom_t, budget): _transport(h, out, cod_t, budget)
                 for arg, out in v.entries}
             target_dom = tuple(iter_type(h.target, dom_t, budget=budget))
-            if set(moved) != set(target_dom):
-                raise StructureError(
+            if len(moved) != len(v.entries) or set(moved) != set(target_dom):
+                raise _NotBijective(
                     f"cannot transport along {show(t)}: component is not a "
                     "bijection")
             return TableV(tuple((arg, moved[arg]) for arg in target_dom))

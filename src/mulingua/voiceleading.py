@@ -437,6 +437,9 @@ def vls_of_structure(st: Structure) -> Quiver:
     explicit rule."""
     if st.signature != sigma_vls_signature():
         raise StructureError("structure is not over the pitch/arrow signature")
+    verdict = st.validate()
+    if not verdict:
+        raise StructureError(verdict.reason)
     return vls(st.carrier("Pitch"), ExplicitTable({
         pair: FinSet(tuple(
             a for a, flag in subset.entries if flag == TruthV(True)))

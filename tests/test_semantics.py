@@ -542,6 +542,21 @@ def test_non_bijective_component_at_a_power_fails_the_check():
                               "component is not a bijection")
 
 
+def test_surjective_but_not_injective_component_at_a_power_fails_the_check():
+    sig = Signature(name="some", base_types=("X",),
+                    fun_symbols=(FunSymbol("first", (), Power(Base("X"))),))
+    xs, x0 = FinSet.of(Atom("X", 0), Atom("X", 1)), Atom("X", 0)
+    source = Structure(sig, {"X": xs}, {"first": {
+        (): TableV(tuple((x, TruthV(x == x0)) for x in xs))}})
+    target = Structure(sig, {"X": FinSet.of(x0)}, {"first": {
+        (): TableV(((x0, TruthV(False)),))}})
+    merge = StructureHom(source, target, {"X": {x: x0 for x in xs}})
+    verdict = check_structure_hom(merge)
+    assert not verdict
+    assert verdict.reason == ("cannot transport along (power X): "
+                              "component is not a bijection")
+
+
 def test_relation_preservation():
     st = random_tiny_structure(random.Random(47), 3)
     assert check_structure_hom(identity_hom(st))

@@ -10,7 +10,9 @@ import pytest
 import mulingua.voiceleading
 from mulingua.diagnostics import BudgetError, StructureError
 from mulingua.musiclib import pitch_universe, ti_group
-from mulingua.semantics import Atom, FinSet, PairV, StructureHom, identity_hom
+from mulingua.semantics import (
+    Atom, FinSet, PairV, Structure, StructureHom, TableV, identity_hom,
+)
 from mulingua.voiceleading import (
     ExplicitTable, GroupAction, QuiverHom, WindingPaths, arrow_payload,
     arrow_source, arrow_target, check_quiver_hom, compose_quiver_homs,
@@ -316,6 +318,15 @@ def test_vlr_table_must_be_total():
         sigma_vls_structure(PITCH, TI.elements(), {})
 
 
+def test_quiver_of_a_hand_built_structure_needs_a_total_vlr_table():
+    points = FinSet.of(Atom("Pitch", 0), Atom("Pitch", 1))
+    partial = Structure(sigma_vls_signature(),
+                        {"Pitch": points, "Arrow": FinSet(())},
+                        {"vlr": {(x, x): TableV(()) for x in points}})
+    with pytest.raises(StructureError, match="not total"):
+        vls_of_structure(partial)
+
+
 def test_vlr_table_must_stay_in_the_arrow_carrier():
     point, stray = Atom("Pitch", 0), Atom("Arrow", 1)
     with pytest.raises(StructureError, match="leaves the arrow carrier"):
@@ -354,6 +365,17 @@ def test_induced_hom_needs_a_bijective_arrow_component():
     collapse = {g: TI.transposition(0) for g in TI.elements()}
     with pytest.raises(StructureError, match="not a bijection"):
         hom_to_quiver_hom(ti_hom({x: x for x in PITCH}, collapse))
+
+
+def test_induced_hom_rejects_a_surjective_but_not_injective_arrow_component():
+    point, up, down = Atom("Pitch", 0), Atom("Arrow", 0), Atom("Arrow", 1)
+    source = sigma_vls_structure(FinSet.of(point), FinSet.of(up, down), {
+        (point, point): FinSet.of(up)})
+    target = sigma_vls_structure(FinSet.of(point), FinSet.of(up), {
+        (point, point): FinSet(())})
+    with pytest.raises(StructureError, match="not a bijection"):
+        hom_to_quiver_hom(StructureHom(source, target, {
+            "Pitch": {point: point}, "Arrow": {up: up, down: up}}))
 
 
 def test_induced_hom_allows_a_non_bijective_pitch_component():
