@@ -23,7 +23,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .diagnostics import BudgetError, MulinguaError, ParseError
+from .diagnostics import BudgetError, MulinguaError, ParseError, Verdict
 from .dsl import (
     Workspace, builtin_workspace, group_action_from, load_source,
     parse_type_node,
@@ -147,6 +147,12 @@ def _usage(message: str) -> int:
     return 2
 
 
+def _well_formed(sig, ctx, formula) -> Verdict:
+    """The context, then the formula in it, checked against a signature."""
+    return well_formed_context(sig, ctx) and \
+        well_formed_formula(sig, ctx, formula)
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -163,10 +169,7 @@ def _run_check(args, ws: Workspace) -> int:
             th = ws.theories[name]
             problems = []
             for axiom in th.axioms:
-                v = well_formed_context(th.signature, axiom.context)
-                if v:
-                    v = well_formed_formula(th.signature, axiom.context,
-                                            axiom.formula)
+                v = _well_formed(th.signature, axiom.context, axiom.formula)
                 if not v:
                     problems.append(f"{axiom.label}: {v.reason}")
             print(line + ("ok" if not problems else f"FAIL {problems[0]}"))
@@ -187,6 +190,11 @@ def _run_model_check(args, ws: Workspace) -> int:
     st = ws.structures.get(args.structure)
     if st is None:
         return _usage(f"unknown structure {args.structure!r}")
+    for axiom in th.axioms:
+        verdict = _well_formed(th.signature, axiom.context, axiom.formula)
+        if not verdict:
+            return _usage(f"axiom {axiom.label} is not well-formed here: "
+                          f"{verdict.reason}")
     report = check_theory(st, th, args.structure)
     print(report.render(st))
     return 0 if report.passed else 1
@@ -199,9 +207,7 @@ def _run_eval(args, ws: Workspace) -> int:
     if args.formula not in ws.formulas:
         return _usage(f"unknown formula {args.formula!r}")
     ctx, formula = ws.formulas[args.formula]
-    verdict = well_formed_context(st.signature, ctx)
-    if verdict:
-        verdict = well_formed_formula(st.signature, ctx, formula)
+    verdict = _well_formed(st.signature, ctx, formula)
     if not verdict:
         return _usage(f"formula is not well-formed here: {verdict.reason}")
     budget = element_budget()

@@ -816,7 +816,8 @@ def check_structure_hom(h: StructureHom,
     constructors is checked at base types and extended componentwise
     through products, coproducts, and (for bijective components) powers
     and function types; a component that is not a bijection where one
-    is needed fails the check with the reason."""
+    is needed, a table entry missing in the source or the target, or a
+    domain past the budget fails the check with the reason."""
     budget = element_budget(budget)
     sig = h.source.signature
     if sig != h.target.signature:
@@ -836,18 +837,22 @@ def check_structure_hom(h: StructureHom,
             if sym.is_family:
                 continue
             try:
-                domains = [list(iter_type(h.source, t, budget=budget))
-                           for t in sym.domain]
+                domain = h.source._domain_tuples(sym.domain, budget)
             except BudgetError:
                 return Verdict.failed(
                     f"domain of {sym.name!r} exceeds the budget")
-            for args in itertools.product(*domains):
+            source_table = h.source.fun_tables.get(sym.name, {})
+            target_table = h.target.fun_tables.get(sym.name, {})
+            for args in domain:
+                if args not in source_table:
+                    return _not_total("source", sym.name, args, h.source)
                 mapped_args = tuple(
                     _transport(h, v, t, budget)
                     for v, t in zip(args, sym.domain))
-                lhs = _transport(h, h.source.fun_tables[sym.name][args],
-                                 sym.codomain, budget)
-                rhs = h.target.fun_tables[sym.name][mapped_args]
+                if mapped_args not in target_table:
+                    return _not_total("target", sym.name, mapped_args, h.target)
+                lhs = _transport(h, source_table[args], sym.codomain, budget)
+                rhs = target_table[mapped_args]
                 if lhs != rhs:
                     shown = ", ".join(h.source.render(a) for a in args)
                     return Verdict.failed(
@@ -866,6 +871,12 @@ def check_structure_hom(h: StructureHom,
     except _NotBijective as err:
         return Verdict.failed(str(err))
     return Verdict.passed()
+
+
+def _not_total(side: str, name: str, args: tuple[Value, ...],
+               st: Structure) -> Verdict:
+    return Verdict.failed(f"{side} table for {name!r} is not total: missing "
+                          f"{tuple(map(st.render, args))}")
 
 
 class _NotBijective(StructureError):

@@ -3,10 +3,15 @@
 The reader produces position-tagged nodes: every atom and list carries
 the 1-based line and column where it started, so later passes can point
 at the offending expression.  Atoms are symbols, integers, exact
-rationals (``19/2``), or double-quoted strings; ``;`` starts a comment
-to end of line.  Lists nest at most ``MAX_DEPTH`` deep, so that reading
-and every later pass over the nodes stay well within Python's recursion
-limit.
+rationals (``19/2``), or double-quoted strings, in which a backslash
+takes the next character literally; ``;`` starts a comment to end of
+line.  Only space, tab, CR and LF separate tokens.
+
+Reading is iterative: one regular expression splits the text into
+tokens and an explicit stack holds the open lists, so reading itself
+never recurses.  Lists still nest at most ``MAX_DEPTH`` deep, because
+every later pass over the nodes (resolution, checking, evaluation,
+printing) does recurse and must stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from .diagnostics import ParseError
 
 _INT = re.compile(r"[+-]?[0-9]+$")
 _RATIONAL = re.compile(r"[+-]?[0-9]+/[0-9]+$")
-_DELIMITERS = set(" \t\r\n();\"")
+_TOKEN = re.compile(r"""
+    (?P<blank>[ \t\r\n]+)
+  | (?P<comment>;[^\n]*)
+  | (?P<bracket>[()])
+  | (?P<string>"(?:[^"\\]|\\.)*(?P<closed>")?)
+  | (?P<atom>[^ \t\r\n();"]+)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 MAX_DEPTH = 256
 
 
@@ -51,109 +63,47 @@ class SNode:
 
 def parse_sexprs(text: str) -> list[SNode]:
     """Read every top-level expression in the text."""
-    nodes, pos = _Reader(text).read_all()
-    return nodes
-
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.depth = 0
-
-    def read_all(self) -> tuple[list[SNode], int]:
-        nodes = []
-        while True:
-            self._skip_blank()
-            if self.pos >= len(self.text):
-                return nodes, self.pos
-            nodes.append(self._read())
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def _skip_blank(self) -> None:
-        while self.pos < len(self.text):
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-            elif c == ";":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _read(self) -> SNode:
-        self._skip_blank()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of input", self.line, self.col)
-        line, col = self.line, self.col
-        c = self._peek()
-        if c == "(":
-            if self.depth == MAX_DEPTH:
+    stack = [SNode([], 1, 1)]  # the top level, then each open list
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, token, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if token == "(":
+            if len(stack) > MAX_DEPTH:
                 raise ParseError(
                     f"expressions nested more than {MAX_DEPTH} deep", line, col)
-            self._advance()
-            self.depth += 1
-            items = []
-            while True:
-                self._skip_blank()
-                if self.pos >= len(self.text):
-                    raise ParseError("unclosed '('", line, col)
-                if self._peek() == ")":
-                    self._advance()
-                    self.depth -= 1
-                    return SNode(items, line, col)
-                items.append(self._read())
-        if c == ")":
-            raise ParseError("unexpected ')'", line, col)
-        if c == '"':
-            return SNode(self._read_string(), line, col)
-        return SNode(self._read_atom(), line, col)
-
-    def _read_string(self) -> str:
-        line, col = self.line, self.col
-        self._advance()
-        out = []
-        while True:
-            if self.pos >= len(self.text):
+            node = SNode([], line, col)
+            stack[-1].value.append(node)
+            stack.append(node)
+        elif token == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected ')'", line, col)
+            stack.pop()
+        elif kind == "string":
+            if m.group("closed") is None:
                 raise ParseError("unterminated string", line, col)
-            c = self._advance()
-            if c == '"':
-                return "".join(out)
-            if c == "\\":
-                if self.pos >= len(self.text):
-                    raise ParseError("unterminated string", line, col)
-                out.append(self._advance())
-            else:
-                out.append(c)
+            stack[-1].value.append(
+                SNode(_ESCAPE.sub(r"\1", token[1:-1]), line, col))
+        elif kind == "atom":
+            stack[-1].value.append(SNode(_atom(token, line, col), line, col))
+        newlines = token.count("\n")
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, m.end()) + 1
+    if len(stack) > 1:
+        raise stack[-1].error("unclosed '('")
+    return stack[0].value
 
-    def _read_atom(self) -> SValue:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() not in _DELIMITERS:
-            self._advance()
-        token = self.text[start:self.pos]
-        if _INT.match(token):
-            return int(token)
-        if _RATIONAL.match(token):
-            try:
-                return Fraction(token)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {token!r}", line, col) from None
-        return Sym(token)
+
+def _atom(token: str, line: int, col: int) -> SValue:
+    if _INT.match(token):
+        return int(token)
+    if _RATIONAL.match(token):
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {token!r}", line, col) from None
+    return Sym(token)
 
 
 def write_sexpr(value) -> str:

@@ -303,6 +303,24 @@ def test_forall_over_infinite_tree_type_exits_two(tmp_path):
                "many trees\n")
 
 
+def test_ill_typed_axiom_is_not_model_checked(tmp_path):
+    path = tmp_path / "mixed.mul"
+    path.write_text("""
+    (theory mixed over gis
+      (axiom points-are-intervals (ctx (a S) (b IVLS)) (= S a b)))
+    (formula same (ctx (a S) (b IVLS)) (= S a b))""")
+    reason = "type mismatch: b has type IVLS, expected S"
+    done = run_subprocess(["model-check", "mixed", "z12gis", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"axiom points-are-intervals is not well-formed here: {reason}\n")
+    done = run_subprocess(["eval", "z12gis", "same", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"formula is not well-formed here: {reason}\n")
+    done = run_subprocess(["check", str(path)])
+    assert (done.returncode, done.stderr) == (1, "")
+    assert f"theory mixed: FAIL points-are-intervals: {reason}\n" in done.stdout
+
+
 def test_wide_nary_form_fails_with_a_position(tmp_path):
     wide = tmp_path / "wide.mul"
     wide.write_text("\n(type wide (* " + "G " * 1500 + "))")

@@ -557,6 +557,28 @@ def test_surjective_but_not_injective_component_at_a_power_fails_the_check():
                               "component is not a bijection")
 
 
+def test_missing_table_entry_fails_the_check():
+    st = Structure(GROUP, Z12.carriers, {**Z12.fun_tables, "inv": {}})
+    missing = "table for 'inv' is not total: missing ('(atom G 0)',)"
+    assert st.validate().reason == missing
+    assert check_structure_hom(identity_hom(st)).reason == "source " + missing
+    target = Structure(GROUP, Z12.carriers, {
+        **Z12.fun_tables, "inv": {k: v for k, v in Z12.fun_tables["inv"].items()
+                                 if k != (Atom("G", 0),)}})
+    verdict = check_structure_hom(StructureHom(Z12, target, {
+        "G": {a: a for a in Z12.carrier("G")}}))
+    assert verdict.reason == "target " + missing
+
+
+def test_hom_check_budgets_the_whole_domain_of_a_symbol():
+    sig = Signature(name="wide", base_types=("G",),
+                    fun_symbols=(FunSymbol("f", (G,) * 6, G),))
+    st = Structure(sig, {"G": Z12.carrier("G")}, {"f": {}})
+    assert st.validate()  # a domain past the budget is trusted
+    verdict = check_structure_hom(identity_hom(st))
+    assert verdict.reason == "domain of 'f' exceeds the budget"
+
+
 def test_relation_preservation():
     st = random_tiny_structure(random.Random(47), 3)
     assert check_structure_hom(identity_hom(st))
