@@ -35,8 +35,7 @@ from .proofs import (
     inhabit, render_witness,
 )
 from .semantics import (
-    Atom, all_environments, check_theory, element_budget, eval_formula,
-    render_value,
+    Atom, check_theory, counterexample, element_budget, render_value,
 )
 from .sexpr import parse_sexprs
 from .voiceleading import (
@@ -210,15 +209,13 @@ def _run_eval(args, ws: Workspace) -> int:
     verdict = _well_formed(st.signature, ctx, formula)
     if not verdict:
         return _usage(f"formula is not well-formed here: {verdict.reason}")
-    budget = element_budget()
-    for env in all_environments(st, ctx, budget):
-        if not eval_formula(st, formula, env, budget):
-            assignment = " ".join(
-                f"({name} {render_value(env[name], st)})"
-                for name in ctx.names())
-            print(f"false counterexample ({assignment})" if assignment
-                  else "false")
-            return 1
+    found = counterexample(st, ctx, formula)
+    if found is not None:
+        assignment = " ".join(
+            f"({name} {render_value(v, st)})" for name, v in found)
+        print(f"false counterexample ({assignment})" if assignment
+              else "false")
+        return 1
     print("true")
     return 0
 

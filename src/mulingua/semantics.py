@@ -10,7 +10,12 @@ also has a branching label has infinitely many trees).
 
 Truth values are classical: ``Prop`` denotes {false, true}, conjunction
 is meet, disjunction join, implication the order, and the quantifiers
-are iterated meets and joins over the interpreted bound type.
+are iterated meets and joins over the interpreted bound type.  Terms and
+formulas are evaluated by compiling each node once into nested closures
+over a frame of variable slots, kept on the node; a theory check or a
+context enumeration writes each assignment straight into those slots.
+Compiling changes no result and no error: a table, a constant or a
+domain is read, and the budget checked, only when evaluation reaches it.
 
 Every enumeration follows one canonical order (carrier order, pairs
 lexicographic, injections left first, tables by output tuples), so all
@@ -29,15 +34,16 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
 from .syntax import (
     Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
     FamApp, Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member,
-    Not, Or, Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2, RelAtom,
-    Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit,
-    Universe, Var, W, Zero, free_vars, show,
+    Node, Not, Or, Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2,
+    RelAtom, Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr,
+    Unit, Universe, Var, W, Zero, free_vars, show,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -244,7 +250,9 @@ class Structure:
 
     def validate(self, budget: Optional[int] = None) -> Verdict:
         """Check every table is total on its domain and lands in its
-        codomain.  Domains larger than the budget are trusted."""
+        codomain.  A domain of more argument tuples than the budget is
+        not enumerated: a table with at most budget entries cannot be
+        total on it, and a larger table is trusted."""
         budget = element_budget(budget)
         for sym in self.signature.fun_symbols:
             table = self.fam_tables.get(sym.name) if sym.is_family \
@@ -252,6 +260,13 @@ class Structure:
             if table is None:
                 return Verdict.failed(f"missing table for symbol {sym.name!r}")
             try:
+                if self._domain_size(sym.domain, budget) > budget:
+                    if len(table) <= budget:
+                        return Verdict.failed(
+                            f"table for {sym.name!r} is not total: "
+                            f"{len(table)} entries for more than {budget} "
+                            "argument tuples")
+                    continue
                 domain = list(self._domain_tuples(sym.domain, budget))
             except BudgetError:
                 continue
@@ -281,17 +296,19 @@ class Structure:
                         f"relation {rel.name!r} contains a tuple outside its type")
         return Verdict.passed()
 
-    def _domain_tuples(self, domain: tuple[TypeExpr, ...],
-                       budget: int) -> Iterator[tuple[Value, ...]]:
-        sets = []
+    def _domain_size(self, domain: tuple[TypeExpr, ...], budget: int) -> int:
+        """The number of argument tuples, capped at budget + 1."""
         total = 1
         for t in domain:
-            total *= type_size(self, t, budget=budget)
-            if total > budget:
-                raise BudgetError("domain too large to validate")
-        for t in domain:
-            sets.append(list(iter_type(self, t, budget=budget)))
-        return itertools.product(*sets)
+            total = min(total * type_size(self, t, budget=budget), budget + 1)
+        return total
+
+    def _domain_tuples(self, domain: tuple[TypeExpr, ...],
+                       budget: int) -> Iterator[tuple[Value, ...]]:
+        if self._domain_size(domain, budget) > budget:
+            raise BudgetError("domain too large to validate")
+        return itertools.product(
+            *[list(iter_type(self, t, budget=budget)) for t in domain])
 
     def render(self, v: Value) -> str:
         return render_value(v, self)
@@ -368,9 +385,13 @@ def _elements(st: Structure, t: TypeExpr, env: Env,
     """``iter_type`` once the type's size is known to be within the
     budget: every domain, index and quantifier range is enumerated so."""
     if type_size(st, t, env, budget) > budget:
-        raise BudgetError(
-            f"enumeration of more than {budget} elements exceeds the element budget")
+        raise _over_budget(budget)
     return iter_type(st, t, env, budget)
+
+
+def _over_budget(budget: int) -> BudgetError:
+    return BudgetError(
+        f"enumeration of more than {budget} elements exceeds the element budget")
 
 
 def _product(factors: Iterable[Iterable[Value]],
@@ -551,96 +572,244 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+#
+# A checked term or formula is compiled once into nested closures
+# (Feeley & Lapalme, "Using closures for code generation", 1987), which
+# are kept on the node.  Every closure takes one frame: a list holding
+# the structure, the budget, and then one slot per variable.  The
+# compiler resolves each variable to its slot, and each binder writes
+# its own slot in place; a name that no binder or environment provides
+# compiles to a constant lookup, so a variable shadows a constant of the
+# same name.  The closures do at run time what evaluation does, in the
+# same order: a table, a constant or a domain is looked up, and the
+# budget checked, only when its branch is reached, so a branch that
+# short-circuits never fails.  A closed lambda or formula term is
+# compiled on its own and keeps the value it last computed, with the
+# structure it computed it in.
+
+_STRUCTURE, _BUDGET, _FIRST_SLOT = 0, 1, 2
+
+Frame = list
+Code = Callable[[Frame], Value]
+
 
 def eval_term(st: Structure, term: Term, env: Optional[Env] = None,
               budget: Optional[int] = None) -> Value:
     """Compositional evaluation of a checked term."""
-    env = env or {}
+    return _run(st, term, False, env, budget)
+
+
+def eval_formula(st: Structure, f: Formula, env: Optional[Env] = None,
+                 budget: Optional[int] = None) -> bool:
+    """Two-valued semantics; quantifiers enumerate the bound type."""
+    return _run(st, f, True, env, budget)
+
+
+def _run(st: Structure, node: Node, is_formula: bool, env: Optional[Env],
+         budget: Optional[int]):
     budget = element_budget(budget)
-    return _eval(st, term, env, budget)
+    scope = tuple(sorted(env.keys() & free_vars(node))) if env else ()
+    run, size = _compiled(node, is_formula, scope)
+    return run(_frame(st, budget, [env[name] for name in scope], size))
 
 
-def _eval(st: Structure, term: Term, env: Env, budget: int) -> Value:
-    # Closed lambdas and formula terms (notably big predicate lambdas)
-    # evaluate the same under every environment.  Such a term keeps
-    # (structure, value) of its last evaluation on itself, so the value
-    # is freed together with the term and the structure holds nothing.
-    if isinstance(term, (Lambda, FormulaTerm)) and not free_vars(term):
-        memo = term.__dict__.get("_closed_value")
-        if memo is not None and memo[0] is st:
-            return memo[1]
-        value = _eval_node(st, term, {}, budget)
-        object.__setattr__(term, "_closed_value", (st, value))
-        return value
-    return _eval_node(st, term, env, budget)
+def _frame(st: Structure, budget: int, values: list, size: int) -> Frame:
+    frame = [st, budget, *values]
+    frame += [None] * (size - len(frame))
+    return frame
 
 
-def _eval_node(st: Structure, term: Term, env: Env, budget: int) -> Value:
-    match term:
+def _compiled(node: Node, is_formula: bool,
+              scope: tuple[str, ...]) -> tuple[Code, int]:
+    """The node's closure with the names of ``scope`` in the first slots
+    (of a name given twice, the later one), and its frame size; kept on
+    the node, per scope."""
+    codes = node.__dict__.get("_compiled")
+    if codes is None:
+        codes = {}
+        object.__setattr__(node, "_compiled", codes)
+    code = codes.get((is_formula, scope))
+    if code is None:
+        slots = {name: i for i, name in enumerate(scope, _FIRST_SLOT)}
+        size = [_FIRST_SLOT + len(scope)]
+        run = (_formula if is_formula else _term)(node, slots, size)
+        code = codes[(is_formula, scope)] = (run, size[0])
+    return code
+
+
+def _bind(x: str, slots: dict[str, int],
+          size: list[int]) -> tuple[int, dict[str, int]]:
+    """A new slot for a binder, and the slots of its scope."""
+    slot = size[0]
+    size[0] += 1
+    return slot, {**slots, x: slot}
+
+
+def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
+    """Compile a term under ``slots`` (the slot of each name in scope);
+    ``size`` holds the frame size, which every binder grows by one."""
+    match t:
+        case Var(name) if name in slots:
+            return itemgetter(slots[name])
         case Var(name):
-            if name in env:
-                return env[name]
-            sym = st.signature.fun(name)
-            if sym is not None and sym.is_constant:
-                return st.constant_value(name)
-            raise StructureError(f"unbound variable {name!r} at evaluation")
-        case App(head, args) if isinstance(head, str):
-            table = st.fun_tables.get(head)
-            if table is None:
-                raise StructureError(f"no table for symbol {head!r}")
-            key = tuple(_eval(st, a, env, budget) for a in args)
-            try:
-                return table[key]
-            except KeyError:
-                raise StructureError(
-                    f"table for {head!r} has no entry for "
-                    f"{tuple(map(st.render, key))}") from None
+            def constant(fr):
+                st = fr[_STRUCTURE]
+                sym = st.signature.fun(name)
+                if sym is not None and sym.is_constant:
+                    return st.constant_value(name)
+                raise StructureError(f"unbound variable {name!r} at evaluation")
+            return constant
+        case App(str() as head, args):
+            arguments = _tuple_of([_term(a, slots, size) for a in args])
+
+            def symbol(fr):
+                st = fr[_STRUCTURE]
+                table = st.fun_tables.get(head)
+                if table is None:
+                    raise StructureError(f"no table for symbol {head!r}")
+                key = arguments(fr)
+                try:
+                    return table[key]
+                except KeyError:
+                    raise StructureError(
+                        f"table for {head!r} has no entry for "
+                        f"{tuple(map(st.render, key))}") from None
+            return symbol
         case App(head, args):
-            value = _eval(st, head, env, budget)
-            for a in args:
-                if not isinstance(value, (TableV, SectionV)):
-                    raise StructureError("application of a non-table value")
-                value = value.apply(_eval(st, a, env, budget))
-            return value
+            function = _term(head, slots, size)
+            arguments = [_term(a, slots, size) for a in args]
+
+            def application(fr):
+                value = function(fr)
+                for argument in arguments:
+                    if not isinstance(value, (TableV, SectionV)):
+                        raise StructureError("application of a non-table value")
+                    value = value.apply(argument(fr))
+                return value
+            return application
         case Pair(a, b):
-            return PairV(_eval(st, a, env, budget), _eval(st, b, env, budget))
-        case Proj1(p):
-            v = _eval(st, p, env, budget)
-            if not isinstance(v, PairV):
-                raise StructureError("first projection of a non-pair value")
-            return v.first
-        case Proj2(p):
-            v = _eval(st, p, env, budget)
-            if not isinstance(v, PairV):
-                raise StructureError("second projection of a non-pair value")
-            return v.second
-        case TupleProj(t, i):
-            v = _eval(st, t, env, budget)
-            spine = _value_spine(v)
-            if not 0 <= i < len(spine):
-                raise StructureError(f"projection index {i} out of range")
-            return spine[i]
-        case Inl(t):
-            return InlV(_eval(st, t, env, budget))
-        case Inr(t):
-            return InrV(_eval(st, t, env, budget))
+            first, second = _term(a, slots, size), _term(b, slots, size)
+            return lambda fr: PairV(first(fr), second(fr))
+        case Proj1(p) | Proj2(p):
+            pair = _term(p, slots, size)
+            side = "first" if isinstance(t, Proj1) else "second"
+
+            def projection(fr):
+                v = pair(fr)
+                if not isinstance(v, PairV):
+                    raise StructureError(f"{side} projection of a non-pair value")
+                return getattr(v, side)
+            return projection
+        case TupleProj(p, i):
+            spine = _term(p, slots, size)
+
+            def tuple_projection(fr):
+                values = _value_spine(spine(fr))
+                if not 0 <= i < len(values):
+                    raise StructureError(f"projection index {i} out of range")
+                return values[i]
+            return tuple_projection
+        case Inl(v) | Inr(v):
+            inner = _term(v, slots, size)
+            injection = InlV if isinstance(t, Inl) else InrV
+            return lambda fr: injection(inner(fr))
+        case Lambda() | FormulaTerm() if not free_vars(t):
+            return _lifted(t)
         case Lambda(x, annot, body):
-            return TableV(tuple(
-                (v, _eval(st, body, {**env, x: v}, budget))
-                for v in _elements(st, annot, env, budget)))
+            return _lambda(x, annot, body, slots, size)
         case FormulaTerm(f):
-            return TruthV(eval_formula(st, f, env, budget))
+            return _truth(_formula(f, slots, size))
         case Star():
-            return StarV()
-        case Sup(label, branches):
-            label_v = _eval(st, label, env, budget)
-            branch_v = _eval(st, branches, env, budget)
-            if not isinstance(branch_v, (TableV, SectionV)):
-                raise StructureError("sup branches must evaluate to a table")
-            return TreeV(label_v, tuple(out for _, out in branch_v.entries))
+            return lambda fr: StarV()
+        case Sup(l, b):
+            label, branches = _term(l, slots, size), _term(b, slots, size)
+
+            def tree(fr):
+                label_v = label(fr)
+                branch_v = branches(fr)
+                if not isinstance(branch_v, (TableV, SectionV)):
+                    raise StructureError("sup branches must evaluate to a table")
+                return TreeV(label_v, tuple(out for _, out in branch_v.entries))
+            return tree
         case Absurd(_):
-            raise StructureError("evaluated a term of the empty type")
-    raise StructureError(f"not a term: {term!r}")
+            return _failing("evaluated a term of the empty type")
+    return _failing(f"not a term: {t!r}")
+
+
+def _formula(f: Formula, slots: dict[str, int],
+             size: list[int]) -> Callable[[Frame], bool]:
+    """Compile a formula, as ``_term`` compiles a term."""
+    match f:
+        case RelAtom(name, args):
+            arguments = _tuple_of([_term(a, slots, size) for a in args])
+
+            def relation(fr):
+                table = fr[_STRUCTURE].rel_tables.get(name)
+                if table is None:
+                    raise StructureError(f"no table for relation {name!r}")
+                return arguments(fr) in table
+            return relation
+        case Eq(_, lhs, rhs):
+            left, right = _term(lhs, slots, size), _term(rhs, slots, size)
+            return lambda fr: left(fr) == right(fr)
+        case Member(e, p):
+            element, predicate = _term(e, slots, size), _term(p, slots, size)
+
+            def member(fr):
+                pred = predicate(fr)
+                if not isinstance(pred, (TableV, SectionV)):
+                    raise StructureError("membership predicate is not a table")
+                return pred.apply(element(fr)) == TRUE
+            return member
+        case Top():
+            return lambda fr: True
+        case Bottom():
+            return lambda fr: False
+        case And(l, r):
+            left, right = _formula(l, slots, size), _formula(r, slots, size)
+            return lambda fr: left(fr) and right(fr)
+        case Or(l, r):
+            left, right = _formula(l, slots, size), _formula(r, slots, size)
+            return lambda fr: left(fr) or right(fr)
+        case Implies(l, r):
+            left, right = _formula(l, slots, size), _formula(r, slots, size)
+            return lambda fr: (not left(fr)) or right(fr)
+        case Not(b):
+            body = _formula(b, slots, size)
+            return lambda fr: not body(fr)
+        case Forall(x, t, b) | Exists(x, t, b):
+            domain = _domain(t, slots)
+            slot, inner = _bind(x, slots, size)
+            body = _formula(b, inner, size)
+            if isinstance(f, Forall):
+                def forall(fr):
+                    for v in domain(fr):
+                        fr[slot] = v
+                        if not body(fr):
+                            return False
+                    return True
+                return forall
+
+            def exists(fr):
+                for v in domain(fr):
+                    fr[slot] = v
+                    if body(fr):
+                        return True
+                return False
+            return exists
+    return _failing(f"not a formula: {f!r}")
+
+
+def _tuple_of(parts: list[Code]) -> Callable[[Frame], tuple]:
+    if not parts:
+        return lambda fr: ()
+    if len(parts) == 1:
+        (only,) = parts
+        return lambda fr: (only(fr),)
+    if len(parts) == 2:
+        first, second = parts
+        return lambda fr: (first(fr), second(fr))
+    return lambda fr: tuple([part(fr) for part in parts])
 
 
 def _value_spine(v: Value) -> tuple[Value, ...]:
@@ -649,45 +818,71 @@ def _value_spine(v: Value) -> tuple[Value, ...]:
     return (v,)
 
 
-def eval_formula(st: Structure, f: Formula, env: Optional[Env] = None,
-                 budget: Optional[int] = None) -> bool:
-    """Two-valued semantics; quantifiers enumerate the bound type."""
-    env = env or {}
-    budget = element_budget(budget)
-    match f:
-        case RelAtom(name, args):
-            table = st.rel_tables.get(name)
-            if table is None:
-                raise StructureError(f"no table for relation {name!r}")
-            return tuple(_eval(st, a, env, budget) for a in args) in table
-        case Eq(_, lhs, rhs):
-            return _eval(st, lhs, env, budget) == _eval(st, rhs, env, budget)
-        case Member(element, predicate):
-            pred = _eval(st, predicate, env, budget)
-            if not isinstance(pred, (TableV, SectionV)):
-                raise StructureError("membership predicate is not a table")
-            return pred.apply(_eval(st, element, env, budget)) == TRUE
-        case Top():
-            return True
-        case Bottom():
-            return False
-        case And(l, r):
-            return eval_formula(st, l, env, budget) and eval_formula(st, r, env, budget)
-        case Or(l, r):
-            return eval_formula(st, l, env, budget) or eval_formula(st, r, env, budget)
-        case Implies(l, r):
-            return (not eval_formula(st, l, env, budget)) or eval_formula(st, r, env, budget)
-        case Not(body):
-            return not eval_formula(st, body, env, budget)
-        case Forall(x, t, body):
-            return all(
-                eval_formula(st, body, {**env, x: v}, budget)
-                for v in _elements(st, t, env, budget))
-        case Exists(x, t, body):
-            return any(
-                eval_formula(st, body, {**env, x: v}, budget)
-                for v in _elements(st, t, env, budget))
-    raise StructureError(f"not a formula: {f!r}")
+def _lambda(x: str, annot: TypeExpr, body: Term, slots: dict[str, int],
+            size: list[int]) -> Code:
+    domain = _domain(annot, slots)
+    slot, inner = _bind(x, slots, size)
+    value = _term(body, inner, size)
+
+    def table(fr):
+        entries = []
+        for v in domain(fr):
+            fr[slot] = v
+            entries.append((v, value(fr)))
+        return TableV(tuple(entries))
+    return table
+
+
+def _truth(test: Callable[[Frame], bool]) -> Code:
+    return lambda fr: TRUE if test(fr) else FALSE
+
+
+def _lifted(t: Union[Lambda, FormulaTerm]) -> Code:
+    """A closed lambda or formula term, compiled once on its own.  It
+    evaluates the same under every environment, so it keeps its last
+    structure and value, and the structure holds nothing."""
+    run = t.__dict__.get("_lifted")
+    if run is None:
+        size = [_FIRST_SLOT]
+        if isinstance(t, Lambda):
+            inner = _lambda(t.binder, t.annot, t.body, {}, size)
+        else:
+            inner = _truth(_formula(t.formula, {}, size))
+        last: list = [None, None]  # structure, value
+
+        def run(fr):
+            st = fr[_STRUCTURE]
+            if last[0] is not st:
+                last[:] = st, inner(_frame(st, fr[_BUDGET], [], size[0]))
+            return last[1]
+        object.__setattr__(t, "_lifted", run)
+    return run
+
+
+def _failing(message: str) -> Code:
+    def fail(fr):
+        raise StructureError(message)
+    return fail
+
+
+def _domain(t: TypeExpr,
+            slots: dict[str, int]) -> Callable[[Frame], Iterable[Value]]:
+    """Compile the enumeration of a bound variable's type: ``_elements``
+    with the type's free variables read from their slots.  A base type
+    is its carrier, checked against the budget here."""
+    if isinstance(t, Base):
+        name = t.name
+
+        def carrier(fr):
+            elements = fr[_STRUCTURE].carrier(name)
+            if len(elements) > fr[_BUDGET]:
+                raise _over_budget(fr[_BUDGET])
+            return elements
+        return carrier
+    names = [(name, slots[name]) for name in sorted(free_vars(t))
+             if name in slots]
+    return lambda fr: _elements(
+        fr[_STRUCTURE], t, {name: fr[i] for name, i in names}, fr[_BUDGET])
 
 
 def all_environments(st: Structure, ctx: Context,
@@ -695,26 +890,71 @@ def all_environments(st: Structure, ctx: Context,
     """Every assignment of values to the context's telescope, in
     canonical order."""
     budget = element_budget(budget)
-    entries = ctx.entries
+    names = ctx.names()
+    frame = _frame(st, budget, [], _FIRST_SLOT + len(names))
+    for _ in _assignments(ctx, frame):
+        yield dict(zip(names, frame[_FIRST_SLOT:]))
 
-    def rec(i: int, env: Env) -> Iterator[Env]:
-        if i == len(entries):
-            yield dict(env)
-            return
-        name, t = entries[i]
-        for v in _elements(st, t, env, budget):
-            yield from rec(i + 1, {**env, name: v})
 
-    yield from rec(0, {})
+def _assignments(ctx: Context, frame: Frame) -> Iterator[None]:
+    """Write each assignment to the context's telescope, in canonical
+    order, into the frame's first slots, and yield after each.  An
+    entry's type is enumerated afresh for every assignment to the
+    entries before it, which the type may mention.  One iterator per
+    entry on a list, not one recursion, so any length of context runs."""
+    domains = ctx.__dict__.get("_domains")
+    if domains is None:
+        domains, slots = [], {}
+        for slot, (name, t) in enumerate(ctx.entries, _FIRST_SLOT):
+            domains.append(_domain(t, slots))
+            slots = {**slots, name: slot}
+        object.__setattr__(ctx, "_domains", domains)
+    if not domains:
+        yield
+        return
+    last = len(domains) - 1
+    pending = [iter(domains[0](frame))]  # one iterator per bound entry
+    while pending:
+        depth = len(pending) - 1
+        if depth == last:
+            slot = _FIRST_SLOT + depth
+            for v in pending.pop():
+                frame[slot] = v
+                yield
+            continue
+        v = next(pending[-1], _END)
+        if v is _END:
+            pending.pop()
+        else:
+            frame[_FIRST_SLOT + depth] = v
+            pending.append(iter(domains[depth + 1](frame)))
+
+
+_END = object()
+
+
+def counterexample(st: Structure, ctx: Context, f: Formula,
+                   budget: Optional[int] = None
+                   ) -> Optional[tuple[tuple[str, Value], ...]]:
+    """The first assignment to the context, in canonical order, under
+    which the formula is false, as (name, value) pairs in context order;
+    None when the formula holds under every assignment."""
+    budget = element_budget(budget)
+    names = ctx.names()
+    run, size = _compiled(f, True, names)
+    frame = _frame(st, budget, [], size)
+    for _ in _assignments(ctx, frame):
+        if not run(frame):
+            slots = {name: i for i, name in enumerate(names, _FIRST_SLOT)}
+            return tuple((name, frame[slots[name]]) for name in names)
+    return None
 
 
 def derivable(st: Structure, ctx: Context, f: Formula,
               budget: Optional[int] = None) -> bool:
     """True when the formula evaluates to true under every substitution
     of the context in this model."""
-    budget = element_budget(budget)
-    return all(eval_formula(st, f, env, budget)
-               for env in all_environments(st, ctx, budget))
+    return counterexample(st, ctx, f, budget) is None
 
 
 # ---------------------------------------------------------------------------
@@ -779,14 +1019,8 @@ def check_theory(st: Structure, th: Theory, structure_name: str = "structure",
     budget = element_budget(budget)
     results = []
     for axiom in th.axioms:
-        counterexample = None
-        for env in all_environments(st, axiom.context, budget):
-            if not eval_formula(st, axiom.formula, env, budget):
-                counterexample = tuple(
-                    (name, env[name]) for name in axiom.context.names())
-                break
-        results.append(AxiomResult(axiom.label, counterexample is None,
-                                   counterexample))
+        found = counterexample(st, axiom.context, axiom.formula, budget)
+        results.append(AxiomResult(axiom.label, found is None, found))
     return TheoryReport(th.name, structure_name, tuple(results))
 
 

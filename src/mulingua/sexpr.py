@@ -96,13 +96,17 @@ def parse_sexprs(text: str) -> list[SNode]:
 
 
 def _atom(token: str, line: int, col: int) -> SValue:
-    if _INT.match(token):
-        return int(token)
-    if _RATIONAL.match(token):
-        try:
+    try:
+        if _INT.match(token):
+            return int(token)
+        if _RATIONAL.match(token):
             return Fraction(token)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {token!r}", line, col) from None
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {token!r}", line, col) from None
+    except ValueError:  # more digits than Python converts to a number
+        digits = sum(c.isdigit() for c in token)
+        raise ParseError(
+            f"number of {digits} digits is too long", line, col) from None
     return Sym(token)
 
 

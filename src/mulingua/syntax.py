@@ -22,8 +22,9 @@ simultaneous capture-avoiding substitution across all three categories.
 
 Data derived from a node is memoized on the frozen instance, beside its
 fields: ``free_vars`` and ``alpha_key`` are computed once per node, and
-the evaluator keeps a closed term's value on the term (see
-``semantics._eval``), so derived data is freed together with the node.
+the evaluator keeps a node's compiled closures, and a closed term's last
+value, on the node (see ``semantics._compiled`` and
+``semantics._lifted``), so derived data is freed together with the node.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from mulingua.semantics import Atom, FinSet, Structure
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Eq, Exists, Forall, Formula,
-    FunSymbol, Implies, Lambda, Not, Or, Pair, Product, RelAtom, RelSymbol,
-    Signature, Term, Top, TypeExpr, Var,
+    FunSymbol, Implies, Lambda, Not, Or, Pair, Pi, Product, RelAtom,
+    RelSymbol, Sigma, Signature, Term, Top, TypeExpr, Var, W, _Node,
 )
 
 G = Base("G")
@@ -126,6 +127,35 @@ def random_formula(rng: random.Random, vars_in_scope: list[str],
 def random_closed_formula(rng: random.Random, depth: int = 4,
                           allow_negation: bool = True) -> Formula:
     return random_formula(rng, [], depth, [0], allow_negation)
+
+
+# ---------------------------------------------------------------------------
+# renaming
+# ---------------------------------------------------------------------------
+
+BINDERS = (Lambda, Pi, Sigma, W, Forall, Exists)
+
+
+def rename_bound(node, renaming=None):
+    """Rename every bound variable to ``<name>_r``, independently of the
+    library's own traversal.  Generated names never contain '_', so the
+    new names capture nothing."""
+    renaming = renaming or {}
+    if isinstance(node, Var):
+        return Var(renaming.get(node.name, node.name))
+    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    if isinstance(node, BINDERS):
+        x, outer, inner = values
+        return type(node)(x + "_r", rename_bound(outer, renaming),
+                          rename_bound(inner, {**renaming, x: x + "_r"}))
+    out = []
+    for value in values:
+        if isinstance(value, tuple):
+            value = tuple(rename_bound(v, renaming) for v in value)
+        elif isinstance(value, _Node):
+            value = rename_bound(value, renaming)
+        out.append(value)
+    return type(node)(*out)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,48 @@ def test_forall_over_infinite_tree_type_exits_two(tmp_path):
                "many trees\n")
 
 
+@pytest.mark.parametrize("binders, conjunct", [
+    (MAX_DEPTH - 2, "top"), (MAX_DEPTH - 3, "(= 1 x x)")])
+def test_formula_at_the_nesting_limit_evaluates(tmp_path, binders, conjunct):
+    # the declaration and the conjunction take the two lists around the
+    # binders, and a conjunct that is a list one more
+    conjunction = f"(and {' '.join([conjunct] * MAX_DEPTH)})"
+    path = tmp_path / "deep.mul"
+    path.write_text("(formula deep " + "(forall (x 1) " * binders
+                    + conjunction + ")" * binders + ")")
+    done = run_subprocess(["eval", "z12", "deep", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+def test_a_context_longer_than_the_recursion_limit_evaluates(tmp_path):
+    path = tmp_path / "wide.mul"
+    entries = " ".join(f"(x{i} 1)" for i in range(1500))
+    path.write_text(f"(formula wide (ctx {entries}) (= 1 x0 x1499))")
+    assert run(["eval", "z12", "wide", str(path)]) == (0, "true\n", "")
+
+
+def test_numbers_past_the_digit_limit_exit_two_with_a_position(tmp_path):
+    path = tmp_path / "long.mul"
+    path.write_text("(formula f (= G " + "1" * 5000 + " 0))")
+    done = run_subprocess(["check", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"{path}: 1:17: number of 5000 digits is too long\n")
+    done = run_subprocess(["prove", "z12", "1" * 5000])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "parse error: 1:1: number of 5000 digits is too long\n")
+
+
+def test_small_table_over_a_domain_past_the_budget_is_not_total(tmp_path):
+    path = tmp_path / "wide.mul"
+    path.write_text("""
+    (signature six (types G) (fun (f (G G G G G G) G)))
+    (structure w of six (carrier G (0 1 2 3 4 5 6 7 8 9 10 11)) (fun f))""")
+    done = run_subprocess(["check", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"{path}: 3:5: table for 'f' is not total: 0 entries for "
+               "more than 1000000 argument tuples\n")
+
+
 def test_ill_typed_axiom_is_not_model_checked(tmp_path):
     path = tmp_path / "mixed.mul"
     path.write_text("""

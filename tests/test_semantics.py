@@ -1,10 +1,12 @@
 """Finite-set interpretation, evaluation, theory checking, and
 structure homomorphisms."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from mulingua.diagnostics import BudgetError
 from mulingua.kernel import check_term
@@ -23,11 +25,12 @@ from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
     Forall, FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Power, Product,
     Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Var, W, Zero,
+    substitute,
 )
 
 from generators import (
-    random_closed_formula, random_tiny_structure, random_typed_term,
-    tiny_signature,
+    BINDERS, random_closed_formula, random_formula, random_group_element_term,
+    random_tiny_structure, random_typed_term, rename_bound, tiny_signature,
 )
 
 GROUP = group_signature()
@@ -429,6 +432,71 @@ def test_quantifier_adjunction_instances():
 
 
 # ---------------------------------------------------------------------------
+# laws: substitution and renaming
+# ---------------------------------------------------------------------------
+
+def bound_names(node) -> set[str]:
+    names = {node.binder} if isinstance(node, BINDERS) else set()
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(child):
+                names |= bound_names(child)
+    return names
+
+
+def tiny_case(rng):
+    """A tiny model, a formula over x and a, a term to put for x that
+    mentions a name the formula binds when there is one, and values for
+    every name involved."""
+    st = random_tiny_structure(rng, rng.randrange(1, 4))
+    formula = random_formula(rng, ["x", "a"], rng.randrange(1, 5), [0])
+    capture = rng.choice(sorted(bound_names(formula)) or ["a"])
+    term = Var(rng.choice(["a", capture]))
+    if rng.random() < 0.5:
+        term = App("f", (term,))
+    atoms = st.carrier("X").elements
+    env = {name: rng.choice(atoms) for name in ("x", "a", capture)}
+    return st, formula, term, env
+
+
+def group_case(rng):
+    """As ``tiny_case``, for a term over x and a in a small group."""
+    n = rng.randrange(1, 5)
+    st = (subtraction_structure if rng.random() < 0.3
+          else cyclic_group_structure)(n)
+    term, _ = random_typed_term(rng, Context.of(("x", G), ("a", G)), 4)
+    capture = rng.choice(sorted(bound_names(term)) or ["a"])
+    replacement = random_group_element_term(
+        rng, Context.of(("a", G), (capture, G)), 2)
+    env = {name: Atom("G", rng.randrange(n)) for name in ("x", "a", capture)}
+    return st, term, replacement, env
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.randoms(use_true_random=False))
+def test_evaluation_commutes_with_substitution(rng):
+    st, formula, term, env = tiny_case(rng)
+    assigned = {**env, "x": eval_term(st, term, env)}
+    assert eval_formula(st, substitute(formula, {"x": term}), env) \
+        == eval_formula(st, formula, assigned)
+    st, term, replacement, env = group_case(rng)
+    assigned = {**env, "x": eval_term(st, replacement, env)}
+    assert eval_term(st, substitute(term, {"x": replacement}), env) \
+        == eval_term(st, term, assigned)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.randoms(use_true_random=False))
+def test_renaming_bound_variables_keeps_the_value(rng):
+    st, formula, _, env = tiny_case(rng)
+    assert eval_formula(st, rename_bound(formula), env) \
+        == eval_formula(st, formula, env)
+    st, term, _, env = group_case(rng)
+    assert eval_term(st, rename_bound(term), env) == eval_term(st, term, env)
+
+
+# ---------------------------------------------------------------------------
 # theory checking
 # ---------------------------------------------------------------------------
 
@@ -574,9 +642,25 @@ def test_hom_check_budgets_the_whole_domain_of_a_symbol():
     sig = Signature(name="wide", base_types=("G",),
                     fun_symbols=(FunSymbol("f", (G,) * 6, G),))
     st = Structure(sig, {"G": Z12.carrier("G")}, {"f": {}})
-    assert st.validate()  # a domain past the budget is trusted
+    # no table of at most budget entries is total on a domain past it
+    assert st.validate().reason == (
+        "table for 'f' is not total: 0 entries for more than 1000000 "
+        "argument tuples")
     verdict = check_structure_hom(identity_hom(st))
     assert verdict.reason == "domain of 'f' exceeds the budget"
+
+
+def test_a_table_larger_than_the_budget_is_trusted():
+    sig = Signature(name="wide", base_types=("G",),
+                    fun_symbols=(FunSymbol("f", (G,) * 6, G),))
+    atoms = Z12.carrier("G").elements
+    table = {(a,) * 6: a for a in atoms[:11]}
+    st = Structure(sig, {"G": Z12.carrier("G")}, {"f": table})
+    assert st.validate(budget=10)
+    del table[(atoms[0],) * 6]
+    assert st.validate(budget=10).reason == (
+        "table for 'f' is not total: 10 entries for more than 10 "
+        "argument tuples")
 
 
 def test_relation_preservation():

@@ -65,6 +65,11 @@ def outcome(text):
     ("(rt\n 1/0)", ("error", "2:2: zero denominator in '1/0'", 2, 2)),
     ('(1/0 "', ("error", "1:2: zero denominator in '1/0'", 1, 2)),
     ('(a "b', ("error", "1:4: unterminated string", 1, 4)),
+    pytest.param("1" * 5000, ("error", "1:1: number of 5000 digits is too long",
+                              1, 1), id="5000-digit integer"),
+    pytest.param("(x\n -" + "9" * 5000 + "/7)", (
+        "error", "2:2: number of 5001 digits is too long", 2, 2),
+        id="5000-digit numerator"),
 ])
 def test_named_inputs(text, expected):
     assert outcome(text) == expected

@@ -22,7 +22,7 @@ from mulingua.syntax import (
     _Node, alpha_key, free_vars, show, substitute,
 )
 
-from generators import random_formula, random_typed_term
+from generators import random_formula, random_typed_term, rename_bound
 
 G = Base("G")
 
@@ -113,29 +113,6 @@ def test_apply_with_no_arguments_and_nullary_symbols():
 # ---------------------------------------------------------------------------
 
 SCOPE = Context.of(("a", G), ("b", G))
-BINDERS = (Lambda, Pi, Sigma, W, Forall, Exists)
-
-
-def _rename_bound(node, renaming=None):
-    """Rename every bound variable to ``<name>_r``, independently of the
-    library's own traversal.  Generated names never contain '_', so the
-    new names capture nothing."""
-    renaming = renaming or {}
-    if isinstance(node, Var):
-        return Var(renaming.get(node.name, node.name))
-    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
-    if isinstance(node, BINDERS):
-        x, outer, inner = values
-        return type(node)(x + "_r", _rename_bound(outer, renaming),
-                          _rename_bound(inner, {**renaming, x: x + "_r"}))
-    out = []
-    for value in values:
-        if isinstance(value, tuple):
-            value = tuple(_rename_bound(v, renaming) for v in value)
-        elif isinstance(value, _Node):
-            value = _rename_bound(value, renaming)
-        out.append(value)
-    return type(node)(*out)
 
 
 def _samples(rng):
@@ -152,7 +129,7 @@ def _samples(rng):
 @given(hst.randoms(use_true_random=False))
 def test_renaming_bound_variables_changes_nothing(rng):
     for node, _ in _samples(rng):
-        renamed = _rename_bound(node)
+        renamed = rename_bound(node)
         assert renamed == node and node == renamed
         assert hash(renamed) == hash(node)
         assert alpha_key(renamed) == alpha_key(node)
