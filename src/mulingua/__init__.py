@@ -21,9 +21,9 @@ from .logic import well_formed_formula
 from .semantics import (
     Atom, FinSet, InlV, InrV, PairV, RatV, SectionV, StarV, Structure,
     StructureHom, TableV, Theory, TheoryAxiom, TreeV, TruthV, Value,
-    all_environments, check_structure_hom, check_theory, counterexample,
-    derivable, eval_formula, eval_term, identity_hom, interpret_type,
-    render_value, type_size,
+    all_environments, check_structure_hom, check_theory, derivable,
+    eval_formula, eval_term, identity_hom, interpret_type, render_value,
+    type_size,
 )
 from .syntax import (
     Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,

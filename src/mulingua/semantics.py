@@ -260,15 +260,15 @@ class Structure:
             if table is None:
                 return Verdict.failed(f"missing table for symbol {sym.name!r}")
             try:
-                if self._domain_size(sym.domain, budget) > budget:
-                    if len(table) <= budget:
-                        return Verdict.failed(
-                            f"table for {sym.name!r} is not total: "
-                            f"{len(table)} entries for more than {budget} "
-                            "argument tuples")
-                    continue
-                domain = list(self._domain_tuples(sym.domain, budget))
+                domain = self._domain_tuples(sym.domain, budget)
             except BudgetError:
+                continue
+            if domain is None:
+                if len(table) <= budget:
+                    return Verdict.failed(
+                        f"table for {sym.name!r} is not total: "
+                        f"{len(table)} entries for more than {budget} "
+                        "argument tuples")
                 continue
             for args in domain:
                 if args not in table:
@@ -303,10 +303,11 @@ class Structure:
             total = min(total * type_size(self, t, budget=budget), budget + 1)
         return total
 
-    def _domain_tuples(self, domain: tuple[TypeExpr, ...],
-                       budget: int) -> Iterator[tuple[Value, ...]]:
+    def _domain_tuples(self, domain: tuple[TypeExpr, ...], budget: int
+                       ) -> Optional[Iterator[tuple[Value, ...]]]:
+        """Every argument tuple, or None when there are more than budget."""
         if self._domain_size(domain, budget) > budget:
-            raise BudgetError("domain too large to validate")
+            return None
         return itertools.product(
             *[list(iter_type(self, t, budget=budget)) for t in domain])
 
@@ -381,12 +382,21 @@ def _capped_power(base: int, exp: int, cap: int) -> int:
 
 
 def _elements(st: Structure, t: TypeExpr, env: Env,
-              budget: int) -> Iterator[Value]:
+              budget: int) -> Iterable[Value]:
     """``iter_type`` once the type's size is known to be within the
-    budget: every domain, index and quantifier range is enumerated so."""
-    if type_size(st, t, env, budget) > budget:
+    budget: every domain, index and quantifier range is enumerated so.
+    A base type is its carrier tuple, with no sizing pass and no
+    generator: the innermost quantifier of an axiom enumerates one for
+    every assignment to the variables outside it."""
+    if isinstance(t, Base):
+        elements = st.carrier(t.name)
+        size = len(elements)
+    else:
+        elements = None
+        size = type_size(st, t, env, budget)
+    if size > budget:
         raise _over_budget(budget)
-    return iter_type(st, t, env, budget)
+    return iter_type(st, t, env, budget) if elements is None else elements
 
 
 def _over_budget(budget: int) -> BudgetError:
@@ -801,8 +811,9 @@ def _formula(f: Formula, slots: dict[str, int],
 
 
 def _tuple_of(parts: list[Code]) -> Callable[[Frame], tuple]:
-    if not parts:
-        return lambda fr: ()
+    """The argument tuple of a symbol or relation.  Unary and binary
+    symbols build theirs without a list comprehension, which costs a
+    function call per lookup before Python 3.12."""
     if len(parts) == 1:
         (only,) = parts
         return lambda fr: (only(fr),)
@@ -868,17 +879,7 @@ def _failing(message: str) -> Code:
 def _domain(t: TypeExpr,
             slots: dict[str, int]) -> Callable[[Frame], Iterable[Value]]:
     """Compile the enumeration of a bound variable's type: ``_elements``
-    with the type's free variables read from their slots.  A base type
-    is its carrier, checked against the budget here."""
-    if isinstance(t, Base):
-        name = t.name
-
-        def carrier(fr):
-            elements = fr[_STRUCTURE].carrier(name)
-            if len(elements) > fr[_BUDGET]:
-                raise _over_budget(fr[_BUDGET])
-            return elements
-        return carrier
+    with the type's free variables read from their slots."""
     names = [(name, slots[name]) for name in sorted(free_vars(t))
              if name in slots]
     return lambda fr: _elements(
@@ -1073,6 +1074,8 @@ def check_structure_hom(h: StructureHom,
             try:
                 domain = h.source._domain_tuples(sym.domain, budget)
             except BudgetError:
+                domain = None
+            if domain is None:
                 return Verdict.failed(
                     f"domain of {sym.name!r} exceeds the budget")
             source_table = h.source.fun_tables.get(sym.name, {})
