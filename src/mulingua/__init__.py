@@ -2,10 +2,10 @@
 
 A kernel of signatures, judgments, and type constructors; finite-set
 models with two-valued higher-order evaluation and theory checking;
-propositions-as-types inhabitation search; well-founded tree values
-with the list and rhythm encodings; voice-leading spaces as quivers
-with their transformations; and a stdlib of pitch-class structures,
-all behind an S-expression command-line surface.
+propositions-as-types inhabitation search; well-founded tree values,
+with lists as a W type and checked rhythm trees; voice-leading spaces
+as quivers with their transformations; and a stdlib of pitch-class
+structures, all behind an S-expression command-line surface.
 """
 
 from .diagnostics import (

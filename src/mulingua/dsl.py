@@ -792,7 +792,7 @@ def builtin_workspace() -> Workspace:
     pitch = musiclib.pitch_universe(12).carrier
     pc_names = {"PC": tuple(str(i) for i in range(12)),
                 "TI": ti.group.element_names["TI"]}
-    ti_quiver = vls(pitch, GroupAction(ti.group, ti.action))
+    ti_quiver = vls(pitch, ti)
     ti_quiver.element_names = pc_names
     winding = vls(pitch, WindingPaths(12, 1))
     winding.element_names = pc_names

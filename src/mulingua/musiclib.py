@@ -25,6 +25,7 @@ from .syntax import (
     And, App, Base, Context, Eq, FunSymbol, Implies, RelAtom,
     RelSymbol, Signature, Universe, Var,
 )
+from .voiceleading import GroupAction
 
 NOTE_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
@@ -260,26 +261,10 @@ def constant_int_gis(n: int = 12) -> Structure:
 # the transposition/inversion group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TIGroup:
+def ti_group(n: int = 12) -> GroupAction:
     """The 2n transpositions and inversions acting on pitch classes:
-    T_k sends x to x + k, I_k sends x to k - x."""
-
-    n: int
-    group: Structure
-    action: dict[tuple[Value, Value], Value]
-
-    def transposition(self, k: int) -> Atom:
-        return Atom("TI", k % self.n)
-
-    def inversion(self, k: int) -> Atom:
-        return Atom("TI", self.n + (k % self.n))
-
-    def elements(self) -> FinSet:
-        return self.group.carrier("G")
-
-
-def ti_group(n: int = 12) -> TIGroup:
+    T_k sends x to x + k, I_k sends x to k - x.  The group's elements
+    are named ``Tk`` and ``Ik``."""
     atoms = [Atom("TI", i) for i in range(2 * n)]
     names = tuple(f"T{i}" for i in range(n)) + tuple(f"I{i}" for i in range(n))
 
@@ -311,7 +296,7 @@ def ti_group(n: int = 12) -> TIGroup:
         for x in range(n):
             image = (a_k - x) % n if a_inv else (x + a_k) % n
             action[(atoms[a], pcs[x])] = pcs[image]
-    return TIGroup(n, group, action)
+    return GroupAction(group, action)
 
 
 # ---------------------------------------------------------------------------

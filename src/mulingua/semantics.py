@@ -387,7 +387,11 @@ def _elements(st: Structure, t: TypeExpr, env: Env,
     budget: every domain, index and quantifier range is enumerated so.
     A base type is its carrier tuple, with no sizing pass and no
     generator: the innermost quantifier of an axiom enumerates one for
-    every assignment to the variables outside it."""
+    every assignment to the variables outside it.  A proposition type has
+    at most one element and the budget at least one, so it is not sized:
+    sizing it would evaluate its formula a second time."""
+    if isinstance(t, PropType):
+        return iter_type(st, t, env, budget)
     if isinstance(t, Base):
         elements = st.carrier(t.name)
         size = len(elements)

@@ -1,101 +1,33 @@
-"""Well-founded tree values: specs, the tree constructor, a generic
-fold, the list encoding, and rhythm trees.
+"""Well-founded tree values: a generic fold, the list encoding, and
+rhythm trees.
 
-A tree spec pairs a label domain with an arity map that gives each
-label its finite set of branch positions.  The label domain may be a
-finite set or open (``labels=None``), which is how rhythm trees live
-here: their labels range over pairs of a rational duration and a list
-of rational subdivision factors, an infinite domain.
-
-Branches are stored in the canonical order of the label's arity set;
-``wfold`` hands the step function an ordered mapping from arity
-elements to folded results.
+A tree is a ``TreeV``: a label and a tuple of branches, one per element
+of the label's arity, in the arity's canonical order.  Tree types are
+the ``W`` type expressions of the kernel, and ``semantics.value_in_type``
+checks a tree against one.  Lists over the carrier ``A`` of a structure
+are the type ``LIST_TYPE``.  Rhythm tree labels are rationals, which no
+finite structure holds, so ``rhythm_tree`` checks each node where it is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar
 
-from .diagnostics import StructureError, Verdict
-from .semantics import (
-    Atom, FinSet, InlV, InrV, PairV, RatV, StarV, TreeV, Value,
-)
+from .diagnostics import StructureError
+from .semantics import InlV, InrV, PairV, RatV, StarV, TreeV, Value
+from .syntax import Base, Coproduct, Eq, Exists, Inr, PropType, Unit, Var, W
 
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class WSpec:
-    """Label domain plus arity map.  ``labels=None`` leaves the domain
-    open; membership of labels is then not checked."""
-
-    labels: Optional[FinSet]
-    arity: Callable[[Value], FinSet]
-
-    def arity_of(self, label: Value) -> FinSet:
-        if self.labels is not None and label not in self.labels:
-            raise StructureError(f"label {label!r} is not in the spec's domain")
-        return self.arity(label)
-
-
-def sup(spec: WSpec, label: Value,
-        branches: Union[Mapping[Value, TreeV], Sequence[TreeV]] = ()) -> TreeV:
-    """Build a checked tree node: the branches must cover the label's
-    arity set exactly."""
-    arity = spec.arity_of(label)
-    if isinstance(branches, Mapping):
-        extra = set(branches) - set(arity.elements)
-        if extra:
-            raise StructureError(f"extra branch position(s): {sorted(map(repr, extra))}")
-        missing = [e for e in arity if e not in branches]
-        if missing:
-            raise StructureError(f"missing branch position(s): {[repr(e) for e in missing]}")
-        ordered = tuple(branches[e] for e in arity)
-    else:
-        ordered = tuple(branches)
-        if len(ordered) != len(arity):
-            raise StructureError(
-                f"label expects {len(arity)} branch(es), got {len(ordered)}")
-    if not all(isinstance(b, TreeV) for b in ordered):
-        raise StructureError("branches must be trees")
-    return TreeV(label, ordered)
-
-
-def check_tree(spec: WSpec, tree: TreeV) -> Verdict:
-    """Structural audit: every node's branches are total on its arity."""
-    try:
-        _audit(spec, tree)
-        return Verdict.passed()
-    except StructureError as err:
-        return Verdict.failed(str(err))
-
-
-def _audit(spec: WSpec, tree: TreeV) -> None:
-    arity = spec.arity_of(tree.label)
-    if len(tree.branches) != len(arity):
-        raise StructureError(
-            f"node with label {tree.label!r} has {len(tree.branches)} "
-            f"branch(es), arity demands {len(arity)}")
-    for b in tree.branches:
-        _audit(spec, b)
-
-
-def wfold(spec: WSpec, tree: TreeV,
-          step: Callable[[Value, dict[Value, R]], R]) -> R:
-    """Structural recursion: fold the branches first, then combine with
-    the label.  Terminates because trees are finite."""
-    arity = spec.arity_of(tree.label)
-    folded = {
-        position: wfold(spec, branch, step)
-        for position, branch in zip(arity, tree.branches)
-    }
-    return step(tree.label, folded)
-
-
-def unfold_once(tree: TreeV) -> tuple[Value, tuple[TreeV, ...]]:
-    return tree.label, tree.branches
+def wfold(tree: TreeV, step: Callable[[Value, tuple[R, ...]], R]) -> R:
+    """Structural recursion: fold the branches first, then combine their
+    results, in branch order, with the label.  Terminates because trees
+    are finite."""
+    return step(tree.label, tuple(wfold(b, step) for b in tree.branches))
 
 
 # ---------------------------------------------------------------------------
@@ -104,39 +36,34 @@ def unfold_once(tree: TreeV) -> tuple[Value, tuple[TreeV, ...]]:
 
 NIL_LABEL = InlV(StarV())
 
+_LIST_LABEL = Coproduct(Unit(), Base("A"))
 
-def list_spec(elements: FinSet) -> WSpec:
-    """Lists over a finite element set: one nullary label for the empty
-    list, one unary label per element."""
-    labels = FinSet((NIL_LABEL,) + tuple(InrV(e) for e in elements))
-
-    def arity(label: Value) -> FinSet:
-        if label == NIL_LABEL:
-            return FinSet(())
-        return FinSet((StarV(),))
-
-    return WSpec(labels, arity)
+# (w (l (+ 1 A)) (prop (exists (a A) (= (+ 1 A) l (inr a))))): the empty
+# list is the leaf labelled (inl star); a cons labelled (inr a) has one
+# branch, at position star, for the tail.
+LIST_TYPE = W("l", _LIST_LABEL, PropType(
+    Exists("a", Base("A"), Eq(_LIST_LABEL, Var("l"), Inr(Var("a"))))))
 
 
-def encode_list(spec: WSpec, items: Sequence[Value]) -> TreeV:
-    tree = sup(spec, NIL_LABEL, ())
+def encode_list(items: Sequence[Value]) -> TreeV:
+    tree = TreeV(NIL_LABEL, ())
     for item in reversed(items):
-        tree = sup(spec, InrV(item), {StarV(): tree})
+        tree = TreeV(InrV(item), (tree,))
     return tree
 
 
-def to_list(spec: WSpec, tree: TreeV) -> list[Value]:
-    def step(label: Value, folded: dict[Value, list[Value]]) -> list[Value]:
+def to_list(tree: TreeV) -> list[Value]:
+    def step(label: Value, folded: tuple[list[Value], ...]) -> list[Value]:
         if label == NIL_LABEL:
             return []
         assert isinstance(label, InrV)
-        return [label.value] + folded[StarV()]
+        return [label.value] + folded[0]
 
-    return wfold(spec, tree, step)
+    return wfold(tree, step)
 
 
-def list_length(spec: WSpec, tree: TreeV) -> int:
-    return wfold(spec, tree, lambda label, folded: sum(folded.values())
+def list_length(tree: TreeV) -> int:
+    return wfold(tree, lambda label, folded: sum(folded)
                  + (0 if label == NIL_LABEL else 1))
 
 
@@ -186,24 +113,16 @@ def rhythm_spec_of(label: Value) -> RhythmSpec:
     return RhythmSpec(label.first.value, _rat_list_of(label.second))
 
 
-def rhythm_wspec() -> WSpec:
-    """The open-domain spec for rhythm trees: a node's arity is the
-    finite set of positions of its factor list."""
-
-    def arity(label: Value) -> FinSet:
-        node = rhythm_spec_of(label)
-        return FinSet(tuple(Atom("fin", k) for k in range(len(node.factors))))
-
-    return WSpec(None, arity)
-
-
 def rhythm_tree(node: RhythmSpec, children: Sequence[TreeV] = ()) -> TreeV:
-    """A checked rhythm node; the child count must match the factors."""
+    """A checked rhythm node: one child tree per factor."""
+    children = tuple(children)
     if len(children) != len(node.factors):
         raise StructureError(
             f"node with {len(node.factors)} factor(s) got "
             f"{len(children)} child(ren)")
-    return sup(rhythm_wspec(), rhythm_label(node), tuple(children))
+    if not all(isinstance(c, TreeV) for c in children):
+        raise StructureError("branches must be trees")
+    return TreeV(rhythm_label(node), children)
 
 
 def rhythm_leaf(duration: Fraction | int) -> TreeV:
@@ -211,9 +130,7 @@ def rhythm_leaf(duration: Fraction | int) -> TreeV:
 
 
 def leaf_count(tree: TreeV) -> int:
-    spec = rhythm_wspec()
-    return wfold(spec, tree,
-                 lambda _, folded: sum(folded.values()) if folded else 1)
+    return wfold(tree, lambda _, folded: sum(folded) if folded else 1)
 
 
 def leaf_durations(tree: TreeV) -> list[Fraction]:

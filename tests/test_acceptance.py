@@ -22,16 +22,18 @@ from mulingua.proofs import (
 )
 from mulingua.semantics import (
     Atom, PairV, SectionV, all_environments, check_theory, eval_formula,
-    type_size,
+    type_size, value_in_type,
 )
-from mulingua.syntax import Bottom, Exists, Forall, RelAtom, Top, Var, Base
+from mulingua.syntax import (
+    Base, Bottom, Exists, Forall, RelAtom, Signature, Top, Var,
+)
 from mulingua.voiceleading import (
-    GroupAction, arrow_payload, check_quiver_hom, conjugation_automorphism,
+    arrow_payload, check_quiver_hom, conjugation_automorphism,
     enumerate_automorphisms, transporters, vls,
 )
 from mulingua.wtypes import (
-    RhythmSpec, check_tree, encode_list, leaf_count, list_length, list_spec,
-    rhythm_leaf, rhythm_tree, rhythm_wspec, to_list,
+    LIST_TYPE, RhythmSpec, encode_list, leaf_count, list_length, rhythm_leaf,
+    rhythm_tree, to_list,
 )
 
 from generators import (
@@ -80,8 +82,7 @@ def test_criterion_02_gis_checking():
 
 def test_criterion_03_ti_voice_leading_space():
     with criterion(3, "transposition/inversion voice-leading space", 2.0):
-        ti = ti_group(12)
-        rule = GroupAction(ti.group, ti.action)
+        rule = ti_group(12)
         pitch = pitch_universe(12).carrier
         quiver = vls(pitch, rule)
         assert len(quiver.vertices) == 12
@@ -89,7 +90,7 @@ def test_criterion_03_ti_voice_leading_space():
         for x in pitch:
             for y in pitch:
                 assert len(transporters(rule, x, y)) == 2
-        homs = [conjugation_automorphism(quiver, g) for g in ti.elements()]
+        homs = [conjugation_automorphism(quiver, g) for g in rule.elements()]
         assert all(check_quiver_hom(quiver, quiver, h) for h in homs)
         distinct = {tuple(sorted((v.index, w.index)
                                  for v, w in h.gamma0.items()))
@@ -195,12 +196,12 @@ def test_criterion_07_context_dependence():
 
 def test_criterion_08_tree_values():
     with criterion(8, "tree values: lists and rhythms", 2.0):
-        elements = FinSet.of(Atom("A", 0), Atom("A", 1), Atom("A", 2))
-        spec = list_spec(elements)
         abc = [Atom("A", 0), Atom("A", 1), Atom("A", 2)]
-        tree = encode_list(spec, abc)
-        assert to_list(spec, tree) == abc
-        assert list_length(spec, tree) == 3
+        st = Structure(Signature("abc", ("A",)), {"A": FinSet(tuple(abc))})
+        tree = encode_list(abc)
+        assert value_in_type(st, tree, LIST_TYPE)
+        assert to_list(tree) == abc
+        assert list_length(tree) == 3
         rhythm = rhythm_tree(RhythmSpec(F(19, 2), (F(2), F(5, 2), F(3))), [
             rhythm_leaf(2),
             rhythm_tree(RhythmSpec(F(5, 2), (F(1), F(1), F(1))), [
@@ -212,13 +213,14 @@ def test_criterion_08_tree_values():
             rhythm_tree(RhythmSpec(F(3), (F(3, 2), F(2))),
                         [rhythm_leaf(F(3, 2)), rhythm_leaf(2)]),
         ])
-        assert check_tree(rhythm_wspec(), rhythm)
         assert leaf_count(rhythm) == 7
         rng = random.Random(103)
         for _ in range(1000):
             items = [Atom("A", rng.randrange(3))
                      for _ in range(rng.randrange(21))]
-            assert to_list(spec, encode_list(spec, items)) == items
+            tree = encode_list(items)
+            assert value_in_type(st, tree, LIST_TYPE)
+            assert to_list(tree) == items
 
 
 def test_criterion_09_truth_is_inhabitation():

@@ -345,6 +345,22 @@ def test_small_table_over_a_domain_past_the_budget_is_not_total(tmp_path):
                "more than 1000000 argument tuples\n")
 
 
+@pytest.mark.parametrize("source, reason", [
+    ("(signature bad (types G) (fun (f (H) G)))",
+     "symbol 'f': unknown base type 'H'"),
+    ("""(structure two of group (carrier G (0 1)) (fun star ((0 0) 0))
+         (fun e (() 0)) (fun inv ((0) 0) ((1) 1)))""",
+     "table for 'star' is not total: missing ('0', '1')"),
+], ids=["signature", "structure"])
+def test_check_refuses_an_invalid_declaration_while_loading(
+        tmp_path, source, reason):
+    path = tmp_path / "bad.mul"
+    path.write_text(source)
+    done = run_subprocess(["check", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"{path}: 1:1: {reason}\n")
+
+
 def test_ill_typed_axiom_is_not_model_checked(tmp_path):
     path = tmp_path / "mixed.mul"
     path.write_text("""

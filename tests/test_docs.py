@@ -67,3 +67,13 @@ def test_readme_grammar_names_every_keyword():
     forms = {head for span in spans for head in re.findall(r"\(([^\s()]+)", span)}
     forms |= {span for span in spans if re.fullmatch(r"[^\s()]+", span)}
     assert set(_KEYWORDS.values()) <= forms, set(_KEYWORDS.values()) - forms
+
+
+def test_library_tour_prints_what_its_comments_promise():
+    tour = README.split("## Library tour", 1)[1]
+    tour = tour.split("```python", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(tour, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-4:] == [
+        "288", "2", "['(atom Arrow 1)', '(atom Arrow 0)']", "True 3"]

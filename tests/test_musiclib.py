@@ -90,21 +90,27 @@ def test_ti_action_laws_hold_exhaustively():
                 assert ti.action[(gh, x)] == ti.action[(g, ti.action[(h, x)])]
 
 
+def ti_elements_by_name(ti):
+    return {name: ti.group.named_atom("TI", name)
+            for name in ti.group.element_names["TI"]}
+
+
 def test_ti_multiplication_table():
     ti = ti_group(12)
     star = ti.group.fun_tables["star"]
-    t3, i4 = ti.transposition(3), ti.inversion(4)
-    assert star[(t3, ti.transposition(5))] == ti.transposition(8)
-    assert star[(t3, i4)] == ti.inversion(7)
-    assert star[(i4, t3)] == ti.inversion(1)
-    assert star[(i4, i4)] == ti.transposition(0)
+    g = ti_elements_by_name(ti)
+    assert star[(g["T3"], g["T5"])] == g["T8"]
+    assert star[(g["T3"], g["I4"])] == g["I7"]
+    assert star[(g["I4"], g["T3"])] == g["I1"]
+    assert star[(g["I4"], g["I4"])] == g["T0"]
 
 
 def test_ti_action_values():
     ti = ti_group(12)
-    assert ti.action[(ti.transposition(7), Atom("PC", 0))] == Atom("PC", 7)
-    assert ti.action[(ti.inversion(7), Atom("PC", 0))] == Atom("PC", 7)
-    assert ti.action[(ti.inversion(0), Atom("PC", 3))] == Atom("PC", 9)
+    g = ti_elements_by_name(ti)
+    assert ti.action[(g["T7"], Atom("PC", 0))] == Atom("PC", 7)
+    assert ti.action[(g["I7"], Atom("PC", 0))] == Atom("PC", 7)
+    assert ti.action[(g["I0"], Atom("PC", 3))] == Atom("PC", 9)
 
 
 # ---------------------------------------------------------------------------

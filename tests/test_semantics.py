@@ -241,6 +241,22 @@ def test_arrow_witness_searches_the_codomain_once(monkeypatch):
     assert alone.first == Atom("G", 6)
 
 
+def test_a_proposition_domain_evaluates_its_formula_once(monkeypatch):
+    from mulingua import semantics
+    inner = Eq(G, App("e"), App("e"))
+    calls = []
+    evaluate = semantics.eval_formula
+
+    def counting(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(semantics, "eval_formula", counting)
+    z3 = cyclic_group_structure(3)
+    assert evaluate(z3, Forall("p", PropType(inner), Top()))
+    assert calls == [inner]
+
+
 def test_value_in_type():
     assert value_in_type(Z12, Atom("G", 3), G)
     assert not value_in_type(Z12, Atom("G", 3), Unit())

@@ -24,12 +24,15 @@ from mulingua.voiceleading import (
 
 TI = ti_group(12)
 PITCH = pitch_universe(12).carrier
-TI_RULE = GroupAction(TI.group, TI.action)
-TI_QUIVER = vls(PITCH, TI_RULE)
+TI_QUIVER = vls(PITCH, TI)
 
 
 def pc(i):
     return Atom("PC", i % 12)
+
+
+def ti(name):
+    return TI.group.named_atom("TI", name)
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +65,15 @@ def test_arrow_projections():
 
 
 def test_transporter_sets():
-    assert transporters(TI_RULE, pc(0), pc(7)).elements == (
-        TI.transposition(7), TI.inversion(7))
-    assert transporters(TI_RULE, pc(0), pc(0)).elements == (
-        TI.transposition(0), TI.inversion(0))
+    assert transporters(TI, pc(0), pc(7)).elements == (ti("T7"), ti("I7"))
+    assert transporters(TI, pc(0), pc(0)).elements == (ti("T0"), ti("I0"))
 
 
 def test_transporters_partition_the_group():
     for x in (pc(0), pc(5)):
         seen = []
         for y in PITCH:
-            seen.extend(transporters(TI_RULE, x, y))
+            seen.extend(transporters(TI, x, y))
         assert sorted(g.index for g in seen) == list(range(24))
 
 
@@ -89,7 +90,7 @@ def test_trivial_group_transporters():
 
 def test_invalid_action_is_rejected():
     bad_action = dict(TI.action)
-    bad_action[(TI.transposition(0), pc(0))] = pc(1)  # breaks identity
+    bad_action[(ti("T0"), pc(0))] = pc(1)  # breaks identity
     with pytest.raises(StructureError, match="invalid group action"):
         vls(PITCH, GroupAction(TI.group, bad_action))
     assert not validate_group_action(GroupAction(TI.group, bad_action), PITCH)
@@ -102,7 +103,7 @@ def test_rule_and_pitch_carrier_must_agree():
     with pytest.raises(StructureError, match="outside the pitch set"):
         vls(PITCH, ExplicitTable({(stray, stray): FinSet(())}))
     bad_action = dict(TI.action)
-    bad_action[(TI.transposition(0), stray)] = stray
+    bad_action[(ti("T0"), stray)] = stray
     with pytest.raises(StructureError, match="outside the pitch set"):
         vls(PITCH, GroupAction(TI.group, bad_action))
 
@@ -149,16 +150,16 @@ def test_non_total_maps_are_rejected():
 
 
 def test_conjugation_by_identity_is_identity():
-    h = conjugation_automorphism(TI_QUIVER, TI.transposition(0))
+    h = conjugation_automorphism(TI_QUIVER, ti("T0"))
     assert h == identity_quiver_hom(TI_QUIVER)
 
 
 def test_conjugation_by_inversion():
-    h = conjugation_automorphism(TI_QUIVER, TI.inversion(0))
+    h = conjugation_automorphism(TI_QUIVER, ti("I0"))
     assert check_quiver_hom(TI_QUIVER, TI_QUIVER, h)
-    arrow = PairV(PairV(pc(0), pc(7)), TI.transposition(7))
+    arrow = PairV(PairV(pc(0), pc(7)), ti("T7"))
     image = h.gamma1[arrow]
-    assert image == PairV(PairV(pc(0), pc(5)), TI.transposition(5))
+    assert image == PairV(PairV(pc(0), pc(5)), ti("T5"))
 
 
 def test_all_conjugations_are_distinct_automorphisms():
@@ -185,7 +186,7 @@ def test_conjugation_requires_group_element():
         conjugation_automorphism(TI_QUIVER, pc(0))
     plain = vls(PITCH, WindingPaths(12, 0))
     with pytest.raises(StructureError):
-        conjugation_automorphism(plain, TI.transposition(1))
+        conjugation_automorphism(plain, ti("T1"))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_parallel_arrow_blowup_is_refused():
 # ---------------------------------------------------------------------------
 
 def ti_table_structure():
-    table = {(x, y): transporters(TI_RULE, x, y)
+    table = {(x, y): transporters(TI, x, y)
              for x in PITCH for y in PITCH}
     return sigma_vls_structure(PITCH, TI.elements(), table)
 
@@ -341,7 +342,7 @@ def test_induced_hom_from_identity():
 
 
 def test_induced_hom_matches_conjugation():
-    t1 = TI.transposition(1)
+    t1 = ti("T1")
     t1_inv = TI.group.fun_tables["inv"][(t1,)]
     star = TI.group.fun_tables["star"]
     pitch_map = {x: TI.action[(t1, x)] for x in PITCH}
@@ -362,7 +363,7 @@ def test_induced_hom_rejects_broken_square():
 
 
 def test_induced_hom_needs_a_bijective_arrow_component():
-    collapse = {g: TI.transposition(0) for g in TI.elements()}
+    collapse = {g: ti("T0") for g in TI.elements()}
     with pytest.raises(StructureError, match="not a bijection"):
         hom_to_quiver_hom(ti_hom({x: x for x in PITCH}, collapse))
 
@@ -403,7 +404,7 @@ def test_induced_hom_is_functorial_on_identities_and_composites():
             {x: TI.action[(phi, x)] for x in PITCH},
             {g: star[(star[(phi, g)], phi_inv)] for g in TI.elements()})
 
-    t2, t3 = TI.transposition(2), TI.transposition(3)
+    t2, t3 = ti("T2"), ti("T3")
     lhs = hom_to_quiver_hom(hom_for(star[(t2, t3)]))
     rhs = compose_quiver_homs(hom_to_quiver_hom(hom_for(t3)),
                               hom_to_quiver_hom(hom_for(t2)))

@@ -1,73 +1,95 @@
-"""Tree values: the constructor, folds, the list encoding, and rhythm
-trees."""
+"""Tree values: lists as a W type, folds, and rhythm trees."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from mulingua.diagnostics import StructureError
-from mulingua.semantics import Atom, FinSet, InrV, StarV, TreeV
+from mulingua.diagnostics import BudgetError, StructureError
+from mulingua.dsl import parse_type_node
+from mulingua.kernel import well_formed_type
+from mulingua.semantics import (
+    Atom, FinSet, InrV, Structure, TreeV, iter_type, value_in_type,
+)
+from mulingua.sexpr import parse_sexprs
+from mulingua.syntax import Context, Signature, show
 from mulingua.wtypes import (
-    NIL_LABEL, RhythmSpec, check_tree, encode_list, leaf_count,
-    leaf_durations, list_length, list_spec, render_rhythm_tree, rhythm_leaf,
-    rhythm_spec_of, rhythm_tree, sup, to_list, unfold_once, wfold,
+    LIST_TYPE, NIL_LABEL, RhythmSpec, encode_list, leaf_count,
+    leaf_durations, list_length, render_rhythm_tree, rhythm_leaf,
+    rhythm_spec_of, rhythm_tree, to_list, wfold,
 )
 
-ABC = FinSet.of(Atom("A", 0), Atom("A", 1), Atom("A", 2))
-SPEC = list_spec(ABC)
+SIG = Signature("abc", ("A",))
+ABC = Structure(SIG, {"A": FinSet.of(Atom("A", 0), Atom("A", 1), Atom("A", 2))})
+NIL = TreeV(NIL_LABEL, ())
 
 
 def abc_list(*indices):
     return [Atom("A", i) for i in indices]
 
 
+def is_list(tree):
+    return value_in_type(ABC, tree, LIST_TYPE)
+
+
 # ---------------------------------------------------------------------------
-# the constructor
+# the list type
 # ---------------------------------------------------------------------------
 
+def test_list_type_is_well_formed_and_reads_back():
+    assert well_formed_type(SIG, Context(()), LIST_TYPE)
+    assert parse_type_node(parse_sexprs(show(LIST_TYPE))[0]) == LIST_TYPE
+
+
 def test_empty_list_node():
-    tree = sup(SPEC, NIL_LABEL, {})
-    assert tree == TreeV(NIL_LABEL, ())
-    assert to_list(SPEC, tree) == []
+    tree = encode_list([])
+    assert tree == NIL
+    assert is_list(tree)
+    assert to_list(tree) == []
 
 
 def test_singleton_list():
-    empty = sup(SPEC, NIL_LABEL, {})
-    tree = sup(SPEC, InrV(Atom("A", 0)), {StarV(): empty})
-    assert to_list(SPEC, tree) == abc_list(0)
+    tree = encode_list(abc_list(0))
+    assert tree == TreeV(InrV(Atom("A", 0)), (NIL,))
+    assert is_list(tree)
+    assert to_list(tree) == abc_list(0)
 
 
 def test_nested_sup_builds_abc():
-    empty = sup(SPEC, NIL_LABEL, {})
-    tree = sup(SPEC, InrV(Atom("A", 0)), {StarV(): sup(
-        SPEC, InrV(Atom("A", 1)), {StarV(): sup(
-            SPEC, InrV(Atom("A", 2)), {StarV(): empty})})})
-    assert to_list(SPEC, tree) == abc_list(0, 1, 2)
-    assert list_length(SPEC, tree) == 3
+    tree = TreeV(InrV(Atom("A", 0)), (
+        TreeV(InrV(Atom("A", 1)), (
+            TreeV(InrV(Atom("A", 2)), (NIL,)),)),))
+    assert is_list(tree)
+    assert to_list(tree) == abc_list(0, 1, 2)
+    assert list_length(tree) == 3
 
 
 def test_missing_branch_is_rejected():
-    with pytest.raises(StructureError, match="missing branch"):
-        sup(SPEC, InrV(Atom("A", 0)), {})
+    assert not is_list(TreeV(InrV(Atom("A", 0)), ()))
 
 
 def test_extra_branch_is_rejected():
-    with pytest.raises(StructureError, match="extra branch"):
-        sup(SPEC, NIL_LABEL, {StarV(): TreeV(NIL_LABEL, ())})
+    assert not is_list(TreeV(NIL_LABEL, (NIL,)))
 
 
 def test_label_outside_domain_is_rejected():
-    with pytest.raises(StructureError, match="not in the spec's domain"):
-        sup(SPEC, Atom("B", 0), {})
+    assert not is_list(TreeV(Atom("B", 0), ()))
+    assert not is_list(TreeV(InrV(Atom("B", 0)), (NIL,)))
 
 
 def test_structural_audit():
-    good = encode_list(SPEC, abc_list(0, 1))
-    assert check_tree(SPEC, good)
-    bad = TreeV(InrV(Atom("A", 0)), ())  # unary label, no branch
-    v = check_tree(SPEC, bad)
-    assert not v and "arity demands" in v.reason
+    good = encode_list(abc_list(0, 1))
+    assert is_list(good)
+    # a unary label with no branch, below a well-formed node
+    bad = TreeV(InrV(Atom("A", 1)), (TreeV(InrV(Atom("A", 0)), ()),))
+    assert not is_list(bad)
+
+
+def test_list_type_enumerates_the_empty_list_then_refuses():
+    trees = iter_type(ABC, LIST_TYPE)
+    assert next(trees) == NIL
+    with pytest.raises(BudgetError, match="infinitely many trees"):
+        next(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -78,25 +100,23 @@ def test_fold_over_single_node():
     seen = []
 
     def step(label, folded):
-        seen.append((label, dict(folded)))
+        seen.append((label, folded))
         return 99
 
-    assert wfold(SPEC, sup(SPEC, NIL_LABEL, {}), step) == 99
-    assert seen == [(NIL_LABEL, {})]
+    assert wfold(NIL, step) == 99
+    assert seen == [(NIL_LABEL, ())]
 
 
 def test_fold_matches_repeated_unfolding():
     rng = random.Random(67)
 
     def by_unfolding(tree):
-        label, branches = unfold_once(tree)
-        return 1 + sum(by_unfolding(b) for b in branches)
+        return 1 + sum(by_unfolding(b) for b in tree.branches)
 
     for _ in range(60):
         items = abc_list(*(rng.randrange(3) for _ in range(rng.randrange(12))))
-        tree = encode_list(SPEC, items)
-        node_count = wfold(SPEC, tree,
-                           lambda _, folded: 1 + sum(folded.values()))
+        tree = encode_list(items)
+        node_count = wfold(tree, lambda _, folded: 1 + sum(folded))
         assert node_count == by_unfolding(tree)
 
 
@@ -104,8 +124,10 @@ def test_round_trip_encode_decode():
     rng = random.Random(71)
     for _ in range(300):
         items = abc_list(*(rng.randrange(3) for _ in range(rng.randrange(21))))
-        assert to_list(SPEC, encode_list(SPEC, items)) == items
-        assert list_length(SPEC, encode_list(SPEC, items)) == len(items)
+        tree = encode_list(items)
+        assert is_list(tree)
+        assert to_list(tree) == items
+        assert list_length(tree) == len(items)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +165,8 @@ def test_single_node_is_a_leaf():
 def test_child_count_mismatch():
     with pytest.raises(StructureError, match="factor"):
         rhythm_tree(RhythmSpec(F(2), (F(1), F(1))), [rhythm_leaf(1)])
+    with pytest.raises(StructureError, match="branches must be trees"):
+        rhythm_tree(RhythmSpec(F(2), (F(1),)), [F(1)])
 
 
 def test_durations_and_factors_must_be_positive():
