@@ -47,6 +47,7 @@ Carrier element names may be symbols or bare integers; the words
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -68,9 +69,42 @@ from .syntax import (
     RelSymbol, Signature, Term, TypeExpr, Var, _Binding, show,
 )
 from .voiceleading import (
-    GroupAction, Quiver, WindingPaths, sigma_vls_signature, vls,
+    GroupAction, Quiver, VLRule, WindingPaths, sigma_vls_signature, vls,
     vls_of_structure,
 )
+
+
+class BuiltOnLookup(MutableMapping):
+    """A name table whose entries start as factories.  An entry is built
+    the first time it is looked up, at most once; membership, length and
+    iteration see every name without building anything."""
+
+    def __init__(self, factories: dict[str, Callable[[], object]]) -> None:
+        self._factories = dict(factories)
+        self._values = dict.fromkeys(factories)
+
+    def __getitem__(self, name: str):
+        if name in self._factories:
+            self._values[name] = self._factories[name]()
+            del self._factories[name]
+        return self._values[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        self._factories.pop(name, None)
+        self._values[name] = value
+
+    def __delitem__(self, name: str) -> None:
+        del self._values[name]
+        self._factories.pop(name, None)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._values
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
 
 
 @dataclass
@@ -78,14 +112,15 @@ class Workspace:
     """Everything nameable, builtin or loaded from source files.
     ``declared`` records what came from files, in order."""
 
-    signatures: dict[str, Signature] = field(default_factory=dict)
-    theories: dict[str, Theory] = field(default_factory=dict)
-    structures: dict[str, Structure] = field(default_factory=dict)
-    contexts: dict[str, Context] = field(default_factory=dict)
-    terms: dict[str, tuple[Context, Term]] = field(default_factory=dict)
-    formulas: dict[str, tuple[Context, Formula]] = field(default_factory=dict)
-    types: dict[str, TypeExpr] = field(default_factory=dict)
-    quivers: dict[str, Quiver] = field(default_factory=dict)
+    signatures: MutableMapping[str, Signature] = field(default_factory=dict)
+    theories: MutableMapping[str, Theory] = field(default_factory=dict)
+    structures: MutableMapping[str, Structure] = field(default_factory=dict)
+    contexts: MutableMapping[str, Context] = field(default_factory=dict)
+    terms: MutableMapping[str, tuple[Context, Term]] = field(default_factory=dict)
+    formulas: MutableMapping[str, tuple[Context, Formula]] = field(
+        default_factory=dict)
+    types: MutableMapping[str, TypeExpr] = field(default_factory=dict)
+    quivers: MutableMapping[str, Quiver] = field(default_factory=dict)
     declared: list[tuple[str, str]] = field(default_factory=list)
 
     _SINGULAR = {
@@ -756,47 +791,53 @@ def structure_to_dsl(st: Structure, name: str) -> str:
 def builtin_workspace() -> Workspace:
     """The stdlib: group and interval-system theories, cyclic models and
     falsifiers, the pitch-class structures, the dominance and
-    leading-tone models, and the transposition/inversion quiver."""
+    leading-tone models, and the transposition/inversion quiver.  Each
+    is built the first time its name is looked up."""
     ws = Workspace()
-    ws.signatures = {
-        "group": musiclib.group_signature(),
-        "gis": musiclib.gis_signature(),
-        "music": musiclib.music_signature(12),
-        "harmony": musiclib.harmony_signature(),
-        "dominance": musiclib.dominance_signature(),
-        "domfunc": musiclib.domfunc_signature(),
-        "vls": sigma_vls_signature(),
-    }
-    ws.theories = {
-        "group": musiclib.make_group_theory(),
-        "gis": musiclib.make_gis_theory(),
-    }
-    ws.structures = {
-        "z12": musiclib.cyclic_group_structure(12),
-        "z12-sub": musiclib.subtraction_structure(12),
-        "z7": musiclib.cyclic_group_structure(7),
-        "trivial": musiclib.trivial_group_structure(),
-        "z12gis": musiclib.z_gis_structure(12),
-        "z7gis": musiclib.z_gis_structure(7),
-        "gis-const": musiclib.constant_int_gis(12),
-        "z12music": musiclib.z_music_structure(12),
-        "harm-minor": musiclib.dominance_model("harmonic_minor"),
-        "nat-minor": musiclib.dominance_model("natural_minor"),
-        "domfunc-harm": musiclib.domfunc_model("harmonic_minor"),
-        "domfunc-empty": musiclib.domfunc_model(empty=True),
-        "domfunc-adversarial": musiclib.domfunc_model(
+    ws.signatures = BuiltOnLookup({
+        "group": musiclib.group_signature,
+        "gis": musiclib.gis_signature,
+        "music": lambda: musiclib.music_signature(12),
+        "harmony": musiclib.harmony_signature,
+        "dominance": musiclib.dominance_signature,
+        "domfunc": musiclib.domfunc_signature,
+        "vls": sigma_vls_signature,
+    })
+    ws.theories = BuiltOnLookup({
+        "group": musiclib.make_group_theory,
+        "gis": musiclib.make_gis_theory,
+    })
+    ws.structures = BuiltOnLookup({
+        "z12": lambda: musiclib.cyclic_group_structure(12),
+        "z12-sub": lambda: musiclib.subtraction_structure(12),
+        "z7": lambda: musiclib.cyclic_group_structure(7),
+        "trivial": musiclib.trivial_group_structure,
+        "z12gis": lambda: musiclib.z_gis_structure(12),
+        "z7gis": lambda: musiclib.z_gis_structure(7),
+        "gis-const": lambda: musiclib.constant_int_gis(12),
+        "z12music": lambda: musiclib.z_music_structure(12),
+        "harm-minor": lambda: musiclib.dominance_model("harmonic_minor"),
+        "nat-minor": lambda: musiclib.dominance_model("natural_minor"),
+        "domfunc-harm": lambda: musiclib.domfunc_model("harmonic_minor"),
+        "domfunc-empty": lambda: musiclib.domfunc_model(empty=True),
+        "domfunc-adversarial": lambda: musiclib.domfunc_model(
             "harmonic_minor", drop_leading_tone_of="A"),
-        "triads": musiclib.triad_model(),
-    }
-    ti = musiclib.ti_group(12)
-    pitch = musiclib.pitch_universe(12).carrier
-    pc_names = {"PC": tuple(str(i) for i in range(12)),
-                "TI": ti.group.element_names["TI"]}
-    ti_quiver = vls(pitch, ti)
-    ti_quiver.element_names = pc_names
-    winding = vls(pitch, WindingPaths(12, 1))
-    winding.element_names = pc_names
-    ws.quivers = {"ti-quiver": ti_quiver, "winding12": winding}
-    ctx, formula = musiclib.dominance_formula()
-    ws.formulas = {"dominance": (ctx, formula)}
+        "triads": musiclib.triad_model,
+    })
+    ws.quivers = BuiltOnLookup({
+        "ti-quiver": _pitch_class_quiver,
+        "winding12": lambda: _pitch_class_quiver(WindingPaths(12, 1)),
+    })
+    ws.formulas = BuiltOnLookup({"dominance": musiclib.dominance_formula})
     return ws
+
+
+def _pitch_class_quiver(rule: Optional[VLRule] = None) -> Quiver:
+    """The voice-leading space of a rule (the TI action when none is
+    given) on the twelve pitch classes, with pitch classes and TI
+    elements named for display."""
+    ti = musiclib.ti_group(12)
+    q = vls(musiclib.pitch_universe(12).carrier, rule or ti)
+    q.element_names = {"PC": tuple(str(i) for i in range(12)),
+                       "TI": ti.group.element_names["TI"]}
+    return q

@@ -568,14 +568,21 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
                     and value_in_type(st, v.second, body,
                                       {**env, x: v.first}, budget))
         case W(x, label_type, arity_body):
-            if not isinstance(v, TreeV):
-                return False
-            if not value_in_type(st, v.label, label_type, env, budget):
-                return False
-            arity = list(_elements(st, arity_body, {**env, x: v.label}, budget))
-            return (len(v.branches) == len(arity)
-                    and all(value_in_type(st, b, t, env, budget)
-                            for b in v.branches))
+            # depth first, in branch order, on an explicit stack: a tree
+            # may be deeper than Python's recursion limit
+            pending = [v]
+            while pending:
+                tree = pending.pop()
+                if not isinstance(tree, TreeV):
+                    return False
+                if not value_in_type(st, tree.label, label_type, env, budget):
+                    return False
+                arity = list(_elements(st, arity_body, {**env, x: tree.label},
+                                       budget))
+                if len(tree.branches) != len(arity):
+                    return False
+                pending.extend(reversed(tree.branches))
+            return True
         case FamApp(_, _):
             return v in _family_set(st, t, env, budget)
         case PropType(f):

@@ -6,15 +6,18 @@ mutually recursive: formulas contain terms, terms embed formulas (via
 application) and formulas (propositions read as types).
 
 Every node class derives from ``_Node`` and names its fields in
-``__match_args__``.  A field holds a child node, a tuple of child nodes,
-or plain data (a name or an index).  The binding forms (``Lambda``,
-``Pi``, ``Sigma``, ``W``, ``Forall``, ``Exists``) all have the layout
-``(binder, outer, inner)``: the bound name, a type the binder does not
-scope over, and the body it does scope over.  So ``alpha_key``,
-``free_vars`` and ``substitute`` are each written once, over the fields,
-with variables and binders as the only special cases; ``show`` is one
-keyword table plus the bare names (``Var``, ``Base``) and the head forms
-(``App`` of a symbol, ``FamApp``).
+``__match_args__``; ``_Node`` and one constructor per field count write
+construction, ``repr``, equality, hashing and frozenness once over them,
+so importing this module generates no method per class.  A field holds a
+child node, a tuple of child nodes, or plain data (a name or an index).
+The binding forms (``Lambda``, ``Pi``, ``Sigma``, ``W``, ``Forall``,
+``Exists``) all have the layout ``(binder, outer, inner)``: the bound
+name, a type the binder does not scope over, and the body it does scope
+over.  So ``alpha_key``, ``free_vars`` and ``substitute`` are each
+written once, over the fields, with variables and binders as the only
+special cases; ``show`` is one keyword table plus the bare names
+(``Var``, ``Base``) and the head forms (``App`` of a symbol,
+``FamApp``).
 
 Binding forms compare and hash up to renaming of their bound variable;
 all other nodes are plain structural data.  ``substitute`` performs
@@ -29,7 +32,7 @@ value, on the node (see ``semantics._compiled`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, Iterator, Mapping, Optional, Union, get_args
 
 
@@ -37,9 +40,79 @@ from typing import Callable, Iterator, Mapping, Optional, Union, get_args
 # node classes
 # ---------------------------------------------------------------------------
 
+# A node stores its fields with object.__setattr__, as a frozen dataclass
+# does: reading self.__dict__ instead would make CPython give the node a
+# separate dict, which slows every later field read.  One constructor
+# per field count (no node has more than three fields) takes the fields
+# by position, about as fast as a generated __init__.
+_set = object.__setattr__
+
+
+def _init0(self) -> None:
+    pass
+
+
+def _init1(self, a) -> None:
+    _set(self, self.__match_args__[0], a)
+
+
+def _init2(self, a, b) -> None:
+    first, second = self.__match_args__
+    _set(self, first, a)
+    _set(self, second, b)
+
+
+def _init3(self, a, b, c) -> None:
+    first, second, third = self.__match_args__
+    _set(self, first, a)
+    _set(self, second, b)
+    _set(self, third, c)
+
+
+_INITS = (_init0, _init1, _init2, _init3)
+
+
+def _node(cls: type) -> type:
+    """Declare a node class: its annotated fields become its dataclass
+    fields and, in order, its ``__match_args__``, which its constructor
+    takes by position; ``_Node`` supplies every other method.  No code
+    is generated per class."""
+    if "__init__" not in cls.__dict__:
+        # set first: dataclass() reads the constructor's signature for a
+        # class without a docstring, and object's is slow to read
+        cls.__init__ = _INITS[len(cls.__dict__.get("__annotations__", {}))]
+    return dataclass(init=False, repr=False, eq=False)(cls)
+
+
 class _Node:
-    """Base of every syntax node.  Subclasses are frozen dataclasses whose
-    ``__match_args__`` list their fields in order."""
+    """Base of every syntax node: an immutable record of the fields named
+    in ``__match_args__``.  ``repr``, equality and hashing (as for a
+    frozen dataclass: by class and field values) and frozenness are
+    written once here, over those fields."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields_text = ", ".join(f"{name}={getattr(self, name)!r}"
+                                for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields_text})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self.__match_args__:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(_fields(self)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class _Binding(_Node):
@@ -51,37 +124,33 @@ class _Binding(_Node):
             return NotImplemented if not isinstance(other, _Binding) else False
         return alpha_key(self) == alpha_key(other)
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self) -> int:
         return hash(alpha_key(self))
 
 
 # -- type expressions -------------------------------------------------------
 
-@dataclass(frozen=True)
+@_node
 class Base(_Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Zero(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Unit(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Prop(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Universe(_Node):
     """The level-1 kind of types.
 
@@ -91,39 +160,39 @@ class Universe(_Node):
     """
 
 
-@dataclass(frozen=True)
+@_node
 class Product(_Node):
     left: "TypeExpr"
     right: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Coproduct(_Node):
     left: "TypeExpr"
     right: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Arrow(_Node):
     dom: "TypeExpr"
     cod: "TypeExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Pi(_Binding):
     binder: str
     index_type: "TypeExpr"
     body: "TypeExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Sigma(_Binding):
     binder: str
     index_type: "TypeExpr"
     body: "TypeExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class W(_Binding):
     """Well-founded trees: labels drawn from ``label_type``, each label's
     branching arity given by ``arity_body`` (which may mention the binder)."""
@@ -133,12 +202,12 @@ class W(_Binding):
     arity_body: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Power(_Node):
     inner: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class FamApp(_Node):
     """A declared type family applied to argument terms."""
 
@@ -146,7 +215,7 @@ class FamApp(_Node):
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class PropType(_Node):
     """A proposition read as the (sub-singleton) type of its proofs."""
 
@@ -161,53 +230,56 @@ TypeExpr = Union[
 
 # -- terms ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_node
 class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class App(_Node):
     """Application of a signature symbol (head is a name) or of a term."""
 
     head: Union[str, "Term"]
     args: tuple["Term", ...] = ()
 
+    def __init__(self, head: Union[str, "Term"], args: tuple = ()) -> None:
+        _init2(self, head, args)
 
-@dataclass(frozen=True)
+
+@_node
 class Pair(_Node):
     first: "Term"
     second: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Proj1(_Node):
     pair: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Proj2(_Node):
     pair: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Inl(_Node):
     value: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Inr(_Node):
     value: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Lambda(_Binding):
     binder: str
     annot: "TypeExpr"
     body: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class TupleProj(_Node):
     """0-based projection from a right-nested product spine."""
 
@@ -215,7 +287,7 @@ class TupleProj(_Node):
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Sup(_Node):
     """Tree constructor: a label plus a branch function into the same
     tree type."""
@@ -224,17 +296,17 @@ class Sup(_Node):
     branches: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class FormulaTerm(_Node):
     formula: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Star(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Absurd(_Node):
     """Eliminate a term of the empty type at any expected type."""
 
@@ -249,13 +321,13 @@ Term = Union[
 
 # -- formulas ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_node
 class RelAtom(_Node):
     name: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(_Node):
     """Typed equality of two terms."""
 
@@ -264,7 +336,7 @@ class Eq(_Node):
     rhs: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Member(_Node):
     """Propositional membership: a predicate evaluated at an element."""
 
@@ -272,47 +344,47 @@ class Member(_Node):
     predicate: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Forall(_Binding):
     binder: str
     var_type: "TypeExpr"
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Exists(_Binding):
     binder: str
     var_type: "TypeExpr"

@@ -26,8 +26,21 @@ R = TypeVar("R")
 def wfold(tree: TreeV, step: Callable[[Value, tuple[R, ...]], R]) -> R:
     """Structural recursion: fold the branches first, then combine their
     results, in branch order, with the label.  Terminates because trees
-    are finite."""
-    return step(tree.label, tuple(wfold(b, step) for b in tree.branches))
+    are finite.  Walks on an explicit stack, so a tree may be deeper than
+    Python's recursion limit."""
+    folded: list[R] = []  # results of the finished subtrees, in order
+    stack: list[tuple[TreeV, bool]] = [(tree, False)]
+    while stack:
+        node, branches_done = stack.pop()
+        if branches_done:
+            start = len(folded) - len(node.branches)
+            result = step(node.label, tuple(folded[start:]))
+            del folded[start:]
+            folded.append(result)
+        else:
+            stack.append((node, True))
+            stack.extend((b, False) for b in reversed(node.branches))
+    return folded[0]
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +70,10 @@ def to_list(tree: TreeV) -> list[Value]:
         if label == NIL_LABEL:
             return []
         assert isinstance(label, InrV)
-        return [label.value] + folded[0]
+        folded[0].append(label.value)  # the items are gathered last first
+        return folded[0]
 
-    return wfold(tree, step)
+    return wfold(tree, step)[::-1]
 
 
 def list_length(tree: TreeV) -> int:

@@ -1,9 +1,12 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators, and a call recorder, shared across the
+test modules."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+from contextlib import contextmanager
 
 from mulingua.semantics import Atom, FinSet, Structure
 from mulingua.syntax import (
@@ -174,3 +177,26 @@ def explicit_quiver(num_vertices: int, arrow_pairs):
         fibers.setdefault(key, []).append(Atom("a", i))
     table = {key: FinSet(tuple(payloads)) for key, payloads in fibers.items()}
     return vls(verts, ExplicitTable(table))
+
+
+# ---------------------------------------------------------------------------
+# calls made
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def calls_into(*modules):
+    """Record, in order, the name of every function of the given modules
+    called inside the block, so a test can check that nothing was built."""
+    files = {module.__file__ for module in modules}
+    called: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            called.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield called
+    finally:
+        sys.setprofile(previous)

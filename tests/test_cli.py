@@ -9,8 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from mulingua import musiclib, voiceleading
 from mulingua.cli import main
 from mulingua.sexpr import MAX_DEPTH
+
+from generators import calls_into
 
 
 def run(argv):
@@ -102,6 +105,22 @@ def test_parse_error_exit_code(tmp_path):
     code, _, err = run(["check", str(bad)])
     assert code == 2
     assert "1:1" in err
+
+
+@pytest.mark.parametrize("source, message", [
+    ("; z12 again\n  (structure z12 of group (carrier G (0)))",
+     "2:3: duplicate structure name 'z12'"),
+    ("(quiver ti-quiver winding 3 1)",
+     "1:1: duplicate quiver name 'ti-quiver'"),
+], ids=["z12", "ti-quiver"])
+def test_redeclaring_a_builtin_exits_2_without_building_it(
+        tmp_path, source, message):
+    src = tmp_path / "dup.mul"
+    src.write_text(source)
+    with calls_into(musiclib, voiceleading) as called:
+        code, out, err = run(["check", str(src)])
+    assert (code, out, err) == (2, "", f"{src}: {message}\n")
+    assert called == []
 
 
 def test_check_reports_declarations(tmp_path):

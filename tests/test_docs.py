@@ -1,8 +1,10 @@
 """The documentation agrees with the program: every documented command
-line exits as documented, and the README grammar names every keyword
-the reader knows."""
+line prints and exits as recorded, the README names every built-in, and
+the README grammar names every keyword the reader knows."""
 
+import dataclasses
 import io
+import json
 import pathlib
 import re
 import shlex
@@ -10,20 +12,21 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from mulingua import musiclib, voiceleading
 from mulingua.cli import main
+from mulingua.dsl import Workspace, builtin_workspace
 from mulingua.syntax import _KEYWORDS
+
+from generators import calls_into
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
-# Documented commands that do not exit 0, with the exit code their
-# comments promise: a refutation is 1, a refused budget is 2.
-NONZERO = {
-    "model-check group z12-sub": 1,
-    "model-check commutative s3ish demo.mul": 1,
-    "eval z4 squares-cover demo.mul": 1,
-    "autos ti-quiver --budget 1": 2,
-}
+# The exit code, standard output and standard error of each documented
+# command, keyed by its arguments; the exit codes are the ones the
+# commands' comments promise (a refutation is 1, a refused budget is 2).
+RECORDED = json.loads(
+    (ROOT / "tests" / "documented_commands.json").read_text(encoding="utf-8"))
 
 
 def _readme_commands():
@@ -47,7 +50,7 @@ COMMANDS = [*_readme_commands(), *_demo_commands()]
 
 def test_every_documented_command_is_found():
     assert len(COMMANDS) == 16
-    assert set(NONZERO) <= {" ".join(argv) for argv in COMMANDS}
+    assert set(RECORDED) == {" ".join(argv) for argv in COMMANDS}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
@@ -57,7 +60,23 @@ def test_documented_command_exits_as_documented(argv, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    assert code == NONZERO.get(" ".join(argv), 0), err.getvalue()
+    assert {"exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()} == RECORDED[" ".join(argv)]
+
+
+def test_readme_lists_every_builtin_name():
+    text = README.split("resolves built-in names (", 1)[1].split(")", 1)[0]
+    listed = {}
+    for group in text.split(";"):
+        kind, names = group.split(None, 1)
+        listed[kind] = re.findall(r"`([^`]+)`", names)
+    with calls_into(musiclib, voiceleading) as called:
+        ws = builtin_workspace()
+        tables = {f.name: list(getattr(ws, f.name))
+                  for f in dataclasses.fields(Workspace)
+                  if f.name != "declared"}
+    assert called == []
+    assert listed == {kind: names for kind, names in tables.items() if names}
 
 
 def test_readme_grammar_names_every_keyword():

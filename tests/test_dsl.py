@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mulingua import musiclib, voiceleading
 from mulingua.diagnostics import ParseError
 from mulingua.dsl import (
     Workspace, builtin_workspace, context_to_dsl, load_source,
@@ -19,6 +20,8 @@ from mulingua.syntax import (
     App, Arrow, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Power,
     Product, Prop, Sigma, Star, Universe, Var, Zero, show,
 )
+
+from generators import calls_into
 
 GROUP_SOURCE = "(signature G (types G) (fun (star (G G) G) (e () G) (inv (G) G)))"
 
@@ -256,6 +259,16 @@ def test_structure_totality_is_validated():
         load_source(source)
 
 
+def test_anonymous_formulas_are_numbered_after_every_formula():
+    # the builtin workspace holds one formula, `dominance`
+    names = list(load_source("(formula top) (formula bottom)").formulas)
+    assert names == ["dominance", "formula2", "formula3"]
+    names = list(load_source("(formula formula2 top) (formula bottom)").formulas)
+    assert names == ["dominance", "formula2", "formula3"]
+    fresh = load_source("(formula top) (formula bottom)", Workspace())
+    assert list(fresh.formulas) == ["formula1", "formula2"]
+
+
 def test_anonymous_formula_declaration():
     ws = load_source("(formula (forall (g G) (= G (star g e) g)))")
     (ctx, f), = [ws.formulas[k] for k in ws.formulas if k.startswith("formula")]
@@ -370,6 +383,50 @@ def test_structure_print_parse_round_trip():
     assert again.fun_tables == st.fun_tables
     assert again.rel_tables == st.rel_tables
     assert check_theory(again, make_group_theory()).passed
+
+
+# ---------------------------------------------------------------------------
+# builtins, built on first lookup
+# ---------------------------------------------------------------------------
+
+def test_builtin_workspace_builds_nothing_until_a_lookup():
+    with calls_into(musiclib, voiceleading) as called:
+        ws = builtin_workspace()
+        assert "z12" in ws.structures and "ti-quiver" in ws.quivers
+        assert "nope" not in ws.structures
+        assert len(ws.structures) == 14 and len(ws.quivers) == 2
+        assert len(ws.formulas) == 1 and list(ws.formulas) == ["dominance"]
+        assert set(ws.signatures) == {
+            "group", "gis", "music", "harmony", "dominance", "domfunc", "vls"}
+        assert ws.structures.get("nope") is None
+    assert called == []
+    with calls_into(musiclib, voiceleading) as called:
+        ws.quivers["ti-quiver"]
+    assert "ti_group" in called and "vls" in called
+
+
+def test_builtin_is_built_once_per_workspace():
+    ws = builtin_workspace()
+    first = ws.quivers["ti-quiver"]
+    with calls_into(musiclib, voiceleading) as called:
+        assert ws.quivers["ti-quiver"] is first
+        assert ws.quivers.get("ti-quiver") is first
+    assert called == []
+    assert dict(ws.quivers.items())["ti-quiver"] is first
+    assert builtin_workspace().quivers["ti-quiver"] is not first
+
+
+def test_builtin_name_can_be_replaced_or_removed_unbuilt():
+    ws = builtin_workspace()
+    mine = cyclic_group_structure(3)
+    with calls_into(musiclib, voiceleading) as called:
+        ws.structures["z12"] = mine
+        del ws.structures["z7"]
+    assert called == []
+    assert ws.structures["z12"] is mine
+    assert "z7" not in ws.structures and len(ws.structures) == 13
+    with pytest.raises(KeyError):
+        ws.structures["z7"]
 
 
 def test_builtin_export_reload_consistency():

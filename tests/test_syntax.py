@@ -7,6 +7,7 @@ import gc
 import typing
 import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as hst
 
 from mulingua.dsl import parse_formula_node, parse_term_node, parse_type_node
@@ -19,7 +20,7 @@ from mulingua.syntax import (
     FamApp, Forall, FormulaTerm, Implies, Inl, Inr, Lambda, Member, Not, Or,
     Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
     Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero,
-    _Node, alpha_key, free_vars, show, substitute,
+    _Binding, _Node, alpha_key, free_vars, show, substitute,
 )
 
 from generators import random_formula, random_typed_term, rename_bound
@@ -86,6 +87,43 @@ def test_golden_table_lists_every_node_class():
     classes = set(_node_classes())
     assert listed == classes
     assert len(classes) == 38
+
+
+def _frozen_twin(cls):
+    """A frozen dataclass, generated by ``dataclasses``, with the name and
+    fields of a node class: the reference its methods must match."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)], frozen=True)
+
+
+def _error(action):
+    with pytest.raises(dataclasses.FrozenInstanceError) as caught:
+        action()
+    return str(caught.value)
+
+
+def test_node_classes_behave_as_frozen_dataclasses():
+    for node, _ in [*SHOWN, (App("e"), "(e)")]:
+        cls = type(node)
+        values = [getattr(node, name) for name in cls.__match_args__]
+        twin = _frozen_twin(cls)(*values)
+        assert repr(node) == repr(twin)
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] \
+            == [(f.name, f.type, f.default) for f in dataclasses.fields(twin)]
+        assert cls.__match_args__ == type(twin).__match_args__
+        again = cls(*values)
+        assert again == node and not again != node and again is not node
+        if not isinstance(node, _Binding):  # these hash up to renaming
+            assert hash(node) == hash(twin)
+        for name in (*cls.__match_args__, "other"):
+            assert _error(lambda: setattr(node, name, 1)) \
+                == _error(lambda: setattr(twin, name, 1))
+            assert _error(lambda: delattr(node, name)) \
+                == _error(lambda: delattr(twin, name))
+    assert App("e") == App("e", ())
+    with pytest.raises(TypeError):
+        Pair(Var("x"))
 
 
 def test_every_golden_rendering_reads_back_to_the_same_node():

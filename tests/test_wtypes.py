@@ -120,6 +120,34 @@ def test_fold_matches_repeated_unfolding():
         assert node_count == by_unfolding(tree)
 
 
+def test_fold_hands_branches_in_order():
+    rhythm = nested_subdivision_tree()
+
+    def by_recursion(tree):
+        return (rhythm_spec_of(tree.label).duration,
+                tuple(by_recursion(b) for b in tree.branches))
+
+    assert wfold(rhythm, lambda label, folded: (
+        rhythm_spec_of(label).duration, folded)) == by_recursion(rhythm)
+
+
+def test_ten_thousand_item_list_walks_without_recursion():
+    items = abc_list(*(i % 3 for i in range(10_000)))
+    tree = encode_list(items)
+    assert to_list(tree) == items
+    assert list_length(tree) == 10_000
+    assert leaf_count(tree) == 1
+    assert is_list(tree)
+    assert not is_list(encode_list(items + [Atom("B", 0)]))
+
+
+def test_ten_thousand_deep_rhythm_tree_counts_its_leaf():
+    tree = rhythm_leaf(1)
+    for _ in range(10_000):
+        tree = rhythm_tree(RhythmSpec(F(1), (F(1),)), [tree])
+    assert leaf_count(tree) == 1
+
+
 def test_round_trip_encode_decode():
     rng = random.Random(71)
     for _ in range(300):
