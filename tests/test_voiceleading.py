@@ -2,6 +2,7 @@
 conjugation, automorphism enumeration, and the table structures."""
 
 import doctest
+import hashlib
 import itertools
 import random
 
@@ -258,6 +259,54 @@ def test_automorphisms_form_a_group():
         assert as_key_set(q, [invert_quiver_hom(f)]) <= keys
         for g in homs:
             assert as_key_set(q, [compose_quiver_homs(f, g)]) <= keys
+
+
+def explicit_quiver_cases():
+    """Every explicit quiver with at most 3 vertices and 4 arrows."""
+    for nv in range(4):
+        pair_space = [(s, t) for s in range(nv) for t in range(nv)]
+        for na in range((4 if nv else 0) + 1):
+            yield from ((nv, pairs) for pairs in
+                        itertools.product(pair_space, repeat=na))
+
+
+def ordered_output_digest():
+    """SHA-256 over the ordered output of the quiver layer: every
+    automorphism list of the explicit quivers, map entries in insertion
+    order, then the arrows, subjective list, DOT text and conjugations
+    of the TI and winding spaces."""
+    digest = hashlib.sha256()
+
+    def feed(*parts):
+        for part in parts:
+            digest.update(repr(part).encode())
+        digest.update(b"\n")
+
+    def feed_hom(h):
+        feed(list(h.gamma0.items()), list(h.gamma1.items()))
+
+    count = 0
+    for nv, pairs in explicit_quiver_cases():
+        q = explicit_quiver(nv, pairs)
+        homs = enumerate_automorphisms(q, budget=10 ** 7)
+        feed(nv, pairs, len(homs))
+        for h in homs:
+            feed_hom(h)
+        count += 1
+    assert count == 7728
+    spaces = [("ti", TI_QUIVER)] + [
+        (f"winding{w}", vls(PITCH, WindingPaths(12, w))) for w in range(3)]
+    for name, q in spaces:
+        feed(list(q.vertices), list(q.arrows), list_subjective(q))
+        feed(to_dot(q, name))
+    for g in TI.elements():
+        feed_hom(conjugation_automorphism(TI_QUIVER, g))
+    return digest.hexdigest()
+
+
+def test_ordered_output_is_pinned():
+    assert ordered_output_digest() == (
+        "289fa529e2408e012fc237a44f45b806ac2bb484714613107663b9d66c0d5e8e")
 
 
 def test_budget_refusal_suggests_conjugation():
