@@ -151,15 +151,27 @@ def prop_as_type(f: Formula) -> TypeExpr:
 # packaged musical propositions
 # ---------------------------------------------------------------------------
 
+def _constant_names(st: Structure, t: TypeExpr) -> dict[Value, str]:
+    """Each value named by a constant of the given type, mapped to the
+    first declared such constant."""
+    names: dict[Value, str] = {}
+    for sym in st.signature.fun_symbols:
+        if sym.is_constant and sym.codomain == t:
+            value = st.fun_tables.get(sym.name, {}).get(())
+            if value is not None:
+                names.setdefault(value, sym.name)
+    return names
+
+
 def constant_for(st: Structure, value: Value, t: TypeExpr) -> str:
     """Name of the first declared constant of the given type whose value
     matches."""
-    for sym in st.signature.fun_symbols:
-        if sym.is_constant and sym.codomain == t:
-            if st.fun_tables.get(sym.name, {}).get(()) == value:
-                return sym.name
-    raise StructureError(
-        f"no constant of type {show(t)} names the value {st.render(value)}")
+    name = _constant_names(st, t).get(value)
+    if name is None:
+        raise StructureError(
+            f"no constant of type {show(t)} names the value "
+            f"{st.render(value)}")
+    return name
 
 
 def pcset_predicate(st: Structure, pcs: Iterable[Value],
@@ -167,10 +179,12 @@ def pcset_predicate(st: Structure, pcs: Iterable[Value],
     """A pitch-class set as a closed predicate term: a lambda testing
     equality against each member's constant."""
     base = Base(carrier)
+    names = _constant_names(st, base)
     ordered = sorted(pcs, key=st.carrier(carrier).index)
     body: Formula = Bottom()
     for v in reversed(ordered):
-        clause = Eq(base, Var("p"), App(constant_for(st, v, base)))
+        name = names[v] if v in names else constant_for(st, v, base)
+        clause = Eq(base, Var("p"), App(name))
         body = clause if isinstance(body, Bottom) else Or(clause, body)
     return Lambda("p", base, FormulaTerm(body))
 

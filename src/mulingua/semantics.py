@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
 from .syntax import (
@@ -151,12 +151,81 @@ class SectionV(_Tabular):
     entries: tuple[tuple["Value", "Value"], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TreeV:
-    """A well-founded tree; branches ordered by the label's arity set."""
+    """A well-founded tree; branches ordered by the label's arity set.
+
+    Equality, hashing and ``repr`` follow the dataclass ones over
+    (label, branches) but walk on an explicit stack, so a tree may be
+    deeper than Python's recursion limit."""
 
     label: "Value"
     branches: tuple["TreeV", ...]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TreeV:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is not b:
+                if (b.__class__ is not TreeV or a.label != b.label
+                        or len(a.branches) != len(b.branches)):
+                    return False
+                pending.extend(zip(a.branches, b.branches))
+        return True
+
+    def __hash__(self) -> int:
+        return wfold(self, lambda label, hashes: hash((label, hashes)))
+
+    def __repr__(self) -> str:
+        return tree_text(
+            self, lambda t: f"TreeV(label={t.label!r}, branches=(", ", ",
+            lambda t: ",))" if len(t.branches) == 1 else "))")
+
+
+R = TypeVar("R")
+
+
+def wfold(tree: TreeV, step: Callable[["Value", tuple[R, ...]], R]) -> R:
+    """Structural recursion: fold the branches first, then combine their
+    results, in branch order, with the label.  Terminates because trees
+    are finite.  Walks on an explicit stack, so a tree may be deeper than
+    Python's recursion limit."""
+    folded: list[R] = []  # results of the finished subtrees, in order
+    stack: list[tuple[TreeV, bool]] = [(tree, False)]
+    while stack:
+        node, branches_done = stack.pop()
+        if branches_done:
+            start = len(folded) - len(node.branches)
+            result = step(node.label, tuple(folded[start:]))
+            del folded[start:]
+            folded.append(result)
+        else:
+            stack.append((node, True))
+            stack.extend((b, False) for b in reversed(node.branches))
+    return folded[0]
+
+
+def tree_text(tree: TreeV, head: Callable[[TreeV], str], sep: str,
+              tail: Callable[[TreeV], str]) -> str:
+    """The text of every node t is ``head(t)``, then the texts of its
+    branches joined by ``sep``, then ``tail(t)``; written on an explicit
+    stack, so a tree may be deeper than Python's recursion limit."""
+    parts: list[str] = []
+    pending: list[Union[TreeV, str]] = [tree]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(head(item))
+        pending.append(tail(item))
+        for k, branch in enumerate(reversed(item.branches)):
+            if k:
+                pending.append(sep)
+            pending.append(branch)
+    return "".join(parts)
 
 
 Value = Union[Atom, StarV, TruthV, PairV, InlV, InrV, RatV, TableV, SectionV, TreeV]
@@ -1209,7 +1278,8 @@ def render_value(v: Value, st=None) -> str:
                 f"({render_value(k, st)} {render_value(out, st)})"
                 for k, out in entries)
             return f"(section {body})" if entries else "(section)"
-        case TreeV(label, branches):
-            inner = "".join(" " + render_value(b, st) for b in branches)
-            return f"(tree {render_value(label, st)}{inner})"
+        case TreeV():
+            return tree_text(
+                v, lambda t: f"(tree {render_value(t.label, st)}"
+                + (" " if t.branches else ""), " ", lambda t: ")")
     raise StructureError(f"not a value: {v!r}")

@@ -4,9 +4,10 @@ circle, explicit tables), quiver homomorphisms, conjugation
 automorphisms, exhaustive automorphism enumeration, and structures over
 the minimal pitch/arrow signature.
 
-Arrows are canonical triples ((x, y), t): a pair of vertices plus the
-payload drawn from the rule's fiber at (x, y).  The source map takes
-the first component of the pair component, the target the second.
+A space is the dependent sum, over ordered vertex pairs (x, y), of the
+rule's fibers: its arrows are the triples ((x, y), t) with t in the
+fiber at (x, y), and a ``Quiver`` keeps those fibers.  An arrow's source
+and target are its projections, ``arrow_source`` and ``arrow_target``.
 Quivers carry no composition law, so winding classes can be truncated
 at a maximum winding number without breaking anything.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -144,25 +146,29 @@ def validate_group_action(rule: GroupAction, points: FinSet) -> Verdict:
 
 @dataclass(eq=False)
 class Quiver:
-    """Arrow set, vertex set, and total source/target maps.
+    """A vertex set and the fibers of the space: for each ordered vertex
+    pair (x, y) that has arrows, the arrows ((x, y), t) from x to y.
+    ``arrows`` is their sum, fiber after fiber in the order given.
 
     ``element_names`` is display metadata (atom tag to name tuple) used
     only when rendering."""
 
-    arrows: FinSet
     vertices: FinSet
-    src: dict[Value, Value]
-    tgt: dict[Value, Value]
+    fibers: dict[tuple[Value, Value], tuple[Value, ...]]
     rule: Optional[VLRule] = field(default=None, repr=False)
     element_names: dict[str, tuple[str, ...]] = field(
         default_factory=dict, repr=False)
+    arrows: FinSet = field(init=False)
 
     def __post_init__(self) -> None:
-        for a in self.arrows:
-            if a not in self.src or a not in self.tgt:
-                raise StructureError("source/target maps are not total")
-            if self.src[a] not in self.vertices or self.tgt[a] not in self.vertices:
-                raise StructureError("source/target maps leave the vertex set")
+        for (x, y), fiber in self.fibers.items():
+            if x not in self.vertices or y not in self.vertices:
+                raise StructureError("a fiber's endpoints leave the vertex set")
+            pair = PairV(x, y)
+            if any(not isinstance(a, PairV) or a.first != pair for a in fiber):
+                raise StructureError("an arrow lies outside its fiber's pair")
+        self.arrows = FinSet(tuple(
+            itertools.chain.from_iterable(self.fibers.values())))
 
     def render(self, v: Value) -> str:
         return render_value(v, self.element_names)
@@ -218,25 +224,21 @@ def _rule_fibers(pitch: FinSet, rule: VLRule) -> dict[tuple[Value, Value], FinSe
 
 def vls(pitch: FinSet, rule: VLRule) -> Quiver:
     """The voice-leading space of a pitch set and a rule: arrows are the
-    triples ((x, y), t) with t in the rule's fiber at (x, y)."""
-    fibers = _rule_fibers(pitch, rule)
-    arrows = []
-    src: dict[Value, Value] = {}
-    tgt: dict[Value, Value] = {}
-    for x in pitch:
-        for y in pitch:
-            for t in fibers[(x, y)]:
-                arrow = PairV(PairV(x, y), t)
-                arrows.append(arrow)
-                src[arrow] = x
-                tgt[arrow] = y
-    return Quiver(FinSet(tuple(arrows)), pitch, src, tgt, rule)
+    triples ((x, y), t) with t in the rule's fiber at (x, y), fiber by
+    fiber in pitch-pair order."""
+    fibers = {}
+    for (x, y), payloads in _rule_fibers(pitch, rule).items():
+        if payloads:
+            pair = PairV(x, y)
+            fibers[(x, y)] = tuple(PairV(pair, t) for t in payloads)
+    return Quiver(pitch, fibers, rule)
 
 
 def list_subjective(q: Quiver) -> list[tuple[Value, Value, Value]]:
     """The arrows of the space as (source, target, payload) triples, in
     canonical order."""
-    return [(q.src[a], q.tgt[a], arrow_payload(a)) for a in q.arrows]
+    return [(arrow_source(a), arrow_target(a), arrow_payload(a))
+            for a in q.arrows]
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +279,10 @@ def check_quiver_hom(q1: Quiver, q2: Quiver, h: QuiverHom) -> Verdict:
         image = h.gamma1[a]
         if image not in q2.arrows:
             return Verdict.failed("arrow map leaves the target arrow set")
-        if q2.src[image] != h.gamma0[q1.src[a]]:
+        if arrow_source(image) != h.gamma0[arrow_source(a)]:
             return Verdict.failed(
                 f"source square fails at {render_value(a)}")
-        if q2.tgt[image] != h.gamma0[q1.tgt[a]]:
+        if arrow_target(image) != h.gamma0[arrow_target(a)]:
             return Verdict.failed(
                 f"target square fails at {render_value(a)}")
     return Verdict.passed()
@@ -323,74 +325,56 @@ def enumerate_automorphisms(q: Quiver,
     image tuple and then by per-fiber arrow bijections; the identity is
     always first.
 
-    Backtracks over vertex images with fiber-size pruning.  Refuses up
-    front when the candidate space (vertex permutations times parallel-
-    arrow bijections) exceeds the budget; conjugation automorphisms are
-    the practical generator for large group-action spaces.
+    Backtracks, by vertex index, over the vertex permutations that keep
+    the matrix M of fiber sizes, then extends each by every choice of
+    bijections from each fiber onto the fiber at its image pair.  Refuses
+    up front when the candidate space (vertex permutations times fiber
+    bijections) exceeds the budget; conjugation automorphisms are the
+    practical generator for large group-action spaces.
     """
     budget = element_budget(budget)
     vertices = list(q.vertices)
     n = len(vertices)
-    fibers: dict[tuple[Value, Value], list[Value]] = {}
-    for a in q.arrows:
-        fibers.setdefault((q.src[a], q.tgt[a]), []).append(a)
     candidate_space = math.factorial(n)
-    for fiber in fibers.values():
+    for fiber in q.fibers.values():
         candidate_space *= math.factorial(len(fiber))
         if candidate_space > budget:
-            break
-    if candidate_space > budget:
-        raise BudgetError(
-            f"automorphism candidate space exceeds the budget ({budget}); "
-            "for group-action spaces use conjugation automorphisms instead")
+            raise BudgetError(
+                f"automorphism candidate space exceeds the budget ({budget}); "
+                "for group-action spaces use conjugation automorphisms "
+                "instead")
 
-    fiber_of = {pair: tuple(arrows) for pair, arrows in fibers.items()}
-
-    def fiber_size(x: Value, y: Value) -> int:
-        return len(fiber_of.get((x, y), ()))
+    index = {v: i for i, v in enumerate(vertices)}
+    m = [[0] * n for _ in range(n)]
+    for (x, y), fiber in q.fibers.items():
+        m[index[x]][index[y]] = len(fiber)
 
     results: list[QuiverHom] = []
 
-    def assign(i: int, image: list[Value], used: set[int]) -> None:
+    def assign(image: list[int]) -> None:
+        i = len(image)
         if i == n:
             _emit(image)
             return
-        for j, w in enumerate(vertices):
-            if j in used:
-                continue
-            ok = True
-            for k in range(i):
-                if (fiber_size(vertices[i], vertices[k]) != fiber_size(w, image[k])
-                        or fiber_size(vertices[k], vertices[i]) != fiber_size(image[k], w)):
-                    ok = False
-                    break
-            if ok and fiber_size(vertices[i], vertices[i]) != fiber_size(w, w):
-                ok = False
-            if ok:
-                used.add(j)
+        for w in range(n):
+            if (w not in image and m[i][i] == m[w][w]
+                    and all(m[i][k] == m[w][image[k]]
+                            and m[k][i] == m[image[k]][w] for k in range(i))):
                 image.append(w)
-                assign(i + 1, image, used)
+                assign(image)
                 image.pop()
-                used.remove(j)
 
-    def _emit(image: list[Value]) -> None:
-        gamma0 = dict(zip(vertices, image))
-        pairs = [(x, y) for x in vertices for y in vertices
-                 if fiber_size(x, y) > 0]
-        per_pair: list[list[dict[Value, Value]]] = []
-        for (x, y) in pairs:
-            source_fiber = fiber_of[(x, y)]
-            target_fiber = fiber_of[(gamma0[x], gamma0[y])]
-            per_pair.append([
-                dict(zip(source_fiber, perm))
-                for perm in itertools.permutations(target_fiber)])
+    def _emit(image: list[int]) -> None:
+        gamma0 = {v: vertices[j] for v, j in zip(vertices, image)}
+        per_pair = [
+            [tuple(zip(fiber, perm)) for perm in itertools.permutations(
+                q.fibers.get((gamma0[x], gamma0[y]), ()))]
+            for (x, y), fiber in q.fibers.items()]
         for combo in itertools.product(*per_pair):
-            gamma1: dict[Value, Value] = {}
-            for part in combo:
-                gamma1.update(part)
-            results.append(QuiverHom(gamma1, dict(gamma0)))
+            results.append(QuiverHom(
+                dict(itertools.chain.from_iterable(combo)), dict(gamma0)))
 
-    assign(0, [], set())
+    assign([])
     return results
 
 
@@ -460,7 +444,8 @@ def hom_to_quiver_hom(h: StructureHom) -> QuiverHom:
     source = vls_of_structure(h.source)
     pitch_map, arrow_map = h.component_maps["Pitch"], h.component_maps["Arrow"]
     gamma1 = {
-        a: PairV(PairV(pitch_map[source.src[a]], pitch_map[source.tgt[a]]),
+        a: PairV(PairV(pitch_map[arrow_source(a)],
+                       pitch_map[arrow_target(a)]),
                  arrow_map[arrow_payload(a)])
         for a in source.arrows}
     return QuiverHom(gamma1, dict(pitch_map))
@@ -470,15 +455,29 @@ def hom_to_quiver_hom(h: StructureHom) -> QuiverHom:
 # DOT export
 # ---------------------------------------------------------------------------
 
+# Unquoted DOT IDs: names, where non-ASCII counts as a letter, and numerals.
+_DOT_PLAIN_ID = re.compile(r"(?![0-9])[\w\x80-\U0010ffff]+"
+                           r"|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(q: Quiver, name: str = "quiver") -> str:
-    """Graphviz rendering with stable ordering, so output is diffable."""
+    """Graphviz rendering with stable ordering, so output is diffable.
+    The graph name is quoted unless it is a plain DOT ID."""
+    if not _DOT_PLAIN_ID.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+        name = _dot_quoted(name)
     lines = [f"digraph {name} {{"]
     index = {v: i for i, v in enumerate(q.vertices)}
     for v in q.vertices:
-        lines.append(f'  v{index[v]} [label="{q.render(v)}"];')
+        lines.append(f"  v{index[v]} [label={_dot_quoted(q.render(v))}];")
     for a in q.arrows:
-        label = q.render(arrow_payload(a))
+        label = _dot_quoted(q.render(arrow_payload(a)))
         lines.append(
-            f'  v{index[q.src[a]]} -> v{index[q.tgt[a]]} [label="{label}"];')
+            f"  v{index[arrow_source(a)]} -> v{index[arrow_target(a)]} "
+            f"[label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,5 @@
-"""Well-founded tree values: a generic fold, the list encoding, and
-rhythm trees.
+"""Well-founded tree values: the list encoding and rhythm trees, over
+the generic fold ``wfold``, which ``semantics`` defines beside ``TreeV``.
 
 A tree is a ``TreeV``: a label and a tuple of branches, one per element
 of the label's arity, in the arity's canonical order.  Tree types are
@@ -14,33 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from .diagnostics import StructureError
-from .semantics import InlV, InrV, PairV, RatV, StarV, TreeV, Value
+from .semantics import (
+    InlV, InrV, PairV, RatV, StarV, TreeV, Value, tree_text, wfold,
+)
 from .syntax import Base, Coproduct, Eq, Exists, Inr, PropType, Unit, Var, W
-
-R = TypeVar("R")
-
-
-def wfold(tree: TreeV, step: Callable[[Value, tuple[R, ...]], R]) -> R:
-    """Structural recursion: fold the branches first, then combine their
-    results, in branch order, with the label.  Terminates because trees
-    are finite.  Walks on an explicit stack, so a tree may be deeper than
-    Python's recursion limit."""
-    folded: list[R] = []  # results of the finished subtrees, in order
-    stack: list[tuple[TreeV, bool]] = [(tree, False)]
-    while stack:
-        node, branches_done = stack.pop()
-        if branches_done:
-            start = len(folded) - len(node.branches)
-            result = step(node.label, tuple(folded[start:]))
-            del folded[start:]
-            folded.append(result)
-        else:
-            stack.append((node, True))
-            stack.extend((b, False) for b in reversed(node.branches))
-    return folded[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +132,25 @@ def leaf_durations(tree: TreeV) -> list[Fraction]:
     duration splits proportionally among the branches, so the leaf
     durations always sum to the root duration.  (An extension beyond the
     raw tree data, which records proportions only.)"""
-
-    def rec(t: TreeV, absolute: Fraction) -> list[Fraction]:
+    out: list[Fraction] = []
+    pending = [(tree, rhythm_spec_of(tree.label).duration)]
+    while pending:  # depth first, leftmost branch on top
+        t, absolute = pending.pop()
         node = rhythm_spec_of(t.label)
         if not t.branches:
-            return [absolute]
+            out.append(absolute)
+            continue
         total = sum(node.factors)
-        out: list[Fraction] = []
-        for factor, child in zip(node.factors, t.branches):
-            out.extend(rec(child, absolute * factor / total))
-        return out
-
-    return rec(tree, rhythm_spec_of(tree.label).duration)
+        pending.extend(reversed([
+            (child, absolute * factor / total)
+            for factor, child in zip(node.factors, t.branches)]))
+    return out
 
 
 def render_rhythm_tree(tree: TreeV) -> str:
-    node = rhythm_spec_of(tree.label)
-    inner = "".join(" " + render_rhythm_tree(b) for b in tree.branches)
-    return f"(rt {node.duration}{inner})"
+    return tree_text(
+        tree, lambda t: f"(rt {rhythm_spec_of(t.label).duration}"
+        + (" " if t.branches else ""), " ", lambda t: ")")
 
 
 def rhythm_tree_from_sexpr(text: str) -> TreeV:

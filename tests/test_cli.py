@@ -165,6 +165,25 @@ def test_dot_and_autos_on_declared_quiver(tmp_path):
     assert out.startswith("automorphisms: 2\n")
 
 
+def test_dot_quotes_a_graph_name_that_is_not_a_dot_id(tmp_path):
+    src = tmp_path / "F.mul"
+    src.write_text("""
+    (structure two of vls
+      (carrier Pitch (p))
+      (carrier Arrow (a b))
+      (fun vlr ((p p) (set a b))))
+    (quiver 2nd.space table two)
+    (quiver node table two)
+    """)
+    body = ('  v0 [label="p"];\n  v0 -> v0 [label="a"];\n'
+            '  v0 -> v0 [label="b"];\n}\n')
+    done = run_subprocess(["dot", "2nd.space", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, 'digraph "2nd.space" {\n' + body, "")
+    assert run(["dot", "node", str(src)]) == (
+        0, 'digraph "node" {\n' + body, "")
+
+
 def test_vls_with_rule_argument(tmp_path):
     code, out, _ = run(["vls", "z12", "winding:12:1"])
     assert code == 0 and out == "vertices: 12\narrows: 432\n"

@@ -1,21 +1,27 @@
 """Inhabitation search, the formula-to-type translation, and the two
 packaged musical propositions."""
 
+import dataclasses
 import random
 
+import pytest
+
+from mulingua.diagnostics import StructureError
 from mulingua.musiclib import (
     cyclic_group_structure, domfunc_model, note_to_pc, z_music_structure,
 )
 from mulingua.proofs import (
     all_interval_type, domfunc_leading_tone_type, explain_refutation,
-    first_empty_fiber, inhabit, interval_class, prop_as_type, render_witness,
+    first_empty_fiber, inhabit, interval_class, pcset_predicate, prop_as_type,
+    render_witness,
 )
 from mulingua.semantics import (
     Atom, PairV, SectionV, StarV, TableV, eval_formula, type_size,
     value_in_type,
 )
 from mulingua.syntax import (
-    Arrow, Base, Coproduct, Pi, Power, Product, PropType, Sigma, Unit, Zero,
+    Arrow, Base, Coproduct, FunSymbol, Pi, Power, Product, PropType, Sigma,
+    Unit, Zero, show,
 )
 
 from generators import random_closed_formula, random_tiny_structure
@@ -196,6 +202,23 @@ def test_all_interval_agrees_with_counting_oracle():
         t = all_interval_type(MUSIC12, pcs(*chord))
         decided = inhabit(MUSIC12, t) is not None
         assert decided == (count_interval_classes(chord) == 7)
+
+
+def test_chord_members_are_named_by_their_first_declared_constant():
+    # "zero" is declared before p0 and names pitch class 0; p5 is dropped
+    sig = MUSIC12.signature
+    symbols = tuple(f for f in sig.fun_symbols if f.name != "p5")
+    st = dataclasses.replace(
+        MUSIC12,
+        signature=dataclasses.replace(
+            sig, fun_symbols=(FunSymbol("zero", (), Base("PC")),) + symbols),
+        fun_tables={**MUSIC12.fun_tables, "zero": {(): Atom("PC", 0)}})
+    term = pcset_predicate(st, pcs(4, 0))
+    assert show(term) == (
+        "(lambda (p PC) (formula (or (= PC p (zero)) (= PC p (p4)))))")
+    with pytest.raises(StructureError,
+                       match="^no constant of type PC names the value 5$"):
+        pcset_predicate(st, pcs(0, 5))
 
 
 def test_interval_class_symmetry():

@@ -15,7 +15,7 @@ from mulingua.semantics import (
     Atom, FinSet, PairV, Structure, StructureHom, TableV, identity_hom,
 )
 from mulingua.voiceleading import (
-    ExplicitTable, GroupAction, QuiverHom, WindingPaths, arrow_payload,
+    ExplicitTable, GroupAction, Quiver, QuiverHom, WindingPaths, arrow_payload,
     arrow_source, arrow_target, check_quiver_hom, compose_quiver_homs,
     conjugation_automorphism, enumerate_automorphisms, hom_to_quiver_hom,
     identity_quiver_hom, invert_quiver_hom, list_subjective,
@@ -55,14 +55,27 @@ def test_winding_classes_per_pair():
     q = vls(PITCH, WindingPaths(12, 1))
     assert len(q.arrows) == 3 * 144
     fiber = [a for a in q.arrows
-             if q.src[a] == pc(0) and q.tgt[a] == pc(7)]
+             if arrow_source(a) == pc(0) and arrow_target(a) == pc(7)]
     assert [arrow_payload(a).index for a in fiber] == [7 - 12, 7, 7 + 12]
 
 
 def test_arrow_projections():
-    arrow = TI_QUIVER.arrows.elements[0]
-    assert arrow_source(arrow) == TI_QUIVER.src[arrow]
-    assert arrow_target(arrow) == TI_QUIVER.tgt[arrow]
+    arrow = TI_QUIVER.fibers[(pc(0), pc(7))][0]
+    assert arrow_source(arrow) == pc(0)
+    assert arrow_target(arrow) == pc(7)
+    assert arrow_payload(arrow) == ti("T7")
+
+
+def test_hand_built_quiver_keeps_arrows_in_their_fibers():
+    x, y = pc(0), pc(1)
+    points = FinSet.of(x, y)
+    loop = PairV(PairV(x, x), ti("T0"))
+    q = Quiver(points, {(x, x): (loop,)})
+    assert q.arrows.elements == (loop,)
+    with pytest.raises(StructureError, match="outside its fiber's pair"):
+        Quiver(points, {(x, y): (loop,)})
+    with pytest.raises(StructureError, match="leave the vertex set"):
+        Quiver(FinSet.of(y), {(x, x): (loop,)})
 
 
 def test_transporter_sets():
@@ -112,7 +125,7 @@ def test_rule_and_pitch_carrier_must_agree():
 def test_per_pair_transporters_have_size_two():
     fibers = {}
     for arrow in TI_QUIVER.arrows:
-        key = (TI_QUIVER.src[arrow], TI_QUIVER.tgt[arrow])
+        key = (arrow_source(arrow), arrow_target(arrow))
         fibers[key] = fibers.get(key, 0) + 1
     assert len(fibers) == 144
     assert set(fibers.values()) == {2}
@@ -205,8 +218,9 @@ def brute_force_automorphisms(q):
         g0 = dict(zip(verts, vp))
         for ap in itertools.permutations(arrows):
             g1 = dict(zip(arrows, ap))
-            if all(q.src[g1[a]] == g0[q.src[a]]
-                   and q.tgt[g1[a]] == g0[q.tgt[a]] for a in arrows):
+            if all(arrow_source(g1[a]) == g0[arrow_source(a)]
+                   and arrow_target(g1[a]) == g0[arrow_target(a)]
+                   for a in arrows):
                 found.add((tuple(g0[v] for v in verts),
                            tuple(g1[a] for a in arrows)))
     return found
@@ -342,8 +356,8 @@ def test_table_structure_round_trip():
     assert m.signature == sigma_vls_signature()
     q = vls_of_structure(m)
     assert len(q.vertices) == 12 and len(q.arrows) == 288
-    assert [(q.src[a], q.tgt[a], arrow_payload(a)) for a in q.arrows] == \
-        list_subjective(TI_QUIVER)
+    assert [(arrow_source(a), arrow_target(a), arrow_payload(a))
+            for a in q.arrows] == list_subjective(TI_QUIVER)
 
 
 def test_empty_arrow_carrier():
@@ -476,3 +490,17 @@ def test_dot_output_is_stable():
     assert out1 == out2
     assert out1.startswith("digraph pair {")
     assert '  v0 -> v1 [label="(atom a 0)"];' in out1
+
+
+def test_dot_quotes_names_and_labels_only_where_needed():
+    q = explicit_quiver(1, [(0, 0)])
+    q.element_names = {"v": ('say "hi"',), "a": ("back\\slash",)}
+    assert to_dot(q, 'a "b" \\') == (
+        'digraph "a \\"b\\" \\\\" {\n'
+        '  v0 [label="say \\"hi\\""];\n'
+        '  v0 -> v0 [label="back\\\\slash"];\n'
+        '}\n')
+    for plain in ("pair", "_x9", "é", "12", "-1.5", ".5"):
+        assert to_dot(q, plain).startswith(f"digraph {plain} {{")
+    for quoted in ("Graph", "strict", "2nd", "a-b", "1.2.3"):
+        assert to_dot(q, quoted).startswith(f'digraph "{quoted}" {{')

@@ -9,7 +9,8 @@ from mulingua.diagnostics import BudgetError, StructureError
 from mulingua.dsl import parse_type_node
 from mulingua.kernel import well_formed_type
 from mulingua.semantics import (
-    Atom, FinSet, InrV, Structure, TreeV, iter_type, value_in_type,
+    Atom, FinSet, InrV, Structure, TreeV, iter_type, render_value,
+    value_in_type,
 )
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import Context, Signature, show
@@ -146,6 +147,32 @@ def test_ten_thousand_deep_rhythm_tree_counts_its_leaf():
     for _ in range(10_000):
         tree = rhythm_tree(RhythmSpec(F(1), (F(1),)), [tree])
     assert leaf_count(tree) == 1
+
+
+def test_ten_thousand_item_lists_compare_hash_and_print_without_recursion():
+    items = abc_list(*(i % 3 for i in range(10_000)))
+    tree, same = encode_list(items), encode_list(items)
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != encode_list(items[:-1] + abc_list(1))
+    assert len({tree, same}) == 1
+    assert repr(encode_list(abc_list(2))) == (
+        "TreeV(label=InrV(value=Atom(carrier='A', index=2)), branches=("
+        "TreeV(label=InlV(value=StarV()), branches=()),))")
+    assert repr(tree) == "".join(
+        f"TreeV(label={InrV(a)!r}, branches=(" for a in items) + (
+        repr(NIL) + ",))" * 10_000)
+    assert render_value(tree) == "".join(
+        f"(tree (inr {render_value(a)}) " for a in items) + (
+        "(tree (inl star))" + ")" * 10_000)
+
+
+def test_ten_thousand_deep_rhythm_tree_splits_and_renders_its_duration():
+    tree = rhythm_leaf(3)
+    for _ in range(10_000):
+        tree = rhythm_tree(RhythmSpec(F(3), (F(3),)), [tree])
+    assert leaf_durations(tree) == [F(3)]
+    assert render_rhythm_tree(tree) == "(rt 3 " * 10_000 + "(rt 3)" + (
+        ")" * 10_000)
 
 
 def test_round_trip_encode_decode():
