@@ -262,6 +262,34 @@ def test_shipped_demo_file():
     assert code == 1 and "((a 1))" in out
 
 
+EVERY_FORM = str(pathlib.Path(__file__).resolve().parent / "every_form.mul")
+EVERY_FORM_EVALS = {
+    "unit-is-star": (0, "true\n"),
+    "truth-values": (0, "true\n"),
+    "projections": (0, "true\n"),
+    "injections": (0, "true\n"),
+    "curried": (0, "true\n"),
+    "lambda-table": (0, "true\n"),
+    "member": (0, "true\n"),
+    "relation": (0, "true\n"),
+    "tree-leaf": (0, "true\n"),
+    "tree-one": (0, "true\n"),
+    "section-false": (1, "false counterexample ((x a1))\n"),
+}
+
+
+def test_every_value_and_term_form_loads_and_evaluates():
+    """Tables in every value form, formulas with every term form; eval
+    kernel-checks each formula before evaluating it."""
+    code, out, err = run(["check", EVERY_FORM])
+    assert (code, err) == (0, "")
+    assert out == "signature forms: ok\nstructure every: ok\n" + "".join(
+        f"formula {name}: parsed\n" for name in EVERY_FORM_EVALS)
+    for name, (expected_code, expected_out) in EVERY_FORM_EVALS.items():
+        assert run(["eval", "every", name, EVERY_FORM]) == (
+            expected_code, expected_out, ""), name
+
+
 def test_deep_nesting_exits_two_without_traceback(tmp_path):
     deep = tmp_path / "deep.mul"
     deep.write_text("(type deep " + "(power " * 1200 + "G" + ")" * 1200 + ")")

@@ -1,5 +1,6 @@
 """Source-file parsing: grammar, resolution, errors, and round trips."""
 
+import pathlib
 import random
 
 import pytest
@@ -439,6 +440,19 @@ def test_builtin_export_reload_consistency():
         again = fresh.structures["copy"]
         assert again.fun_tables == st.fun_tables
         assert again.rel_tables == st.rel_tables
+
+
+def test_every_value_form_round_trips():
+    source = pathlib.Path(__file__).resolve().parent / "every_form.mul"
+    ws = load_source(source.read_text(encoding="utf-8"))
+    st = ws.structures["every"]
+    fresh = Workspace()
+    fresh.signatures["forms"] = st.signature
+    load_source(structure_to_dsl(st, "copy"), fresh)
+    again = fresh.structures["copy"]
+    assert again.carriers == st.carriers
+    assert again.fun_tables == st.fun_tables
+    assert again.rel_tables == st.rel_tables
 
 
 def test_generated_round_trips():
