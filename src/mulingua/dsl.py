@@ -567,11 +567,10 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
     missing = [b for b in sig.base_types if b not in carriers]
     if missing:
         raise node.error(f"missing carrier(s) for {missing}")
-    scratch = Structure(sig, carriers, {}, {}, {}, element_names)
+    scratch = Structure(sig, carriers, element_names=element_names)
 
-    fun_tables: dict[str, dict[tuple[Value, ...], Value]] = {}
+    fun_tables: dict[str, dict[tuple[Value, ...], Value | FinSet]] = {}
     rel_tables: dict[str, frozenset[tuple[Value, ...]]] = {}
-    fam_tables: dict[str, dict[tuple[Value, ...], FinSet]] = {}
     for clause in items[4:]:
         match _head(clause):
             case "carrier":
@@ -582,7 +581,7 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 sym = sig.fun(fname)
                 if sym is None:
                     raise parts[1].error(f"unknown function symbol {fname!r}")
-                table: dict[tuple[Value, ...], Value] = {}
+                table: dict[tuple[Value, ...], Value | FinSet] = {}
                 for entry in parts[2:]:
                     pair = _items(entry, "an (args value) entry")
                     if len(pair) != 2:
@@ -595,15 +594,13 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                         parse_value_node(a, d, scratch)
                         for a, d in zip(arg_nodes, sym.domain))
                     if sym.is_family:
-                        members = _items(pair[1], "an element list")
-                        fam_tables.setdefault(fname, {})[key] = FinSet(tuple(
+                        table[key] = FinSet(tuple(
                             parse_value_node(m, None, scratch)
-                            for m in members))
+                            for m in _items(pair[1], "an element list")))
                     else:
                         table[key] = parse_value_node(
                             pair[1], sym.codomain, scratch)
-                if not sym.is_family:
-                    fun_tables[fname] = table
+                fun_tables[fname] = table
             case "rel":
                 parts = clause.value
                 rname = _sym(parts[1], "a relation symbol")
@@ -624,8 +621,7 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 raise clause.error(f"unknown structure clause {other!r}")
     for rel in sig.rel_symbols:
         rel_tables.setdefault(rel.name, frozenset())
-    st = Structure(sig, carriers, fun_tables, rel_tables, fam_tables,
-                   element_names)
+    st = Structure(sig, carriers, fun_tables, rel_tables, element_names)
     verdict = st.validate()
     if not verdict:
         raise node.error(verdict.reason)
@@ -760,18 +756,11 @@ def structure_to_dsl(st: Structure, name: str) -> str:
             names = tuple(str(i) for i in range(len(st.carrier(base))))
         lines.append(f"  (carrier {base} ({' '.join(names)}))")
     for sym in sig.fun_symbols:
-        if sym.is_family:
-            table = st.fam_tables.get(sym.name, {})
-            entries = " ".join(
-                f"(({' '.join(render_value(a, st) for a in key)}) "
-                f"({' '.join(render_value(m, st) for m in members)}))"
-                for key, members in table.items())
-        else:
-            table = st.fun_tables.get(sym.name, {})
-            entries = " ".join(
-                f"(({' '.join(render_value(a, st) for a in key)}) "
-                f"{render_value(out, st)})"
-                for key, out in table.items())
+        entries = " ".join(
+            f"(({' '.join(render_value(a, st) for a in key)}) "
+            + (f"({' '.join(render_value(m, st) for m in out)}))"
+               if sym.is_family else f"{render_value(out, st)})")
+            for key, out in st.fun_tables.get(sym.name, {}).items())
         lines.append(f"  (fun {sym.name} {entries})")
     for rel in sig.rel_symbols:
         tuples = sorted(

@@ -13,7 +13,7 @@ representative min(i, n - i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .diagnostics import StructureError
@@ -115,12 +115,9 @@ def subtraction_structure(n: int, tag: str = "G") -> Structure:
     associativity fails."""
     st = cyclic_group_structure(n, tag)
     atoms = list(st.carrier("G"))
-    tables = dict(st.fun_tables)
-    tables["star"] = {(atoms[i], atoms[j]): atoms[(i - j) % n]
-                      for i in range(n) for j in range(n)}
-    return Structure(st.signature, dict(st.carriers), tables,
-                     dict(st.rel_tables), dict(st.fam_tables),
-                     dict(st.element_names))
+    star = {(atoms[i], atoms[j]): atoms[(i - j) % n]
+            for i in range(n) for j in range(n)}
+    return replace(st, fun_tables={**st.fun_tables, "star": star})
 
 
 def trivial_group_structure() -> Structure:
@@ -249,12 +246,11 @@ def constant_int_gis(n: int = 12) -> Structure:
     st = z_gis_structure(n)
     points = list(st.carrier("S"))
     zero = Atom("IVLS", 0)
-    tables = dict(st.fun_tables)
-    tables["int"] = {(x, y): zero for x in points for y in points}
-    tables["u"] = {(x, i): x for x in points for i in st.carrier("IVLS")}
-    return Structure(st.signature, dict(st.carriers), tables,
-                     dict(st.rel_tables), dict(st.fam_tables),
-                     dict(st.element_names))
+    return replace(st, fun_tables={
+        **st.fun_tables,
+        "int": {(x, y): zero for x in points for y in points},
+        "u": {(x, i): x for x in points for i in st.carrier("IVLS")},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +321,12 @@ def z_music_structure(n: int = 12) -> Structure:
     pcs = [Atom("PC", i) for i in range(n)]
     ivls = [Atom("IVLS", i) for i in range(n)]
     ics = [Atom("IC", i) for i in range(n // 2 + 1)]
-    fun_tables: dict[str, dict[tuple[Value, ...], Value]] = {
+    fun_tables: dict[str, dict[tuple[Value, ...], Value | FinSet]] = {
         "pcint": {(pcs[x], pcs[y]): ivls[(y - x) % n]
                   for x in range(n) for y in range(n)},
         "intclass": {(ivls[i],): ics[interval_class(n, i)] for i in range(n)},
+        "fin": {(pcs[k],): FinSet(tuple(Atom("fin", j) for j in range(k)))
+                for k in range(n)},
     }
     for i in range(n):
         fun_tables[f"p{i}"] = {(): pcs[i]}
@@ -340,10 +338,6 @@ def z_music_structure(n: int = 12) -> Structure:
             "IC": FinSet(tuple(ics)),
         },
         fun_tables=fun_tables,
-        fam_tables={
-            "fin": {(pcs[k],): FinSet(tuple(Atom("fin", j) for j in range(k)))
-                    for k in range(n)},
-        },
         element_names={
             "PC": tuple(str(i) for i in range(n)),
             "IVLS": tuple(str(i) for i in range(n)),

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .diagnostics import StructureError
 from .semantics import (
-    Env, FinSet, PairV, SectionV, Structure, Value, element_budget,
+    Env, PairV, SectionV, Structure, Value, element_budget,
     interpret_type, iter_type, render_value,
 )
 # not used here: perfbench/test_tracer.py checks that its tracer rebinds it
@@ -32,7 +32,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "FamilyType", "ProofObject", "all_interval_type", "constant_for",
+    "ProofObject", "all_interval_type", "constant_for",
     "domfunc_leading_tone_type", "explain_refutation", "first_empty_fiber",
     "inhabit", "interval_class", "pcset_predicate", "prop_as_type",
     "render_witness",
@@ -46,20 +46,6 @@ class ProofObject:
 
     value: Value
     of: TypeExpr
-
-
-@dataclass(frozen=True)
-class FamilyType:
-    """A type family presented as one distinguished variable over an
-    index type."""
-
-    binder: str
-    index_type: TypeExpr
-    body: TypeExpr
-
-    def fiber(self, st: Structure, value: Value,
-              budget: Optional[int] = None) -> FinSet:
-        return interpret_type(st, self.body, {self.binder: value}, budget)
 
 
 def inhabit(st: Structure, t: TypeExpr, env: Optional[Env] = None,

@@ -277,18 +277,18 @@ class Structure:
     """A model of a signature in finite sets.
 
     ``fun_tables`` maps each function symbol to a table keyed by
-    argument tuples (constants use the empty tuple); ``rel_tables``
-    holds the accepted tuples of each relation; ``fam_tables`` maps
-    each type family to the finite set at each argument tuple.
-    ``element_names`` optionally names carrier atoms for rendering.
+    argument tuples (constants use the empty tuple); a type family's
+    table yields the finite set at each argument tuple.  ``rel_tables``
+    holds the accepted tuples of each relation.  ``element_names``
+    optionally names carrier atoms for rendering.
     Structures are immutable after construction.
     """
 
     signature: Signature
     carriers: dict[str, FinSet]
-    fun_tables: dict[str, dict[tuple[Value, ...], Value]] = field(default_factory=dict)
+    fun_tables: dict[str, dict[tuple[Value, ...], Union[Value, FinSet]]] = \
+        field(default_factory=dict)
     rel_tables: dict[str, frozenset[tuple[Value, ...]]] = field(default_factory=dict)
-    fam_tables: dict[str, dict[tuple[Value, ...], FinSet]] = field(default_factory=dict)
     element_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -324,8 +324,7 @@ class Structure:
         total on it, and a larger table is trusted."""
         budget = element_budget(budget)
         for sym in self.signature.fun_symbols:
-            table = self.fam_tables.get(sym.name) if sym.is_family \
-                else self.fun_tables.get(sym.name)
+            table = self.fun_tables.get(sym.name)
             if table is None:
                 return Verdict.failed(f"missing table for symbol {sym.name!r}")
             try:
@@ -571,8 +570,9 @@ def interpret_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
 
 
 def _family_set(st: Structure, t: FamApp, env: Env, budget: int) -> FinSet:
-    table = st.fam_tables.get(t.name)
-    if table is None:
+    sym = st.signature.fun(t.name)
+    table = st.fun_tables.get(t.name)
+    if sym is None or not sym.is_family or table is None:
         raise StructureError(f"no table for type family {t.name!r}")
     key = tuple(eval_term(st, a, env, budget) for a in t.args)
     try:

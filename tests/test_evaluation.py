@@ -11,6 +11,7 @@ import hashlib
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 from mulingua import cli
 from mulingua.diagnostics import MulinguaError
@@ -56,20 +57,16 @@ def cli_eval(monkeypatch, st: Structure, ctx: Context, formula) -> tuple:
 
 
 def without(st: Structure, fun: str = "", rel: str = "") -> Structure:
-    return Structure(
-        st.signature, dict(st.carriers),
-        {k: v for k, v in st.fun_tables.items() if k != fun},
-        {k: v for k, v in st.rel_tables.items() if k != rel},
-        dict(st.fam_tables), dict(st.element_names))
+    return replace(
+        st, fun_tables={k: v for k, v in st.fun_tables.items() if k != fun},
+        rel_tables={k: v for k, v in st.rel_tables.items() if k != rel})
 
 
 def holey(st: Structure, rng: random.Random) -> Structure:
     """The structure with about a fifth of its ``star`` entries gone."""
     star = {k: v for k, v in st.fun_tables["star"].items()
             if rng.random() >= 0.2}
-    return Structure(st.signature, dict(st.carriers),
-                     {**st.fun_tables, "star": star}, dict(st.rel_tables),
-                     dict(st.fam_tables), dict(st.element_names))
+    return replace(st, fun_tables={**st.fun_tables, "star": star})
 
 
 def tiny_records(monkeypatch, rng: random.Random):

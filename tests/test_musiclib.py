@@ -216,4 +216,4 @@ def test_music_structure_tables():
     assert st.fun_tables["pcint"][(Atom("PC", 0), Atom("PC", 7))] == Atom("IVLS", 7)
     assert st.fun_tables["intclass"][(Atom("IVLS", 7),)] == Atom("IC", 5)
     assert st.fun_tables["p3"][()] == Atom("PC", 3)
-    assert len(st.fam_tables["fin"][(Atom("PC", 4),)]) == 4
+    assert len(st.fun_tables["fin"][(Atom("PC", 4),)]) == 4

@@ -269,11 +269,11 @@ def test_witness_rendering_uses_pair_notation():
 
 
 def test_family_fibers():
-    from mulingua.proofs import FamilyType
+    from mulingua.semantics import interpret_type
     from mulingua.syntax import FamApp, Var
-    fam = FamilyType("x", Base("PC"), FamApp("fin", (Var("x"),)))
-    assert len(fam.fiber(MUSIC12, Atom("PC", 4))) == 4
-    assert len(fam.fiber(MUSIC12, Atom("PC", 0))) == 0
+    fiber = FamApp("fin", (Var("x"),))
+    assert len(interpret_type(MUSIC12, fiber, {"x": Atom("PC", 4)})) == 4
+    assert len(interpret_type(MUSIC12, fiber, {"x": Atom("PC", 0)})) == 0
 
 
 def test_witness_is_first_in_enumeration_order():

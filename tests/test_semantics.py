@@ -107,6 +107,16 @@ def test_sizes_are_exact_up_to_the_budget_and_budget_plus_one_above():
     assert type_size(Z12, Pi("x", G, huge), budget=10) == 11
 
 
+def test_only_a_family_symbol_has_fibers():
+    """``pcint`` has a table, but it is no type family."""
+    from mulingua.diagnostics import StructureError
+    args = (App("p0"), App("p1"))
+    for name in ("pcint", "nope"):
+        with pytest.raises(StructureError,
+                           match=f"no table for type family '{name}'"):
+            interpret_type(MUSIC12, FamApp(name, args))
+
+
 def test_budget_overflow_on_materialization():
     with pytest.raises(BudgetError):
         interpret_type(Z12, Arrow(G, G))  # 12^12 tables
@@ -283,10 +293,8 @@ def test_checked_tree_terms_evaluate_to_trees():
         base_sig.fun_symbols + (
             FunSymbol("nobranch", (FamApp("fin", (App("p0"),)),), tree_type),),
         base_sig.rel_symbols)
-    st = Structure(sig, dict(MUSIC12.carriers),
-                   {**MUSIC12.fun_tables, "nobranch": {}},
-                   dict(MUSIC12.rel_tables), dict(MUSIC12.fam_tables),
-                   dict(MUSIC12.element_names))
+    st = dataclasses.replace(MUSIC12, signature=sig,
+                             fun_tables={**MUSIC12.fun_tables, "nobranch": {}})
     assert st.validate()
 
     leaf = Sup(App("p0"),
