@@ -1127,12 +1127,19 @@ def identity_hom(st: Structure) -> StructureHom:
 def check_structure_hom(h: StructureHom,
                         budget: Optional[int] = None) -> Verdict:
     """Totality of the components, commuting squares for every function
-    symbol, and preservation of every relation.  Compatibility with the
-    constructors is checked at base types and extended componentwise
-    through products, coproducts, and (for bijective components) powers
-    and function types; a component that is not a bijection where one
-    is needed, a table entry missing in the source or the target, or a
-    domain past the budget fails the check with the reason."""
+    symbol, a fiberwise map for every type family, and preservation of
+    every relation.  Compatibility with the constructors is checked at
+    base types and extended componentwise through products, coproducts,
+    and (for bijective components) powers and function types; a
+    component that is not a bijection where one is needed, a table entry
+    missing in the source or the target, or a domain past the budget
+    fails the check with the reason.
+
+    A family is checked fiberwise, as a quiver hom needs: every member
+    of the source fiber at ``args`` must lie in the target fiber at the
+    moved ``args``.  A member moves by the component map of its carrier
+    when that carrier is a base type, and stays as it is otherwise.  No
+    bijectivity between fibers is required."""
     budget = element_budget(budget)
     sig = h.source.signature
     if sig != h.target.signature:
@@ -1149,8 +1156,6 @@ def check_structure_hom(h: StructureHom,
                     f"component map for {base!r} leaves the target carrier")
     try:
         for sym in sig.fun_symbols:
-            if sym.is_family:
-                continue
             try:
                 domain = h.source._domain_tuples(sym.domain, budget)
             except BudgetError:
@@ -1168,6 +1173,20 @@ def check_structure_hom(h: StructureHom,
                     for v, t in zip(args, sym.domain))
                 if mapped_args not in target_table:
                     return _not_total("target", sym.name, mapped_args, h.target)
+                if sym.is_family:
+                    fiber = target_table[mapped_args]
+                    for v in source_table[args]:
+                        moved = v
+                        if isinstance(v, Atom) and sig.has_base(v.carrier):
+                            moved = _transport(h, v, Base(v.carrier), budget)
+                        if moved not in fiber:
+                            shown = ", ".join(h.source.render(a) for a in args)
+                            return Verdict.failed(
+                                f"fiber of {sym.name!r} at ({shown}) sends "
+                                f"{h.source.render(v)} to "
+                                f"{h.target.render(moved)}, outside the "
+                                "target fiber")
+                    continue
                 lhs = _transport(h, source_table[args], sym.codomain, budget)
                 rhs = target_table[mapped_args]
                 if lhs != rhs:

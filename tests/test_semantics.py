@@ -24,8 +24,8 @@ from mulingua.semantics import (
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
     Forall, FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Power, Product,
-    Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Var, W, Zero,
-    substitute,
+    Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Universe, Var,
+    W, Zero, substitute,
 )
 
 from generators import (
@@ -647,6 +647,31 @@ def test_surjective_but_not_injective_component_at_a_power_fails_the_check():
     assert not verdict
     assert verdict.reason == ("cannot transport along (power X): "
                               "component is not a bijection")
+
+
+def test_a_hom_maps_each_fiber_of_a_family_into_the_target_fiber():
+    pitch = Base("Pitch")
+    sig = Signature("fibers", ("Pitch", "Arrow"), (
+        FunSymbol("Fiber", (pitch, pitch), Universe()),))
+    home, up, down = Atom("Pitch", 0), Atom("Arrow", 0), Atom("Arrow", 1)
+
+    def fibered(*members):
+        return Structure(
+            sig, {"Pitch": FinSet.of(home), "Arrow": FinSet.of(up, down)},
+            {"Fiber": {(home, home): FinSet(members)}},
+            element_names={"Pitch": ("home",), "Arrow": ("up", "down")})
+
+    source = fibered(up, down)
+    both_down = StructureHom(source, fibered(up), {
+        "Pitch": {home: home}, "Arrow": {up: down, down: down}})
+    assert check_structure_hom(both_down).reason == (
+        "fiber of 'Fiber' at (home, home) sends up to down, outside the "
+        "target fiber")
+    swap = StructureHom(source, source, {
+        "Pitch": {home: home}, "Arrow": {up: down, down: up}})
+    assert check_structure_hom(swap)
+    # the fin atoms of z12music lie in no carrier, so they stay put
+    assert check_structure_hom(identity_hom(MUSIC12))
 
 
 def test_missing_table_entry_fails_the_check():
