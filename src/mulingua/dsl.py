@@ -66,7 +66,7 @@ from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
     FIELD_SORTS, KEYWORD_CLASSES, And, App, Arrow, Base, Context, Coproduct,
     FamApp, Formula, FunSymbol, Implies, Or, Pi, Power, Product, Prop,
-    RelSymbol, Signature, Term, TypeExpr, Var, _Binding, show,
+    RelSymbol, Signature, Term, TypeExpr, Var, W, _Binding, show,
 )
 from .voiceleading import (
     GroupAction, Quiver, VLRule, WindingPaths, sigma_vls_signature, vls,
@@ -291,9 +291,17 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
                 return scratch.named_atom(expected.name, text)
             except StructureError as err:
                 raise node.error(str(err)) from None
+        if expected is not None:
+            raise node.error(
+                f"cannot resolve element {text!r} without a base type to "
+                "look it up in")
+        owners = _carriers_naming(scratch, text)
+        if len(owners) == 1:
+            return scratch.named_atom(owners[0], text)
         raise node.error(
-            f"cannot resolve element {text!r} without a base type to look it "
-            "up in")
+            f"element {text!r} is named in "
+            + (f"carriers {', '.join(owners)}" if owners else "no carrier")
+            + "; write (atom T i) for the i-th element of carrier T")
     if isinstance(v, list):
         if not v:
             raise node.error("empty value")
@@ -344,8 +352,10 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
             case "tree":
                 if not rest:
                     raise node.error("'tree' takes a label")
-                label = parse_value_node(rest[0], None, scratch)
-                branches = tuple(parse_value_node(r, None, scratch)
+                label_t, tree_t = ((expected.label_type, expected)
+                                   if isinstance(expected, W) else (None, None))
+                label = parse_value_node(rest[0], label_t, scratch)
+                branches = tuple(parse_value_node(r, tree_t, scratch)
                                  for r in rest[1:])
                 if not all(isinstance(b, TreeV) for b in branches):
                     raise node.error("tree branches must be trees")
@@ -353,6 +363,10 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
             case _:
                 raise node.error(f"unknown value head {head!r}")
     raise node.error("expected a value")
+
+
+def _carriers_naming(st: Structure, name: str) -> list[str]:
+    return [c for c, names in st.element_names.items() if name in names]
 
 
 def _pair_types(expected: Optional[TypeExpr]):
@@ -747,10 +761,18 @@ def theory_to_dsl(th: Theory) -> str:
 def structure_to_dsl(st: Structure, name: str) -> str:
     """Render a structure as a loadable declaration.  Atoms print by
     their element names, so only structures with named carriers can be
-    exported faithfully."""
+    exported faithfully; a family member whose name several carriers
+    share prints as ``(atom T i)``.  A carrier whose elements are not its
+    own atoms in order, such as a carrier of pitch-class sets, has no
+    source form and is refused."""
     sig = st.signature
     lines = [f"(structure {name} of {sig.name}"]
     for base in sig.base_types:
+        carrier = st.carrier(base)
+        if carrier.elements != tuple(Atom(base, i) for i in range(len(carrier))):
+            raise StructureError(
+                f"carrier {base!r} cannot be written in source: its elements "
+                f"are not the atoms (atom {base} 0), (atom {base} 1), ...")
         names = st.element_names.get(base)
         if names is None:
             names = tuple(str(i) for i in range(len(st.carrier(base))))
@@ -758,7 +780,7 @@ def structure_to_dsl(st: Structure, name: str) -> str:
     for sym in sig.fun_symbols:
         entries = " ".join(
             f"(({' '.join(render_value(a, st) for a in key)}) "
-            + (f"({' '.join(render_value(m, st) for m in out)}))"
+            + (f"({' '.join(_member_text(m, st) for m in out)}))"
                if sym.is_family else f"{render_value(out, st)})")
             for key, out in st.fun_tables.get(sym.name, {}).items())
         lines.append(f"  (fun {sym.name} {entries})")
@@ -771,6 +793,15 @@ def structure_to_dsl(st: Structure, name: str) -> str:
             for tup in tuples)
         lines.append(f"  (rel {rel.name} {entries})")
     return "\n".join(lines) + ")"
+
+
+def _member_text(v: Value, st: Structure) -> str:
+    """A family member, read back with no expected type: by its element
+    name when exactly one carrier has that name."""
+    text = render_value(v, st)
+    if isinstance(v, Atom) and len(_carriers_naming(st, text)) > 1:
+        return f"(atom {v.carrier} {v.index})"
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mulingua import musiclib, voiceleading
-from mulingua.diagnostics import ParseError
+from mulingua.diagnostics import ParseError, StructureError
 from mulingua.dsl import (
     Workspace, builtin_workspace, context_to_dsl, load_source,
     parse_formula_node, parse_term_node, parse_type_node, signature_to_dsl,
@@ -15,7 +15,9 @@ from mulingua.dsl import (
 from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_group_theory,
 )
-from mulingua.semantics import Atom, check_theory, eval_formula
+from mulingua.semantics import (
+    Atom, FinSet, InlV, InrV, StarV, TreeV, check_theory, eval_formula,
+)
 from mulingua.sexpr import parse_sexprs, write_sexpr
 from mulingua.syntax import (
     App, Arrow, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Power,
@@ -430,29 +432,87 @@ def test_builtin_name_can_be_replaced_or_removed_unbuilt():
         ws.structures["z7"]
 
 
-def test_builtin_export_reload_consistency():
-    ws = builtin_workspace()
-    for name in ("z12", "z12gis", "harm-minor", "domfunc-harm", "z12music"):
-        st = ws.structures[name]
-        fresh = Workspace()
-        fresh.signatures[st.signature.name] = st.signature
-        load_source(structure_to_dsl(st, "copy"), fresh)
-        again = fresh.structures["copy"]
-        assert again.fun_tables == st.fun_tables
-        assert again.rel_tables == st.rel_tables
-
-
-def test_every_value_form_round_trips():
-    source = pathlib.Path(__file__).resolve().parent / "every_form.mul"
-    ws = load_source(source.read_text(encoding="utf-8"))
-    st = ws.structures["every"]
-    fresh = Workspace()
-    fresh.signatures["forms"] = st.signature
+def reloaded(st, ws=None):
+    """The structure printed by structure_to_dsl and loaded again."""
+    fresh = ws or Workspace()
+    fresh.signatures[st.signature.name] = st.signature
     load_source(structure_to_dsl(st, "copy"), fresh)
     again = fresh.structures["copy"]
     assert again.carriers == st.carriers
     assert again.fun_tables == st.fun_tables
     assert again.rel_tables == st.rel_tables
+    return again
+
+
+def test_builtin_export_reload_consistency():
+    ws = builtin_workspace()
+    refused = []
+    for name in ws.structures:
+        try:
+            reloaded(ws.structures[name])
+        except StructureError as err:
+            refused.append((name, str(err)))
+    # the Chord carrier holds pitch-class-set tables, not atoms
+    assert refused == [("triads", (
+        "carrier 'Chord' cannot be written in source: its elements are "
+        "not the atoms (atom Chord 0), (atom Chord 1), ..."))]
+
+
+FIBERS = """
+(signature quiv (types Pitch Arrow) (fun (Fiber (Pitch Pitch) Type)))
+(structure loops of quiv
+  (carrier Pitch (home))
+  (carrier Arrow (up down))
+  (fun Fiber ((home home) (up down))))
+"""
+
+
+def test_family_members_are_read_by_name_and_round_trip():
+    st = load_source(FIBERS).structures["loops"]
+    home = Atom("Pitch", 0)
+    assert st.fun_tables["Fiber"][(home, home)] == FinSet.of(
+        Atom("Arrow", 0), Atom("Arrow", 1))
+    assert "(fun Fiber ((home home) (up down)))" in structure_to_dsl(st, "c")
+    reloaded(st)
+
+
+def test_a_member_name_two_carriers_share_needs_an_atom():
+    shared = FIBERS.replace("(home)", "(up)").replace("home", "up")
+    with pytest.raises(ParseError) as err:
+        load_source(shared)
+    assert str(err.value) == (
+        "6:24: element 'up' is named in carriers Pitch, Arrow; write "
+        "(atom T i) for the i-th element of carrier T")
+    with pytest.raises(ParseError, match="'nope' is named in no carrier"):
+        load_source(FIBERS.replace("(up down))))", "(nope))))"))
+    st = load_source(shared.replace("(up down))))",
+                                    "((atom Arrow 0) down))))")).structures["loops"]
+    assert "(fun Fiber ((up up) ((atom Arrow 0) down)))" in \
+        structure_to_dsl(st, "c")
+    reloaded(st)
+
+
+def test_tree_labels_are_read_against_the_w_type():
+    ws = load_source("""
+        (signature trees (types L)
+          (fun (leafy () (w (x L) 0))
+               (listy () (w (l (+ 1 L))
+                            (prop (exists (a L) (= (+ 1 L) l (inr a))))))))
+        (structure t of trees
+          (carrier L (a b))
+          (fun leafy (() (tree a)))
+          (fun listy (() (tree (inr b) (tree (inl star))))))""")
+    st = ws.structures["t"]
+    b = Atom("L", 1)
+    assert st.fun_tables["leafy"][()] == TreeV(Atom("L", 0), ())
+    assert st.fun_tables["listy"][()] == TreeV(
+        InrV(b), (TreeV(InlV(StarV()), ()),))
+    reloaded(st)
+
+
+def test_every_value_form_round_trips():
+    source = pathlib.Path(__file__).resolve().parent / "every_form.mul"
+    reloaded(load_source(source.read_text(encoding="utf-8")).structures["every"])
 
 
 def test_generated_round_trips():
