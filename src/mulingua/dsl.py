@@ -778,12 +778,13 @@ def structure_to_dsl(st: Structure, name: str) -> str:
             names = tuple(str(i) for i in range(len(st.carrier(base))))
         lines.append(f"  (carrier {base} ({' '.join(names)}))")
     for sym in sig.fun_symbols:
-        entries = " ".join(
-            f"(({' '.join(render_value(a, st) for a in key)}) "
-            + (f"({' '.join(_member_text(m, st) for m in out)}))"
-               if sym.is_family else f"{render_value(out, st)})")
-            for key, out in st.fun_tables.get(sym.name, {}).items())
-        lines.append(f"  (fun {sym.name} {entries})")
+        entries = []
+        for key, out in st.fun_tables.get(sym.name, {}).items():
+            args = " ".join(render_value(a, st) for a in key)
+            shown = (f"({' '.join(_member_text(m, st) for m in out)})"
+                     if sym.is_family else render_value(out, st))
+            entries.append(f"(({args}) {shown})")
+        lines.append(f"  (fun {sym.name} {' '.join(entries)})")
     for rel in sig.rel_symbols:
         tuples = sorted(
             st.rel_tables.get(rel.name, frozenset()),
