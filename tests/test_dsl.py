@@ -432,9 +432,9 @@ def test_builtin_name_can_be_replaced_or_removed_unbuilt():
         ws.structures["z7"]
 
 
-def reloaded(st, ws=None):
+def reloaded(st):
     """The structure printed by structure_to_dsl and loaded again."""
-    fresh = ws or Workspace()
+    fresh = Workspace()
     fresh.signatures[st.signature.name] = st.signature
     load_source(structure_to_dsl(st, "copy"), fresh)
     again = fresh.structures["copy"]
@@ -503,10 +503,9 @@ def test_tree_labels_are_read_against_the_w_type():
           (fun leafy (() (tree a)))
           (fun listy (() (tree (inr b) (tree (inl star))))))""")
     st = ws.structures["t"]
-    b = Atom("L", 1)
     assert st.fun_tables["leafy"][()] == TreeV(Atom("L", 0), ())
     assert st.fun_tables["listy"][()] == TreeV(
-        InrV(b), (TreeV(InlV(StarV()), ()),))
+        InrV(Atom("L", 1)), (TreeV(InlV(StarV()), ()),))
     reloaded(st)
 
 
