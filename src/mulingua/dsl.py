@@ -365,6 +365,17 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
     raise node.error("expected a value")
 
 
+def _fiber(node: SNode, scratch: Structure) -> FinSet:
+    """A family's fiber, written (set member ...): its members in the
+    order written, each read with no expected type."""
+    items = node.value if node.is_list else None
+    if not items or not isinstance(items[0].value, Sym) \
+            or items[0].value.text != "set":
+        raise node.error("a family's fiber is written (set member ...)")
+    return FinSet(tuple(dict.fromkeys(
+        parse_value_node(m, None, scratch) for m in items[1:])))
+
+
 def _carriers_naming(st: Structure, name: str) -> list[str]:
     return [c for c, names in st.element_names.items() if name in names]
 
@@ -608,9 +619,7 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                         parse_value_node(a, d, scratch)
                         for a, d in zip(arg_nodes, sym.domain))
                     if sym.is_family:
-                        table[key] = FinSet(tuple(
-                            parse_value_node(m, None, scratch)
-                            for m in _items(pair[1], "an element list")))
+                        table[key] = _fiber(pair[1], scratch)
                     else:
                         table[key] = parse_value_node(
                             pair[1], sym.codomain, scratch)
@@ -781,7 +790,7 @@ def structure_to_dsl(st: Structure, name: str) -> str:
         entries = []
         for key, out in st.fun_tables.get(sym.name, {}).items():
             args = " ".join(render_value(a, st) for a in key)
-            shown = (f"({' '.join(_member_text(m, st) for m in out)})"
+            shown = (f"(set {' '.join(_member_text(m, st) for m in out)})"
                      if sym.is_family else render_value(out, st))
             entries.append(f"(({args}) {shown})")
         lines.append(f"  (fun {sym.name} {' '.join(entries)})")

@@ -1137,13 +1137,15 @@ def check_structure_hom(h: StructureHom,
 
     A family is checked fiberwise, as a quiver hom needs: every member
     of the source fiber at ``args`` must lie in the target fiber at the
-    moved ``args``.  A member moves by the component map of its carrier
-    when that carrier is a base type, and stays as it is otherwise.  No
-    bijectivity between fibers is required."""
+    moved ``args``.  A member moves by the component map of the base
+    type whose source carrier holds it (the first in signature order
+    when several do), whatever its atom tag, and stays as it is when no
+    carrier holds it.  No bijectivity between fibers is required."""
     budget = element_budget(budget)
     sig = h.source.signature
     if sig != h.target.signature:
         return Verdict.failed("source and target have different signatures")
+    holder: dict[Value, str] = {}
     for base in sig.base_types:
         cmap = h.component_maps.get(base)
         if cmap is None:
@@ -1154,6 +1156,7 @@ def check_structure_hom(h: StructureHom,
             if cmap[v] not in h.target.carrier(base):
                 return Verdict.failed(
                     f"component map for {base!r} leaves the target carrier")
+            holder.setdefault(v, base)
     try:
         for sym in sig.fun_symbols:
             try:
@@ -1176,9 +1179,8 @@ def check_structure_hom(h: StructureHom,
                 if sym.is_family:
                     fiber = target_table[mapped_args]
                     for v in source_table[args]:
-                        moved = v
-                        if isinstance(v, Atom) and sig.has_base(v.carrier):
-                            moved = _transport(h, v, Base(v.carrier), budget)
+                        moved = (h.component_maps[holder[v]][v]
+                                 if v in holder else v)
                         if moved not in fiber:
                             shown = ", ".join(h.source.render(a) for a in args)
                             return Verdict.failed(

@@ -37,10 +37,10 @@ from typing import Optional, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
 from .semantics import (
-    Atom, FinSet, PairV, Structure, StructureHom, TableV, TruthV, Value,
-    check_structure_hom, element_budget, render_value,
+    Atom, FinSet, PairV, Structure, StructureHom, Value, check_structure_hom,
+    element_budget, render_value,
 )
-from .syntax import Base, FunSymbol, Power, Signature
+from .syntax import Base, FunSymbol, Signature, Universe
 
 __all__ = [
     "ExplicitTable", "GroupAction", "Quiver", "QuiverHom", "VLRule",
@@ -383,14 +383,14 @@ def enumerate_automorphisms(q: Quiver,
 # ---------------------------------------------------------------------------
 
 def sigma_vls_signature() -> Signature:
-    """Two base types and one symbol sending an ordered pitch pair to a
-    subtype of arrows."""
-    pitch, arrow = Base("Pitch"), Base("Arrow")
+    """Two base types and one type family sending an ordered pitch pair
+    to its fiber of arrows."""
+    pitch = Base("Pitch")
     return Signature(
         name="vls",
         base_types=("Pitch", "Arrow"),
         fun_symbols=(
-            FunSymbol("vlr", (pitch, pitch), Power(arrow)),
+            FunSymbol("vlr", (pitch, pitch), Universe()),
         ),
     )
 
@@ -398,46 +398,45 @@ def sigma_vls_signature() -> Signature:
 def sigma_vls_structure(pitch: FinSet, arrows: FinSet,
                         fibers: dict[tuple[Value, Value], FinSet]) -> Structure:
     """A model of the minimal signature: the pitch and arrow carriers and
-    the arrow subset at each ordered pitch pair, which must be given for
-    every pair."""
-    for fiber in fibers.values():  # the tables below would drop a stray arrow
-        if any(t not in arrows for t in fiber):
-            raise StructureError("vlr table leaves the arrow carrier")
+    the fiber of arrows at each ordered pitch pair, which must be given
+    for every pair."""
     st = Structure(
         signature=sigma_vls_signature(),
         carriers={"Pitch": pitch, "Arrow": arrows},
-        fun_tables={"vlr": {
-            pair: TableV(tuple((a, TruthV(a in fiber)) for a in arrows))
-            for pair, fiber in fibers.items()}},
+        fun_tables={"vlr": dict(fibers)},
     )
-    verdict = st.validate()
-    if not verdict:
-        raise StructureError(verdict.reason)
+    _check_model(st)
     return st
 
 
 def vls_of_structure(st: Structure) -> Quiver:
     """Same construction as ``vls`` with the structure's vlr table as an
-    explicit rule."""
+    explicit rule, each fiber in its member order: the arrows are the
+    elements of the Sigma type (sigma (p (* Pitch Pitch)) (vlr (pr1 p)
+    (pr2 p))) in the order the evaluator enumerates them."""
     if st.signature != sigma_vls_signature():
         raise StructureError("structure is not over the pitch/arrow signature")
+    _check_model(st)
+    return vls(st.carrier("Pitch"), ExplicitTable(st.fun_tables["vlr"]))
+
+
+def _check_model(st: Structure) -> None:
+    arrows = st.carrier("Arrow")
+    for fiber in st.fun_tables.get("vlr", {}).values():
+        if any(t not in arrows for t in fiber):
+            raise StructureError("vlr table leaves the arrow carrier")
     verdict = st.validate()
     if not verdict:
         raise StructureError(verdict.reason)
-    return vls(st.carrier("Pitch"), ExplicitTable({
-        pair: FinSet(tuple(
-            a for a, flag in subset.entries if flag == TruthV(True)))
-        for pair, subset in st.fun_tables["vlr"].items()}))
 
 
 def hom_to_quiver_hom(h: StructureHom) -> QuiverHom:
     """The quiver map ((x, y), t) -> ((h x, h y), h t) induced by a
     homomorphism of structures over the minimal signature.  Requires the
-    square relating the two vlr tables to commute, which transports arrow
-    subsets and so needs a bijective arrow component; the first
-    violating pitch pair is reported otherwise.  The assignment is
-    functorial: identities map to identities and composites to
-    composites."""
+    arrow component to send each fiber of vlr at (x, y) into the fiber at
+    (h x, h y); the first arrow that leaves its fiber is reported
+    otherwise.  The assignment is functorial: identities map to
+    identities and composites to composites."""
     verdict = check_structure_hom(h)
     if not verdict:
         raise StructureError(verdict.reason)

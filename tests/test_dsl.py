@@ -18,6 +18,7 @@ from mulingua.musiclib import (
 from mulingua.semantics import (
     Atom, FinSet, InlV, InrV, StarV, TreeV, check_theory, eval_formula,
 )
+from mulingua.voiceleading import arrow_payload, vls_of_structure
 from mulingua.sexpr import parse_sexprs, write_sexpr
 from mulingua.syntax import (
     App, Arrow, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Power,
@@ -315,8 +316,7 @@ def test_subset_values_in_structures():
     st = ws.structures["tiny"]
     table = st.fun_tables["vlr"]
     entry = table[(Atom("Pitch", 0), Atom("Pitch", 1))]
-    members = [k for k, flag in entry.entries if flag.value]
-    assert members == [Atom("Arrow", 1), Atom("Arrow", 2)]
+    assert list(entry) == [Atom("Arrow", 1), Atom("Arrow", 2)]
 
 
 def test_quiver_declarations():
@@ -463,7 +463,7 @@ FIBERS = """
 (structure loops of quiv
   (carrier Pitch (home))
   (carrier Arrow (up down))
-  (fun Fiber ((home home) (up down))))
+  (fun Fiber ((home home) (set up down))))
 """
 
 
@@ -472,7 +472,7 @@ def test_family_members_are_read_by_name_and_round_trip():
     home = Atom("Pitch", 0)
     assert st.fun_tables["Fiber"][(home, home)] == FinSet.of(
         Atom("Arrow", 0), Atom("Arrow", 1))
-    assert "(fun Fiber ((home home) (up down)))" in structure_to_dsl(st, "c")
+    assert "(fun Fiber ((home home) (set up down)))" in structure_to_dsl(st, "c")
     reloaded(st)
 
 
@@ -481,14 +481,35 @@ def test_a_member_name_two_carriers_share_needs_an_atom():
     with pytest.raises(ParseError) as err:
         load_source(shared)
     assert str(err.value) == (
-        "6:24: element 'up' is named in carriers Pitch, Arrow; write "
+        "6:28: element 'up' is named in carriers Pitch, Arrow; write "
         "(atom T i) for the i-th element of carrier T")
     with pytest.raises(ParseError, match="'nope' is named in no carrier"):
-        load_source(FIBERS.replace("(up down))))", "(nope))))"))
-    st = load_source(shared.replace("(up down))))",
-                                    "((atom Arrow 0) down))))")).structures["loops"]
-    assert "(fun Fiber ((up up) ((atom Arrow 0) down)))" in \
+        load_source(FIBERS.replace("(set up down))))", "(set nope))))"))
+    st = load_source(shared.replace(
+        "(set up down))))", "(set (atom Arrow 0) down))))")).structures["loops"]
+    assert "(fun Fiber ((up up) (set (atom Arrow 0) down)))" in \
         structure_to_dsl(st, "c")
+    reloaded(st)
+
+
+def test_a_fiber_is_written_as_a_set():
+    for bare in ("(up down)", "()", "up", "((atom Arrow 0) down)"):
+        with pytest.raises(ParseError) as err:
+            load_source(FIBERS.replace("(set up down)", bare))
+        assert str(err.value) == (
+            "6:27: a family's fiber is written (set member ...)")
+
+
+def test_a_fiber_keeps_the_order_its_members_are_written_in():
+    st = load_source("""
+        (structure loops of vls
+          (carrier Pitch (home))
+          (carrier Arrow (up down))
+          (fun vlr ((home home) (set down up))))""").structures["loops"]
+    home, up, down = Atom("Pitch", 0), Atom("Arrow", 0), Atom("Arrow", 1)
+    assert st.fun_tables["vlr"][(home, home)].elements == (down, up)
+    assert [arrow_payload(a) for a in vls_of_structure(st).arrows] == [down, up]
+    assert "(fun vlr ((home home) (set down up)))" in structure_to_dsl(st, "c")
     reloaded(st)
 
 

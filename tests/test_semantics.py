@@ -12,8 +12,9 @@ from mulingua.diagnostics import BudgetError
 from mulingua.kernel import check_term
 from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_gis_theory,
-    make_group_theory, music_signature, subtraction_structure, triad_model,
-    trivial_group_structure, z_gis_structure, z_music_structure,
+    make_group_theory, music_signature, pitch_universe, subtraction_structure,
+    ti_group, triad_model, trivial_group_structure, z_gis_structure,
+    z_music_structure,
 )
 from mulingua.semantics import (
     Atom, FinSet, SectionV, Structure, StructureHom, TableV,
@@ -27,6 +28,8 @@ from mulingua.syntax import (
     Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Universe, Var,
     W, Zero, substitute,
 )
+
+from mulingua.voiceleading import transporters
 
 from generators import (
     BINDERS, random_closed_formula, random_formula, random_group_element_term,
@@ -672,6 +675,30 @@ def test_a_hom_maps_each_fiber_of_a_family_into_the_target_fiber():
     assert check_structure_hom(swap)
     # the fin atoms of z12music lie in no carrier, so they stay put
     assert check_structure_hom(identity_hom(MUSIC12))
+
+
+def test_a_family_member_moves_by_the_carrier_that_holds_it():
+    """The arrows are TI-tagged atoms in the Arrow carrier, so the
+    conjugation by T1 moves them by the Arrow component."""
+    ti, pitches = ti_group(12), pitch_universe(12).carrier
+    pitch = Base("Pitch")
+    sig = Signature("fibers", ("Pitch", "Arrow"), (
+        FunSymbol("Fiber", (pitch, pitch), Universe()),))
+    st = Structure(sig, {"Pitch": pitches, "Arrow": ti.elements()}, {
+        "Fiber": {(x, y): transporters(ti, x, y)
+                  for x in pitches for y in pitches}})
+    t1 = ti.group.named_atom("TI", "T1")
+    conjugation = StructureHom(st, st, {
+        "Pitch": {x: ti.act(t1, x) for x in pitches},
+        "Arrow": {g: ti.multiply(ti.multiply(t1, g), ti.inverse(t1))
+                  for g in ti.elements()}})
+    assert check_structure_hom(conjugation)
+    t0 = ti.group.named_atom("TI", "T0")
+    assert check_structure_hom(StructureHom(st, st, {
+        "Pitch": conjugation.component_maps["Pitch"],
+        "Arrow": {g: t0 for g in ti.elements()}})).reason == (
+        "fiber of 'Fiber' at ((atom PC 0), (atom PC 1)) sends (atom TI 1) "
+        "to (atom TI 0), outside the target fiber")
 
 
 def test_missing_table_entry_fails_the_check():

@@ -7,13 +7,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import mulingua.voiceleading
 from mulingua.diagnostics import BudgetError, StructureError
 from mulingua.musiclib import pitch_universe, ti_group
 from mulingua.semantics import (
-    Atom, FinSet, PairV, Structure, StructureHom, TableV, identity_hom,
+    Atom, FinSet, PairV, Structure, StructureHom, check_structure_hom,
+    identity_hom, iter_type,
 )
+from mulingua.syntax import Base, FamApp, Product, Proj1, Proj2, Sigma, Var
 from mulingua.voiceleading import (
     ExplicitTable, GroupAction, Quiver, QuiverHom, WindingPaths, arrow_payload,
     arrow_source, arrow_target, check_quiver_hom, compose_quiver_homs,
@@ -386,7 +389,7 @@ def test_quiver_of_a_hand_built_structure_needs_a_total_vlr_table():
     points = FinSet.of(Atom("Pitch", 0), Atom("Pitch", 1))
     partial = Structure(sigma_vls_signature(),
                         {"Pitch": points, "Arrow": FinSet(())},
-                        {"vlr": {(x, x): TableV(()) for x in points}})
+                        {"vlr": {(x, x): FinSet(()) for x in points}})
     with pytest.raises(StructureError, match="not total"):
         vls_of_structure(partial)
 
@@ -420,14 +423,17 @@ def test_induced_hom_rejects_broken_square():
     atoms = list(TI.elements())
     swapped = dict(zip(atoms, atoms))
     swapped[atoms[0]], swapped[atoms[1]] = atoms[1], atoms[0]
-    with pytest.raises(StructureError,
-                       match=r"square for 'vlr' fails at \("):
+    with pytest.raises(StructureError, match=(
+            r"fiber of 'vlr' at \(\(atom PC 0\), \(atom PC 0\)\) sends "
+            r"\(atom TI 0\) to \(atom TI 1\), outside the target fiber")):
         hom_to_quiver_hom(ti_hom({x: x for x in PITCH}, swapped))
 
 
-def test_induced_hom_needs_a_bijective_arrow_component():
+def test_induced_hom_rejects_an_arrow_component_that_leaves_a_fiber():
     collapse = {g: ti("T0") for g in TI.elements()}
-    with pytest.raises(StructureError, match="not a bijection"):
+    with pytest.raises(StructureError, match=(
+            r"fiber of 'vlr' at \(\(atom PC 0\), \(atom PC 1\)\) sends "
+            r"\(atom TI 1\) to \(atom TI 0\), outside the target fiber")):
         hom_to_quiver_hom(ti_hom({x: x for x in PITCH}, collapse))
 
 
@@ -437,9 +443,27 @@ def test_induced_hom_rejects_a_surjective_but_not_injective_arrow_component():
         (point, point): FinSet.of(up)})
     target = sigma_vls_structure(FinSet.of(point), FinSet.of(up), {
         (point, point): FinSet(())})
-    with pytest.raises(StructureError, match="not a bijection"):
+    with pytest.raises(StructureError, match=(
+            r"fiber of 'vlr' at \(\(atom Pitch 0\), \(atom Pitch 0\)\) "
+            r"sends \(atom Arrow 0\) to \(atom Arrow 0\), outside the "
+            "target fiber")):
         hom_to_quiver_hom(StructureHom(source, target, {
             "Pitch": {point: point}, "Arrow": {up: up, down: up}}))
+
+
+def test_induced_hom_may_merge_the_arrows_of_a_fiber():
+    point, up, down = Atom("Pitch", 0), Atom("Arrow", 0), Atom("Arrow", 1)
+    source = sigma_vls_structure(FinSet.of(point), FinSet.of(up, down), {
+        (point, point): FinSet.of(up, down)})
+    target = sigma_vls_structure(FinSet.of(point), FinSet.of(up), {
+        (point, point): FinSet.of(up)})
+    induced = hom_to_quiver_hom(StructureHom(source, target, {
+        "Pitch": {point: point}, "Arrow": {up: up, down: up}}))
+    loop = PairV(PairV(point, point), up)
+    assert induced.gamma1 == {
+        loop: loop, PairV(PairV(point, point), down): loop}
+    assert check_quiver_hom(vls_of_structure(source),
+                            vls_of_structure(target), induced)
 
 
 def test_induced_hom_allows_a_non_bijective_pitch_component():
@@ -472,6 +496,76 @@ def test_induced_hom_is_functorial_on_identities_and_composites():
     rhs = compose_quiver_homs(hom_to_quiver_hom(hom_for(t3)),
                               hom_to_quiver_hom(hom_for(t2)))
     assert lhs == rhs
+
+
+# the space as the kernel writes it: the sum of the fibers of vlr
+SPACE = Sigma("p", Product(Base("Pitch"), Base("Pitch")),
+              FamApp("vlr", (Proj1(Var("p")), Proj2(Var("p")))))
+
+
+def random_model(rng):
+    """A small model whose fibers list their arrows in random order."""
+    pitch = FinSet(tuple(Atom("Pitch", i) for i in range(rng.randrange(1, 4))))
+    arrows = FinSet(tuple(Atom("Arrow", i) for i in range(rng.randrange(4))))
+    return sigma_vls_structure(pitch, arrows, {
+        (x, y): FinSet(tuple(rng.sample(arrows.elements,
+                                        rng.randrange(len(arrows) + 1))))
+        for x in pitch for y in pitch})
+
+
+def random_hom(rng, source):
+    """Random component maps into a random target, whose fibers hold
+    the moved source fibers half of the time."""
+    target = random_model(rng)
+    pitch_map = {x: rng.choice(target.carrier("Pitch").elements)
+                 for x in source.carrier("Pitch")}
+    arrows = target.carrier("Arrow").elements or (Atom("Arrow", 0),)
+    arrow_map = {t: rng.choice(arrows) for t in source.carrier("Arrow")}
+    fibers = dict(target.fun_tables["vlr"])
+    if rng.random() < 0.5:
+        for (x, y), fiber in source.fun_tables["vlr"].items():
+            moved = (pitch_map[x], pitch_map[y])
+            fibers[moved] = FinSet(tuple(dict.fromkeys(
+                [*fibers[moved], *(arrow_map[t] for t in fiber)])))
+        target = sigma_vls_structure(
+            target.carrier("Pitch"), FinSet(arrows), fibers)
+    return StructureHom(source, target,
+                        {"Pitch": pitch_map, "Arrow": arrow_map})
+
+
+def ti_conjugation_or_perturbation(rng):
+    phi = rng.choice(TI.elements().elements)
+    pitch_map = {x: TI.act(phi, x) for x in PITCH}
+    arrow_map = {g: TI.multiply(TI.multiply(phi, g), TI.inverse(phi))
+                 for g in TI.elements()}
+    if rng.random() < 0.5:
+        a, b = rng.sample(TI.elements().elements, 2)
+        arrow_map[a], arrow_map[b] = arrow_map[b], arrow_map[a]
+    return ti_hom(pitch_map, arrow_map)
+
+
+def map_on_arrows(h):
+    """((x, y), t) -> ((h x, h y), h t), whether or not h is a hom."""
+    pitch_map, arrow_map = h.component_maps["Pitch"], h.component_maps["Arrow"]
+    return QuiverHom({
+        a: PairV(PairV(pitch_map[arrow_source(a)], pitch_map[arrow_target(a)]),
+                 arrow_map[arrow_payload(a)])
+        for a in vls_of_structure(h.source).arrows}, dict(pitch_map))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.randoms(use_true_random=False))
+def test_a_model_is_its_sigma_type_and_its_homs_are_quiver_homs(rng):
+    h = (ti_conjugation_or_perturbation(rng) if rng.random() < 0.1
+         else random_hom(rng, random_model(rng)))
+    for st in (h.source, h.target):
+        assert tuple(iter_type(st, SPACE)) == vls_of_structure(st).arrows.elements
+    induced = map_on_arrows(h)
+    verdict = check_structure_hom(h)
+    assert bool(verdict) == bool(check_quiver_hom(
+        vls_of_structure(h.source), vls_of_structure(h.target), induced))
+    if verdict:
+        assert hom_to_quiver_hom(h) == induced
 
 
 def test_module_docstring_example_runs():
