@@ -66,10 +66,10 @@ from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
     FIELD_SORTS, KEYWORD_CLASSES, And, App, Arrow, Base, Context, Coproduct,
     FamApp, Formula, FunSymbol, Implies, Or, Pi, Power, Product, Prop,
-    RelSymbol, Signature, Term, TypeExpr, Var, W, _Binding, show,
+    RelSymbol, Signature, Term, TypeExpr, Var, W, _Binding, free_vars, show,
 )
 from .voiceleading import (
-    GroupAction, Quiver, VLRule, WindingPaths, sigma_vls_signature, vls,
+    GroupAction, Quiver, WindingPaths, sigma_vls_signature, vls,
     vls_of_structure,
 )
 
@@ -404,8 +404,8 @@ def _table_types(expected: Optional[TypeExpr]):
             return dom, cod
         case Power(dom):
             return dom, Prop()
-        case Pi(_, index_type, _):
-            return index_type, None
+        case Pi(x, index_type, body):
+            return index_type, None if x in free_vars(body) else body
         case _:
             return None, None
 
@@ -686,11 +686,7 @@ def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
             if (len(items) != 5 or not isinstance(items[3].value, int)
                     or not isinstance(items[4].value, int)):
                 raise node.error("(quiver NAME winding MODULUS MAX-WINDING)")
-            n, w = items[3].value, items[4].value
-            pitch = FinSet(tuple(Atom("PC", i) for i in range(n)))
-            q = vls(pitch, WindingPaths(n, w))
-            q.element_names = {"PC": tuple(str(i) for i in range(n))}
-            ws.quivers[name] = q
+            ws.quivers[name] = _winding_quiver(items[3].value, items[4].value)
         case other:
             raise node.error(f"unknown quiver rule kind {other!r}")
 
@@ -856,18 +852,24 @@ def builtin_workspace() -> Workspace:
     })
     ws.quivers = BuiltOnLookup({
         "ti-quiver": _pitch_class_quiver,
-        "winding12": lambda: _pitch_class_quiver(WindingPaths(12, 1)),
+        "winding12": lambda: _winding_quiver(12, 1),
     })
     ws.formulas = BuiltOnLookup({"dominance": musiclib.dominance_formula})
     return ws
 
 
-def _pitch_class_quiver(rule: Optional[VLRule] = None) -> Quiver:
-    """The voice-leading space of a rule (the TI action when none is
-    given) on the twelve pitch classes, with pitch classes and TI
-    elements named for display."""
+def _pitch_class_quiver() -> Quiver:
+    """The voice-leading space of the TI action on the twelve pitch
+    classes, with pitch classes and TI elements named for display."""
     ti = musiclib.ti_group(12)
-    q = vls(musiclib.pitch_universe(12).carrier, rule or ti)
+    q = vls(musiclib.pitch_universe(12).carrier, ti)
     q.element_names = {"PC": tuple(str(i) for i in range(12)),
                        "TI": ti.group.element_names["TI"]}
+    return q
+
+
+def _winding_quiver(n: int, w: int) -> Quiver:
+    """The winding space on n points, atoms tagged PC named 0 to n-1."""
+    q = vls(FinSet(tuple(Atom("PC", i) for i in range(n))), WindingPaths(n, w))
+    q.element_names = {"PC": tuple(str(i) for i in range(n))}
     return q

@@ -321,7 +321,9 @@ class Structure:
         """Check every table is total on its domain and lands in its
         codomain.  A domain of more argument tuples than the budget is
         not enumerated: a table with at most budget entries cannot be
-        total on it, and a larger table is trusted."""
+        total on it, and a larger table is trusted.  A family member that
+        is an atom tagged with a base type must lie in that carrier;
+        other members, such as atoms of no base type, are free."""
         budget = element_budget(budget)
         for sym in self.signature.fun_symbols:
             table = self.fun_tables.get(sym.name)
@@ -348,6 +350,15 @@ class Structure:
                     if not isinstance(out, FinSet):
                         return Verdict.failed(
                             f"family {sym.name!r} must yield finite sets")
+                    for v in out:
+                        if (isinstance(v, Atom)
+                                and self.signature.has_base(v.carrier)
+                                and v not in self.carriers[v.carrier]):
+                            return Verdict.failed(
+                                f"family {sym.name!r} at "
+                                f"{tuple(map(self.render, args))} has member "
+                                f"{self.render(v)} outside carrier "
+                                f"{v.carrier!r}")
                 elif not value_in_type(self, out, sym.codomain):
                     return Verdict.failed(
                         f"table for {sym.name!r} yields {self.render(out)} "

@@ -208,6 +208,24 @@ def test_vls_table_rule_on_a_declared_structure():
     assert (code, out, err) == (0, "vertices: 1\narrows: 2\n", "")
 
 
+def test_the_space_of_a_declared_structure_is_a_sigma_type(tmp_path):
+    demo = str(pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
+    assert run(["prove", "loops", "space", demo]) == (
+        0, "inhabited\nproof: ((home, home), up)\n", "")
+    src = tmp_path / "arrows.mul"
+    src.write_text("""
+    (structure two of vls
+      (carrier Pitch (p q))
+      (carrier Arrow (a b))
+      (fun vlr ((p p) (set)) ((p q) (set b a)) ((q p) (set)) ((q q) (set))))
+    (formula loops-only (ctx (t (sigma (x (* Pitch Pitch)) (vlr (pr1 x) (pr2 x)))))
+      (= (* Pitch Pitch) (pr1 t) (pair (pr1 (pr1 t)) (pr1 (pr1 t)))))
+    """)
+    # the first arrow is the first member written in the first nonempty fiber
+    assert run(["eval", "two", "loops-only", str(src)]) == (
+        1, "false counterexample ((t (pair (pair p q) b)))\n", "")
+
+
 def test_vls_table_rule_needs_the_pitch_arrow_signature():
     code, out, err = run(["vls", "z12", "table"])
     assert (code, out) == (2, "")

@@ -16,7 +16,8 @@ from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_group_theory,
 )
 from mulingua.semantics import (
-    Atom, FinSet, InlV, InrV, StarV, TreeV, check_theory, eval_formula,
+    Atom, FinSet, InlV, InrV, SectionV, StarV, TreeV, check_theory,
+    eval_formula,
 )
 from mulingua.voiceleading import arrow_payload, vls_of_structure
 from mulingua.sexpr import parse_sexprs, write_sexpr
@@ -408,6 +409,15 @@ def test_builtin_workspace_builds_nothing_until_a_lookup():
     assert "ti_group" in called and "vls" in called
 
 
+def test_winding12_is_built_without_the_ti_group():
+    ws = builtin_workspace()
+    with calls_into(musiclib, voiceleading) as called:
+        q = ws.quivers["winding12"]
+    assert "ti_group" not in called and "cyclic_group_structure" not in called
+    assert q.vertices == FinSet(tuple(Atom("PC", i) for i in range(12)))
+    assert q.element_names == {"PC": tuple(map(str, range(12)))}
+
+
 def test_builtin_is_built_once_per_workspace():
     ws = builtin_workspace()
     first = ws.quivers["ti-quiver"]
@@ -492,6 +502,14 @@ def test_a_member_name_two_carriers_share_needs_an_atom():
     reloaded(st)
 
 
+def test_a_fiber_member_outside_its_carrier_is_a_load_error():
+    with pytest.raises(ParseError) as err:
+        load_source(FIBERS.replace("(set up down)", "(set (atom Arrow 5))"))
+    assert str(err.value) == (
+        "3:1: family 'Fiber' at ('home', 'home') has member (atom Arrow 5) "
+        "outside carrier 'Arrow'")
+
+
 def test_a_fiber_is_written_as_a_set():
     for bare in ("(up down)", "()", "up", "((atom Arrow 0) down)"):
         with pytest.raises(ParseError) as err:
@@ -510,6 +528,24 @@ def test_a_fiber_keeps_the_order_its_members_are_written_in():
     assert st.fun_tables["vlr"][(home, home)].elements == (down, up)
     assert [arrow_payload(a) for a in vls_of_structure(st).arrows] == [down, up]
     assert "(fun vlr ((home home) (set down up)))" in structure_to_dsl(st, "c")
+    reloaded(st)
+
+
+SECTION = """
+(signature sec (types A B) (fun (s () (pi (x A) B))))
+(structure st of sec
+  (carrier A (x y))
+  (carrier B (x y))
+  (fun s (() (section (x y) (y x)))))
+"""
+
+
+def test_a_section_into_a_fixed_type_reads_its_outputs_against_it():
+    st = load_source(SECTION).structures["st"]
+    a, b = Atom("A", 0), Atom("A", 1)
+    assert st.fun_tables["s"][()] == SectionV(
+        ((a, Atom("B", 1)), (b, Atom("B", 0))))
+    assert "(fun s (() (section (x y) (y x))))" in structure_to_dsl(st, "c")
     reloaded(st)
 
 

@@ -701,6 +701,23 @@ def test_a_family_member_moves_by_the_carrier_that_holds_it():
         "to (atom TI 0), outside the target fiber")
 
 
+def test_a_family_member_tagged_with_a_base_type_lies_in_its_carrier():
+    pitch = Base("Pitch")
+    sig = Signature("fibers", ("Pitch", "Arrow"), (
+        FunSymbol("Fiber", (pitch, pitch), Universe()),))
+    p = Atom("Pitch", 0)
+    stray = Structure(sig, {"Pitch": FinSet.of(p),
+                            "Arrow": FinSet.of(Atom("Arrow", 0))},
+                      {"Fiber": {(p, p): FinSet.of(Atom("Arrow", 5))}})
+    assert stray.validate().reason == (
+        "family 'Fiber' at ('(atom Pitch 0)', '(atom Pitch 0)') has member "
+        "(atom Arrow 5) outside carrier 'Arrow'")
+    # members tagged with no base type, like z12music's fin atoms, are free
+    free = dataclasses.replace(
+        stray, fun_tables={"Fiber": {(p, p): FinSet.of(Atom("fin", 5))}})
+    assert free.validate() and MUSIC12.validate()
+
+
 def test_missing_table_entry_fails_the_check():
     st = Structure(GROUP, Z12.carriers, {**Z12.fun_tables, "inv": {}})
     missing = "table for 'inv' is not total: missing ('(atom G 0)',)"
