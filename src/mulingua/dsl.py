@@ -16,6 +16,7 @@ Grammar sketch::
     (structure NAME of SIG
                (carrier T (e ...))
                (fun f ((args) val) ...)
+               (fun F ((args) (set member ...)) ...)  ; a type family
                (rel R (tuple ...) ...))
     (context NAME (x A) ...)
     (term NAME CTX TERM)          ; CTX a context name or (ctx ...)
