@@ -787,8 +787,8 @@ def structure_to_dsl(st: Structure, name: str) -> str:
         entries = []
         for key, out in st.fun_tables.get(sym.name, {}).items():
             args = " ".join(render_value(a, st) for a in key)
-            shown = (f"(set {' '.join(_member_text(m, st) for m in out)})"
-                     if sym.is_family else render_value(out, st))
+            shown = (" ".join(["(set", *(_member_text(m, st) for m in out)])
+                     + ")" if sym.is_family else render_value(out, st))
             entries.append(f"(({args}) {shown})")
         lines.append(f"  (fun {sym.name} {' '.join(entries)})")
     for rel in sig.rel_symbols:

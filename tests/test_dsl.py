@@ -516,6 +516,10 @@ def test_a_fiber_is_written_as_a_set():
             load_source(FIBERS.replace("(set up down)", bare))
         assert str(err.value) == (
             "6:27: a family's fiber is written (set member ...)")
+    empty = load_source(FIBERS.replace("(set up down)", "(set)"))
+    assert "(fun Fiber ((home home) (set)))" in \
+        structure_to_dsl(empty.structures["loops"], "c")
+    reloaded(empty.structures["loops"])
 
 
 def test_a_fiber_keeps_the_order_its_members_are_written_in():
