@@ -514,8 +514,13 @@ def random_model(rng):
 
 
 def random_hom(rng, source):
-    """Random component maps into a random target, whose fibers hold
-    the moved source fibers half of the time."""
+    """Random component maps into the carriers of a random target, whose
+    fibers hold the moved source fibers half of the time.
+
+    An arrow in no fiber is not in the space, so the space cannot see
+    where such an arrow is sent; the maps therefore stay inside the
+    target carriers, and an empty target Arrow carrier gets one arrow
+    that lies in no fiber."""
     target = random_model(rng)
     pitch_map = {x: rng.choice(target.carrier("Pitch").elements)
                  for x in source.carrier("Pitch")}
@@ -527,8 +532,7 @@ def random_hom(rng, source):
             moved = (pitch_map[x], pitch_map[y])
             fibers[moved] = FinSet(tuple(dict.fromkeys(
                 [*fibers[moved], *(arrow_map[t] for t in fiber)])))
-        target = sigma_vls_structure(
-            target.carrier("Pitch"), FinSet(arrows), fibers)
+    target = sigma_vls_structure(target.carrier("Pitch"), FinSet(arrows), fibers)
     return StructureHom(source, target,
                         {"Pitch": pitch_map, "Arrow": arrow_map})
 
@@ -566,6 +570,19 @@ def test_a_model_is_its_sigma_type_and_its_homs_are_quiver_homs(rng):
         vls_of_structure(h.source), vls_of_structure(h.target), induced))
     if verdict:
         assert hom_to_quiver_hom(h) == induced
+
+
+def test_an_arrow_in_no_fiber_must_still_land_in_the_target_carrier():
+    point, stray = Atom("Pitch", 0), Atom("Arrow", 0)
+    source = sigma_vls_structure(FinSet.of(point), FinSet.of(stray), {
+        (point, point): FinSet(())})
+    target = sigma_vls_structure(FinSet.of(point), FinSet(()), {
+        (point, point): FinSet(())})
+    h = StructureHom(source, target,
+                     {"Pitch": {point: point}, "Arrow": {stray: stray}})
+    assert vls_of_structure(source).arrows == FinSet(())
+    verdict = check_structure_hom(h)
+    assert not verdict and "target carrier" in verdict.reason
 
 
 def test_module_docstring_example_runs():
