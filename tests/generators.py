@@ -10,9 +10,10 @@ from contextlib import contextmanager
 
 from mulingua.semantics import Atom, FinSet, Structure
 from mulingua.syntax import (
-    And, App, Arrow, Base, Bottom, Context, Eq, Exists, Forall, Formula,
-    FunSymbol, Implies, Lambda, Not, Or, Pair, Pi, Product, RelAtom,
-    RelSymbol, Sigma, Signature, Term, Top, TypeExpr, Var, W, _Node,
+    And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
+    Forall, Formula, FunSymbol, Implies, Lambda, Not, Or, Pair, Pi, Power,
+    Product, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term, Top,
+    TypeExpr, Unit, Universe, Var, W, Zero, _Node,
 )
 
 G = Base("G")
@@ -130,6 +131,92 @@ def random_formula(rng: random.Random, vars_in_scope: list[str],
 def random_closed_formula(rng: random.Random, depth: int = 4,
                           allow_negation: bool = True) -> Formula:
     return random_formula(rng, [], depth, [0], allow_negation)
+
+
+# ---------------------------------------------------------------------------
+# random types over a structure with a type family
+# ---------------------------------------------------------------------------
+
+def family_signature() -> Signature:
+    x = Base("X")
+    return Signature(
+        name="fam",
+        base_types=("X", "Y"),
+        fun_symbols=(FunSymbol("f", (x,), x), FunSymbol("F", (x,), Universe())),
+        rel_symbols=(RelSymbol("R", (x,)),),
+    )
+
+
+def random_family_structure(rng: random.Random) -> Structure:
+    """One to three points of X, none to two of Y, and the family F
+    sending each point of X to a random fiber of Y."""
+    xs = [Atom("X", i) for i in range(rng.randrange(1, 4))]
+    ys = [Atom("Y", i) for i in range(rng.randrange(3))]
+    return Structure(
+        signature=family_signature(),
+        carriers={"X": FinSet(tuple(xs)), "Y": FinSet(tuple(ys))},
+        fun_tables={
+            "f": {(a,): rng.choice(xs) for a in xs},
+            "F": {(a,): FinSet(tuple(y for y in ys if rng.random() < 0.5))
+                  for a in xs},
+        },
+        rel_tables={"R": frozenset((a,) for a in xs if rng.random() < 0.5)},
+    )
+
+
+def random_type(rng: random.Random, depth: int,
+                scope: tuple[str, ...] = ()) -> TypeExpr:
+    """A type over ``family_signature``, closed when ``scope`` is empty;
+    ``scope`` names the variables of type X bound outside.  Binders over
+    X make Pi, Sigma and W dependent through the family F and through
+    proposition types; a W type whose arity is empty at some labels and
+    not at others has infinitely many trees."""
+    x = Base("X")
+    leaves = [x, Base("Y"), Zero(), Unit(), Prop()]
+    if scope:
+        leaves += [FamApp("F", (_random_x_term(rng, scope),)),
+                   PropType(_random_x_formula(rng, scope, 1))]
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    roll = rng.randrange(8)
+    if roll < 3:
+        ctor = (Product, Coproduct, Arrow)[roll]
+        return ctor(random_type(rng, depth - 1, scope),
+                    random_type(rng, depth - 1, scope))
+    if roll == 3:
+        return Power(random_type(rng, depth - 1, scope))
+    binder = f"x{len(scope)}"
+    if roll == 7:  # labels in X, so the arity can differ from label to label
+        label = Var(binder)
+        return W(binder, x, rng.choice((
+            FamApp("F", (label,)), PropType(RelAtom("R", (label,))),
+            random_type(rng, 0, scope + (binder,)))))
+    dependent = rng.random() < 0.8
+    index = x if dependent else random_type(rng, depth - 1, scope)
+    inner = scope + (binder,) if dependent else scope
+    ctor = (Pi, Sigma, Sigma)[roll - 4]
+    return ctor(binder, index, random_type(rng, depth - 1, inner))
+
+
+def _random_x_term(rng: random.Random, scope: tuple[str, ...]) -> Term:
+    t: Term = Var(rng.choice(scope))
+    return App("f", (t,)) if rng.random() < 0.3 else t
+
+
+def _random_x_formula(rng: random.Random, scope: tuple[str, ...],
+                      depth: int) -> Formula:
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        if rng.random() < 0.6:
+            return RelAtom("R", (_random_x_term(rng, scope),))
+        return Eq(Base("X"), _random_x_term(rng, scope),
+                  _random_x_term(rng, scope))
+    if roll < 0.7:
+        return Not(_random_x_formula(rng, scope, depth - 1))
+    binder = f"y{len(scope)}"
+    ctor = Forall if rng.random() < 0.5 else Exists
+    return ctor(binder, Base("X"),
+                _random_x_formula(rng, scope + (binder,), depth - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 structure homomorphisms."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from mulingua.diagnostics import BudgetError
+from mulingua.diagnostics import BudgetError, MulinguaError
 from mulingua.kernel import check_term
 from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_gis_theory,
@@ -17,23 +18,24 @@ from mulingua.musiclib import (
     z_music_structure,
 )
 from mulingua.semantics import (
-    Atom, FinSet, SectionV, Structure, StructureHom, TableV,
-    TruthV, all_environments, check_structure_hom, check_theory, derivable,
-    eval_formula, eval_term, identity_hom, interpret_type,
-    render_value, type_size, value_in_type,
+    Atom, FinSet, PairV, SectionV, StarV, Structure, StructureHom, TableV,
+    TreeV, TruthV, all_environments, check_structure_hom, check_theory,
+    derivable, eval_formula, eval_term, identity_hom, interpret_type,
+    iter_type, render_value, type_size, value_in_type,
 )
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
     Forall, FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Power, Product,
     Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Universe, Var,
-    W, Zero, substitute,
+    W, Zero, show, substitute,
 )
 
 from mulingua.voiceleading import transporters
 
 from generators import (
-    BINDERS, random_closed_formula, random_formula, random_group_element_term,
-    random_tiny_structure, random_typed_term, rename_bound, tiny_signature,
+    BINDERS, random_closed_formula, random_family_structure, random_formula,
+    random_group_element_term, random_tiny_structure, random_type,
+    random_typed_term, rename_bound, tiny_signature,
 )
 
 GROUP = group_signature()
@@ -314,6 +316,61 @@ def test_checked_tree_terms_evaluate_to_trees():
     node_value = eval_term(st, node)
     assert node_value == TreeV(Atom("PC", 2), (leaf_value, leaf_value))
     assert value_in_type(st, node_value, tree_type)
+
+
+# Values from outside most generated types, besides the ones other
+# generated types enumerate.
+STRANGERS = (Atom("X", 7), Atom("Y", 0), StarV(), TruthV(False),
+             PairV(Atom("X", 0), Atom("Y", 0)), TableV(()), SectionV(()),
+             TreeV(Atom("X", 0), ()))
+
+
+def type_records(rng: random.Random):
+    """Per seeded type and budget: its size, up to its first 50 elements,
+    and membership verdicts for some of them and for outside values; an
+    error is recorded as its type and message, after the elements that
+    came before it."""
+    def outcome(thunk):
+        try:
+            return thunk()
+        except MulinguaError as err:
+            return (type(err).__name__, str(err))
+
+    for _ in range(300):
+        st = random_family_structure(rng)
+        t, other = random_type(rng, 3), random_type(rng, 2)
+        try:  # values of another type, mostly from outside this one
+            outsiders = list(itertools.islice(
+                iter_type(st, other, budget=1000), 3))
+        except MulinguaError:
+            outsiders = []
+        for budget in (1000, 2):
+            yield show(t), budget, outcome(lambda: type_size(st, t, budget=budget))
+            elements, error = [], None
+            try:
+                for v in itertools.islice(iter_type(st, t, budget=budget), 50):
+                    elements.append(v)
+            except MulinguaError as err:
+                error = (type(err).__name__, str(err))
+            yield [render_value(v, st) for v in elements], error
+            for v in (*elements[:5], *outsiders, *STRANGERS):
+                yield render_value(v, st), outcome(
+                    lambda: value_in_type(st, v, t, budget=budget))
+
+
+def test_seeded_type_interpretation_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for record in type_records(random.Random(2026_10)):
+        digest.update(repr(record).encode("utf-8"))
+        count += 1
+    assert count == TYPE_COUNT
+    assert digest.hexdigest() == TYPE_DIGEST
+
+
+TYPE_COUNT = 7764
+TYPE_DIGEST = (
+    "3791ada08fb327d3c1dfce4697cff0d82f660f4886a4ed097fea0174988cc004")
 
 
 # ---------------------------------------------------------------------------
