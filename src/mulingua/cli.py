@@ -5,7 +5,9 @@ Verbs: ``check`` (parse and validate declarations), ``model-check``
 formula in a structure), ``prove`` (search a proposition-as-type for an
 inhabitant), ``vls`` (build a voice-leading space and print its size),
 ``autos`` (enumerate quiver automorphisms), and ``dot`` (Graphviz
-export).
+export).  The three quiver verbs take a quiver name or a rule form such
+as ``(winding 12 1)``, read as the rule of a ``(quiver NAME ...)``
+declaration is.
 
 Exit codes: 0 for success (all axioms pass, formula true, type
 inhabited), 1 for a refutation (a failing axiom, a false formula, an
@@ -25,8 +27,8 @@ from typing import Optional, Sequence
 
 from .diagnostics import BudgetError, MulinguaError, ParseError, Verdict
 from .dsl import (
-    Workspace, builtin_workspace, group_action_from, load_source,
-    parse_type_node,
+    Workspace, builtin_workspace, load_source, parse_type_node,
+    quiver_of_rule,
 )
 from .kernel import well_formed_context
 from .logic import well_formed_formula
@@ -38,9 +40,7 @@ from .semantics import (
     Atom, check_theory, counterexample, element_budget, render_value,
 )
 from .sexpr import parse_sexprs
-from .voiceleading import (
-    WindingPaths, enumerate_automorphisms, to_dot, vls, vls_of_structure,
-)
+from .voiceleading import enumerate_automorphisms, to_dot
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -109,36 +109,18 @@ def _build_parser() -> argparse.ArgumentParser:
     prove.add_argument("files", nargs="*")
     prove.set_defaults(run=_run_prove)
 
-    vq = sub.add_parser("vls", help="build a voice-leading space")
-    vq.add_argument("target", help="a quiver name, or a structure name "
-                                   "followed by a rule")
-    vq.add_argument("rule", nargs="?", help="table | winding:N:W | "
-                                            "action:PITCH-TYPE:FUN")
-    vq.add_argument("files", nargs="*")
-    vq.set_defaults(run=_run_vls)
-
-    autos = sub.add_parser("autos", help="enumerate quiver automorphisms")
-    autos.add_argument("quiver")
-    autos.add_argument("--budget", type=_positive_int, default=None)
-    autos.add_argument("files", nargs="*")
-    autos.set_defaults(run=_run_autos)
-
-    dot = sub.add_parser("dot", help="print a quiver in DOT format")
-    dot.add_argument("quiver")
-    dot.add_argument("files", nargs="*")
-    dot.set_defaults(run=_run_dot)
+    for verb, run, text in (
+            ("vls", _run_vls, "build a voice-leading space"),
+            ("autos", _run_autos, "enumerate quiver automorphisms"),
+            ("dot", _run_dot, "print a quiver in DOT format")):
+        quiver = sub.add_parser(verb, help=text)
+        quiver.add_argument(
+            "quiver", help="a quiver name, or a rule form: (table STRUCT), "
+                           "(winding N W) or (group-action STRUCT PITCH-TYPE "
+                           "FUN)")
+        quiver.add_argument("files", nargs="*")
+        quiver.set_defaults(run=run)
     return parser
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # reported below, as a non-positive value is
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
 
 
 def _usage(message: str) -> int:
@@ -254,44 +236,31 @@ def _run_prove(args, ws: Workspace) -> int:
     return 0
 
 
+def _quiver(text: str, ws: Workspace):
+    """The quiver a verb's QUIVER argument names: a quiver of the
+    workspace, or the space of a rule form; None when it is neither."""
+    if text in ws.quivers:
+        return ws.quivers[text]
+    nodes = parse_sexprs(text)
+    if len(nodes) != 1 or not nodes[0].is_list:
+        return None
+    return quiver_of_rule(nodes[0], nodes[0].value, ws)
+
+
 def _run_vls(args, ws: Workspace) -> int:
-    if args.rule is None:
-        q = ws.quivers.get(args.target)
-        if q is None:
-            return _usage(f"unknown quiver {args.target!r}")
-    else:
-        st = ws.structures.get(args.target)
-        if st is None:
-            return _usage(f"unknown structure {args.target!r}")
-        rule = args.rule
-        if rule == "table":
-            q = vls_of_structure(st)
-        elif rule.startswith("winding:"):
-            parts = rule.split(":")
-            try:
-                n, w = map(int, parts[1:])
-            except ValueError:  # not two parts, or not integers
-                return _usage("winding rules are winding:N:W")
-            base = st.signature.base_types[0]
-            q = vls(st.carrier(base), WindingPaths(n, w))
-        elif rule.startswith("action:"):
-            parts = rule.split(":")
-            if len(parts) != 3:
-                return _usage("action rules are action:PITCH-TYPE:FUN")
-            q = vls(st.carrier(parts[1]),
-                    group_action_from(st, parts[1], parts[2]))
-        else:
-            return _usage(f"unknown rule {rule!r}")
+    q = _quiver(args.quiver, ws)
+    if q is None:
+        return _usage(f"unknown quiver {args.quiver!r}")
     print(f"vertices: {len(q.vertices)}")
     print(f"arrows: {len(q.arrows)}")
     return 0
 
 
 def _run_autos(args, ws: Workspace) -> int:
-    q = ws.quivers.get(args.quiver)
+    q = _quiver(args.quiver, ws)
     if q is None:
         return _usage(f"unknown quiver {args.quiver!r}")
-    homs = enumerate_automorphisms(q, args.budget)
+    homs = enumerate_automorphisms(q)
     print(f"automorphisms: {len(homs)}")
     for i, h in enumerate(homs, start=1):
         vs = " ".join(
@@ -303,7 +272,7 @@ def _run_autos(args, ws: Workspace) -> int:
 
 
 def _run_dot(args, ws: Workspace) -> int:
-    q = ws.quivers.get(args.quiver)
+    q = _quiver(args.quiver, ws)
     if q is None:
         return _usage(f"unknown quiver {args.quiver!r}")
     sys.stdout.write(to_dot(q, args.quiver.replace("-", "_")))

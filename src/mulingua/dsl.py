@@ -657,39 +657,45 @@ def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
         raise node.error("'quiver' takes a name and a rule form")
     name = _sym(items[1], "a quiver name")
     ws._declare("quivers", name, node)
-    kind = _sym(items[2], "a rule kind")
-    match kind:
-        case "table":
-            if len(items) != 4:
-                raise node.error("(quiver NAME table STRUCT)")
-            st = _resolve_structure(items[3], ws)
-            try:
+    ws.quivers[name] = quiver_of_rule(node, items[2:], ws)
+
+
+def quiver_of_rule(node: SNode, rule: list[SNode], ws: Workspace) -> Quiver:
+    """The voice-leading space of a rule: ``table STRUCT``, ``winding N
+    W`` or ``group-action STRUCT PITCH-TYPE FUN``, as the items after a
+    quiver's name or as a rule form ``(winding 12 1)``.  Errors in the
+    rule as a whole are placed at ``node``."""
+    if not rule:
+        raise node.error("empty rule form")
+    kind, args = _sym(rule[0], "a rule kind"), rule[1:]
+    try:
+        match kind:
+            case "table":
+                if len(args) != 1:
+                    raise node.error("'table' takes a structure name")
+                st = _resolve_structure(args[0], ws)
                 q = vls_of_structure(st)
-            except StructureError as err:
-                raise node.error(str(err)) from None
-            q.element_names = dict(st.element_names)
-            ws.quivers[name] = q
-        case "group-action":
-            if len(items) != 6:
-                raise node.error(
-                    "(quiver NAME group-action STRUCT PITCH-TYPE ACTION-FUN)")
-            st = _resolve_structure(items[3], ws)
-            pitch_type = _sym(items[4], "a base type")
-            act_name = _sym(items[5], "a function symbol")
-            try:
-                rule = group_action_from(st, pitch_type, act_name)
-                q = vls(st.carrier(pitch_type), rule)
-            except StructureError as err:
-                raise node.error(str(err)) from None
-            q.element_names = dict(st.element_names)
-            ws.quivers[name] = q
-        case "winding":
-            if (len(items) != 5 or not isinstance(items[3].value, int)
-                    or not isinstance(items[4].value, int)):
-                raise node.error("(quiver NAME winding MODULUS MAX-WINDING)")
-            ws.quivers[name] = _winding_quiver(items[3].value, items[4].value)
-        case other:
-            raise node.error(f"unknown quiver rule kind {other!r}")
+            case "group-action":
+                if len(args) != 3:
+                    raise node.error("'group-action' takes a structure, a "
+                                     "pitch type and an action symbol")
+                st = _resolve_structure(args[0], ws)
+                pitch_type = _sym(args[1], "a base type")
+                action = group_action_from(
+                    st, pitch_type, _sym(args[2], "a function symbol"))
+                q = vls(st.carrier(pitch_type), action)
+            case "winding":
+                if len(args) != 2 or not all(
+                        isinstance(a.value, int) for a in args):
+                    raise node.error(
+                        "'winding' takes a modulus and a maximum winding")
+                return _winding_quiver(args[0].value, args[1].value)
+            case other:
+                raise node.error(f"unknown quiver rule kind {other!r}")
+    except StructureError as err:
+        raise node.error(str(err)) from None
+    q.element_names = dict(st.element_names)
+    return q
 
 
 def _resolve_structure(node: SNode, ws: Workspace) -> Structure:

@@ -93,8 +93,9 @@ def test_vls_stats():
     assert out == "vertices: 12\narrows: 432\n"
 
 
-def test_autos_budget_refusal():
-    code, _, err = run(["autos", "ti-quiver", "--budget", "1"])
+def test_autos_budget_refusal(monkeypatch):
+    monkeypatch.setenv("MULINGUA_BUDGET", "1")
+    code, _, err = run(["autos", "ti-quiver"])
     assert code == 2
     assert "budget" in err and "conjugation" in err
 
@@ -185,7 +186,7 @@ def test_dot_quotes_a_graph_name_that_is_not_a_dot_id(tmp_path):
 
 
 def test_vls_with_rule_argument(tmp_path):
-    code, out, _ = run(["vls", "z12", "winding:12:1"])
+    code, out, _ = run(["vls", "(winding 12 1)"])
     assert code == 0 and out == "vertices: 12\narrows: 432\n"
     src = tmp_path / "rot.mul"
     src.write_text("""
@@ -198,14 +199,30 @@ def test_vls_with_rule_argument(tmp_path):
       (fun inv ((a) a) ((b) b))
       (fun act ((a x) x) ((a y) y) ((b x) y) ((b y) x)))
     """)
-    code, out, _ = run(["vls", "r2", "action:X:act", str(src)])
+    code, out, _ = run(["vls", "(group-action r2 X act)", str(src)])
     assert code == 0 and out == "vertices: 2\narrows: 4\n"
 
 
 def test_vls_table_rule_on_a_declared_structure():
     demo = str(pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
-    code, out, err = run(["vls", "loops", "table", demo])
+    code, out, err = run(["vls", "(table loops)", demo])
     assert (code, out, err) == (0, "vertices: 1\narrows: 2\n", "")
+
+
+def test_vls_reads_the_files_after_a_quiver_name():
+    demo = str(pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
+    assert run(["vls", "two-loops", demo]) == (
+        0, "vertices: 1\narrows: 2\n", "")
+
+
+def test_autos_and_dot_take_a_rule_form():
+    demo = str(pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
+    assert run(["autos", "(table loops)", demo]) == run(
+        ["autos", "two-loops", demo])
+    code, out, err = run(["dot", "(winding 2 0)"])
+    assert (code, err) == (0, "")
+    assert out.startswith('digraph "(winding 2 0)" {\n  v0 [label="0"];\n')
+    assert out.count(" -> ") == 4
 
 
 def test_the_space_of_a_declared_structure_is_a_sigma_type(tmp_path):
@@ -227,16 +244,17 @@ def test_the_space_of_a_declared_structure_is_a_sigma_type(tmp_path):
 
 
 def test_vls_table_rule_needs_the_pitch_arrow_signature():
-    code, out, err = run(["vls", "z12", "table"])
+    code, out, err = run(["vls", "(table z12)"])
     assert (code, out) == (2, "")
     assert "structure is not over the pitch/arrow signature" in err
 
 
-@pytest.mark.parametrize("rule", ["winding:a:1", "winding:12:1.5",
-                                  "winding:12", "winding:12:1:1"])
-def test_malformed_winding_rule_exits_two(rule):
-    code, out, err = run(["vls", "z12", rule])
-    assert (code, out, err) == (2, "", "winding rules are winding:N:W\n")
+@pytest.mark.parametrize("rule", ["(winding a 1)", "(winding 12)",
+                                  "(winding 12 1 1)", "(wobble 1)"])
+def test_malformed_rule_form_exits_two(rule):
+    message = ("unknown quiver rule kind 'wobble'" if "wobble" in rule
+               else "'winding' takes a modulus and a maximum winding")
+    assert run(["vls", rule]) == (2, "", f"parse error: 1:1: {message}\n")
 
 
 def test_reports_are_byte_deterministic():
@@ -488,7 +506,7 @@ def test_non_positive_budget_variable_exits_two(monkeypatch, raw):
     ("many", "an integer, got 'many'"),
 ])
 @pytest.mark.parametrize("argv", [["model-check", "group", "z12"],
-                                  ["vls", "ti-quiver"]])
+                                  ["vls", "ti-quiver"], ["autos", "ti-quiver"]])
 def test_malformed_budget_variable_is_not_an_exceeded_budget(
         monkeypatch, raw, problem, argv):
     monkeypatch.setenv("MULINGUA_BUDGET", raw)
@@ -496,10 +514,3 @@ def test_malformed_budget_variable_is_not_an_exceeded_budget(
     assert (code, out) == (2, "")
     assert err == f"error: MULINGUA_BUDGET must be {problem}\n"
 
-
-@pytest.mark.parametrize("raw", ["-5", "0", "many"])
-def test_autos_budget_flag_must_be_positive(raw, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["autos", "ti-quiver", f"--budget={raw}"])
-    assert exc.value.code == 2
-    assert "must be a positive integer" in capsys.readouterr().err

@@ -49,7 +49,7 @@ COMMANDS = [*_readme_commands(), *_demo_commands()]
 
 
 def test_every_documented_command_is_found():
-    assert len(COMMANDS) == 17
+    assert len(COMMANDS) == 19
     assert set(RECORDED) == {" ".join(argv) for argv in COMMANDS}
 
 
