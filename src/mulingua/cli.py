@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .diagnostics import BudgetError, MulinguaError, ParseError, Verdict
 from .dsl import (
-    Workspace, builtin_workspace, load_source, parse_type_node,
+    Workspace, builtin_workspace, element_name, load_source, parse_type_node,
     quiver_of_rule,
 )
 from .kernel import well_formed_context
@@ -221,8 +221,7 @@ def _run_prove(args, ws: Workspace) -> int:
         elif head_text == "domfunc-leading-tone":
             if len(node.value) != 2:
                 return _usage("domfunc-leading-tone takes one key name")
-            key_name = node.value[1].value
-            key = st.named_atom("Key", getattr(key_name, "text", str(key_name)))
+            key = st.named_atom("Key", element_name(node.value[1]))
             goal = domfunc_leading_tone_type(st, key)
         else:
             goal = parse_type_node(node)

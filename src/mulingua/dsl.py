@@ -160,7 +160,7 @@ def _head(node: SNode) -> str:
     return _sym(items[0], "a keyword head")
 
 
-def _element_name(node: SNode) -> str:
+def element_name(node: SNode) -> str:
     if isinstance(node.value, Sym):
         return node.value.text
     if isinstance(node.value, int):
@@ -436,6 +436,8 @@ def _load_declaration(node: SNode, ws: Workspace) -> None:
         case "structure":
             _load_structure(node, items, ws)
         case "context":
+            if len(items) < 2:
+                raise node.error("'context' takes a name")
             name = _sym(items[1], "a context name")
             ws._declare("contexts", name, node)
             entries = tuple(_parse_binder(n) for n in items[2:])
@@ -585,7 +587,7 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
             if not sig.has_base(tag):
                 raise parts[1].error(
                     f"signature {sig_name!r} has no base type {tag!r}")
-            names = tuple(_element_name(n)
+            names = tuple(element_name(n)
                           for n in _items(parts[2], "an element list"))
             carriers[tag] = FinSet(tuple(
                 Atom(tag, i) for i in range(len(names))))
@@ -603,6 +605,8 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 pass
             case "fun":
                 parts = clause.value
+                if len(parts) < 2:
+                    raise clause.error("'fun' takes a function symbol")
                 fname = _sym(parts[1], "a function symbol")
                 sym = sig.fun(fname)
                 if sym is None:
@@ -627,6 +631,8 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 fun_tables[fname] = table
             case "rel":
                 parts = clause.value
+                if len(parts) < 2:
+                    raise clause.error("'rel' takes a relation symbol")
                 rname = _sym(parts[1], "a relation symbol")
                 rel = sig.rel(rname)
                 if rel is None:
@@ -876,7 +882,10 @@ def _pitch_class_quiver() -> Quiver:
 
 
 def _winding_quiver(n: int, w: int) -> Quiver:
-    """The winding space on n points, atoms tagged PC named 0 to n-1."""
-    q = vls(FinSet(tuple(Atom("PC", i) for i in range(n))), WindingPaths(n, w))
+    """The winding space on n points, atoms tagged PC named 0 to n-1.
+    The rule comes first: it refuses a space past the budget before any
+    point is made."""
+    rule = WindingPaths(n, w)
+    q = vls(FinSet(tuple(Atom("PC", i) for i in range(n))), rule)
     q.element_names = {"PC": tuple(str(i) for i in range(n))}
     return q

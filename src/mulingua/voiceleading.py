@@ -96,7 +96,9 @@ class GroupAction:
 class WindingPaths:
     """Ways of getting between points of a discrete n-point circle:
     one class per integer displacement y - x + n*w with |w| bounded.
-    Truncation only trims the arrow sets; quivers never compose arrows."""
+    Truncation only trims the arrow sets; quivers never compose arrows.
+    The n^2 (2 max_winding + 1) arrows must fit the element budget: two
+    integers could otherwise ask for any number of them."""
 
     modulus: int
     max_winding: int
@@ -104,6 +106,13 @@ class WindingPaths:
     def __post_init__(self) -> None:
         if self.max_winding < 0:
             raise StructureError("maximum winding must be non-negative")
+        arrows = self.modulus ** 2 * (2 * self.max_winding + 1)
+        budget = element_budget()
+        if arrows > budget:
+            raise BudgetError(
+                f"winding rule over {self.modulus} points with maximum "
+                f"winding {self.max_winding} makes {arrows} arrows, more "
+                f"than the element budget ({budget})")
 
 
 @dataclass(eq=False)

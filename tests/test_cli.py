@@ -56,6 +56,11 @@ def test_prove_reports_missing_interval_class():
     assert "uninhabited" in out and "ic4" in out
 
 
+def test_prove_reads_the_key_as_an_element_name():
+    assert run(["prove", "domfunc-harm", "(domfunc-leading-tone (A))"]) == (
+        2, "", "parse error: 1:23: expected an element name\n")
+
+
 def test_prove_dominant_leading_tone():
     code, out, _ = run(["prove", "domfunc-harm", "(domfunc-leading-tone A)"])
     assert code == 0 and "inhabited" in out
@@ -373,6 +378,16 @@ def test_sizes_stop_growing_at_the_budget(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == ("budget exceeded: enumeration of more than "
                            "1000000 elements exceeds the element budget\n")
+
+
+def test_a_winding_space_past_the_budget_is_refused_before_it_is_built(
+        tmp_path):
+    path = tmp_path / "big.mul"
+    path.write_text("(quiver big winding 100000 0)")
+    for argv in (["vls", "(winding 12 200000)"], ["dot", "big", str(path)]):
+        done = run_subprocess(argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("budget exceeded: winding rule over ")
 
 
 # A function type out of (power (power G)) into 1 has one element, but

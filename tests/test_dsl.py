@@ -1,14 +1,16 @@
 """Source-file parsing: grammar, resolution, errors, and round trips."""
 
+import dataclasses
 import pathlib
 import random
 
 import pytest
 
 from mulingua import musiclib, voiceleading
-from mulingua.diagnostics import ParseError, StructureError
+from mulingua.diagnostics import MulinguaError, ParseError, StructureError
 from mulingua.dsl import (
-    Workspace, builtin_workspace, context_to_dsl, load_source,
+    Workspace, _load_declaration, builtin_workspace, context_to_dsl,
+    load_source,
     parse_formula_node, parse_term_node, parse_type_node, signature_to_dsl,
     structure_to_dsl, theory_to_dsl,
 )
@@ -29,6 +31,7 @@ from mulingua.syntax import (
 from generators import calls_into
 
 GROUP_SOURCE = "(signature G (types G) (fun (star (G G) G) (e () G) (inv (G) G)))"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def parse_one(text):
@@ -229,6 +232,61 @@ def test_duplicate_names_are_rejected():
 def test_unknown_head_is_rejected():
     with pytest.raises(ParseError, match="unknown declaration head"):
         load_source("(frobnicate x)")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("(context)", "1:1: 'context' takes a name"),
+    ("(structure s of group (carrier G (0)) (fun))",
+     "1:39: 'fun' takes a function symbol"),
+    ("(structure s of group (carrier G (0)) (rel))",
+     "1:39: 'rel' takes a relation symbol"),
+], ids=["context", "fun", "rel"])
+def test_a_declaration_without_its_name_is_a_parse_error(source, message):
+    with pytest.raises(ParseError) as err:
+        load_source(source)
+    assert str(err.value) == message
+
+
+def truncations(node):
+    """Copies of a declaration with the trailing items of it, or of one
+    of the lists inside it, dropped."""
+    if not node.is_list:
+        return
+    items = node.value
+    for k in range(len(items)):
+        yield dataclasses.replace(node, value=items[:k])
+    for i, item in enumerate(items):
+        for cut in truncations(item):
+            yield dataclasses.replace(
+                node, value=[*items[:i], cut, *items[i + 1:]])
+
+
+CLAUSES = """
+(signature pointed (types P) (fun (p () P)) (rel (Q (P))))
+(structure one of pointed (carrier P (x)) (fun p (() x)) (rel Q (x)))
+(context c (a P) (b P))
+(term t c (pair a p))
+"""
+
+
+@pytest.mark.parametrize("text", [
+    (ROOT / "demo.mul").read_text(encoding="utf-8"),
+    (ROOT / "tests" / "every_form.mul").read_text(encoding="utf-8"),
+    CLAUSES,
+], ids=["demo", "every_form", "clauses"])
+def test_every_truncated_declaration_loads_or_is_a_load_error(text):
+    ws = builtin_workspace()
+    for node in parse_sexprs(text):
+        for cut in truncations(node):
+            copy = Workspace(**{
+                f.name: (list if f.name == "declared" else dict)(
+                    getattr(ws, f.name))
+                for f in dataclasses.fields(Workspace)})
+            try:
+                _load_declaration(cut, copy)
+            except MulinguaError:
+                pass
+        _load_declaration(node, ws)
 
 
 def test_forward_references_are_rejected():

@@ -62,6 +62,17 @@ def test_winding_classes_per_pair():
     assert [arrow_payload(a).index for a in fiber] == [7 - 12, 7, 7 + 12]
 
 
+def test_a_winding_rule_must_fit_the_budget(monkeypatch):
+    monkeypatch.setenv("MULINGUA_BUDGET", str(3 * 144))
+    assert len(vls(PITCH, WindingPaths(12, 1)).arrows) == 3 * 144
+    monkeypatch.setenv("MULINGUA_BUDGET", str(3 * 144 - 1))
+    with pytest.raises(BudgetError) as err:
+        WindingPaths(12, 1)
+    assert str(err.value) == (
+        "winding rule over 12 points with maximum winding 1 makes 432 "
+        "arrows, more than the element budget (431)")
+
+
 def test_arrow_projections():
     arrow = TI_QUIVER.fibers[(pc(0), pc(7))][0]
     assert arrow_source(arrow) == pc(0)
