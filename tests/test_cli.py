@@ -254,6 +254,12 @@ def test_vls_table_rule_needs_the_pitch_arrow_signature():
     assert "structure is not over the pitch/arrow signature" in err
 
 
+@pytest.mark.parametrize("verb", ["vls", "autos", "dot"])
+def test_a_quiver_argument_that_names_no_quiver_exits_two(verb):
+    for name in ("nope", "z12", "two-loops", "x y"):
+        assert run([verb, name]) == (2, "", f"unknown quiver {name!r}\n")
+
+
 @pytest.mark.parametrize("rule", ["(winding a 1)", "(winding 12)",
                                   "(winding 12 1 1)", "(wobble 1)"])
 def test_malformed_rule_form_exits_two(rule):
