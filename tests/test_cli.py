@@ -260,8 +260,9 @@ def test_a_quiver_argument_that_names_no_quiver_exits_two(verb):
         assert run([verb, name]) == (2, "", f"unknown quiver {name!r}\n")
 
 
-@pytest.mark.parametrize("rule", ["(winding a 1)", "(winding 12)",
-                                  "(winding 12 1 1)", "(wobble 1)"])
+@pytest.mark.parametrize("rule", ["(winding a 1)", "(winding 12 1.5)",
+                                  "(winding 12)", "(winding 12 1 1)",
+                                  "(wobble 1)"])
 def test_malformed_rule_form_exits_two(rule):
     message = ("unknown quiver rule kind 'wobble'" if "wobble" in rule
                else "'winding' takes a modulus and a maximum winding")
@@ -524,6 +525,7 @@ def test_non_positive_budget_variable_exits_two(monkeypatch, raw):
 
 @pytest.mark.parametrize("raw, problem", [
     ("-5", "a positive integer, got '-5'"),
+    ("0", "a positive integer, got '0'"),
     ("many", "an integer, got 'many'"),
 ])
 @pytest.mark.parametrize("argv", [["model-check", "group", "z12"],
