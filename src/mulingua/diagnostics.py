@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import _Node, _node, _set
 
 
 class MulinguaError(Exception):
@@ -30,12 +30,16 @@ class BudgetError(MulinguaError):
     """An enumeration would exceed the configured element budget."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+@_node
+class Verdict(_Node):
     """Outcome of a check: truthiness plus a human-readable reason on failure."""
 
     ok: bool
     reason: str = ""
+
+    def __init__(self, ok: bool, reason: str = "") -> None:
+        _set(self, "ok", ok)
+        _set(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -49,15 +49,16 @@ Carrier element names may be symbols or bare integers; the words
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby, repeat
 from typing import Optional
 
 from . import musiclib
-from .diagnostics import StructureError
+from .diagnostics import BudgetError, StructureError
 from .kernel import validate_signature
+from .records import _Node, _node
 from .semantics import (
     Atom, FinSet, InlV, InrV, PairV, RatV, SectionV, StarV, Structure,
     TableV, Theory, TheoryAxiom, TreeV, TruthV, Value, interpret_type,
@@ -108,8 +109,8 @@ class BuiltOnLookup(MutableMapping):
         return len(self._values)
 
 
-@dataclass
-class Workspace:
+@_node(frozen=False)
+class Workspace(_Node):
     """Everything nameable, builtin or loaded from source files.
     ``declared`` records what came from files, in order."""
 
@@ -123,6 +124,19 @@ class Workspace:
     types: MutableMapping[str, TypeExpr] = field(default_factory=dict)
     quivers: MutableMapping[str, Quiver] = field(default_factory=dict)
     declared: list[tuple[str, str]] = field(default_factory=list)
+
+    def __init__(self, signatures=None, theories=None, structures=None,
+                 contexts=None, terms=None, formulas=None, types=None,
+                 quivers=None, declared=None) -> None:
+        self.signatures = {} if signatures is None else signatures
+        self.theories = {} if theories is None else theories
+        self.structures = {} if structures is None else structures
+        self.contexts = {} if contexts is None else contexts
+        self.terms = {} if terms is None else terms
+        self.formulas = {} if formulas is None else formulas
+        self.types = {} if types is None else types
+        self.quivers = {} if quivers is None else quivers
+        self.declared = [] if declared is None else declared
 
     _SINGULAR = {
         "signatures": "signature", "theories": "theory",
@@ -421,7 +435,10 @@ def load_source(text: str, ws: Optional[Workspace] = None) -> Workspace:
     if ws is None:
         ws = builtin_workspace()
     for node in parse_sexprs(text):
-        _load_declaration(node, ws)
+        try:
+            _load_declaration(node, ws)
+        except BudgetError as err:
+            raise node.error(f"budget exceeded: {err}") from None
     return ws
 
 

@@ -14,9 +14,8 @@ left to right and the deepest message propagates unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import TypeCheckError, Verdict
+from .records import _Node, _node
 from .syntax import (
     Absurd, App, Arrow, Base, Context, Coproduct, FamApp,
     FormulaTerm, Inl, Inr, Lambda, Pair, Pi, Power, Product,
@@ -304,8 +303,8 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
 # context morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContextMorphism:
+@_node
+class ContextMorphism(_Node):
     """A tuple of terms over the source context, one per target entry."""
 
     source: Context

@@ -13,11 +13,12 @@ representative min(i, n - i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .diagnostics import StructureError
 from .proofs import interval_class
+from .records import _Node, _node
 from .semantics import (
     Atom, FinSet, Structure, TableV, Theory, TheoryAxiom, TruthV, Value,
 )
@@ -124,8 +125,8 @@ def trivial_group_structure() -> Structure:
     return cyclic_group_structure(1)
 
 
-@dataclass(frozen=True)
-class PitchUniverse:
+@_node
+class PitchUniverse(_Node):
     """Pitch classes as integers mod n with addition, negation, and zero."""
 
     n: int
@@ -357,8 +358,8 @@ def pcset_value(pcs: Sequence[int], n: int = 12) -> TableV:
 # scales, triads, dominance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaleLibrary:
+@_node
+class ScaleLibrary(_Node):
     """Seven-note scales keyed by (note name, kind), each a tuple of
     pitch classes in degree order (index k holds degree k+1)."""
 

@@ -14,10 +14,10 @@ enumerating the full section space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .diagnostics import StructureError
+from .records import _Node, _node
 from .semantics import (
     Env, PairV, SectionV, Structure, Value, element_budget,
     interpret_type, iter_type, render_value,
@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProofObject:
+@_node
+class ProofObject(_Node):
     """A canonical inhabitant together with the proposition-as-type it
     proves."""
 

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
+from .records import _Node, _node, _set
 from .syntax import (
     Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
     FamApp, Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member,
@@ -75,48 +76,96 @@ def element_budget(budget: Optional[int] = None) -> int:
 # semantic values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+# Atom, StarV, TruthV, PairV, InlV and InrV are hashed and compared on
+# every table lookup, so they have the __eq__ and __hash__ a frozen
+# dataclass generates: _Node's, which loop over the field names, are
+# slower.  The hashes equal the dataclass ones, so set and dict orders
+# do not change.
+
+@_node
+class Atom(_Node):
     """An element of a named finite carrier."""
 
     carrier: str
     index: int
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.index) == (other.carrier, other.index)
 
-@dataclass(frozen=True)
-class StarV:
-    pass
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.index))
 
 
-@dataclass(frozen=True)
-class TruthV:
+@_node
+class StarV(_Node):
+    """The element of the unit type."""
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class _OneValue(_Node):
+    """Base of the values with the one field ``value``."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value,) == (other.value,)
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+
+@_node
+class TruthV(_OneValue):
+    """A truth value: an element of Prop."""
+
     value: bool
 
 
-@dataclass(frozen=True)
-class PairV:
+@_node
+class PairV(_Node):
+    """An element of a product or of a dependent sum."""
+
     first: "Value"
     second: "Value"
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.first, self.second) == (other.first, other.second)
 
-@dataclass(frozen=True)
-class InlV:
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
+
+
+@_node
+class InlV(_OneValue):
+    """An element of a coproduct, from its left summand."""
+
     value: "Value"
 
 
-@dataclass(frozen=True)
-class InrV:
+@_node
+class InrV(_OneValue):
+    """An element of a coproduct, from its right summand."""
+
     value: "Value"
 
 
-@dataclass(frozen=True)
-class RatV:
+@_node
+class RatV(_OneValue):
     """An exact rational leaf (used by rhythm-tree labels)."""
 
     value: Fraction
 
 
-class _Tabular:
+class _Tabular(_Node):
     """Shared lookup behaviour for table-like values."""
 
     entries: tuple[tuple["Value", "Value"], ...]
@@ -135,7 +184,7 @@ class _Tabular:
         return tuple(k for k, _ in self.entries)
 
 
-@dataclass(frozen=True)
+@_node
 class TableV(_Tabular):
     """A total function as a finite lookup table, keys in canonical
     domain order.  Also represents subsets, as tables into truth values."""
@@ -143,7 +192,7 @@ class TableV(_Tabular):
     entries: tuple[tuple["Value", "Value"], ...]
 
 
-@dataclass(frozen=True)
+@_node
 class SectionV(_Tabular):
     """A dependent function: one value per index element, keys in
     canonical index order."""
@@ -151,8 +200,8 @@ class SectionV(_Tabular):
     entries: tuple[tuple["Value", "Value"], ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TreeV:
+@_node
+class TreeV(_Node):
     """A well-founded tree; branches ordered by the label's arity set.
 
     Equality, hashing and ``repr`` follow the dataclass ones over
@@ -234,14 +283,15 @@ FALSE = TruthV(False)
 TRUE = TruthV(True)
 
 
-@dataclass(frozen=True)
-class FinSet:
+@_node
+class FinSet(_Node):
     """A finite set of distinct values in a fixed canonical order."""
 
     elements: tuple[Value, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: tuple[Value, ...]) -> None:
+        _set(self, "elements", elements)
+        if len(set(elements)) != len(elements):
             raise StructureError("finite set has duplicate elements")
 
     @staticmethod
@@ -272,8 +322,8 @@ PROP_SET = FinSet((FALSE, TRUE))
 # structures
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class Structure:
+@_node(frozen=False, eq=False)
+class Structure(_Node):
     """A model of a signature in finite sets.
 
     ``fun_tables`` maps each function symbol to a table keyed by
@@ -291,7 +341,15 @@ class Structure:
     rel_tables: dict[str, frozenset[tuple[Value, ...]]] = field(default_factory=dict)
     element_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def __init__(self, signature: Signature, carriers: dict[str, FinSet],
+                 fun_tables: Optional[dict] = None,
+                 rel_tables: Optional[dict] = None,
+                 element_names: Optional[dict] = None) -> None:
+        self.signature = signature
+        self.carriers = carriers
+        self.fun_tables = {} if fun_tables is None else fun_tables
+        self.rel_tables = {} if rel_tables is None else rel_tables
+        self.element_names = {} if element_names is None else element_names
         for base in self.signature.base_types:
             if base not in self.carriers:
                 raise StructureError(f"no carrier for base type {base!r}")
@@ -1053,29 +1111,45 @@ def derivable(st: Structure, ctx: Context, f: Formula,
 # theories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoryAxiom:
+@_node
+class TheoryAxiom(_Node):
     label: str
     context: Context
     formula: Formula
 
 
-@dataclass(frozen=True)
-class Theory:
+@_node
+class Theory(_Node):
+    """Named axioms over one signature."""
+
     name: str
     signature: Signature
     axioms: tuple[TheoryAxiom, ...]
 
+    def __init__(self, name: str, signature: Signature,
+                 axioms: tuple[TheoryAxiom, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "signature", signature)
+        _set(self, "axioms", axioms)
 
-@dataclass(frozen=True)
-class AxiomResult:
+
+@_node
+class AxiomResult(_Node):
+    """One axiom's outcome, with the first counterexample if it failed."""
+
     label: str
     passed: bool
     counterexample: Optional[tuple[tuple[str, Value], ...]]
 
+    def __init__(self, label: str, passed: bool,
+                 counterexample: Optional[tuple[tuple[str, Value], ...]]) -> None:
+        _set(self, "label", label)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
 
-@dataclass(frozen=True)
-class TheoryReport:
+
+@_node
+class TheoryReport(_Node):
     theory: str
     structure: str
     results: tuple[AxiomResult, ...]
@@ -1120,8 +1194,8 @@ def check_theory(st: Structure, th: Theory, structure_name: str = "structure",
 # structure homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class StructureHom:
+@_node(frozen=False, eq=False)
+class StructureHom(_Node):
     """A family of maps between carriers, one per base type."""
 
     source: Structure

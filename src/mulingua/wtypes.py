@@ -12,11 +12,11 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .diagnostics import StructureError
+from .records import _Node, _node, _set
 from .semantics import (
     InlV, InrV, PairV, RatV, StarV, TreeV, Value, tree_text, wfold,
 )
@@ -65,8 +65,8 @@ def list_length(tree: TreeV) -> int:
 # rhythm trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RhythmSpec:
+@_node
+class RhythmSpec(_Node):
     """One node's data: a positive rational duration plus the positive
     rational proportional factors of its subdivisions.  The factors need
     not sum to the duration; they are relative proportions only."""
@@ -74,11 +74,14 @@ class RhythmSpec:
     duration: Fraction
     factors: tuple[Fraction, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
+    def __init__(self, duration: Fraction,
+                 factors: tuple[Fraction, ...] = ()) -> None:
+        if duration <= 0:
             raise StructureError("duration must be positive")
-        if any(f <= 0 for f in self.factors):
+        if any(f <= 0 for f in factors):
             raise StructureError("proportional factors must be positive")
+        _set(self, "duration", duration)
+        _set(self, "factors", factors)
 
 
 def _rat_list_value(factors: Sequence[Fraction]) -> Value:

@@ -391,10 +391,16 @@ def test_a_winding_space_past_the_budget_is_refused_before_it_is_built(
         tmp_path):
     path = tmp_path / "big.mul"
     path.write_text("(quiver big winding 100000 0)")
-    for argv in (["vls", "(winding 12 200000)"], ["dot", "big", str(path)]):
+    # a file's declaration that goes over is named by its position
+    for argv, where, points, winding, arrows in (
+            (["vls", "(winding 12 200000)"], "", 12, 200000, 57600144),
+            (["dot", "big", str(path)], f"{path}: 1:1: ", 100000, 0,
+             10000000000)):
         done = run_subprocess(argv)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("budget exceeded: winding rule over ")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"{where}budget exceeded: winding rule over {points} "
+                   f"points with maximum winding {winding} makes {arrows} "
+                   f"arrows, more than the element budget (1000000)\n")
 
 
 # A function type out of (power (power G)) into 1 has one element, but
@@ -402,21 +408,23 @@ def test_a_winding_space_past_the_budget_is_refused_before_it_is_built(
 HUGE_DOMAIN = "(-> (power (power G)) 1)"
 
 
-@pytest.mark.parametrize("verb, source", [
-    (["eval", "z12", "f"], f"(formula f (forall (h {HUGE_DOMAIN}) top))"),
+@pytest.mark.parametrize("verb, source, where", [
+    (["eval", "z12", "f"], f"(formula f (forall (h {HUGE_DOMAIN}) top))", ""),
     (["check"], f"""
      (signature big (types G) (fun (c () {HUGE_DOMAIN})))
      (structure m of big
        (carrier G (0 1 2 3 4 5 6 7 8 9 10 11))
-       (fun c (() (table))))"""),
+       (fun c (() (table))))""", "{path}: 3:6: "),
 ], ids=["quantifier", "table-value"])
-def test_huge_domains_exit_two_at_once(tmp_path, verb, source):
+def test_huge_domains_exit_two_at_once(tmp_path, verb, source, where):
+    # a budget met while a file loads is named by its declaration's position
     path = tmp_path / "huge.mul"
     path.write_text(source)
     done = run_subprocess([*verb, str(path)])
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == ("budget exceeded: enumeration of more than "
-                           "1000000 elements exceeds the element budget\n")
+    assert done.stderr == (where.format(path=path)
+                           + "budget exceeded: enumeration of more than "
+                             "1000000 elements exceeds the element budget\n")
 
 
 def test_forall_over_infinite_tree_type_exits_two(tmp_path):

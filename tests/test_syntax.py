@@ -4,24 +4,46 @@ value memo."""
 
 import dataclasses
 import gc
+import os
+import pathlib
+import subprocess
+import sys
 import typing
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from mulingua.dsl import parse_formula_node, parse_term_node, parse_type_node
-from mulingua.musiclib import z_music_structure
-from mulingua.proofs import all_interval_type, inhabit
-from mulingua.semantics import Atom, eval_term
-from mulingua.sexpr import parse_sexprs
+from mulingua.diagnostics import Verdict
+from mulingua.dsl import (
+    Workspace, parse_formula_node, parse_term_node, parse_type_node,
+)
+from mulingua.kernel import ContextMorphism
+from mulingua.musiclib import (
+    cyclic_group_structure, pitch_universe, scale_library, ti_group,
+    z_music_structure,
+)
+from mulingua.proofs import ProofObject, all_interval_type, inhabit
+from mulingua.records import _INITS, _Node
+from mulingua.semantics import (
+    Atom, AxiomResult, FinSet, InlV, InrV, PairV, RatV, SectionV, StarV,
+    TableV, Theory, TheoryAxiom, TheoryReport, TreeV, TruthV, eval_term,
+    identity_hom,
+)
+from mulingua.sexpr import SNode, Sym, parse_sexprs
 from mulingua.syntax import (
     Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, FormulaTerm, Implies, Inl, Inr, Lambda, Member, Not, Or,
-    Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
-    Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero,
-    _Binding, _Node, alpha_key, free_vars, show, substitute,
+    FamApp, Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr,
+    Lambda, Member, Not, Or, Pair, Pi, Power, Product, Prop, PropType,
+    Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature, Star, Sup, Term,
+    Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, _Binding,
+    alpha_key, free_vars, show, substitute,
 )
+from mulingua.voiceleading import (
+    ExplicitTable, QuiverHom, WindingPaths, vls,
+)
+from mulingua.wtypes import RhythmSpec
 
 from generators import random_formula, random_typed_term, rename_bound
 
@@ -70,11 +92,11 @@ SHOWN = [
 ]
 
 
-def _node_classes(cls=_Node):
+def _record_classes(cls=_Node):
     for sub in cls.__subclasses__():
         if dataclasses.is_dataclass(sub):
             yield sub
-        yield from _node_classes(sub)
+        yield from _record_classes(sub)
 
 
 def test_show_golden_for_every_node_class():
@@ -84,46 +106,154 @@ def test_show_golden_for_every_node_class():
 
 def test_golden_table_lists_every_node_class():
     listed = {type(node) for node, _ in SHOWN}
-    classes = set(_node_classes())
-    assert listed == classes
-    assert len(classes) == 38
+    classes = {cls for cls in _record_classes()
+               if cls.__module__ == "mulingua.syntax"}
+    assert listed == classes - {FunSymbol, RelSymbol, Signature, Context}
+    assert listed == {*typing.get_args(TypeExpr), *typing.get_args(Term),
+                      *typing.get_args(Formula)}
+    assert len(listed) == 38
 
 
-def _frozen_twin(cls):
-    """A frozen dataclass, generated by ``dataclasses``, with the name and
-    fields of a node class: the reference its methods must match."""
+# One instance of every other record class, with the dataclass flags it
+# had as a dataclass: (record, frozen, eq).
+Z3 = cyclic_group_structure(3)
+G0, G1 = Atom("G", 0), Atom("G", 1)
+LEAF = TreeV(StarV(), ())
+PITCH = FinSet((G0, G1))
+RECORDS = [
+    (Verdict(False, "why"), True, True),
+    (Sym("x"), True, True),
+    (SNode([SNode(Sym("a"), 1, 2)], 1, 1), False, True),
+    (ContextMorphism(Context.of(("a", G)), Context(), ()), True, True),
+    (ProofObject(G0, G), True, True),
+    (RhythmSpec(Fraction(1), (Fraction(1, 2), Fraction(1, 2))), True, True),
+    (pitch_universe(3), True, True),
+    (scale_library(), True, True),
+    (G0, True, True),
+    (StarV(), True, True),
+    (TruthV(True), True, True),
+    (PairV(G0, InlV(StarV())), True, True),
+    (InlV(G1), True, True),
+    (InrV(TruthV(False)), True, True),
+    (RatV(Fraction(3, 4)), True, True),
+    (TableV(((G0, G1), (G1, G0))), True, True),
+    (SectionV(((G0, TruthV(True)),)), True, True),
+    (TreeV(G0, (LEAF, TreeV(G1, (LEAF,)))), True, True),
+    (PITCH, True, True),
+    (Z3, False, False),
+    (TheoryAxiom("refl", Context.of(("a", G)), Eq(G, Var("a"), Var("a"))),
+     True, True),
+    (Theory("t", Z3.signature, ()), True, True),
+    (AxiomResult("refl", False, (("a", G0),)), True, True),
+    (TheoryReport("t", "z3", (AxiomResult("refl", True, None),)), True, True),
+    (identity_hom(Z3), False, False),
+    (ti_group(3), False, False),
+    (WindingPaths(3, 1), True, True),
+    (ExplicitTable({(G0, G1): FinSet((Atom("a", 0),))}), False, False),
+    (vls(PITCH, ExplicitTable({(G0, G1): FinSet((Atom("a", 0),))})),
+     False, False),
+    (QuiverHom({G0: G1}, {G1: G0}), False, True),
+    (Workspace(), False, True),
+    (FunSymbol("f", (G, G), G), True, True),
+    (RelSymbol("R", (G,)), True, True),
+    (Signature("s", ("G",), (FunSymbol("e", (), G),), (RelSymbol("R", ()),)),
+     True, True),
+    (Context.of(("a", G), ("b", Prop())), True, True),
+]
+# The methods a record class wrote itself when it was a dataclass, which
+# its twin takes over: Sym's repr is its text, and TreeV walks a tree on
+# a stack.
+OWN_METHODS = {Sym: ("__repr__",), TreeV: ("__eq__", "__hash__", "__repr__")}
+
+
+def _twin(cls, frozen, eq):
+    """A dataclass, generated by ``dataclasses``, with the name, fields,
+    flags and own methods of a record class: the reference its methods
+    must match."""
     return dataclasses.make_dataclass(cls.__name__, [
-        (f.name, f.type, dataclasses.field(default=f.default))
-        for f in dataclasses.fields(cls)], frozen=True)
+        (f.name, f.type, dataclasses.field(
+            default=f.default, default_factory=f.default_factory,
+            init=f.init, repr=f.repr, compare=f.compare))
+        for f in dataclasses.fields(cls)], frozen=frozen, eq=eq,
+        namespace={name: vars(cls)[name] for name in OWN_METHODS.get(cls, ())})
 
 
-def _error(action):
-    with pytest.raises(dataclasses.FrozenInstanceError) as caught:
-        action()
-    return str(caught.value)
+def _field_specs(cls):
+    return [(f.name, f.type, f.default, f.default_factory, f.init, f.repr,
+             f.compare) for f in dataclasses.fields(cls)]
+
+
+def _outcome(action):
+    try:
+        return "returned", action()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _hash(record):
+    """The hash, or how hashing went: by identity, or refused."""
+    outcome = _outcome(lambda: hash(record))
+    if outcome == ("returned", object.__hash__(record)):
+        return "identity"
+    return outcome
 
 
 def test_node_classes_behave_as_frozen_dataclasses():
-    for node, _ in [*SHOWN, (App("e"), "(e)")]:
-        cls = type(node)
-        values = [getattr(node, name) for name in cls.__match_args__]
-        twin = _frozen_twin(cls)(*values)
-        assert repr(node) == repr(twin)
-        assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] \
-            == [(f.name, f.type, f.default) for f in dataclasses.fields(twin)]
-        assert cls.__match_args__ == type(twin).__match_args__
+    shown = [(node, True, True) for node, _ in [*SHOWN, (App("e"), "(e)")]]
+    assert {type(r) for r, _, _ in shown + RECORDS} == set(_record_classes())
+    for record, frozen, eq in shown + RECORDS:
+        cls = type(record)
+        values = [getattr(record, f.name) for f in dataclasses.fields(cls)
+                  if f.init]
+        twin_cls = _twin(cls, frozen, eq)
+        twin, twin_again = twin_cls(*values), twin_cls(*values)
+        for f in dataclasses.fields(cls):
+            if not f.init:  # Quiver's arrows, which it computes
+                object.__setattr__(twin, f.name, getattr(record, f.name))
+        assert repr(record) == repr(twin)
+        assert _field_specs(cls) == _field_specs(twin_cls)
+        assert cls.__match_args__ == twin_cls.__match_args__
         again = cls(*values)
-        assert again == node and not again != node and again is not node
-        if not isinstance(node, _Binding):  # these hash up to renaming
-            assert hash(node) == hash(twin)
+        if cls.__init__ not in _INITS:  # takes its fields by keyword too
+            assert (dataclasses.replace(record) == record) is eq
+        assert (again == record, again != record) == (eq, not eq)
+        if not isinstance(record, _Binding):  # these hash up to renaming
+            assert _hash(record) == _hash(twin)
         for name in (*cls.__match_args__, "other"):
-            assert _error(lambda: setattr(node, name, 1)) \
-                == _error(lambda: setattr(twin, name, 1))
-            assert _error(lambda: delattr(node, name)) \
-                == _error(lambda: delattr(twin, name))
+            assert _outcome(lambda: setattr(again, name, 1)) \
+                == _outcome(lambda: setattr(twin_again, name, 1))
+            assert _outcome(lambda: delattr(again, name)) \
+                == _outcome(lambda: delattr(twin_again, name))
     assert App("e") == App("e", ())
     with pytest.raises(TypeError):
         Pair(Var("x"))
+
+
+# The methods of the package's classes whose code was compiled from source
+# text at run time: dataclasses writes each method it adds to a class as
+# text and compiles it, giving its code the file name "<string>" (Python
+# 3.10 to 3.13).
+GENERATED_METHODS = """
+import sys
+import mulingua.cli
+print(sorted(
+    f"{cls.__qualname__}.{name}"
+    for module_name, module in list(sys.modules.items())
+    if module_name.split(".")[0] == "mulingua"
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == module_name
+    for name, method in vars(cls).items()
+    if getattr(getattr(method, "__code__", None), "co_filename", None)
+    == "<string>"))
+"""
+
+
+def test_importing_the_cli_generates_no_method():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", GENERATED_METHODS], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_every_golden_rendering_reads_back_to_the_same_node():

@@ -5,6 +5,7 @@ import doctest
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -626,3 +627,11 @@ def test_dot_quotes_names_and_labels_only_where_needed():
         assert to_dot(q, plain).startswith(f"digraph {plain} {{")
     for quoted in ("Graph", "strict", "2nd", "a-b", "1.2.3"):
         assert to_dot(q, quoted).startswith(f'digraph "{quoted}" {{')
+
+
+def test_dot_id_pattern_matches_every_character_as_the_unicode_class_did():
+    reference = re.compile(r"(?![0-9])[\w\x80-\U0010ffff]+"
+                           r"|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)").fullmatch
+    plain = mulingua.voiceleading._DOT_PLAIN_ID.fullmatch
+    assert [c for c in range(0x110000) for text in (chr(c), "a" + chr(c))
+            if (plain(text) is None) != (reference(text) is None)] == []
