@@ -1,8 +1,12 @@
 """The shipped musical structures: cyclic groups, interval systems,
 the transposition/inversion group, scales, triads, and dominance."""
 
+import json
+import pathlib
+
 import pytest
 
+from mulingua.dsl import signature_to_dsl, structure_to_dsl, theory_to_dsl
 from mulingua.kernel import validate_signature
 from mulingua.musiclib import (
     NOTE_NAMES, SCALE_KINDS, contains_leading_tone, cyclic_group_structure,
@@ -13,8 +17,10 @@ from mulingua.musiclib import (
     trivial_group_structure, z_gis_structure, z_music_structure,
 )
 from mulingua.semantics import (
-    Atom, all_environments, check_theory, eval_formula,
+    Atom, all_environments, check_theory, eval_formula, render_value,
 )
+
+GOLDENS = pathlib.Path(__file__).resolve().parent / "group_goldens.json"
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +41,38 @@ def test_theory_axioms_are_well_formed():
             assert well_formed_context(theory.signature, axiom.context)
             assert well_formed_formula(theory.signature, axiom.context,
                                        axiom.formula)
+
+
+def group_declarations() -> dict[str, str]:
+    """The built-in group and interval-system declarations as text: the
+    signatures and theories as source, two small models as source, and
+    the order-6 TI group's tables in insertion order."""
+    ti = ti_group(3)
+    names = {**ti.group.element_names, "PC": ("0", "1", "2")}
+
+    def rows(table):
+        return "\n".join(
+            f"({' '.join(render_value(a, names) for a in key)}) "
+            f"{render_value(out, names)}" for key, out in table.items())
+
+    return {
+        "group signature": signature_to_dsl(group_signature()),
+        "gis signature": signature_to_dsl(gis_signature()),
+        "group theory": theory_to_dsl(make_group_theory()),
+        "gis theory": theory_to_dsl(make_gis_theory()),
+        "z5": structure_to_dsl(cyclic_group_structure(5), "z5"),
+        "z5gis": structure_to_dsl(z_gis_structure(5), "z5gis"),
+        "ti3 carriers": repr((ti.group.signature, ti.group.carriers,
+                              ti.group.element_names)),
+        **{f"ti3 {name}": rows(table)
+           for name, table in ti.group.fun_tables.items()},
+        "ti3 action": rows(ti.action),
+    }
+
+
+def test_group_declarations_match_the_goldens():
+    assert group_declarations() == json.loads(
+        GOLDENS.read_text(encoding="utf-8"))
 
 
 def test_group_theory_models():
