@@ -2,12 +2,12 @@
 
 Verbs: ``check`` (parse and validate declarations), ``model-check``
 (evaluate a theory's axioms in a structure), ``eval`` (truth of a named
-formula in a structure), ``prove`` (search a proposition-as-type for an
-inhabitant), ``vls`` (build a voice-leading space and print its size),
-``autos`` (enumerate quiver automorphisms), and ``dot`` (Graphviz
-export).  The three quiver verbs take a quiver name or a rule form such
-as ``(winding 12 1)``, read as the rule of a ``(quiver NAME ...)``
-declaration is.
+formula in a structure), ``prove`` (kernel-check a proposition-as-type,
+then search it for an inhabitant), ``vls`` (build a voice-leading space
+and print its size), ``autos`` (enumerate quiver automorphisms), and
+``dot`` (Graphviz export).  The three quiver verbs take a quiver name or
+a rule form such as ``(winding 12 1)``, read as the rule of a
+``(quiver NAME ...)`` declaration is.
 
 Exit codes: 0 for success (all axioms pass, formula true, type
 inhabited), 1 for a refutation (a failing axiom, a false formula, an
@@ -30,7 +30,7 @@ from .dsl import (
     Workspace, builtin_workspace, element_name, load_source, parse_type_node,
     quiver_of_rule,
 )
-from .kernel import well_formed_context
+from .kernel import well_formed_context, well_formed_type
 from .logic import well_formed_formula
 from .proofs import (
     all_interval_type, domfunc_leading_tone_type, explain_refutation,
@@ -40,6 +40,7 @@ from .semantics import (
     Atom, check_theory, counterexample, element_budget, render_value,
 )
 from .sexpr import parse_sexprs
+from .syntax import Context
 from .voiceleading import enumerate_automorphisms, to_dot
 
 
@@ -225,6 +226,9 @@ def _run_prove(args, ws: Workspace) -> int:
             goal = domfunc_leading_tone_type(st, key)
         else:
             goal = parse_type_node(node)
+    verdict = well_formed_type(st.signature, Context(), goal)
+    if not verdict:
+        return _usage(f"type is not well-formed here: {verdict.reason}")
     proof = inhabit(st, goal)
     if proof is None:
         reason = explain_refutation(st, goal)

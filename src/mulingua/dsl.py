@@ -4,7 +4,8 @@ structures, contexts, terms, formulas, named types, and quiver requests.
 Declarations resolve strictly top-down (no forward references) against
 a workspace that already holds the built-in signatures, theories, and
 models, and names are unique per kind.  Structures are validated for
-totality as they load; judgment-level well-formedness of the other
+totality as they load, and refuse an element name, a clause or a table
+entry given twice; judgment-level well-formedness of the other
 declarations is the job of the ``check`` verb.
 
 Grammar sketch::
@@ -604,8 +605,16 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
             if not sig.has_base(tag):
                 raise parts[1].error(
                     f"signature {sig_name!r} has no base type {tag!r}")
-            names = tuple(element_name(n)
-                          for n in _items(parts[2], "an element list"))
+            if tag in carriers:
+                raise clause.error(f"a second carrier clause for {tag!r}")
+            nodes = _items(parts[2], "an element list")
+            names = tuple(map(element_name, nodes))
+            seen: set[str] = set()
+            for n, text in zip(nodes, names):
+                if text in seen:
+                    raise n.error(
+                        f"element {text!r} is named twice in carrier {tag!r}")
+                seen.add(text)
             carriers[tag] = FinSet(tuple(
                 Atom(tag, i) for i in range(len(names))))
             element_names[tag] = names
@@ -628,6 +637,8 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 sym = sig.fun(fname)
                 if sym is None:
                     raise parts[1].error(f"unknown function symbol {fname!r}")
+                if fname in fun_tables:
+                    raise clause.error(f"a second fun clause for {fname!r}")
                 table: dict[tuple[Value, ...], Value | FinSet] = {}
                 for entry in parts[2:]:
                     pair = _items(entry, "an (args value) entry")
@@ -640,6 +651,10 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                     key = tuple(
                         parse_value_node(a, d, scratch)
                         for a, d in zip(arg_nodes, sym.domain))
+                    if key in table:
+                        raise entry.error(
+                            f"a second entry for {fname!r} at "
+                            f"({' '.join(map(scratch.render, key))})")
                     if sym.is_family:
                         table[key] = _fiber(pair[1], scratch)
                     else:
@@ -654,6 +669,8 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 rel = sig.rel(rname)
                 if rel is None:
                     raise parts[1].error(f"unknown relation symbol {rname!r}")
+                if rname in rel_tables:
+                    raise clause.error(f"a second rel clause for {rname!r}")
                 tuples = set()
                 for entry in parts[2:]:
                     vals = _items(entry, "a tuple")
@@ -731,8 +748,9 @@ def _resolve_structure(node: SNode, ws: Workspace) -> Structure:
 def group_action_from(st: Structure, pitch_type: str,
                       act_name: str) -> GroupAction:
     """Project a group-with-action structure onto a plain group plus an
-    action table: the structure must carry star/e/inv on the acting type
-    and an action symbol (acting type, pitch type) -> pitch type."""
+    action table: the structure's star/e/inv must be the group template's
+    symbols on the acting type, and an action symbol must send (acting
+    type, pitch type) to the pitch type.  The tables are read in place."""
     act = st.signature.fun(act_name)
     if act is None or act.arity != 2:
         raise StructureError(
@@ -744,18 +762,19 @@ def group_action_from(st: Structure, pitch_type: str,
         raise StructureError(
             f"action symbol {act_name!r} must send "
             f"({group_base.name}, {pitch_type}) to {pitch_type}")
-    for needed in ("star", "e", "inv"):
-        if needed not in st.fun_tables:
-            raise StructureError(
-                f"group-action structures need a {needed!r} table")
+    template = musiclib.group_symbols(group_base.name)
+    if tuple(st.signature.fun(f.name) for f in template) != template:
+        raise StructureError(
+            f"a group acting through {act_name!r} needs " + ", ".join(
+                " ".join([f.name, ":", *map(show, f.domain), "->",
+                          show(f.codomain)]) for f in template))
     group = Structure(
         signature=musiclib.group_signature(),
         carriers={"G": st.carrier(group_base.name)},
-        fun_tables={k: dict(st.fun_tables[k]) for k in ("star", "e", "inv")},
-        element_names={k: v for k, v in st.element_names.items()},
+        fun_tables={f.name: st.fun_tables[f.name] for f in template},
+        element_names=st.element_names,
     )
-    action = {key: out for key, out in st.fun_tables[act_name].items()}
-    return GroupAction(group, action)
+    return GroupAction(group, st.fun_tables[act_name])
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +840,9 @@ def structure_to_dsl(st: Structure, name: str) -> str:
             entries.append(f"(({args}) {shown})")
         lines.append(f"  (fun {sym.name} {' '.join(entries)})")
     for rel in sig.rel_symbols:
-        tuples = sorted(
-            st.rel_tables.get(rel.name, frozenset()),
-            key=lambda tup: tuple(render_value(v, st) for v in tup))
         entries = " ".join(
             f"({' '.join(render_value(v, st) for v in tup)})"
-            for tup in tuples)
+            for tup in st.ordered_tuples(rel.name))
         lines.append(f"  (rel {rel.name} {entries})")
     return "\n".join(lines) + ")"
 

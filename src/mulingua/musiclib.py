@@ -14,7 +14,7 @@ representative min(i, n - i).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .diagnostics import StructureError
 from .proofs import interval_class
@@ -50,49 +50,59 @@ def note_to_pc(name: str) -> int:
 # the group theory and cyclic models
 # ---------------------------------------------------------------------------
 
-def group_signature() -> Signature:
-    g = Base("G")
-    return Signature(
-        name="group",
-        base_types=("G",),
-        fun_symbols=(
-            FunSymbol("star", (g, g), g),
-            FunSymbol("e", (), g),
-            FunSymbol("inv", (g,), g),
-        ),
-    )
+def group_symbols(base: str) -> tuple[FunSymbol, ...]:
+    """``star : B B -> B``, ``e : -> B`` and ``inv : B -> B`` on ``B``."""
+    g = Base(base)
+    return (FunSymbol("star", (g, g), g), FunSymbol("e", (), g),
+            FunSymbol("inv", (g,), g))
 
 
-def make_group_theory() -> Theory:
-    """Associativity, two-sided identity, and two-sided inverses.  The
-    quantified variables live in each axiom's context, so failing models
-    report the offending elements."""
-    g = Base("G")
+def group_laws(base: str, prefix: str = "") -> tuple[TheoryAxiom, ...]:
+    """Associativity, two-sided identity, and two-sided inverses on
+    ``base``, labelled with ``prefix``.  The quantified variables live in
+    each axiom's context, so failing models report the offending elements."""
+    g = Base(base)
     a, b, c, x = Var("a"), Var("b"), Var("c"), Var("g")
     e = App("e")
 
     def star(s, t):
         return App("star", (s, t))
 
-    return Theory(
-        name="group",
-        signature=group_signature(),
-        axioms=(
-            TheoryAxiom(
-                "associativity",
-                Context.of(("a", g), ("b", g), ("c", g)),
-                Eq(g, star(star(a, b), c), star(a, star(b, c)))),
-            TheoryAxiom(
-                "identity",
-                Context.of(("g", g)),
-                And(Eq(g, star(x, e), x), Eq(g, star(e, x), x))),
-            TheoryAxiom(
-                "inverses",
-                Context.of(("g", g)),
-                And(Eq(g, star(x, App("inv", (x,))), e),
-                    Eq(g, star(App("inv", (x,)), x), e))),
-        ),
+    return (
+        TheoryAxiom(
+            prefix + "associativity",
+            Context.of(("a", g), ("b", g), ("c", g)),
+            Eq(g, star(star(a, b), c), star(a, star(b, c)))),
+        TheoryAxiom(
+            prefix + "identity",
+            Context.of(("g", g)),
+            And(Eq(g, star(x, e), x), Eq(g, star(e, x), x))),
+        TheoryAxiom(
+            prefix + "inverses",
+            Context.of(("g", g)),
+            And(Eq(g, star(x, App("inv", (x,))), e),
+                Eq(g, star(App("inv", (x,)), x), e))),
     )
+
+
+def group_tables(atoms: Sequence[Atom], mult: Callable[[int, int], int],
+                 invert: Callable[[int], int]) -> dict[str, dict]:
+    """The ``star``, ``e`` and ``inv`` tables over ``atoms`` from a
+    multiplication and an inverse on atom indices; atom 0 is the identity."""
+    r = range(len(atoms))
+    return {
+        "star": {(atoms[i], atoms[j]): atoms[mult(i, j)] for i in r for j in r},
+        "e": {(): atoms[0]},
+        "inv": {(atoms[i],): atoms[invert(i)] for i in r},
+    }
+
+
+def group_signature() -> Signature:
+    return Signature("group", ("G",), group_symbols("G"))
+
+
+def make_group_theory() -> Theory:
+    return Theory("group", group_signature(), group_laws("G"))
 
 
 def cyclic_group_structure(n: int, tag: str = "G") -> Structure:
@@ -101,12 +111,8 @@ def cyclic_group_structure(n: int, tag: str = "G") -> Structure:
     return Structure(
         signature=group_signature(),
         carriers={"G": FinSet(tuple(atoms))},
-        fun_tables={
-            "star": {(atoms[i], atoms[j]): atoms[(i + j) % n]
-                     for i in range(n) for j in range(n)},
-            "e": {(): atoms[0]},
-            "inv": {(atoms[i],): atoms[(-i) % n] for i in range(n)},
-        },
+        fun_tables=group_tables(atoms, lambda i, j: (i + j) % n,
+                                lambda i: -i % n),
         element_names={tag: tuple(str(i) for i in range(n))},
     )
 
@@ -157,10 +163,7 @@ def gis_signature() -> Signature:
     return Signature(
         name="gis",
         base_types=("S", "IVLS"),
-        fun_symbols=(
-            FunSymbol("star", (ivls, ivls), ivls),
-            FunSymbol("e", (), ivls),
-            FunSymbol("inv", (ivls,), ivls),
+        fun_symbols=group_symbols("IVLS") + (
             FunSymbol("int", (s, s), ivls),
             FunSymbol("u", (s, ivls), s),
         ),
@@ -172,35 +175,15 @@ def make_gis_theory() -> Theory:
     composition of intervals along three points, and existence (via the
     section u) and uniqueness of the endpoint realizing an interval."""
     s, ivls = Base("S"), Base("IVLS")
-    a, b, c, g = Var("a"), Var("b"), Var("c"), Var("g")
     r, t, t2, i, sv = Var("r"), Var("t"), Var("t'"), Var("i"), Var("s")
-
-    def star(x, y):
-        return App("star", (x, y))
 
     def intv(x, y):
         return App("int", (x, y))
 
-    group_laws = (
-        TheoryAxiom(
-            "ivls-associativity",
-            Context.of(("a", ivls), ("b", ivls), ("c", ivls)),
-            Eq(ivls, star(star(a, b), c), star(a, star(b, c)))),
-        TheoryAxiom(
-            "ivls-identity",
-            Context.of(("g", ivls)),
-            And(Eq(ivls, star(g, App("e")), g),
-                Eq(ivls, star(App("e"), g), g))),
-        TheoryAxiom(
-            "ivls-inverses",
-            Context.of(("g", ivls)),
-            And(Eq(ivls, star(g, App("inv", (g,))), App("e")),
-                Eq(ivls, star(App("inv", (g,)), g), App("e")))),
-    )
     composition = TheoryAxiom(
         "interval-composition",
         Context.of(("r", s), ("s", s), ("t", s)),
-        Eq(ivls, star(intv(r, sv), intv(sv, t)), intv(r, t)))
+        Eq(ivls, App("star", (intv(r, sv), intv(sv, t))), intv(r, t)))
     existence = TheoryAxiom(
         "interval-existence",
         Context.of(("s", s), ("i", ivls)),
@@ -212,7 +195,8 @@ def make_gis_theory() -> Theory:
     return Theory(
         name="gis",
         signature=gis_signature(),
-        axioms=group_laws + (composition, existence, uniqueness),
+        axioms=group_laws("IVLS", "ivls-") + (composition, existence,
+                                              uniqueness),
     )
 
 
@@ -225,19 +209,14 @@ def z_gis_structure(n: int = 12) -> Structure:
         signature=gis_signature(),
         carriers={"S": FinSet(tuple(points)), "IVLS": FinSet(tuple(ivls))},
         fun_tables={
-            "star": {(ivls[i], ivls[j]): ivls[(i + j) % n]
-                     for i in range(n) for j in range(n)},
-            "e": {(): ivls[0]},
-            "inv": {(ivls[i],): ivls[(-i) % n] for i in range(n)},
+            **cyclic_group_structure(n, "IVLS").fun_tables,
             "int": {(points[x], points[y]): ivls[(y - x) % n]
                     for x in range(n) for y in range(n)},
             "u": {(points[x], ivls[i]): points[(x + i) % n]
                   for x in range(n) for i in range(n)},
         },
-        element_names={
-            "S": tuple(str(i) for i in range(n)),
-            "IVLS": tuple(str(i) for i in range(n)),
-        },
+        element_names=dict.fromkeys(("S", "IVLS"),
+                                    tuple(str(i) for i in range(n))),
     )
 
 
@@ -278,12 +257,7 @@ def ti_group(n: int = 12) -> GroupAction:
     group = Structure(
         signature=group_signature(),
         carriers={"G": FinSet(tuple(atoms))},
-        fun_tables={
-            "star": {(atoms[a], atoms[b]): atoms[mult(a, b)]
-                     for a in range(2 * n) for b in range(2 * n)},
-            "e": {(): atoms[0]},
-            "inv": {(atoms[a],): atoms[invert(a)] for a in range(2 * n)},
-        },
+        fun_tables=group_tables(atoms, mult, invert),
         element_names={"TI": names},
     )
     pcs = [Atom("PC", x) for x in range(n)]

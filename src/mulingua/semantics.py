@@ -451,6 +451,12 @@ class Structure(_Node):
     def render(self, v: Value) -> str:
         return render_value(v, self)
 
+    def ordered_tuples(self, rel: str) -> list[tuple[Value, ...]]:
+        """A relation's accepted tuples sorted by their rendering, the
+        order source text prints them in and checks report them in."""
+        return sorted(self.rel_tables.get(rel, frozenset()),
+                      key=lambda tup: tuple(map(self.render, tup)))
+
 
 # ---------------------------------------------------------------------------
 # interpretation of types
@@ -1282,7 +1288,7 @@ def check_structure_hom(h: StructureHom,
                         f"square for {sym.name!r} fails at ({shown}): "
                         f"{h.target.render(lhs)} != {h.target.render(rhs)}")
         for rel in sig.rel_symbols:
-            for tup in h.source.rel_tables.get(rel.name, frozenset()):
+            for tup in h.source.ordered_tuples(rel.name):
                 mapped = tuple(
                     _transport(h, v, t, budget)
                     for v, t in zip(tup, rel.arity_types))

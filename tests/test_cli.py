@@ -80,7 +80,21 @@ def test_prove_plain_type_expression():
 
 def test_prove_names_an_unenumerable_type_as_written():
     code, out, err = run(["prove", "z12", "Type"])
-    assert (code, out, err) == (2, "", "error: cannot enumerate Type\n")
+    assert (code, out, err) == (
+        2, "", "type is not well-formed here: level violation: 'Type' cannot "
+               "occur inside a type expression\n")
+
+
+@pytest.mark.parametrize("goal, reason", [
+    ("(prop (= G star star))", "type mismatch: star has type 1, expected G"),
+    ("(pi (x 0) Type)",
+     "level violation: 'Type' cannot occur inside a type expression"),
+    ("(sigma (x G) (prop (= Prop x x)))",
+     "type mismatch: x has type G, expected Prop"),
+])
+def test_prove_refuses_a_goal_the_kernel_refuses(goal, reason):
+    assert run(["prove", "z12", goal]) == (
+        2, "", f"type is not well-formed here: {reason}\n")
 
 
 def test_eval_dominance_depends_on_model():
@@ -258,6 +272,27 @@ def test_vls_table_rule_needs_the_pitch_arrow_signature():
 def test_a_quiver_argument_that_names_no_quiver_exits_two(verb):
     for name in ("nope", "z12", "two-loops", "x y"):
         assert run([verb, name]) == (2, "", f"unknown quiver {name!r}\n")
+
+
+MISTYPED_ACTION = """\
+(signature gx (types G X P)
+  (fun (star (X X) X) (e () G) (inv (X) X) (act (G P) P)))
+(structure m of gx
+  (carrier G (g0)) (carrier X (x0)) (carrier P (p0))
+  (fun star ((x0 x0) x0)) (fun e (() g0)) (fun inv ((x0) x0))
+  (fun act ((g0 p0) p0)))
+"""
+
+
+@pytest.mark.parametrize("verb", ["vls", "autos", "dot"])
+def test_a_group_action_whose_group_is_not_on_the_acting_type_exits_two(
+        tmp_path, verb):
+    path = tmp_path / "gx.mul"
+    path.write_text(MISTYPED_ACTION)
+    done = run_subprocess([verb, "(group-action m P act)", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "parse error: 1:1: a group acting through 'act' needs "
+               "star : G G -> G, e : -> G, inv : G -> G\n")
 
 
 @pytest.mark.parametrize("rule", ["(winding a 1)", "(winding 12 1.5)",
@@ -491,6 +526,32 @@ def test_check_refuses_an_invalid_declaration_while_loading(
     done = run_subprocess(["check", str(path)])
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"{path}: 1:1: {reason}\n")
+
+
+@pytest.mark.parametrize("source, where, reason", [
+    ("(structure m of group (carrier G (a a b)))",
+     "1:37", "element 'a' is named twice in carrier 'G'"),
+    ("(structure m of group (carrier G (a)) (carrier G (c)))",
+     "1:39", "a second carrier clause for 'G'"),
+    ("""(structure m of group (carrier G (a))
+         (fun star ((a a) a)) (fun e (() a)) (fun e (() a)))""",
+     "2:46", "a second fun clause for 'e'"),
+    ("""(signature s (types G) (rel (R (G))))
+        (structure m of s (carrier G (a b)) (rel R (a)) (rel R (b)))""",
+     "2:57", "a second rel clause for 'R'"),
+    ("""(signature s (types G) (fun (f (G) G)))
+        (structure m of s (carrier G (a b)) (fun f ((a) a) ((a) b) ((b) a)))""",
+     "2:60", "a second entry for 'f' at (a)"),
+    ("""(signature s (types G) (fun (F (G) Type)))
+        (structure m of s (carrier G (a b))
+          (fun F ((a) (set a)) ((b) (set)) ((a) (set b))))""",
+     "3:44", "a second entry for 'F' at (a)"),
+], ids=["element", "carrier", "fun", "rel", "fun-entry", "family-entry"])
+def test_check_refuses_a_name_or_entry_given_twice(tmp_path, source, where,
+                                                   reason):
+    path = tmp_path / "twice.mul"
+    path.write_text(source)
+    assert run(["check", str(path)]) == (2, "", f"{path}: {where}: {reason}\n")
 
 
 def test_ill_typed_axiom_is_not_model_checked(tmp_path):

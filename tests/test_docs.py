@@ -14,7 +14,7 @@ import pytest
 
 from mulingua import musiclib, voiceleading
 from mulingua.cli import main
-from mulingua.dsl import Workspace, builtin_workspace
+from mulingua.dsl import Workspace, builtin_workspace, load_source
 from mulingua.syntax import _KEYWORDS
 
 from generators import calls_into
@@ -77,6 +77,13 @@ def test_readme_lists_every_builtin_name():
                   if f.name != "declared"}
     assert called == []
     assert listed == {kind: names for kind, names in tables.items() if names}
+
+
+def test_every_readme_source_block_loads():
+    blocks = re.findall(r"```lisp\n(.*?)```", README, flags=re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        load_source(block)
 
 
 def test_readme_grammar_names_every_keyword():

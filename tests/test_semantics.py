@@ -4,7 +4,11 @@ structure homomorphisms."""
 import dataclasses
 import hashlib
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -828,3 +832,33 @@ def test_relation_preservation():
     ok = ok and all((rotate[a], rotate[b]) in st.rel_tables["S"]
                     for (a, b) in st.rel_tables["S"])
     assert bool(verdict) == ok
+
+
+UNPRESERVED = """
+from mulingua.semantics import (
+    Atom, FinSet, Structure, StructureHom, check_structure_hom)
+from mulingua.syntax import Base, RelSymbol, Signature
+sig = Signature("marked", ("T",), (), (RelSymbol("R", (Base("T"),)),))
+atoms = FinSet(tuple(Atom("T", i) for i in range(8)))
+every = Structure(sig, {"T": atoms}, {}, {"R": frozenset((a,) for a in atoms)})
+none = Structure(sig, {"T": atoms}, {}, {"R": frozenset()})
+print(check_structure_hom(
+    StructureHom(every, none, {"T": {a: a for a in atoms}})).reason)
+"""
+
+
+def test_an_unpreserved_relation_is_reported_whatever_the_hash_seed():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    reasons = {
+        subprocess.run(
+            [sys.executable, "-c", UNPRESERVED], capture_output=True,
+            text=True, check=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1", "2")}
+    assert reasons == {"relation 'R' not preserved at ((atom T 0))\n"}
+
+
+def test_the_universe_is_not_enumerated():
+    with pytest.raises(MulinguaError, match="^cannot enumerate Type$"):
+        next(iter_type(Z12, Universe()))
