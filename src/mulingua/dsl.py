@@ -3,10 +3,13 @@ structures, contexts, terms, formulas, named types, and quiver requests.
 
 Declarations resolve strictly top-down (no forward references) against
 a workspace that already holds the built-in signatures, theories, and
-models, and names are unique per kind.  Structures are validated for
-totality as they load, and refuse an element name, a clause or a table
-entry given twice; judgment-level well-formedness of the other
-declarations is the job of the ``check`` verb.
+models, and names are unique per kind.  Signatures, theories and
+structures are judged as they load: a signature's symbols must be
+well-formed, each axiom of a theory must be a well-formed formula in its
+well-formed context over the theory's signature, and a structure must be
+total and refuses an element name, a clause or a table entry given
+twice.  Contexts, terms, formulas and types name no signature, so the
+verb that uses one judges it over its structure's signature.
 
 Grammar sketch::
 
@@ -59,6 +62,7 @@ from typing import Optional
 from . import musiclib
 from .diagnostics import BudgetError, StructureError
 from .kernel import validate_signature
+from .logic import well_formed_formula
 from .records import _Node, _node
 from .semantics import (
     Atom, FinSet, InlV, InrV, PairV, RatV, SectionV, StarV, Structure,
@@ -579,8 +583,13 @@ def _load_theory(node: SNode, items: list[SNode], ws: Workspace) -> None:
             ctx_node, formula_node = parts[1], parts[2]
         else:
             raise clause.error("expected (axiom [label] (ctx ...) FORMULA)")
-        axioms.append(TheoryAxiom(label, _resolve_context(ctx_node, ws),
-                                  parse_formula_node(formula_node)))
+        ctx = _resolve_context(ctx_node, ws)
+        formula = parse_formula_node(formula_node)
+        verdict = well_formed_formula(sig, ctx, formula)
+        if not verdict:
+            raise clause.error(f"axiom {label} is not well-formed over "
+                               f"{sig_name}: {verdict.reason}")
+        axioms.append(TheoryAxiom(label, ctx, formula))
     ws.theories[name] = Theory(name, sig, tuple(axioms))
 
 

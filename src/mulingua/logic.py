@@ -16,7 +16,7 @@ every substitution of the context) rather than by proof search; see
 from __future__ import annotations
 
 from .diagnostics import TypeCheckError, Verdict
-from .kernel import _check, _infer, _wf_type
+from .kernel import _check, _infer, _wf_type, well_formed_context
 from .syntax import (
     And, Arrow, Bottom, Context, Eq, Exists, Forall, Formula, Implies,
     Member, Not, Or, Power, Prop, RelAtom, Signature, Top,
@@ -27,8 +27,11 @@ __all__ = ["well_formed_formula", "free_vars", "substitute"]
 
 
 def well_formed_formula(sig: Signature, ctx: Context, f: Formula) -> Verdict:
-    """Do all atoms type-check and all quantifiers extend the context
-    correctly?"""
+    """Is the context well-formed, and in it do all atoms type-check and
+    all quantifiers extend the context correctly?"""
+    wf = well_formed_context(sig, ctx)
+    if not wf:
+        return wf
     try:
         _wf_formula(sig, ctx, f)
         return Verdict.passed()

@@ -162,9 +162,9 @@ def test_check_flags_ill_formed_theory(tmp_path):
     (theory broken over group
       (axiom oops (ctx (a G)) (= G a missing)))
     """)
-    code, out, _ = run(["check", str(src)])
-    assert code == 1
-    assert "FAIL" in out and "unbound variable" in out
+    assert run(["check", str(src)]) == (
+        2, "", f"{src}: 3:7: axiom oops is not well-formed over group: "
+               "unbound variable 'missing'\n")
 
 
 def test_dot_and_autos_on_declared_quiver(tmp_path):
@@ -558,18 +558,32 @@ def test_ill_typed_axiom_is_not_model_checked(tmp_path):
     path = tmp_path / "mixed.mul"
     path.write_text("""
     (theory mixed over gis
-      (axiom points-are-intervals (ctx (a S) (b IVLS)) (= S a b)))
-    (formula same (ctx (a S) (b IVLS)) (= S a b))""")
+      (axiom points-are-intervals (ctx (a S) (b IVLS)) (= S a b)))""")
     reason = "type mismatch: b has type IVLS, expected S"
-    done = run_subprocess(["model-check", "mixed", "z12gis", str(path)])
-    assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", f"axiom points-are-intervals is not well-formed here: {reason}\n")
-    done = run_subprocess(["eval", "z12gis", "same", str(path)])
+    refused = (f"{path}: 3:7: axiom points-are-intervals is not well-formed "
+               f"over gis: {reason}\n")
+    for argv in (["model-check", "mixed", "z12gis"], ["check"]):
+        done = run_subprocess([*argv, str(path)])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", refused)
+    formula = tmp_path / "formula.mul"
+    formula.write_text("(formula same (ctx (a S) (b IVLS)) (= S a b))")
+    done = run_subprocess(["eval", "z12gis", "same", str(formula)])
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"formula is not well-formed here: {reason}\n")
-    done = run_subprocess(["check", str(path)])
-    assert (done.returncode, done.stderr) == (1, "")
-    assert f"theory mixed: FAIL points-are-intervals: {reason}\n" in done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["model-check", "broken", "z12"], ["eval", "z12", "ok"],
+    ["vls", "ti-quiver"]], ids=["check", "model-check", "eval", "vls"])
+def test_every_verb_refuses_a_file_with_an_ill_formed_axiom(tmp_path, argv):
+    path = tmp_path / "broken.mul"
+    path.write_text("(theory broken over group\n"
+                    "  (axiom oops (ctx (a G)) (= G a missing)))\n"
+                    "(formula ok (ctx (a G)) (= G a a))\n")
+    done = run_subprocess([*argv, str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"{path}: 2:3: axiom oops is not well-formed over group: "
+               "unbound variable 'missing'\n")
 
 
 def test_wide_nary_form_fails_with_a_position(tmp_path):
