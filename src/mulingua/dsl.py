@@ -7,8 +7,8 @@ models, and names are unique per kind.  Signatures, theories and
 structures are judged as they load: a signature's symbols must be
 well-formed, each axiom of a theory must be a well-formed formula in its
 well-formed context over the theory's signature, and a structure must be
-total and refuses an element name, a clause or a table entry given
-twice.  Contexts, terms, formulas and types name no signature, so the
+total and refuses an element name, a clause, a table entry, a set or
+fiber member or a relation tuple given twice.  Contexts, terms, formulas and types name no signature, so the
 verb that uses one judges it over its structure's signature.
 
 Grammar sketch::
@@ -52,7 +52,7 @@ Carrier element names may be symbols or bare integers; the words
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, MutableMapping
+from collections.abc import Callable, Iterable, Iterator, MutableMapping
 from dataclasses import field
 from fractions import Fraction
 from functools import reduce
@@ -349,7 +349,9 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
             case "set":
                 domain_t = _subset_domain(node, expected)
                 dom = interpret_type(scratch, domain_t)
-                members = {parse_value_node(r, domain_t, scratch) for r in rest}
+                members = set(_distinct(
+                    ((r, parse_value_node(r, domain_t, scratch)) for r in rest),
+                    scratch, "a set"))
                 unknown = members - set(dom)
                 if unknown:
                     raise node.error("set member outside the expected domain")
@@ -385,15 +387,31 @@ def parse_value_node(node: SNode, expected: Optional[TypeExpr],
     raise node.error("expected a value")
 
 
-def _fiber(node: SNode, scratch: Structure) -> FinSet:
+def _fiber(node: SNode, scratch: Structure, where: str) -> FinSet:
     """A family's fiber, written (set member ...): its members in the
-    order written, each read with no expected type."""
+    order written, each read with no expected type.  ``where`` names the
+    fiber in the message that refuses a member given twice."""
     items = node.value if node.is_list else None
     if not items or not isinstance(items[0].value, Sym) \
             or items[0].value.text != "set":
         raise node.error("a family's fiber is written (set member ...)")
-    return FinSet(tuple(dict.fromkeys(
-        parse_value_node(m, None, scratch) for m in items[1:])))
+    return FinSet(_distinct(
+        ((m, parse_value_node(m, None, scratch)) for m in items[1:]),
+        scratch, where))
+
+
+def _distinct(read: Iterable[tuple[SNode, Value | tuple[Value, ...]]],
+              scratch: Structure, where: str) -> tuple:
+    """The values read, in order.  A member, or a tuple of them, that
+    is read a second time is refused at its second node."""
+    seen: dict = {}
+    for node, v in read:
+        if v in seen:
+            shown = (f"tuple ({' '.join(map(scratch.render, v))})"
+                     if isinstance(v, tuple) else f"member {scratch.render(v)}")
+            raise node.error(f"{shown} is given twice in {where}")
+        seen[v] = None
+    return tuple(seen)
 
 
 def _carriers_naming(st: Structure, name: str) -> list[str]:
@@ -665,7 +683,9 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                             f"a second entry for {fname!r} at "
                             f"({' '.join(map(scratch.render, key))})")
                     if sym.is_family:
-                        table[key] = _fiber(pair[1], scratch)
+                        table[key] = _fiber(
+                            pair[1], scratch, f"the fiber of {fname!r} at "
+                            f"({' '.join(map(scratch.render, key))})")
                     else:
                         table[key] = parse_value_node(
                             pair[1], sym.codomain, scratch)
@@ -680,16 +700,17 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                     raise parts[1].error(f"unknown relation symbol {rname!r}")
                 if rname in rel_tables:
                     raise clause.error(f"a second rel clause for {rname!r}")
-                tuples = set()
+                tuples = []
                 for entry in parts[2:]:
                     vals = _items(entry, "a tuple")
                     if len(vals) != rel.arity:
                         raise entry.error(
                             f"{rname!r} takes {rel.arity} component(s)")
-                    tuples.add(tuple(
+                    tuples.append((entry, tuple(
                         parse_value_node(v, t, scratch)
-                        for v, t in zip(vals, rel.arity_types)))
-                rel_tables[rname] = frozenset(tuples)
+                        for v, t in zip(vals, rel.arity_types))))
+                rel_tables[rname] = frozenset(
+                    _distinct(tuples, scratch, f"relation {rname!r}"))
             case other:
                 raise clause.error(f"unknown structure clause {other!r}")
     for rel in sig.rel_symbols:

@@ -546,7 +546,17 @@ def test_check_refuses_an_invalid_declaration_while_loading(
         (structure m of s (carrier G (a b))
           (fun F ((a) (set a)) ((b) (set)) ((a) (set b))))""",
      "3:44", "a second entry for 'F' at (a)"),
-], ids=["element", "carrier", "fun", "rel", "fun-entry", "family-entry"])
+    ("""(structure loops of vls (carrier Pitch (home)) (carrier Arrow (up down))
+          (fun vlr ((home home) (set up up))))""",
+     "2:41", "member up is given twice in the fiber of 'vlr' at (home home)"),
+    ("""(signature s (types G) (rel (R (G))))
+        (structure m of s (carrier G (a b)) (rel R (a) (a)))""",
+     "2:56", "tuple (a) is given twice in relation 'R'"),
+    ("""(signature s (types A) (fun (s () (power A))))
+        (structure m of s (carrier A (a b)) (fun s (() (set a a))))""",
+     "2:63", "member a is given twice in a set"),
+], ids=["element", "carrier", "fun", "rel", "fun-entry", "family-entry",
+        "fiber-member", "rel-tuple", "set-member"])
 def test_check_refuses_a_name_or_entry_given_twice(tmp_path, source, where,
                                                    reason):
     path = tmp_path / "twice.mul"
