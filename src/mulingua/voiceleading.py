@@ -81,7 +81,7 @@ class GroupAction(_Node):
         except KeyError:
             raise StructureError(
                 f"action table has no entry for ({self.group.render(g)}, "
-                f"{render_value(x)})") from None
+                f"{self.group.render(x)})") from None
 
     def multiply(self, g: Value, h: Value) -> Value:
         return self.group.fun_tables["star"][(g, h)]
@@ -140,7 +140,7 @@ def validate_group_action(rule: GroupAction, points: FinSet) -> Verdict:
     for x in points:
         if rule.act(e, x) != x:
             return Verdict.failed(
-                f"identity law fails at {render_value(x)}")
+                f"identity law fails at {rule.group.render(x)}")
     for g in rule.elements():
         for h in rule.elements():
             gh = rule.multiply(g, h)
@@ -148,7 +148,7 @@ def validate_group_action(rule: GroupAction, points: FinSet) -> Verdict:
                 if rule.act(gh, x) != rule.act(g, rule.act(h, x)):
                     return Verdict.failed(
                         f"compatibility fails at ({rule.group.render(g)}, "
-                        f"{rule.group.render(h)}, {render_value(x)})")
+                        f"{rule.group.render(h)}, {rule.group.render(x)})")
     return Verdict.passed()
 
 

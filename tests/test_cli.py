@@ -295,6 +295,36 @@ def test_a_group_action_whose_group_is_not_on_the_acting_type_exits_two(
                "star : G G -> G, e : -> G, inv : G -> G\n")
 
 
+def rot_acting_by(act: str) -> str:
+    """The README's half turn of two points, with the action table
+    ``act``."""
+    return f"""\
+(signature turns
+  (types R X)
+  (fun (star (R R) R) (e () R) (inv (R) R) (act (R X) X)))
+(structure rot of turns
+  (carrier R (r0 r1))
+  (carrier X (a b))
+  (fun star ((r0 r0) r0) ((r0 r1) r1) ((r1 r0) r1) ((r1 r1) r0))
+  (fun e (() r0))
+  (fun inv ((r0) r0) ((r1) r1))
+  (fun act {act}))
+"""
+
+
+@pytest.mark.parametrize("act, law", [
+    ("((r0 a) b) ((r0 b) a) ((r1 a) b) ((r1 b) a)", "identity law fails at a"),
+    ("((r0 a) a) ((r0 b) b) ((r1 a) b) ((r1 b) b)",
+     "compatibility fails at (r1, r1, a)"),
+], ids=["identity", "compatibility"])
+def test_a_group_action_law_failure_names_the_elements(tmp_path, act, law):
+    path = tmp_path / "rot.mul"
+    path.write_text(rot_acting_by(act))
+    done = run_subprocess(["vls", "(group-action rot X act)", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"parse error: 1:1: invalid group action: {law}\n")
+
+
 @pytest.mark.parametrize("rule", ["(winding a 1)", "(winding 12 1.5)",
                                   "(winding 12)", "(winding 12 1 1)",
                                   "(wobble 1)"])
