@@ -14,6 +14,7 @@ from mulingua.dsl import (
     parse_formula_node, parse_term_node, parse_type_node, signature_to_dsl,
     structure_to_dsl, theory_to_dsl,
 )
+from mulingua.logic import well_formed_formula
 from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_group_theory,
 )
@@ -28,7 +29,7 @@ from mulingua.syntax import (
     Product, Prop, Sigma, Star, Universe, Var, Zero, show,
 )
 
-from generators import calls_into
+from generators import calls_into, random_formula
 
 GROUP_SOURCE = "(signature G (types G) (fun (star (G G) G) (e () G) (inv (G) G)))"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -308,6 +309,43 @@ def test_theory_and_structure_declarations():
     report = check_theory(ws.structures["z2"], ws.theories["commutative"])
     assert report.passed
     assert check_theory(ws.structures["z2"], make_group_theory()).passed
+
+
+SMALL_SOURCE = "(signature small (types X Y) (fun (f (X) X)) (rel (R (X)) (S (X X))))"
+
+
+def test_the_loader_and_the_kernel_agree_on_theory_axioms():
+    """Seeded formulas over ``small``, in contexts that may repeat a
+    variable, leave one out or give it an undeclared type: an axiom
+    loads exactly when the kernel accepts it, and a refusal carries the
+    kernel's reason at the axiom's clause."""
+    rng = random.Random(16)
+    ws = load_source(SMALL_SOURCE)
+    sig = ws.signatures["small"]
+    outcomes = []
+    for i in range(200):
+        entries = [(name, Base(rng.choice("XXXXXXYZ"))) for name in "ab"
+                   if rng.random() < 0.9]
+        if entries and rng.random() < 0.1:
+            entries.append(entries[0])
+        ctx = Context(tuple(entries))
+        formula = random_formula(rng, ["a", "b"], rng.randrange(1, 4), [0])
+        verdict = well_formed_formula(sig, ctx, formula)
+        source = (f"(theory t{i} over small\n"
+                  f"  (axiom ax{i} {context_to_dsl(ctx)} {show(formula)}))")
+        try:
+            load_source(source, ws)
+        except ParseError as err:
+            assert not verdict
+            assert (err.line, err.column) == (2, 3)
+            assert str(err) == (f"2:3: axiom ax{i} is not well-formed over "
+                                f"small: {verdict.reason}")
+            outcomes.append(False)
+        else:
+            assert verdict, verdict.reason
+            assert ws.theories[f"t{i}"].axioms[0].formula == formula
+            outcomes.append(True)
+    assert 60 <= sum(outcomes) <= 140
 
 
 def test_structure_totality_is_validated():
