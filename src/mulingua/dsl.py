@@ -5,11 +5,12 @@ Declarations resolve strictly top-down (no forward references) against
 a workspace that already holds the built-in signatures, theories, and
 models, and names are unique per kind.  Signatures, theories and
 structures are judged as they load: a signature's symbols must be
-well-formed, each axiom of a theory must be a well-formed formula in its
-well-formed context over the theory's signature, and a structure must be
-total and refuses an element name, a clause, a table entry, a set or
-fiber member or a relation tuple given twice.  Contexts, terms, formulas and types name no signature, so the
-verb that uses one judges it over its structure's signature.
+well-formed, each axiom of a theory must be a well-formed formula in
+its well-formed context over the theory's signature, and a structure
+must be total, and refuses an element name, a clause, a table entry, a
+set or fiber member or a relation tuple given twice.  Contexts, terms,
+formulas and types name no signature, so the verb that uses one judges
+it over its structure's signature.
 
 Grammar sketch::
 
@@ -407,11 +408,15 @@ def _distinct(read: Iterable[tuple[SNode, Value | tuple[Value, ...]]],
     seen: dict = {}
     for node, v in read:
         if v in seen:
-            shown = (f"tuple ({' '.join(map(scratch.render, v))})"
-                     if isinstance(v, tuple) else f"member {scratch.render(v)}")
+            shown = (f"tuple {_tuple_text(v, scratch)}" if isinstance(v, tuple)
+                     else f"member {scratch.render(v)}")
             raise node.error(f"{shown} is given twice in {where}")
         seen[v] = None
     return tuple(seen)
+
+
+def _tuple_text(values: tuple[Value, ...], scratch: Structure) -> str:
+    return f"({' '.join(map(scratch.render, values))})"
 
 
 def _carriers_naming(st: Structure, name: str) -> list[str]:
@@ -679,13 +684,12 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                         parse_value_node(a, d, scratch)
                         for a, d in zip(arg_nodes, sym.domain))
                     if key in table:
-                        raise entry.error(
-                            f"a second entry for {fname!r} at "
-                            f"({' '.join(map(scratch.render, key))})")
+                        raise entry.error(f"a second entry for {fname!r} "
+                                          f"at {_tuple_text(key, scratch)}")
                     if sym.is_family:
                         table[key] = _fiber(
                             pair[1], scratch, f"the fiber of {fname!r} at "
-                            f"({' '.join(map(scratch.render, key))})")
+                            f"{_tuple_text(key, scratch)}")
                     else:
                         table[key] = parse_value_node(
                             pair[1], sym.codomain, scratch)
