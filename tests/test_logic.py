@@ -38,6 +38,17 @@ def test_dominance_atom_in_context():
     assert well_formed_formula(HARMONY, ctx, RelAtom("dom", (Var("c"), Var("k"))))
 
 
+def test_the_context_is_checked_before_the_formula():
+    x = Base("X")
+    for ctx, reason in ((Context.of(("a", Base("Z"))),
+                         "entry 'a': unknown base type 'Z'"),
+                        (Context.of(("a", x), ("a", x)),
+                         "duplicate context variable 'a'")):
+        assert well_formed_formula(TINY, ctx, Top()).reason == reason
+        assert well_formed_formula(
+            TINY, ctx, RelAtom("R", (Var("b"),))).reason == reason
+
+
 def test_dominance_atom_unbound_in_empty_context():
     v = well_formed_formula(HARMONY, EMPTY, RelAtom("dom", (Var("c"), Var("k"))))
     assert not v and "unbound variable" in v.reason
