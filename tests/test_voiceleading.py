@@ -4,6 +4,7 @@ conjugation, automorphism enumeration, and the table structures."""
 import doctest
 import hashlib
 import itertools
+import pathlib
 import random
 import re
 
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import mulingua.voiceleading
-from mulingua.diagnostics import BudgetError, StructureError
+from generators import explicit_quiver
+from mulingua.diagnostics import BudgetError, StructureError, Verdict
+from mulingua.dsl import group_action_from, load_source
 from mulingua.musiclib import pitch_universe, ti_group
 from mulingua.semantics import (
     Atom, FinSet, PairV, Structure, StructureHom, check_structure_hom,
-    identity_hom, iter_type,
+    identity_hom, iter_type, render_value,
 )
 from mulingua.syntax import Base, FamApp, Product, Proj1, Proj2, Sigma, Var
 from mulingua.voiceleading import (
@@ -219,10 +222,300 @@ def test_conjugation_requires_group_element():
 
 
 # ---------------------------------------------------------------------------
-# automorphism enumeration
+# pointwise oracles: the group-action steps checked one point, one triple
+# and one arrow at a time, as first written
 # ---------------------------------------------------------------------------
 
-from generators import explicit_quiver
+def pointwise_validate_group_action(rule, points):
+    e = rule.identity()
+    for x in points:
+        if rule.act(e, x) != x:
+            return Verdict.failed(
+                f"identity law fails at {rule.group.render(x)}")
+    for g in rule.elements():
+        for h in rule.elements():
+            gh = rule.multiply(g, h)
+            for x in points:
+                if rule.act(gh, x) != rule.act(g, rule.act(h, x)):
+                    return Verdict.failed(
+                        f"compatibility fails at ({rule.group.render(g)}, "
+                        f"{rule.group.render(h)}, {rule.group.render(x)})")
+    return Verdict.passed()
+
+
+def pointwise_transporters(rule, x, y):
+    return FinSet(tuple(g for g in rule.elements() if rule.act(g, x) == y))
+
+
+def pointwise_group_action_fibers(pitch, rule):
+    """The fibers ``vls`` builds for a group action, through one
+    transporter set per pitch pair."""
+    for (_, x) in rule.action:
+        if x not in pitch:
+            raise StructureError(
+                "action table mentions points outside the pitch set")
+    v = pointwise_validate_group_action(rule, pitch)
+    if not v:
+        raise StructureError(f"invalid group action: {v.reason}")
+    fibers = {}
+    for x in pitch:
+        for y in pitch:
+            payloads = pointwise_transporters(rule, x, y)
+            if payloads:
+                fibers[(x, y)] = tuple(PairV(PairV(x, y), t)
+                                       for t in payloads)
+    return fibers
+
+
+def pointwise_conjugation_automorphism(q, phi):
+    rule = q.rule
+    if not isinstance(rule, GroupAction):
+        raise StructureError(
+            "conjugation automorphisms need a group-action space")
+    if phi not in rule.elements():
+        raise StructureError("conjugating element is not in the acting group")
+    phi_inv = rule.inverse(phi)
+    gamma0 = {x: rule.act(phi, x) for x in q.vertices}
+    gamma1 = {}
+    for a in q.arrows:
+        x, y, g = arrow_source(a), arrow_target(a), arrow_payload(a)
+        conjugated = rule.multiply(rule.multiply(phi, g), phi_inv)
+        gamma1[a] = PairV(PairV(gamma0[x], gamma0[y]), conjugated)
+    return QuiverHom(gamma1, gamma0)
+
+
+def pointwise_check_quiver_hom(q1, q2, h):
+    for v in q1.vertices:
+        if v not in h.gamma0:
+            return Verdict.failed(f"vertex map not total at {render_value(v)}")
+        if h.gamma0[v] not in q2.vertices:
+            return Verdict.failed("vertex map leaves the target vertex set")
+    for a in q1.arrows:
+        if a not in h.gamma1:
+            return Verdict.failed(f"arrow map not total at {render_value(a)}")
+        image = h.gamma1[a]
+        if image not in q2.arrows:
+            return Verdict.failed("arrow map leaves the target arrow set")
+        if arrow_source(image) != h.gamma0[arrow_source(a)]:
+            return Verdict.failed(
+                f"source square fails at {render_value(a)}")
+        if arrow_target(image) != h.gamma0[arrow_target(a)]:
+            return Verdict.failed(
+                f"target square fails at {render_value(a)}")
+    return Verdict.passed()
+
+
+def outcome(f, *args):
+    """What a call gives, in comparable form: a verdict's truth and
+    reason, a value, or the type and message of what it raised."""
+    try:
+        result = f(*args)
+    except Exception as err:
+        return ("raised", type(err), str(err))
+    if isinstance(result, Verdict):
+        return ("verdict", result.ok, result.reason)
+    if isinstance(result, QuiverHom):
+        # insertion order counts too
+        return ("hom", list(result.gamma0.items()), list(result.gamma1.items()))
+    return ("value", result)
+
+
+def space_fibers(pitch, rule):
+    return list(vls(pitch, rule).fibers.items())
+
+
+def reference_space_fibers(pitch, rule):
+    return list(pointwise_group_action_fibers(pitch, rule).items())
+
+
+ROT_SOURCE = """
+(signature turns
+  (types R X)
+  (fun (star (R R) R) (e () R) (inv (R) R) (act (R X) X)))
+
+(structure rot of turns                     ; the half turn of two points
+  (carrier R (r0 r1))
+  (carrier X (a b))
+  (fun star ((r0 r0) r0) ((r0 r1) r1) ((r1 r0) r1) ((r1 r1) r0))
+  (fun e (() r0))
+  (fun inv ((r0) r0) ((r1) r1))
+  (fun act ((r0 a) a) ((r0 b) b) ((r1 a) b) ((r1 b) a)))
+"""
+
+
+def test_the_rot_source_is_the_readmes():
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    assert ROT_SOURCE.strip() in readme
+
+
+def rot_action():
+    """The README's half turn of two points, with its points."""
+    st = load_source(ROT_SOURCE).structures["rot"]
+    return st.carrier("X"), group_action_from(st, "X", "act")
+
+
+def group_action_cases():
+    """Fresh (name, points, rule) triples: TI on 1..12 pitch classes
+    and the README's rot action; each call builds new tables, so a case
+    may be perturbed in place."""
+    for n in range(1, 13):
+        yield f"ti{n}", pitch_universe(n).carrier, ti_group(n)
+    points, rule = rot_action()
+    yield "rot", points, rule
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in group_action_cases()])
+def test_group_action_steps_match_their_pointwise_oracles(name):
+    points, rule = next((p, r) for n, p, r in group_action_cases() if n == name)
+    assert outcome(validate_group_action, rule, points) == \
+        outcome(pointwise_validate_group_action, rule, points)
+    assert outcome(space_fibers, points, rule) == \
+        outcome(reference_space_fibers, points, rule)
+    for x in points:
+        for y in points:
+            assert transporters(rule, x, y) == \
+                pointwise_transporters(rule, x, y)
+    q = vls(points, rule)
+    for phi in rule.elements():
+        h = conjugation_automorphism(q, phi)
+        assert outcome(lambda: h) == \
+            outcome(pointwise_conjugation_automorphism, q, phi)
+        assert outcome(check_quiver_hom, q, q, h) == \
+            outcome(pointwise_check_quiver_hom, q, q, h)
+
+
+def perturb(rng, kind, points, rule):
+    """Change the rule in place: one action entry changed, one star
+    entry changed, one action entry deleted, or one image moved outside
+    the points."""
+    keys = list(rule.action)
+    match kind:
+        case "action":
+            key = rng.choice(keys)
+            others = [p for p in points if p != rule.action[key]]
+            if others:
+                rule.action[key] = rng.choice(others)
+        case "star":
+            star = rule.group.fun_tables["star"]
+            key = rng.choice(list(star))
+            others = [g for g in rule.elements() if g != star[key]]
+            if others:
+                star[key] = rng.choice(others)
+        case "delete":
+            del rule.action[rng.choice(keys)]
+        case "outside":
+            rule.action[rng.choice(keys)] = Atom("outside", 0)
+
+
+PERTURBATIONS = ("action", "star", "delete", "outside")
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+def test_perturbed_group_actions_match_their_pointwise_oracles(kind):
+    rng = random.Random(f"perturb-{kind}")
+    failures = 0
+    for _ in range(3):
+        for name, points, rule in group_action_cases():
+            perturb(rng, kind, points, rule)
+            expected = outcome(pointwise_validate_group_action, rule, points)
+            assert outcome(validate_group_action, rule, points) == expected, name
+            assert outcome(space_fibers, points, rule) == \
+                outcome(reference_space_fibers, points, rule), name
+            failures += expected[0] == "raised" or not expected[1]
+    # most perturbations break a law; the oracle comparison is the point
+    assert failures > 0
+
+
+def test_conjugation_matches_its_oracle_when_the_group_changes_later():
+    rng = random.Random("conjugate-perturbed")
+    for name, points, rule in group_action_cases():
+        q = vls(points, rule)
+        star = rule.group.fun_tables["star"]
+        key = rng.choice(list(star))
+        if rng.random() < 0.5:
+            star[key] = rng.choice(list(rule.elements()))
+        else:
+            del star[key]
+        for phi in rule.elements():
+            assert outcome(conjugation_automorphism, q, phi) == \
+                outcome(pointwise_conjugation_automorphism, q, phi), name
+    q = vls(PITCH, TI)
+    for phi in (pc(0), Atom("TI", 99)):
+        assert outcome(conjugation_automorphism, q, phi) == \
+            outcome(pointwise_conjugation_automorphism, q, phi)
+    plain = vls(PITCH, WindingPaths(12, 0))
+    assert outcome(conjugation_automorphism, plain, ti("T1")) == \
+        outcome(pointwise_conjugation_automorphism, plain, ti("T1"))
+
+
+def break_hom(rng, reason, q, h):
+    """Mutate a hom of q into q so that it fails with ``reason``, at a
+    seeded vertex or arrow."""
+    vertices, arrows = list(q.vertices), list(q.arrows)
+    match reason:
+        case "vertex map not total":
+            del h.gamma0[rng.choice(vertices)]
+        case "vertex map leaves the target vertex set":
+            h.gamma0[rng.choice(vertices)] = Atom("outside", 0)
+        case "arrow map not total":
+            del h.gamma1[rng.choice(arrows)]
+        case "arrow map leaves the target arrow set":
+            h.gamma1[rng.choice(arrows)] = rng.choice(
+                [Atom("outside", 0), PairV(PairV(pc(0), pc(0)), pc(0))])
+        case "source square fails":
+            a = rng.choice(arrows)
+            image = h.gamma1[a]
+            h.gamma1[a] = rng.choice([b for b in arrows
+                                      if arrow_source(b) != arrow_source(image)])
+        case "target square fails":
+            a = rng.choice(arrows)
+            image = h.gamma1[a]
+            h.gamma1[a] = rng.choice([b for b in arrows
+                                      if arrow_source(b) == arrow_source(image)
+                                      and arrow_target(b) != arrow_target(image)])
+
+
+HOM_FAILURES = (
+    "vertex map not total", "vertex map leaves the target vertex set",
+    "arrow map not total", "arrow map leaves the target arrow set",
+    "source square fails", "target square fails",
+)
+
+
+@pytest.mark.parametrize("reason", HOM_FAILURES)
+def test_broken_homs_fail_as_their_pointwise_oracle_says(reason):
+    rng = random.Random(f"break-{reason}")
+    for n in (2, 3, 7, 12):
+        q = vls(pitch_universe(n).carrier, ti_group(n))
+        for phi in rng.sample(list(q.rule.elements()), 3):
+            h = conjugation_automorphism(q, phi)
+            break_hom(rng, reason, q, h)
+            got = outcome(check_quiver_hom, q, q, h)
+            assert got == outcome(pointwise_check_quiver_hom, q, q, h)
+            assert got[:2] == ("verdict", False)
+            assert got[2].startswith(reason)
+
+
+def test_homs_between_explicit_quivers_match_the_pointwise_oracle():
+    rng = random.Random("explicit-homs")
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        q1 = explicit_quiver(nv, [(rng.randrange(nv), rng.randrange(nv))
+                                  for _ in range(rng.randint(0, 4))])
+        q2 = explicit_quiver(3, [(rng.randrange(3), rng.randrange(3))
+                                 for _ in range(rng.randint(0, 5))])
+        gamma0 = {v: rng.choice(list(q2.vertices)) for v in q1.vertices}
+        gamma1 = {a: rng.choice(list(q2.arrows)) for a in q1.arrows
+                  if q2.arrows and rng.random() < 0.95}
+        h = QuiverHom(gamma1, gamma0)
+        assert outcome(check_quiver_hom, q1, q2, h) == \
+            outcome(pointwise_check_quiver_hom, q1, q2, h)
+
+
+# ---------------------------------------------------------------------------
+# automorphism enumeration
+# ---------------------------------------------------------------------------
 
 
 def brute_force_automorphisms(q):
