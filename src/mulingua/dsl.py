@@ -151,9 +151,14 @@ class Workspace(_Node):
     }
 
     def _declare(self, kind: str, name: str, node: SNode) -> None:
-        table = getattr(self, kind)
-        if name in table:
+        """Refuse a name already taken, before the declaration is read."""
+        if name in getattr(self, kind):
             raise node.error(f"duplicate {self._SINGULAR[kind]} name {name!r}")
+
+    def _define(self, kind: str, name: str, value) -> None:
+        """Enter a declaration that has been read and judged, and list it
+        in ``declared``; a refused declaration reaches neither."""
+        getattr(self, kind)[name] = value
         self.declared.append((self._SINGULAR[kind], name))
 
 
@@ -486,30 +491,33 @@ def _load_declaration(node: SNode, ws: Workspace) -> None:
             name = _sym(items[1], "a context name")
             ws._declare("contexts", name, node)
             entries = tuple(_parse_binder(n) for n in items[2:])
-            ws.contexts[name] = Context(entries)
+            ws._define("contexts", name, Context(entries))
         case "term":
             if len(items) != 4:
                 raise node.error("'term' takes a name, a context, and a term")
             name = _sym(items[1], "a term name")
             ws._declare("terms", name, node)
-            ws.terms[name] = (_resolve_context(items[2], ws),
-                              parse_term_node(items[3]))
+            ws._define("terms", name, (_resolve_context(items[2], ws),
+                                       parse_term_node(items[3])))
         case "formula":
             if len(items) == 2:
                 name = f"formula{len(ws.formulas) + 1}"
                 while name in ws.formulas:
                     name += "'"
                 ws._declare("formulas", name, node)
-                ws.formulas[name] = (Context(), parse_formula_node(items[1]))
+                ws._define("formulas", name,
+                           (Context(), parse_formula_node(items[1])))
             elif len(items) == 3:
                 name = _sym(items[1], "a formula name")
                 ws._declare("formulas", name, node)
-                ws.formulas[name] = (Context(), parse_formula_node(items[2]))
+                ws._define("formulas", name,
+                           (Context(), parse_formula_node(items[2])))
             elif len(items) == 4:
                 name = _sym(items[1], "a formula name")
                 ws._declare("formulas", name, node)
-                ws.formulas[name] = (_resolve_context(items[2], ws),
-                                     parse_formula_node(items[3]))
+                ws._define("formulas", name,
+                           (_resolve_context(items[2], ws),
+                            parse_formula_node(items[3])))
             else:
                 raise node.error(
                     "'formula' takes an optional name, an optional context, "
@@ -519,7 +527,7 @@ def _load_declaration(node: SNode, ws: Workspace) -> None:
                 raise node.error("'type' takes a name and a type expression")
             name = _sym(items[1], "a type name")
             ws._declare("types", name, node)
-            ws.types[name] = parse_type_node(items[2])
+            ws._define("types", name, parse_type_node(items[2]))
         case "quiver":
             _load_quiver(node, items, ws)
         case _:
@@ -581,7 +589,7 @@ def _load_signature(node: SNode, items: list[SNode], ws: Workspace) -> None:
     verdict = validate_signature(sig)
     if not verdict:
         raise node.error(verdict.reason)
-    ws.signatures[name] = sig
+    ws._define("signatures", name, sig)
 
 
 def _load_theory(node: SNode, items: list[SNode], ws: Workspace) -> None:
@@ -613,7 +621,7 @@ def _load_theory(node: SNode, items: list[SNode], ws: Workspace) -> None:
             raise clause.error(f"axiom {label} is not well-formed over "
                                f"{sig_name}: {verdict.reason}")
         axioms.append(TheoryAxiom(label, ctx, formula))
-    ws.theories[name] = Theory(name, sig, tuple(axioms))
+    ws._define("theories", name, Theory(name, sig, tuple(axioms)))
 
 
 def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
@@ -723,7 +731,7 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
     verdict = st.validate()
     if not verdict:
         raise node.error(verdict.reason)
-    ws.structures[name] = st
+    ws._define("structures", name, st)
 
 
 def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
@@ -731,7 +739,7 @@ def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
         raise node.error("'quiver' takes a name and a rule form")
     name = _sym(items[1], "a quiver name")
     ws._declare("quivers", name, node)
-    ws.quivers[name] = quiver_of_rule(node, items[2:], ws)
+    ws._define("quivers", name, quiver_of_rule(node, items[2:], ws))
 
 
 def quiver_of_rule(node: SNode, rule: list[SNode], ws: Workspace) -> Quiver:

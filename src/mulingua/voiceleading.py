@@ -11,6 +11,18 @@ and target are its projections, ``arrow_source`` and ``arrow_target``.
 Quivers carry no composition law, so winding classes can be truncated
 at a maximum winding number without breaking anything.
 
+A group action's steps work once per group element or once per fiber,
+not once per point or arrow.  Validation builds each element's point
+map (its image of every point, as point indices) and checks the laws
+on those maps, and ``vls`` sorts the elements into their fibers in one
+pass over the same maps.  A conjugation automorphism conjugates each
+payload once and moves each fiber to one target pair, and
+``check_quiver_hom`` tests each source fiber against the payloads of
+its target fiber.  Whatever that fast path cannot pass is scanned point
+by point or arrow by arrow, which gives the verdict, message or
+exception in the order the scan meets it.  Nothing is kept between
+calls: the rules, quivers and homs are mutable records.
+
 A model of the minimal signature is a plain ``Structure``, and a map
 between two models a ``StructureHom``; ``vls_of_structure`` and
 ``hom_to_quiver_hom`` carry them to a quiver and a quiver hom::
@@ -129,14 +141,53 @@ VLRule = Union[GroupAction, WindingPaths, ExplicitTable]
 
 
 def transporters(rule: GroupAction, x: Value, y: Value) -> FinSet:
-    """The group elements carrying x to y, in group-carrier order."""
+    """The group elements carrying x to y, in group-carrier order: one
+    action lookup per element.  ``vls`` builds all the fibers of a
+    group action at once from its point maps instead."""
     return FinSet(tuple(
         g for g in rule.elements() if rule.act(g, x) == y))
 
 
 def validate_group_action(rule: GroupAction, points: FinSet) -> Verdict:
-    """Identity and compatibility laws, checked exhaustively."""
+    """Identity and compatibility laws, checked exhaustively.
+
+    Each group element's point map (the image of every point, as point
+    indices) is built once, |G|·|P| action lookups.  The identity's map
+    must fix every point, and the map of each product g·h must be h's
+    map followed by g's.  A law that fails there, or an action entry
+    missing or outside the points, is reported by the pointwise scan
+    over points and triples, with its message and in its order."""
+    return _checked_laws(rule, points, _point_maps(rule, points))
+
+
+def _point_maps(rule: GroupAction,
+                points: FinSet) -> Optional[dict[Value, tuple[int, ...]]]:
+    """Each group element's image of every point, as point indices, in
+    group-carrier order; None if an entry is missing or leaves the
+    points."""
+    index = {x: i for i, x in enumerate(points)}
+    action = rule.action
+    maps = {}
+    for g in rule.elements():
+        row = tuple(index.get(action.get((g, x))) for x in points)
+        if None in row:
+            return None
+        maps[g] = row
+    return maps
+
+
+def _checked_laws(rule: GroupAction, points: FinSet,
+                  maps: Optional[dict[Value, tuple[int, ...]]]) -> Verdict:
     e = rule.identity()
+    if maps is not None and maps.get(e) == tuple(range(len(points))):
+        star = rule.group.fun_tables["star"]
+        if all(maps.get(star.get((g, h))) == tuple([g_map[i] for i in h_map])
+               for g, g_map in maps.items() for h, h_map in maps.items()):
+            return Verdict.passed()
+    return _pointwise_laws(rule, points, e)
+
+
+def _pointwise_laws(rule: GroupAction, points: FinSet, e: Value) -> Verdict:
     for x in points:
         if rule.act(e, x) != x:
             return Verdict.failed(
@@ -222,11 +273,13 @@ def _rule_fibers(pitch: FinSet, rule: VLRule) -> dict[tuple[Value, Value], FinSe
                 if x not in pitch:
                     raise StructureError(
                         "action table mentions points outside the pitch set")
-            v = validate_group_action(rule, pitch)
+            maps = _point_maps(rule, pitch)
+            v = _checked_laws(rule, pitch, maps)
             if not v:
                 raise StructureError(f"invalid group action: {v.reason}")
-            return {(x, y): transporters(rule, x, y)
-                    for x in pitch for y in pitch}
+            # the laws hold and every action key lies in the pitch set,
+            # so every element maps every point into it: maps is built
+            return _transporter_fibers(pitch, maps)
         case WindingPaths(modulus, max_winding):
             if len(pitch) != modulus:
                 raise StructureError(
@@ -243,9 +296,24 @@ def _rule_fibers(pitch: FinSet, rule: VLRule) -> dict[tuple[Value, Value], FinSe
                 if x not in pitch or y not in pitch:
                     raise StructureError(
                         "explicit table mentions vertices outside the pitch set")
-            return {(x, y): table.get((x, y), FinSet(()))
+            empty = FinSet(())
+            return {(x, y): table.get((x, y), empty)
                     for x in pitch for y in pitch}
     raise StructureError(f"not a voice-leading rule: {rule!r}")
+
+
+def _transporter_fibers(pitch: FinSet, maps: dict[Value, tuple[int, ...]]
+                        ) -> dict[tuple[Value, Value], FinSet]:
+    """The transporters of every pitch pair, from the point maps in one
+    pass over the group, so each fiber keeps group-carrier order."""
+    points = tuple(pitch)
+    n = len(points)
+    cells: list[list[Value]] = [[] for _ in range(n * n)]
+    for g, row in maps.items():
+        for i, j in enumerate(row):
+            cells[i * n + j].append(g)
+    pairs = [(x, y) for x in points for y in points]
+    return {pair: FinSet(tuple(gs)) for pair, gs in zip(pairs, cells)}
 
 
 def vls(pitch: FinSet, rule: VLRule) -> Quiver:
@@ -298,13 +366,45 @@ def invert_quiver_hom(h: QuiverHom) -> QuiverHom:
 
 
 def check_quiver_hom(q1: Quiver, q2: Quiver, h: QuiverHom) -> Verdict:
-    """Both source and target squares must commute pointwise."""
+    """Both source and target squares must commute pointwise.
+
+    After the vertex map, each source fiber (x, y) is tested at once:
+    every arrow's image must be an arrow of the target fiber at
+    (gamma0 x, gamma0 y), which is both squares and membership in the
+    target.  If some arrow fails that, the arrows are scanned one by
+    one for the first failure and its reason."""
     for v in q1.vertices:
         if v not in h.gamma0:
             return Verdict.failed(f"vertex map not total at {render_value(v)}")
         if h.gamma0[v] not in q2.vertices:
             return Verdict.failed("vertex map leaves the target vertex set")
-    for a in q1.arrows:
+    if _fibers_map_into(q1, q2, h):
+        return Verdict.passed()
+    return _check_arrows_pointwise(q2, h, q1.arrows)
+
+
+def _fibers_map_into(q1: Quiver, q2: Quiver, h: QuiverHom) -> bool:
+    gamma0, gamma1 = h.gamma0, h.gamma1
+    # gamma1 is read in step with the arrows: while its next key is the
+    # arrow itself, its value is the image, found without hashing the
+    # arrow (a conjugation builds gamma1 in arrow order)
+    entries = iter(gamma1.items())
+    for (x, y), fiber in q1.fibers.items():
+        tx, ty = gamma0[x], gamma0[y]
+        target = PairV(tx, ty)
+        payloads = {b.second for b in q2.fibers.get((tx, ty), ())}
+        for a in fiber:
+            key, image = next(entries, (None, None))
+            if key is not a:
+                image = gamma1.get(a)
+            if not (isinstance(image, PairV) and image.second in payloads
+                    and image.first == target):
+                return False
+    return True
+
+
+def _check_arrows_pointwise(q2: Quiver, h: QuiverHom, arrows: FinSet) -> Verdict:
+    for a in arrows:
         if a not in h.gamma1:
             return Verdict.failed(f"arrow map not total at {render_value(a)}")
         image = h.gamma1[a]
@@ -329,7 +429,11 @@ def compose_quiver_homs(f: QuiverHom, g: QuiverHom) -> QuiverHom:
 def conjugation_automorphism(q: Quiver, phi: Value) -> QuiverHom:
     """For a group-action space: vertices move by the action of phi,
     payloads by conjugation, so ((x, y), g) goes to
-    ((phi x, phi y), phi g phi^-1)."""
+    ((phi x, phi y), phi g phi^-1).
+
+    The target pair is formed once per fiber, and phi g phi^-1 once per
+    distinct payload g within the call; gamma1 is filled fiber after
+    fiber, which is the order of ``q.arrows``."""
     rule = q.rule
     if not isinstance(rule, GroupAction):
         raise StructureError(
@@ -338,11 +442,17 @@ def conjugation_automorphism(q: Quiver, phi: Value) -> QuiverHom:
         raise StructureError("conjugating element is not in the acting group")
     phi_inv = rule.inverse(phi)
     gamma0 = {x: rule.act(phi, x) for x in q.vertices}
+    conjugates: dict[Value, Value] = {}
     gamma1 = {}
-    for a in q.arrows:
-        x, y, g = arrow_source(a), arrow_target(a), arrow_payload(a)
-        conjugated = rule.multiply(rule.multiply(phi, g), phi_inv)
-        gamma1[a] = PairV(PairV(gamma0[x], gamma0[y]), conjugated)
+    for (x, y), fiber in q.fibers.items():
+        target = PairV(gamma0[x], gamma0[y])
+        for a in fiber:
+            g = a.second
+            conjugated = conjugates.get(g)
+            if conjugated is None:
+                conjugated = conjugates[g] = rule.multiply(
+                    rule.multiply(phi, g), phi_inv)
+            gamma1[a] = PairV(target, conjugated)
     return QuiverHom(gamma1, gamma0)
 
 

@@ -230,6 +230,20 @@ def test_duplicate_names_are_rejected():
         load_source("(signature group (types X))")  # collides with builtin
 
 
+def test_a_refused_declaration_is_not_listed_and_its_name_stays_free():
+    ws = builtin_workspace()
+    with pytest.raises(ParseError, match="not well-formed"):
+        load_source("(theory t over group (axiom a (ctx) (= G x x)))", ws)
+    assert ws.declared == [] and "t" not in ws.theories
+    load_source("(theory t over group (axiom a (ctx (x G)) (= G x x)))", ws)
+    assert ws.declared == [("theory", "t")] and "t" in ws.theories
+    # the duplicate-name check still comes first: a second t is refused
+    # as a duplicate, not for its unknown signature
+    with pytest.raises(ParseError, match="duplicate theory name 't'"):
+        load_source("(theory t over nosuch (axiom a (ctx) top))", ws)
+    assert ws.declared == [("theory", "t")]
+
+
 def test_unknown_head_is_rejected():
     with pytest.raises(ParseError, match="unknown declaration head"):
         load_source("(frobnicate x)")

@@ -385,6 +385,21 @@ def test_group_action_steps_match_their_pointwise_oracles(name):
             outcome(pointwise_check_quiver_hom, q, q, h)
 
 
+def test_an_identity_that_moves_points_fails_though_compatibility_holds():
+    from mulingua.musiclib import trivial_group_structure
+    trivial = trivial_group_structure()
+    e = trivial.carrier("G").elements[0]
+    points = FinSet.of(Atom("X", 0), Atom("X", 1))
+    # e sends both points to the first: e.e = e holds on the point maps
+    rule = GroupAction(trivial, {(e, p): Atom("X", 0) for p in points})
+    expected = outcome(pointwise_validate_group_action, rule, points)
+    assert expected[:2] == ("verdict", False)
+    assert expected[2].startswith("identity law fails")
+    assert outcome(validate_group_action, rule, points) == expected
+    assert outcome(space_fibers, points, rule) == \
+        outcome(reference_space_fibers, points, rule)
+
+
 def perturb(rng, kind, points, rule):
     """Change the rule in place: one action entry changed, one star
     entry changed, one action entry deleted, or one image moved outside
