@@ -178,6 +178,8 @@ def _point_maps(rule: GroupAction,
 
 def _checked_laws(rule: GroupAction, points: FinSet,
                   maps: Optional[dict[Value, tuple[int, ...]]]) -> Verdict:
+    """The laws on the point maps; the pointwise scan where they fail
+    or where maps is None."""
     e = rule.identity()
     if maps is not None and maps.get(e) == tuple(range(len(points))):
         star = rule.group.fun_tables["star"]
@@ -380,10 +382,12 @@ def check_quiver_hom(q1: Quiver, q2: Quiver, h: QuiverHom) -> Verdict:
             return Verdict.failed("vertex map leaves the target vertex set")
     if _fibers_map_into(q1, q2, h):
         return Verdict.passed()
-    return _check_arrows_pointwise(q2, h, q1.arrows)
+    return _check_arrows_pointwise(q1, q2, h)
 
 
 def _fibers_map_into(q1: Quiver, q2: Quiver, h: QuiverHom) -> bool:
+    """Whether h sends each fiber of q1 into the fiber of q2 at the
+    image pair; gamma0 must be total on q1's vertices."""
     gamma0, gamma1 = h.gamma0, h.gamma1
     # gamma1 is read in step with the arrows: while its next key is the
     # arrow itself, its value is the image, found without hashing the
@@ -403,8 +407,8 @@ def _fibers_map_into(q1: Quiver, q2: Quiver, h: QuiverHom) -> bool:
     return True
 
 
-def _check_arrows_pointwise(q2: Quiver, h: QuiverHom, arrows: FinSet) -> Verdict:
-    for a in arrows:
+def _check_arrows_pointwise(q1: Quiver, q2: Quiver, h: QuiverHom) -> Verdict:
+    for a in q1.arrows:
         if a not in h.gamma1:
             return Verdict.failed(f"arrow map not total at {render_value(a)}")
         image = h.gamma1[a]
