@@ -186,10 +186,6 @@ def _checked_laws(rule: GroupAction, points: FinSet,
         if all(maps.get(star.get((g, h))) == tuple([g_map[i] for i in h_map])
                for g, g_map in maps.items() for h, h_map in maps.items()):
             return Verdict.passed()
-    return _pointwise_laws(rule, points, e)
-
-
-def _pointwise_laws(rule: GroupAction, points: FinSet, e: Value) -> Verdict:
     for x in points:
         if rule.act(e, x) != x:
             return Verdict.failed(
@@ -382,7 +378,19 @@ def check_quiver_hom(q1: Quiver, q2: Quiver, h: QuiverHom) -> Verdict:
             return Verdict.failed("vertex map leaves the target vertex set")
     if _fibers_map_into(q1, q2, h):
         return Verdict.passed()
-    return _check_arrows_pointwise(q1, q2, h)
+    for a in q1.arrows:
+        if a not in h.gamma1:
+            return Verdict.failed(f"arrow map not total at {render_value(a)}")
+        image = h.gamma1[a]
+        if image not in q2.arrows:
+            return Verdict.failed("arrow map leaves the target arrow set")
+        if arrow_source(image) != h.gamma0[arrow_source(a)]:
+            return Verdict.failed(
+                f"source square fails at {render_value(a)}")
+        if arrow_target(image) != h.gamma0[arrow_target(a)]:
+            return Verdict.failed(
+                f"target square fails at {render_value(a)}")
+    return Verdict.passed()
 
 
 def _fibers_map_into(q1: Quiver, q2: Quiver, h: QuiverHom) -> bool:
@@ -405,22 +413,6 @@ def _fibers_map_into(q1: Quiver, q2: Quiver, h: QuiverHom) -> bool:
                     and image.first == target):
                 return False
     return True
-
-
-def _check_arrows_pointwise(q1: Quiver, q2: Quiver, h: QuiverHom) -> Verdict:
-    for a in q1.arrows:
-        if a not in h.gamma1:
-            return Verdict.failed(f"arrow map not total at {render_value(a)}")
-        image = h.gamma1[a]
-        if image not in q2.arrows:
-            return Verdict.failed("arrow map leaves the target arrow set")
-        if arrow_source(image) != h.gamma0[arrow_source(a)]:
-            return Verdict.failed(
-                f"source square fails at {render_value(a)}")
-        if arrow_target(image) != h.gamma0[arrow_target(a)]:
-            return Verdict.failed(
-                f"target square fails at {render_value(a)}")
-    return Verdict.passed()
 
 
 def compose_quiver_homs(f: QuiverHom, g: QuiverHom) -> QuiverHom:
