@@ -230,18 +230,47 @@ def test_duplicate_names_are_rejected():
         load_source("(signature group (types X))")  # collides with builtin
 
 
+# One declaration of each form under the name N: its table, a body the
+# loader refuses, and a body it accepts.
+REFUSED_AND_ACCEPTED = [
+    ("signature", "signatures", "(signature N (types A) (fun (f (B) A)))",
+     "(signature N (types A))"),
+    ("theory", "theories", "(theory N over group (axiom a (ctx) (= G x x)))",
+     "(theory N over group (axiom a (ctx (x G)) (= G x x)))"),
+    ("structure", "structures", "(structure N of group (carrier G (0)))",
+     "(structure N of group (carrier G (0))"
+     " (fun star ((0 0) 0)) (fun e (() 0)) (fun inv ((0) 0)))"),
+    ("context", "contexts", "(context N (x))", "(context N (x G))"),
+    ("term", "terms", "(term N nosuch x)", "(term N (ctx (x G)) x)"),
+    ("formula", "formulas", "(formula N (ctx) (and top))", "(formula N top)"),
+    ("type", "types", "(type N (* G))", "(type N (* G G))"),
+    ("quiver", "quivers", "(quiver N table nosuch)", "(quiver N winding 3 0)"),
+]
+
+
 def test_a_refused_declaration_is_not_listed_and_its_name_stays_free():
+    for head, kind, refused, accepted in REFUSED_AND_ACCEPTED:
+        ws = builtin_workspace()
+        table = getattr(ws, kind)
+        with pytest.raises(ParseError) as err:
+            load_source(refused, ws)
+        assert "duplicate" not in str(err.value), head
+        assert ws.declared == [] and "N" not in table, head
+        load_source(accepted, ws)
+        assert ws.declared == [(head, "N")] and "N" in table, head
+        entry = table["N"]
+        # the duplicate-name check comes first: a second N is refused as
+        # a duplicate, not for its body
+        with pytest.raises(ParseError) as err:
+            load_source(refused, ws)
+        assert str(err.value) == f"1:1: duplicate {head} name 'N'"
+        assert ws.declared == [(head, "N")] and table["N"] is entry, head
+    # a refused anonymous formula takes no number
     ws = builtin_workspace()
-    with pytest.raises(ParseError, match="not well-formed"):
-        load_source("(theory t over group (axiom a (ctx) (= G x x)))", ws)
-    assert ws.declared == [] and "t" not in ws.theories
-    load_source("(theory t over group (axiom a (ctx (x G)) (= G x x)))", ws)
-    assert ws.declared == [("theory", "t")] and "t" in ws.theories
-    # the duplicate-name check still comes first: a second t is refused
-    # as a duplicate, not for its unknown signature
-    with pytest.raises(ParseError, match="duplicate theory name 't'"):
-        load_source("(theory t over nosuch (axiom a (ctx) top))", ws)
-    assert ws.declared == [("theory", "t")]
+    with pytest.raises(ParseError, match="'and' takes at least two"):
+        load_source("(formula (and top))", ws)
+    load_source("(formula top)", ws)
+    assert ws.declared == [("formula", "formula2")]
 
 
 def test_unknown_head_is_rejected():
