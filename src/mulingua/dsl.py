@@ -3,14 +3,21 @@ structures, contexts, terms, formulas, named types, and quiver requests.
 
 Declarations resolve strictly top-down (no forward references) against
 a workspace that already holds the built-in signatures, theories, and
-models, and names are unique per kind.  Signatures, theories and
-structures are judged as they load: a signature's symbols must be
-well-formed, each axiom of a theory must be a well-formed formula in
-its well-formed context over the theory's signature, and a structure
-must be total, and refuses an element name, a clause, a table entry, a
-set or fiber member or a relation tuple given twice.  Contexts, terms,
-formulas and types name no signature, so the verb that uses one judges
-it over its structure's signature.
+models, and names are unique per kind.  The naming policy lives in one
+driver, ``_load_declaration``, for every form in the table ``_FORMS``:
+a taken name is refused before the declaration's body is read, and a
+declaration is entered in its table and listed in ``Workspace.declared``
+only once it is judged.  An anonymous ``(formula F)`` is named
+``formulaN``, N one more than the number of formulas the workspace
+holds, with ``'`` appended while that name is taken.
+
+Signatures, theories and structures are judged as they load: a
+signature's symbols must be well-formed, each axiom of a theory must be
+a well-formed formula in its well-formed context over the theory's
+signature, and a structure must be total, and refuses an element name,
+a clause, a table entry, a set or fiber member or a relation tuple
+given twice.  Contexts, terms, formulas and types name no signature, so
+the verb that uses one judges it over its structure's signature.
 
 Grammar sketch::
 
@@ -25,7 +32,7 @@ Grammar sketch::
                (rel R (tuple ...) ...))
     (context NAME (x A) ...)
     (term NAME CTX TERM)          ; CTX a context name or (ctx ...)
-    (formula NAME CTX FORMULA)
+    (formula [NAME] [CTX] FORMULA)
     (type NAME TYPEEXPR)
     (quiver NAME table STRUCT)
     (quiver NAME group-action STRUCT PITCH-TYPE ACTION-FUN)
@@ -143,23 +150,6 @@ class Workspace(_Node):
         self.types = {} if types is None else types
         self.quivers = {} if quivers is None else quivers
         self.declared = [] if declared is None else declared
-
-    _SINGULAR = {
-        "signatures": "signature", "theories": "theory",
-        "structures": "structure", "contexts": "context", "terms": "term",
-        "formulas": "formula", "types": "type", "quivers": "quiver",
-    }
-
-    def _declare(self, kind: str, name: str, node: SNode) -> None:
-        """Refuse a name already taken, before the declaration is read."""
-        if name in getattr(self, kind):
-            raise node.error(f"duplicate {self._SINGULAR[kind]} name {name!r}")
-
-    def _define(self, kind: str, name: str, value) -> None:
-        """Enter a declaration that has been read and judged, and list it
-        in ``declared``; a refused declaration reaches neither."""
-        getattr(self, kind)[name] = value
-        self.declared.append((self._SINGULAR[kind], name))
 
 
 # ---------------------------------------------------------------------------
@@ -476,85 +466,51 @@ def load_source(text: str, ws: Optional[Workspace] = None) -> Workspace:
 
 
 def _load_declaration(node: SNode, ws: Workspace) -> None:
+    """Check a declaration's form, name it, refuse a name its table
+    already holds, read and judge it, then enter it and list it in
+    ``ws.declared``: a refused declaration reaches neither."""
     head = _head(node)
+    if head not in _FORMS:
+        raise node.error(f"unknown declaration head {head!r}")
+    kind, fits, usage, read = _FORMS[head]
     items = node.value
-    match head:
-        case "signature":
-            _load_signature(node, items, ws)
-        case "theory":
-            _load_theory(node, items, ws)
-        case "structure":
-            _load_structure(node, items, ws)
-        case "context":
-            if len(items) < 2:
-                raise node.error("'context' takes a name")
-            name = _sym(items[1], "a context name")
-            ws._declare("contexts", name, node)
-            entries = tuple(_parse_binder(n) for n in items[2:])
-            ws._define("contexts", name, Context(entries))
-        case "term":
-            if len(items) != 4:
-                raise node.error("'term' takes a name, a context, and a term")
-            name = _sym(items[1], "a term name")
-            ws._declare("terms", name, node)
-            ws._define("terms", name, (_resolve_context(items[2], ws),
-                                       parse_term_node(items[3])))
-        case "formula":
-            if len(items) == 2:
-                name = f"formula{len(ws.formulas) + 1}"
-                while name in ws.formulas:
-                    name += "'"
-                ws._declare("formulas", name, node)
-                ws._define("formulas", name,
-                           (Context(), parse_formula_node(items[1])))
-            elif len(items) == 3:
-                name = _sym(items[1], "a formula name")
-                ws._declare("formulas", name, node)
-                ws._define("formulas", name,
-                           (Context(), parse_formula_node(items[2])))
-            elif len(items) == 4:
-                name = _sym(items[1], "a formula name")
-                ws._declare("formulas", name, node)
-                ws._define("formulas", name,
-                           (_resolve_context(items[2], ws),
-                            parse_formula_node(items[3])))
-            else:
-                raise node.error(
-                    "'formula' takes an optional name, an optional context, "
-                    "and a formula")
-        case "type":
-            if len(items) != 3:
-                raise node.error("'type' takes a name and a type expression")
-            name = _sym(items[1], "a type name")
-            ws._declare("types", name, node)
-            ws._define("types", name, parse_type_node(items[2]))
-        case "quiver":
-            _load_quiver(node, items, ws)
-        case _:
-            raise node.error(f"unknown declaration head {head!r}")
+    if not fits(items):
+        raise node.error(usage)
+    table = getattr(ws, kind)
+    if head == "formula" and len(items) == 2:
+        name = f"formula{len(table) + 1}"
+        while name in table:
+            name += "'"
+    else:
+        name = _sym(items[1], f"a {head} name")
+    if name in table:
+        raise node.error(f"duplicate {head} name {name!r}")
+    table[name] = read(node, name, ws)
+    ws.declared.append((head, name))
+
+
+def _named(node: SNode, table: MutableMapping, noun: str):
+    """The entry of ``table`` that the symbol at ``node`` names."""
+    name = _sym(node, f"a {noun} name")
+    if name not in table:
+        raise node.error(f"unknown {noun} {name!r}")
+    return table[name]
 
 
 def _resolve_context(node: SNode, ws: Workspace) -> Context:
     if isinstance(node.value, Sym):
-        name = node.value.text
-        if name not in ws.contexts:
-            raise node.error(f"unknown context {name!r}")
-        return ws.contexts[name]
+        return _named(node, ws.contexts, "context")
     items = _items(node, "a context")
     if not items or _sym(items[0]) != "ctx":
         raise node.error("expected (ctx (x A) ...) or a context name")
     return Context(tuple(_parse_binder(n) for n in items[1:]))
 
 
-def _load_signature(node: SNode, items: list[SNode], ws: Workspace) -> None:
-    if len(items) < 2:
-        raise node.error("'signature' takes a name")
-    name = _sym(items[1], "a signature name")
-    ws._declare("signatures", name, node)
+def _read_signature(node: SNode, name: str, ws: Workspace) -> Signature:
     base_types: tuple[str, ...] = ()
     fun_symbols: list[FunSymbol] = []
     rel_symbols: list[RelSymbol] = []
-    for clause in items[2:]:
+    for clause in node.value[2:]:
         match _head(clause):
             case "types":
                 base_types += tuple(_sym(n, "a type name")
@@ -589,18 +545,12 @@ def _load_signature(node: SNode, items: list[SNode], ws: Workspace) -> None:
     verdict = validate_signature(sig)
     if not verdict:
         raise node.error(verdict.reason)
-    ws._define("signatures", name, sig)
+    return sig
 
 
-def _load_theory(node: SNode, items: list[SNode], ws: Workspace) -> None:
-    if len(items) < 4 or _sym(items[2]) != "over":
-        raise node.error("'theory' is (theory NAME over SIG (axiom ...) ...)")
-    name = _sym(items[1], "a theory name")
-    ws._declare("theories", name, node)
-    sig_name = _sym(items[3], "a signature name")
-    if sig_name not in ws.signatures:
-        raise items[3].error(f"unknown signature {sig_name!r}")
-    sig = ws.signatures[sig_name]
+def _read_theory(node: SNode, name: str, ws: Workspace) -> Theory:
+    items = node.value
+    sig = _named(items[3], ws.signatures, "signature")
     axioms = []
     for clause in items[4:]:
         parts = _items(clause, "an axiom")
@@ -619,20 +569,14 @@ def _load_theory(node: SNode, items: list[SNode], ws: Workspace) -> None:
         verdict = well_formed_formula(sig, ctx, formula)
         if not verdict:
             raise clause.error(f"axiom {label} is not well-formed over "
-                               f"{sig_name}: {verdict.reason}")
+                               f"{items[3].value.text}: {verdict.reason}")
         axioms.append(TheoryAxiom(label, ctx, formula))
-    ws._define("theories", name, Theory(name, sig, tuple(axioms)))
+    return Theory(name, sig, tuple(axioms))
 
 
-def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
-    if len(items) < 4 or _sym(items[2]) != "of":
-        raise node.error("'structure' is (structure NAME of SIG ...)")
-    name = _sym(items[1], "a structure name")
-    ws._declare("structures", name, node)
-    sig_name = _sym(items[3], "a signature name")
-    if sig_name not in ws.signatures:
-        raise items[3].error(f"unknown signature {sig_name!r}")
-    sig = ws.signatures[sig_name]
+def _read_structure(node: SNode, name: str, ws: Workspace) -> Structure:
+    items = node.value
+    sig = _named(items[3], ws.signatures, "signature")
 
     carriers: dict[str, FinSet] = {}
     element_names: dict[str, tuple[str, ...]] = {}
@@ -643,8 +587,8 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
                 raise clause.error("a carrier is (carrier T (names ...))")
             tag = _sym(parts[1], "a base type name")
             if not sig.has_base(tag):
-                raise parts[1].error(
-                    f"signature {sig_name!r} has no base type {tag!r}")
+                raise parts[1].error(f"signature {items[3].value.text!r} "
+                                     f"has no base type {tag!r}")
             if tag in carriers:
                 raise clause.error(f"a second carrier clause for {tag!r}")
             nodes = _items(parts[2], "an element list")
@@ -731,15 +675,47 @@ def _load_structure(node: SNode, items: list[SNode], ws: Workspace) -> None:
     verdict = st.validate()
     if not verdict:
         raise node.error(verdict.reason)
-    ws._define("structures", name, st)
+    return st
 
 
-def _load_quiver(node: SNode, items: list[SNode], ws: Workspace) -> None:
-    if len(items) < 3:
-        raise node.error("'quiver' takes a name and a rule form")
-    name = _sym(items[1], "a quiver name")
-    ws._declare("quivers", name, node)
-    ws._define("quivers", name, quiver_of_rule(node, items[2:], ws))
+# The declaration forms, by head: the Workspace table each fills, whether
+# a form's items (its head first) fit it, the usage message when they do
+# not, and the reader of the judged entry, given the form's node, its
+# name and the workspace.  ``_load_declaration`` does the rest.
+_FORMS = {
+    "signature": ("signatures", lambda items: len(items) >= 2,
+                  "'signature' takes a name", _read_signature),
+    "theory": ("theories",
+               lambda items: len(items) >= 4 and _sym(items[2]) == "over",
+               "'theory' is (theory NAME over SIG (axiom ...) ...)",
+               _read_theory),
+    "structure": ("structures",
+                  lambda items: len(items) >= 4 and _sym(items[2]) == "of",
+                  "'structure' is (structure NAME of SIG ...)",
+                  _read_structure),
+    "context": ("contexts", lambda items: len(items) >= 2,
+                "'context' takes a name",
+                lambda node, name, ws: Context(
+                    tuple(map(_parse_binder, node.value[2:])))),
+    "term": ("terms", lambda items: len(items) == 4,
+             "'term' takes a name, a context, and a term",
+             lambda node, name, ws: (_resolve_context(node.value[2], ws),
+                                     parse_term_node(node.value[3]))),
+    # (formula F), (formula NAME F) or (formula NAME CTX F)
+    "formula": ("formulas", lambda items: 2 <= len(items) <= 4,
+                "'formula' takes an optional name, an optional context, "
+                "and a formula",
+                lambda node, name, ws: (
+                    _resolve_context(node.value[2], ws)
+                    if len(node.value) == 4 else Context(),
+                    parse_formula_node(node.value[-1]))),
+    "type": ("types", lambda items: len(items) == 3,
+             "'type' takes a name and a type expression",
+             lambda node, name, ws: parse_type_node(node.value[2])),
+    "quiver": ("quivers", lambda items: len(items) >= 3,
+               "'quiver' takes a name and a rule form",
+               lambda node, name, ws: quiver_of_rule(node, node.value[2:], ws)),
+}
 
 
 def quiver_of_rule(node: SNode, rule: list[SNode], ws: Workspace) -> Quiver:
@@ -755,13 +731,13 @@ def quiver_of_rule(node: SNode, rule: list[SNode], ws: Workspace) -> Quiver:
             case "table":
                 if len(args) != 1:
                     raise node.error("'table' takes a structure name")
-                st = _resolve_structure(args[0], ws)
+                st = _named(args[0], ws.structures, "structure")
                 q = vls_of_structure(st)
             case "group-action":
                 if len(args) != 3:
                     raise node.error("'group-action' takes a structure, a "
                                      "pitch type and an action symbol")
-                st = _resolve_structure(args[0], ws)
+                st = _named(args[0], ws.structures, "structure")
                 pitch_type = _sym(args[1], "a base type")
                 action = group_action_from(
                     st, pitch_type, _sym(args[2], "a function symbol"))
@@ -778,13 +754,6 @@ def quiver_of_rule(node: SNode, rule: list[SNode], ws: Workspace) -> Quiver:
         raise node.error(str(err)) from None
     q.element_names = dict(st.element_names)
     return q
-
-
-def _resolve_structure(node: SNode, ws: Workspace) -> Structure:
-    name = _sym(node, "a structure name")
-    if name not in ws.structures:
-        raise node.error(f"unknown structure {name!r}")
-    return ws.structures[name]
 
 
 def group_action_from(st: Structure, pitch_type: str,

@@ -9,7 +9,7 @@ import pytest
 from mulingua import musiclib, voiceleading
 from mulingua.diagnostics import MulinguaError, ParseError, StructureError
 from mulingua.dsl import (
-    Workspace, _load_declaration, builtin_workspace, context_to_dsl,
+    _FORMS, Workspace, _load_declaration, builtin_workspace, context_to_dsl,
     load_source,
     parse_formula_node, parse_term_node, parse_type_node, signature_to_dsl,
     structure_to_dsl, theory_to_dsl,
@@ -249,6 +249,8 @@ REFUSED_AND_ACCEPTED = [
 
 
 def test_a_refused_declaration_is_not_listed_and_its_name_stays_free():
+    assert [(head, kind) for head, kind, _, _ in REFUSED_AND_ACCEPTED] == [
+        (head, form[0]) for head, form in _FORMS.items()]
     for head, kind, refused, accepted in REFUSED_AND_ACCEPTED:
         ws = builtin_workspace()
         table = getattr(ws, kind)
