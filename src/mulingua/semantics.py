@@ -365,6 +365,8 @@ class Structure(_Node):
 
     def named_atom(self, carrier: str, name: str) -> Atom:
         names = self.element_names.get(carrier)
+        if names is None:
+            self.carrier(carrier)  # refuses a base type with no carrier
         if names is None or name not in names:
             raise StructureError(f"no element named {name!r} in carrier {carrier!r}")
         return Atom(carrier, names.index(name))

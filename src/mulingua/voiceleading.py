@@ -119,6 +119,8 @@ class WindingPaths(_Node):
     def __init__(self, modulus: int, max_winding: int) -> None:
         _set(self, "modulus", modulus)
         _set(self, "max_winding", max_winding)
+        if modulus < 0:
+            raise StructureError("modulus must be non-negative")
         if max_winding < 0:
             raise StructureError("maximum winding must be non-negative")
         arrows = modulus ** 2 * (2 * max_winding + 1)

@@ -61,6 +61,11 @@ def test_prove_reads_the_key_as_an_element_name():
         2, "", "parse error: 1:23: expected an element name\n")
 
 
+def test_a_key_in_a_structure_without_keys_names_the_missing_carrier():
+    assert run(["prove", "z12music", "(domfunc-leading-tone C)"]) == (
+        2, "", "error: no carrier for base type 'Key'\n")
+
+
 def test_prove_dominant_leading_tone():
     code, out, _ = run(["prove", "domfunc-harm", "(domfunc-leading-tone A)"])
     assert code == 0 and "inhabited" in out
@@ -332,6 +337,17 @@ def test_malformed_rule_form_exits_two(rule):
     message = ("unknown quiver rule kind 'wobble'" if "wobble" in rule
                else "'winding' takes a modulus and a maximum winding")
     assert run(["vls", rule]) == (2, "", f"parse error: 1:1: {message}\n")
+
+
+def test_a_negative_winding_modulus_is_refused_at_the_rule(tmp_path):
+    path = tmp_path / "neg.mul"
+    path.write_text("(quiver q winding -2 1)")
+    assert run(["vls", "(winding -3 0)"]) == (
+        2, "", "parse error: 1:1: modulus must be non-negative\n")
+    assert run(["vls", "q", str(path)]) == (
+        2, "", f"{path}: 1:1: modulus must be non-negative\n")
+    # no points is still a space
+    assert run(["vls", "(winding 0 1)"]) == (0, "vertices: 0\narrows: 0\n", "")
 
 
 def test_reports_are_byte_deterministic():
