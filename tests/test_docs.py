@@ -1,6 +1,7 @@
 """The documentation agrees with the program: every documented command
-line prints and exits as recorded, the README names every built-in, and
-the README grammar names every keyword the reader knows."""
+line prints and exits as recorded, the README names every built-in, its
+grammar names every keyword the reader knows, and its source blocks show
+every declaration form the loader knows."""
 
 import dataclasses
 import io
@@ -14,7 +15,7 @@ import pytest
 
 from mulingua import musiclib, voiceleading
 from mulingua.cli import main
-from mulingua.dsl import Workspace, builtin_workspace, load_source
+from mulingua.dsl import _FORMS, Workspace, builtin_workspace, load_source
 from mulingua.syntax import _KEYWORDS
 
 from generators import calls_into
@@ -93,6 +94,15 @@ def test_readme_grammar_names_every_keyword():
     forms = {head for span in spans for head in re.findall(r"\(([^\s()]+)", span)}
     forms |= {span for span in spans if re.fullmatch(r"[^\s()]+", span)}
     assert set(_KEYWORDS.values()) <= forms, set(_KEYWORDS.values()) - forms
+
+
+def test_readme_shows_every_declaration_form():
+    section = README.split("## The `.mul` source language", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = re.findall(r"```lisp\n(.*?)```", section, flags=re.S)
+    heads = {head for block in blocks
+             for head in re.findall(r"^\(([^\s()]+)", block, flags=re.M)}
+    assert set(_FORMS) <= heads, set(_FORMS) - heads
 
 
 def test_library_tour_prints_what_its_comments_promise():
