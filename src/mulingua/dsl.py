@@ -4,7 +4,7 @@ structures, contexts, terms, formulas, named types, and quiver requests.
 Declarations resolve strictly top-down (no forward references) against
 a workspace that already holds the built-in signatures, theories, and
 models, and names are unique per kind.  The naming policy lives in one
-driver, ``_load_declaration``, for every form in the table ``_FORMS``:
+function, ``_load_declaration``, for every form in the table ``_FORMS``:
 a taken name is refused before the declaration's body is read, and a
 declaration is entered in its table and listed in ``Workspace.declared``
 only once it is judged.  An anonymous ``(formula F)`` is named
