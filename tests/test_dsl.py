@@ -19,8 +19,8 @@ from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_group_theory,
 )
 from mulingua.semantics import (
-    Atom, FinSet, InlV, InrV, SectionV, StarV, TreeV, check_theory,
-    eval_formula,
+    Atom, FinSet, InlV, InrV, SectionV, StarV, TableV, TreeV, TruthV,
+    check_theory, eval_formula,
 )
 from mulingua.voiceleading import arrow_payload, vls_of_structure
 from mulingua.sexpr import parse_sexprs, write_sexpr
@@ -459,6 +459,22 @@ def test_subset_values_in_structures():
     table = st.fun_tables["vlr"]
     entry = table[(Atom("Pitch", 0), Atom("Pitch", 1))]
     assert list(entry) == [Atom("Arrow", 1), Atom("Arrow", 2)]
+
+
+def test_a_predicate_reads_as_a_set_and_a_power_as_a_table():
+    """(-> A Prop) and (power A) read both value forms the same way."""
+    st = load_source("""
+        (signature subsets (types A)
+          (fun (pred () (-> A Prop)) (sub () (power A))))
+        (structure m of subsets
+          (carrier A (a b))
+          (fun pred (() (set b)))
+          (fun sub (() (table (b true) (a false)))))""").structures["m"]
+    a, b = Atom("A", 0), Atom("A", 1)
+    members_b = TableV(((a, TruthV(False)), (b, TruthV(True))))
+    assert st.fun_tables["pred"][()] == members_b
+    assert st.fun_tables["sub"][()] == members_b
+    reloaded(st)
 
 
 def test_quiver_declarations():

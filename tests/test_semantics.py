@@ -22,16 +22,17 @@ from mulingua.musiclib import (
     z_music_structure,
 )
 from mulingua.semantics import (
-    Atom, FinSet, PairV, SectionV, StarV, Structure, StructureHom, TableV,
-    TreeV, TruthV, all_environments, check_structure_hom, check_theory,
-    derivable, eval_formula, eval_term, identity_hom, interpret_type,
-    iter_type, render_value, type_size, value_in_type,
+    Atom, FinSet, InlV, InrV, PairV, SectionV, StarV, Structure,
+    StructureHom, TableV, TreeV, TruthV, all_environments,
+    check_structure_hom, check_theory, derivable, eval_formula, eval_term,
+    identity_hom, interpret_type, iter_type, render_value, type_size,
+    value_in_type,
 )
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
     Forall, FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Power, Product,
-    Prop, PropType, RelAtom, Sigma, Signature, Top, Unit, Universe, Var,
-    W, Zero, show, substitute,
+    Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Top, Unit,
+    Universe, Var, W, Zero, show, substitute,
 )
 
 from mulingua.voiceleading import transporters
@@ -832,6 +833,72 @@ def test_relation_preservation():
     ok = ok and all((rotate[a], rotate[b]) in st.rel_tables["S"]
                     for (a, b) in st.rel_tables["S"])
     assert bool(verdict) == ok
+
+
+X = Base("X")
+X0, X1 = Atom("X", 0), Atom("X", 1)
+SWAP = {X0: X1, X1: X0}
+
+
+def two_points(sig, fun_tables, rel_tables=None):
+    return Structure(sig, {"X": FinSet.of(X0, X1)}, fun_tables, rel_tables,
+                     element_names={"X": ("x0", "x1")})
+
+
+def test_a_hom_transports_pairs_and_injections_componentwise():
+    # twist (a, b) is (inl b) on the diagonal and (inr a) off it
+    sig = Signature("twisted", ("X",), (
+        FunSymbol("twist", (Product(X, X),), Coproduct(X, X)),))
+    st = two_points(sig, {"twist": {
+        (PairV(a, b),): InlV(b) if a == b else InrV(a)
+        for a in (X0, X1) for b in (X0, X1)}})
+    assert check_structure_hom(StructureHom(st, st, {"X": SWAP}))
+    collapse = StructureHom(st, st, {"X": {X0: X0, X1: X0}})
+    assert check_structure_hom(collapse).reason == (
+        "square for 'twist' fails at ((pair x0 x1)): (inr x0) != (inl x0)")
+
+
+def test_a_hom_transports_function_values_along_bijective_components():
+    sig = Signature("maps", ("X",), (
+        FunSymbol("to", (), Arrow(X, X)), FunSymbol("some", (), Power(X))))
+
+    def st(image, member):
+        return two_points(sig, {
+            "to": {(): TableV(((X0, image), (X1, image)))},
+            "some": {(): TableV(((X0, TruthV(member == X0)),
+                                 (X1, TruthV(member == X1))))}})
+
+    source, target = st(X0, X0), st(X1, X1)
+    assert check_structure_hom(StructureHom(source, target, {"X": SWAP}))
+    assert check_structure_hom(identity_hom(source))
+    same = StructureHom(source, target, {"X": {X0: X0, X1: X1}})
+    assert check_structure_hom(same).reason == (
+        "square for 'to' fails at (): (table (x0 x0) (x1 x0)) != "
+        "(table (x0 x1) (x1 x1))")
+
+
+def test_a_hom_check_names_its_first_refusal():
+    marked = Signature("marked", ("X",), (), (RelSymbol("R", (X,)),))
+    st = two_points(marked, {}, {"R": frozenset({(X0,)})})
+    assert check_structure_hom(StructureHom(Z12, st, {"G": {}})).reason == (
+        "source and target have different signatures")
+    assert check_structure_hom(StructureHom(st, st, {})).reason == (
+        "component map missing for 'X'")
+    assert check_structure_hom(StructureHom(st, st, {"X": SWAP})).reason == (
+        "relation 'R' not preserved at (x0)")
+
+
+def test_structure_validation_names_what_is_wrong():
+    family = Signature("fam", ("X",), (FunSymbol("F", (X,), Universe()),))
+    assert two_points(family, {"F": {(X0,): X0, (X1,): X1}}).validate().reason \
+        == "family 'F' must yield finite sets"
+    marked = Signature("marked", ("X",), (), (RelSymbol("R", (X, X)),))
+    assert two_points(marked, {}).validate().reason == (
+        "missing table for relation 'R'")
+    for stray in ((X0,), (X0, Atom("Y", 0)), (X0, TruthV(True))):
+        st = two_points(marked, {}, {"R": frozenset({stray})})
+        assert st.validate().reason == (
+            "relation 'R' contains a tuple outside its type")
 
 
 UNPRESERVED = """
