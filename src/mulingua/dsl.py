@@ -80,8 +80,9 @@ from .semantics import (
 from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
     FIELD_SORTS, KEYWORD_CLASSES, And, App, Arrow, Base, Context, Coproduct,
-    FamApp, Formula, FunSymbol, Implies, Or, Pi, Power, Product, Prop,
-    RelSymbol, Signature, Term, TypeExpr, Var, W, _Binding, free_vars, show,
+    FamApp, Formula, FunSymbol, Implies, Or, Product, Prop, RelSymbol,
+    Signature, Term, TypeExpr, Var, W, _Binding, free_vars, function_space,
+    show,
 )
 from .voiceleading import (
     GroupAction, Quiver, WindingPaths, sigma_vls_signature, vls,
@@ -425,27 +426,18 @@ def _pair_types(expected: Optional[TypeExpr]):
 
 
 def _subset_domain(node: SNode, expected: Optional[TypeExpr]) -> TypeExpr:
-    match expected:
-        case Power(inner):
-            return inner
-        case Arrow(dom, Prop()):
+    match function_space(expected):
+        case (None, dom, Prop()):
             return dom
-        case _:
-            raise node.error(
-                "'set' values need an expected subset type (power or "
-                "predicate)")
+    raise node.error(
+        "'set' values need an expected subset type (power or predicate)")
 
 
 def _table_types(expected: Optional[TypeExpr]):
-    match expected:
-        case Arrow(dom, cod):
-            return dom, cod
-        case Power(dom):
-            return dom, Prop()
-        case Pi(x, index_type, body):
-            return index_type, None if x in free_vars(body) else body
-        case _:
-            return None, None
+    match function_space(expected):
+        case (x, dom, cod):
+            return dom, None if x in free_vars(cod) else cod
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,7 @@ def _resolve_context(node: SNode, ws: Workspace) -> Context:
     if isinstance(node.value, Sym):
         return _named(node, ws.contexts, "context")
     items = _items(node, "a context")
-    if not items or _sym(items[0]) != "ctx":
+    if not items or items[0].value != Sym("ctx"):
         raise node.error("expected (ctx (x A) ...) or a context name")
     return Context(tuple(_parse_binder(n) for n in items[1:]))
 
@@ -554,7 +546,7 @@ def _read_theory(node: SNode, name: str, ws: Workspace) -> Theory:
     axioms = []
     for clause in items[4:]:
         parts = _items(clause, "an axiom")
-        if not parts or _sym(parts[0]) != "axiom":
+        if not parts or parts[0].value != Sym("axiom"):
             raise clause.error("expected (axiom [label] (ctx ...) FORMULA)")
         if len(parts) == 4:
             label = _sym(parts[1], "an axiom label")
@@ -686,11 +678,11 @@ _FORMS = {
     "signature": ("signatures", lambda items: len(items) >= 2,
                   "'signature' takes a name", _read_signature),
     "theory": ("theories",
-               lambda items: len(items) >= 4 and _sym(items[2]) == "over",
+               lambda items: len(items) >= 4 and items[2].value == Sym("over"),
                "'theory' is (theory NAME over SIG (axiom ...) ...)",
                _read_theory),
     "structure": ("structures",
-                  lambda items: len(items) >= 4 and _sym(items[2]) == "of",
+                  lambda items: len(items) >= 4 and items[2].value == Sym("of"),
                   "'structure' is (structure NAME of SIG ...)",
                   _read_structure),
     "context": ("contexts", lambda items: len(items) >= 2,

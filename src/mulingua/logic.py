@@ -19,8 +19,8 @@ from .diagnostics import TypeCheckError, Verdict
 from .kernel import _check, _infer, _wf_type, well_formed_context
 from .syntax import (
     And, Arrow, Bottom, Context, Eq, Exists, Forall, Formula, Implies,
-    Member, Not, Or, Power, Prop, RelAtom, Signature, Top,
-    alpha_eq, free_vars, show, substitute,
+    Member, Not, Or, Prop, RelAtom, Signature, Top, free_vars,
+    function_space, show, substitute,
 )
 
 __all__ = ["well_formed_formula", "free_vars", "substitute"]
@@ -62,8 +62,7 @@ def _wf_formula(sig: Signature, ctx: Context, f: Formula) -> None:
             except TypeCheckError:
                 pred_type = None
             if pred_type is not None:
-                if not (alpha_eq(pred_type, Arrow(elem_type, Prop()))
-                        or alpha_eq(pred_type, Power(elem_type))):
+                if function_space(pred_type) != (None, elem_type, Prop()):
                     raise TypeCheckError(
                         f"non-predicate in membership: {show(predicate)} has "
                         f"type {show(pred_type)}, expected a predicate on "

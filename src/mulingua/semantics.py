@@ -44,7 +44,7 @@ from .syntax import (
     FamApp, Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member,
     Node, Not, Or, Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2,
     RelAtom, Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr,
-    Unit, Universe, Var, W, Zero, free_vars, show,
+    Unit, Universe, Var, W, Zero, free_vars, function_space, show,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -166,9 +166,20 @@ class RatV(_OneValue):
 
 
 class _Tabular(_Node):
-    """Shared lookup behaviour for table-like values."""
+    """Shared lookup behaviour for table-like values.  A table and a
+    section with the same entries are the same function, so they are
+    equal: a lambda, which evaluates to a table, equals the section it
+    denotes.  Each class still prints its own form."""
 
     entries: tuple[tuple["Value", "Value"], ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Tabular):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def apply(self, argument: "Value") -> "Value":
         mapping = self.__dict__.get("_map")
@@ -486,18 +497,14 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return min(type_size(st, a, env, budget) * type_size(st, b, env, budget), cap)
         case Coproduct(a, b):
             return min(type_size(st, a, env, budget) + type_size(st, b, env, budget), cap)
-        case Arrow(a, b):
-            return _capped_power(type_size(st, b, env, budget),
-                                 type_size(st, a, env, budget), cap)
-        case Power(a):
-            return _capped_power(2, type_size(st, a, env, budget), cap)
-        case Pi(x, index_type, body):
-            if x not in free_vars(body):
-                return _capped_power(type_size(st, body, env, budget),
-                                     type_size(st, index_type, env, budget), cap)
+        case Arrow() | Power() | Pi():
+            x, dom, cod = function_space(t)
+            if x not in free_vars(cod):  # sized as the arrow it is
+                return _capped_power(type_size(st, cod, env, budget),
+                                     type_size(st, dom, env, budget), cap)
             total = 1
-            for v in _elements(st, index_type, env, budget):
-                total = min(total * type_size(st, body, {**env, x: v}, budget), cap)
+            for v in _elements(st, dom, env, budget):
+                total = min(total * type_size(st, cod, {**env, x: v}, budget), cap)
             return total
         case Sigma(x, index_type, body):
             if x not in free_vars(body):
@@ -604,19 +611,17 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
                 yield InlV(va)
             for vb in iter_type(st, b, env, budget):
                 yield InrV(vb)
-        case Arrow(a, b):
-            dom = list(_elements(st, a, env, budget))
-            for outputs in _product((iter_type(st, b, env, budget),), len(dom)):
-                yield TableV(tuple(zip(dom, outputs)))
-        case Power(a):
-            dom = list(_elements(st, a, env, budget))
-            for outputs in _product((PROP_SET,), len(dom)):
-                yield TableV(tuple(zip(dom, outputs)))
-        case Pi(x, index_type, body):
-            index = list(_elements(st, index_type, env, budget))
-            fibers = (iter_type(st, body, {**env, x: v}, budget) for v in index)
-            for combo in _product(fibers):
-                yield SectionV(tuple(zip(index, combo)))
+        case Arrow() | Power() | Pi():
+            x, dom_t, cod_t = function_space(t)
+            dom = list(_elements(st, dom_t, env, budget))
+            if x is None:
+                outputs = _product((iter_type(st, cod_t, env, budget),), len(dom))
+                for combo in outputs:
+                    yield TableV(tuple(zip(dom, combo)))
+            else:
+                fibers = (iter_type(st, cod_t, {**env, x: v}, budget) for v in dom)
+                for combo in _product(fibers):
+                    yield SectionV(tuple(zip(dom, combo)))
         case Sigma(x, index_type, body):
             for v in _elements(st, index_type, env, budget):
                 for w in iter_type(st, body, {**env, x: v}, budget):
@@ -686,27 +691,15 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
             if isinstance(v, InrV):
                 return value_in_type(st, v.value, b, env, budget)
             return False
-        case Arrow(a, b):
-            if not isinstance(v, TableV):
+        case Arrow() | Power() | Pi():
+            x, dom_t, cod_t = function_space(t)
+            # a section is a value of a Pi only; a table, of every former
+            if not isinstance(v, TableV if x is None else _Tabular):
                 return False
-            dom = tuple(_elements(st, a, env, budget))
-            return (v.domain_values() == dom
-                    and all(value_in_type(st, out, b, env, budget)
-                            for _, out in v.entries))
-        case Power(a):
-            if not isinstance(v, TableV):
-                return False
-            dom = tuple(_elements(st, a, env, budget))
-            return (v.domain_values() == dom
-                    and all(isinstance(out, TruthV) for _, out in v.entries))
-        case Pi(x, index_type, body):
-            if not isinstance(v, (SectionV, TableV)):
-                return False
-            index = tuple(_elements(st, index_type, env, budget))
-            if v.domain_values() != index:
-                return False
-            return all(
-                value_in_type(st, out, body, {**env, x: arg}, budget)
+            dom = tuple(_elements(st, dom_t, env, budget))
+            return v.domain_values() == dom and all(
+                value_in_type(st, out, cod_t,
+                              env if x is None else {**env, x: arg}, budget)
                 for arg, out in v.entries)
         case Sigma(x, index_type, body):
             return (isinstance(v, PairV)
@@ -1333,12 +1326,9 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
                 return InlV(_transport(h, v.value, a, budget))
             assert isinstance(v, InrV)
             return InrV(_transport(h, v.value, b, budget))
-        case Arrow(_, _) | Power(_):
+        case Arrow() | Power():
             assert isinstance(v, TableV)
-            if isinstance(t, Arrow):
-                dom_t, cod_t = t.dom, t.cod
-            else:
-                dom_t, cod_t = t.inner, Prop()
+            _, dom_t, cod_t = function_space(t)
             moved = {
                 _transport(h, arg, dom_t, budget): _transport(h, out, cod_t, budget)
                 for arg, out in v.entries}

@@ -156,6 +156,22 @@ TypeExpr = Union[
 ]
 
 
+def function_space(t: Optional[TypeExpr]
+                   ) -> Optional[tuple[Optional[str], TypeExpr, TypeExpr]]:
+    """A function type read as ``(binder, domain, codomain)``: an arrow
+    is a Pi that binds nothing, and a power is the predicate type, so
+    ``(-> A B)`` is ``(None, A, B)``, ``(power A)`` is ``(None, A, Prop)``
+    and ``(pi (x A) B)`` is ``(x, A, B)``.  Any other type is None."""
+    match t:
+        case Arrow(dom, cod):
+            return None, dom, cod
+        case Power(dom):
+            return None, dom, Prop()
+        case Pi(x, dom, cod):
+            return x, dom, cod
+    return None
+
+
 # -- terms ------------------------------------------------------------------
 
 @_node
