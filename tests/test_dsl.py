@@ -477,6 +477,15 @@ def test_a_predicate_reads_as_a_set_and_a_power_as_a_table():
     reloaded(st)
 
 
+def test_a_set_is_refused_against_a_function_type_not_into_prop():
+    with pytest.raises(ParseError) as err:
+        load_source("""(signature s (types A B) (fun (t () (-> A B))))
+            (structure m of s (carrier A (a)) (carrier B (b))
+              (fun t (() (set a))))""")
+    assert str(err.value) == (
+        "3:26: 'set' values need an expected subset type (power or predicate)")
+
+
 def test_quiver_declarations():
     source = """
     (structure tiny of vls

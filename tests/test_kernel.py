@@ -125,7 +125,14 @@ def test_projection_of_non_product():
 def test_application_of_non_function():
     ctx = Context.of(("x", G))
     v = check_term(GROUP, ctx, App(Var("x"), (Var("x"),)), G)
-    assert not v and "application of non-function" in v.reason
+    assert v.reason == "application of non-function: x has type G"
+
+
+def test_applying_a_section_substitutes_the_argument():
+    pc = Base("PC")
+    ctx = Context.of(("a", pc), ("f", Pi("x", pc, FamApp("fin", (Var("x"),)))))
+    assert infer_term(MUSIC, ctx, App(Var("f"), (Var("a"),))) == FamApp(
+        "fin", (Var("a"),))
 
 
 def test_sup_branch_domain_mismatch():
@@ -180,6 +187,33 @@ def test_lambda_against_arrow_and_pi():
     section = Lambda("k", pc, Lambda("j", FamApp("fin", (Var("k"),)), Var("j")))
     inferred = infer_term(MUSIC, EMPTY, section)
     assert isinstance(inferred, Pi)
+
+
+def test_a_lambda_domain_that_does_not_match_is_refused_with_its_reason():
+    pc = Base("PC")
+    assert check_term(GROUP, EMPTY, Lambda("x", Unit(), Var("x")),
+                      Arrow(G, G)).reason == (
+        "lambda domain annotation 1 does not match expected domain G")
+    assert check_term(MUSIC, EMPTY, Lambda("k", Unit(), Var("k")),
+                      Pi("x", pc, pc)).reason == (
+        "lambda domain annotation 1 does not match expected domain PC")
+
+
+def test_a_pi_lambda_renames_a_binder_the_context_holds():
+    """The lambda binds k, which the context holds too: the body's k and
+    the context's k must stay apart once the Pi's binder becomes k."""
+    pc = Base("PC")
+
+    def fin(name):
+        return FamApp("fin", (Var(name),))
+
+    ctx = Context.of(("k", pc), ("c", fin("k")))
+    expected = Pi("x", pc, Arrow(fin("x"), fin("k")))
+    assert check_term(MUSIC, ctx, Lambda("k", pc, Lambda("j", fin("k"),
+                                                         Var("c"))), expected)
+    v = check_term(MUSIC, ctx, Lambda("k", pc, Lambda("j", fin("k"),
+                                                      Var("j"))), expected)
+    assert v.reason == "type mismatch: j has type (fin k'), expected (fin k)"
 
 
 def test_bidirectional_coherence():

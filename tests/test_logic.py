@@ -74,7 +74,15 @@ def test_equality_type_mismatch():
 def test_non_predicate_in_membership():
     ctx = Context.of(("p", Base("PC")), ("q", Base("PC")))
     v = well_formed_formula(MUSIC, ctx, Member(Var("p"), Var("q")))
-    assert not v and "non-predicate" in v.reason
+    assert v.reason == ("non-predicate in membership: q has type PC, "
+                        "expected a predicate on PC")
+
+
+def test_a_predicate_on_another_domain_is_no_predicate_in_membership():
+    ctx = Context.of(("p", Base("PC")), ("s", Power(Base("IC"))))
+    v = well_formed_formula(MUSIC, ctx, Member(Var("p"), Var("s")))
+    assert v.reason == ("non-predicate in membership: s has type (power IC), "
+                        "expected a predicate on PC")
 
 
 def test_higher_order_quantification():
