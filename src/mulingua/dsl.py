@@ -427,7 +427,7 @@ def _pair_types(expected: Optional[TypeExpr]):
 
 def _subset_domain(node: SNode, expected: Optional[TypeExpr]) -> TypeExpr:
     match function_space(expected):
-        case (None, dom, Prop()):
+        case (_, dom, Prop()):
             return dom
     raise node.error(
         "'set' values need an expected subset type (power or predicate)")

@@ -4,9 +4,12 @@ telescope contexts, and context morphisms composed by substitution.
 Checking is bidirectional: introduction forms (pairs against dependent
 sums, injections, tree nodes, ``absurd``) are checked against an
 expected type, elimination forms and symbol applications synthesize
-theirs.  Definitional equality of types is structural up to renaming of
-bound variables; no reduction happens inside types, since dependency is
-always over finite index types that are resolved at evaluation time.
+theirs.  Application and lambda read function types only through
+``syntax.function_space``.  Definitional equality of types is
+structural up to renaming of bound variables, so ``(power A)``,
+``(-> A Prop)`` and ``(pi (x A) Prop)`` are three types; no reduction
+happens inside types, since dependency is always over finite index
+types that are resolved at evaluation time.
 
 Diagnostics report the leftmost-innermost failure: recursion fails fast
 left to right and the deepest message propagates unchanged.
@@ -21,7 +24,7 @@ from .syntax import (
     FormulaTerm, Inl, Inr, Lambda, Pair, Pi, Power, Product,
     Prop, PropType, Proj1, Proj2, Sigma, Signature, Star, Sup,
     Term, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero,
-    alpha_eq, free_vars, fresh_name, show, substitute,
+    alpha_eq, free_vars, fresh_name, function_space, show, substitute,
 )
 
 __all__ = [
@@ -182,17 +185,14 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
         case App(head, args):
             fun_type = _infer(sig, ctx, head)
             for arg in args:
-                match fun_type:
-                    case Arrow(dom, cod):
-                        _check(sig, ctx, arg, dom)
-                        fun_type = cod
-                    case Pi(x, index_type, body):
-                        _check(sig, ctx, arg, index_type)
-                        fun_type = substitute(body, {x: arg})
-                    case _:
-                        raise TypeCheckError(
-                            f"application of non-function: {show(head)} has "
-                            f"type {show(fun_type)}")
+                space = function_space(fun_type)
+                if space is None:
+                    raise TypeCheckError(
+                        f"application of non-function: {show(head)} has "
+                        f"type {show(fun_type)}")
+                x, dom, cod = space
+                _check(sig, ctx, arg, dom)
+                fun_type = cod if x is None else substitute(cod, {x: arg})
             return fun_type
         case Pair(a, b):
             return Product(_infer(sig, ctx, a), _infer(sig, ctx, b))
@@ -266,22 +266,19 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
         case (Inl(_) | Inr(_), _):
             raise TypeCheckError(
                 f"injection checked against non-coproduct type {show(expected)}")
-        case (Lambda(x, annot, body), Arrow(dom, cod)):
+        case (Lambda(x, annot, body), _) if (
+                space := function_space(expected)) is not None:
+            y, dom, cod = space
             if not alpha_eq(annot, dom):
                 raise TypeCheckError(
                     f"lambda domain annotation {show(annot)} does not match "
                     f"expected domain {show(dom)}")
+            if y is not None:
+                z = fresh_name(x, set(ctx.names()) | free_vars(body)
+                               | free_vars(cod))
+                body = substitute(body, {x: Var(z)})
+                x, cod = z, substitute(cod, {y: Var(z)})
             _check(sig, ctx.extend(x, annot), body, cod)
-        case (Lambda(x, annot, body), Pi(y, index_type, pi_body)):
-            if not alpha_eq(annot, index_type):
-                raise TypeCheckError(
-                    f"lambda domain annotation {show(annot)} does not match "
-                    f"expected domain {show(index_type)}")
-            avoid = set(ctx.names()) | free_vars(body) | free_vars(pi_body)
-            z = fresh_name(x, avoid)
-            _check(sig, ctx.extend(z, index_type),
-                   substitute(body, {x: Var(z)}),
-                   substitute(pi_body, {y: Var(z)}))
         case (Sup(label, branches), W(x, label_type, arity_body)):
             _check(sig, ctx, label, label_type)
             arity = substitute(arity_body, {x: label})

@@ -1,10 +1,11 @@
 """The higher-order formula language: well-formedness and traversal.
 
 Formulas are the terms of type ``Prop``: relation atoms, typed equality,
-propositional membership, the constant truth values, connectives, and
-typed quantifiers.  Quantified variables may have any constructor type
-(function types, dependent products, powers), which is what makes the
-language higher-order.
+membership in a predicate (any function type into ``Prop``, read
+through ``syntax.function_space``), the constant truth values,
+connectives, and typed quantifiers.  Quantified variables may have any
+constructor type (function types, dependent products, powers), which is
+what makes the language higher-order.
 
 A quantifier may shadow a context variable; inside types, the dependent
 binders reject shadowing outright.  Derivability of a formula in a
@@ -60,15 +61,14 @@ def _wf_formula(sig: Signature, ctx: Context, f: Formula) -> None:
             try:
                 pred_type = _infer(sig, ctx, predicate)
             except TypeCheckError:
-                pred_type = None
-            if pred_type is not None:
-                if function_space(pred_type) != (None, elem_type, Prop()):
+                _check(sig, ctx, predicate, Arrow(elem_type, Prop()))
+            else:
+                space = function_space(pred_type)
+                if space is None or space[1:] != (elem_type, Prop()):
                     raise TypeCheckError(
                         f"non-predicate in membership: {show(predicate)} has "
                         f"type {show(pred_type)}, expected a predicate on "
                         f"{show(elem_type)}")
-            else:
-                _check(sig, ctx, predicate, Arrow(elem_type, Prop()))
         case Top() | Bottom():
             pass
         case And(l, r) | Or(l, r) | Implies(l, r):

@@ -842,7 +842,7 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
             def application(fr):
                 value = function(fr)
                 for argument in arguments:
-                    if not isinstance(value, (TableV, SectionV)):
+                    if not isinstance(value, _Tabular):
                         raise StructureError("application of a non-table value")
                     value = value.apply(argument(fr))
                 return value
@@ -887,7 +887,7 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
             def tree(fr):
                 label_v = label(fr)
                 branch_v = branches(fr)
-                if not isinstance(branch_v, (TableV, SectionV)):
+                if not isinstance(branch_v, _Tabular):
                     raise StructureError("sup branches must evaluate to a table")
                 return TreeV(label_v, tuple(out for _, out in branch_v.entries))
             return tree
@@ -917,7 +917,7 @@ def _formula(f: Formula, slots: dict[str, int],
 
             def member(fr):
                 pred = predicate(fr)
-                if not isinstance(pred, (TableV, SectionV)):
+                if not isinstance(pred, _Tabular):
                     raise StructureError("membership predicate is not a table")
                 return pred.apply(element(fr)) == TRUE
             return member
@@ -1215,11 +1215,11 @@ def check_structure_hom(h: StructureHom,
     """Totality of the components, commuting squares for every function
     symbol, a fiberwise map for every type family, and preservation of
     every relation.  Compatibility with the constructors is checked at
-    base types and extended componentwise through products, coproducts,
-    and (for bijective components) powers and function types; a
-    component that is not a bijection where one is needed, a table entry
-    missing in the source or the target, or a domain past the budget
-    fails the check with the reason.
+    base types and extended componentwise through products, dependent
+    sums, coproducts and (for bijective components) function types; a
+    component that is not a bijection where one is needed, a tree or
+    family type, a table entry missing in the source or the target, or
+    a domain past the budget fails the check with the reason.
 
     A family is checked fiberwise, as a quiver hom needs: every member
     of the source fiber at ``args`` must lie in the target fiber at the
@@ -1292,7 +1292,7 @@ def check_structure_hom(h: StructureHom,
                     shown = ", ".join(h.source.render(v) for v in tup)
                     return Verdict.failed(
                         f"relation {rel.name!r} not preserved at ({shown})")
-    except _NotBijective as err:
+    except _NotTransported as err:
         return Verdict.failed(str(err))
     return Verdict.passed()
 
@@ -1303,8 +1303,9 @@ def _not_total(side: str, name: str, args: tuple[Value, ...],
                           f"{tuple(map(st.render, args))}")
 
 
-class _NotBijective(StructureError):
-    """A table whose domain component is not a bijection: a failed check."""
+class _NotTransported(StructureError):
+    """A value the components cannot carry to the target, such as a
+    table along a component that is not a bijection: a failed check."""
 
 
 def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
@@ -1315,9 +1316,9 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
             except KeyError:
                 raise StructureError(
                     f"component map for {name!r} is not total") from None
-        case Unit() | Prop():
+        case Unit() | Prop() | PropType():
             return v
-        case Product(a, b):
+        case Product(a, b) | Sigma(_, a, b):
             assert isinstance(v, PairV)
             return PairV(_transport(h, v.first, a, budget),
                          _transport(h, v.second, b, budget))
@@ -1326,19 +1327,19 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
                 return InlV(_transport(h, v.value, a, budget))
             assert isinstance(v, InrV)
             return InrV(_transport(h, v.value, b, budget))
-        case Arrow() | Power():
-            assert isinstance(v, TableV)
+        case Arrow() | Power() | Pi():
+            assert isinstance(v, _Tabular)
             _, dom_t, cod_t = function_space(t)
             moved = {
                 _transport(h, arg, dom_t, budget): _transport(h, out, cod_t, budget)
                 for arg, out in v.entries}
             target_dom = tuple(iter_type(h.target, dom_t, budget=budget))
             if len(moved) != len(v.entries) or set(moved) != set(target_dom):
-                raise _NotBijective(
+                raise _NotTransported(
                     f"cannot transport along {show(t)}: component is not a "
                     "bijection")
-            return TableV(tuple((arg, moved[arg]) for arg in target_dom))
-    raise StructureError(f"component transport not supported for {show(t)}")
+            return type(v)(tuple((arg, moved[arg]) for arg in target_dom))
+    raise _NotTransported(f"component transport not supported for {show(t)}")
 
 
 # ---------------------------------------------------------------------------

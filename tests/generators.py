@@ -8,12 +8,14 @@ import random
 import sys
 from contextlib import contextmanager
 
-from mulingua.semantics import Atom, FinSet, Structure
+from mulingua.semantics import (
+    Atom, FinSet, SectionV, Structure, TableV, TruthV,
+)
 from mulingua.syntax import (
     And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, Formula, FunSymbol, Implies, Lambda, Not, Or, Pair, Pi, Power,
-    Product, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term, Top,
-    TypeExpr, Unit, Universe, Var, W, Zero, _Node,
+    Forall, Formula, FormulaTerm, FunSymbol, Implies, Lambda, Member, Not, Or,
+    Pair, Pi, Power, Product, Prop, PropType, RelAtom, RelSymbol, Sigma,
+    Signature, Term, Top, TypeExpr, Unit, Universe, Var, W, Zero, _Node,
 )
 
 G = Base("G")
@@ -217,6 +219,107 @@ def _random_x_formula(rng: random.Random, scope: tuple[str, ...],
     ctor = Forall if rng.random() < 0.5 else Exists
     return ctor(binder, Base("X"),
                 _random_x_formula(rng, scope + (binder,), depth - 1))
+
+
+# ---------------------------------------------------------------------------
+# random formulas over function constants
+# ---------------------------------------------------------------------------
+
+A_TYPE, B_TYPE = Base("A"), Base("B")
+# the three spellings of a predicate on A, which the kernel does not
+# convert into each other
+PREDICATE_TYPES = (Power(A_TYPE), Arrow(A_TYPE, Prop()),
+                   Pi("x", A_TYPE, Prop()))
+FUNCTION_CONSTANTS = dict(zip(("pw", "ar", "pi"), PREDICATE_TYPES),
+                          tab=Arrow(A_TYPE, B_TYPE))
+
+
+def function_signature() -> Signature:
+    return Signature(
+        name="functions", base_types=("A", "B"),
+        fun_symbols=tuple(FunSymbol(name, (), t)
+                          for name, t in FUNCTION_CONSTANTS.items()))
+
+
+def random_function_structure(rng: random.Random) -> Structure:
+    """One to three points of A, one or two of B, a random subset of A
+    for each predicate constant (the Pi one a table or a section) and a
+    random table from A to B."""
+    a_atoms = [Atom("A", i) for i in range(rng.randrange(1, 4))]
+    b_atoms = [Atom("B", i) for i in range(rng.randrange(1, 3))]
+
+    def subset(ctor):
+        return ctor(tuple((a, TruthV(rng.random() < 0.5)) for a in a_atoms))
+
+    return Structure(
+        signature=function_signature(),
+        carriers={"A": FinSet(tuple(a_atoms)), "B": FinSet(tuple(b_atoms))},
+        fun_tables={
+            "pw": {(): subset(TableV)},
+            "ar": {(): subset(TableV)},
+            "pi": {(): subset(rng.choice((TableV, SectionV)))},
+            "tab": {(): TableV(tuple((a, rng.choice(b_atoms))
+                                     for a in a_atoms))},
+        },
+    )
+
+
+FUNCTION_CONTEXT = Context.of(("a", A_TYPE))
+
+
+def random_function_formula(rng: random.Random, depth: int) -> Formula:
+    """A formula over ``function_signature`` in ``FUNCTION_CONTEXT``
+    that applies the function constants, lambdas and quantified
+    functions, tests membership in them and compares them.  Each term
+    is drawn for a type, but one draw in eight is for a type picked at
+    random instead, so some formulas are ill-typed."""
+    fresh = [0]
+    types = (A_TYPE, B_TYPE, Prop(), *FUNCTION_CONSTANTS.values())
+
+    def binder() -> str:
+        fresh[0] += 1
+        return f"v{fresh[0]}"
+
+    def term(t: TypeExpr, scope: tuple, depth: int) -> Term:
+        if rng.random() < 0.125:
+            t = rng.choice(types)
+        leaves = [Var(n) for n, u in scope if u == t] + [
+            Var(n) for n, u in FUNCTION_CONSTANTS.items() if u == t]
+        # A and the function types always have a leaf: the context's a,
+        # or a constant
+        if leaves and (depth <= 0 or t == A_TYPE or rng.random() < 0.4):
+            return rng.choice(leaves)
+        if t == B_TYPE:
+            return App(Var("tab"), (term(A_TYPE, scope, depth - 1),))
+        if t == Prop():
+            if depth > 0 and rng.random() < 0.5:
+                return FormulaTerm(formula(scope, depth - 1))
+            return App(term(rng.choice(PREDICATE_TYPES), scope, depth - 1),
+                       (term(A_TYPE, scope, depth - 1),))
+        x = binder()
+        cod = Prop() if t in PREDICATE_TYPES else B_TYPE
+        return Lambda(x, A_TYPE, term(cod, scope + ((x, A_TYPE),), depth - 1))
+
+    def formula(scope: tuple, depth: int) -> Formula:
+        roll = rng.random()
+        if depth <= 0 or roll < 0.35:
+            kind = rng.randrange(3)
+            if kind == 0:
+                return Member(term(A_TYPE, scope, depth),
+                              term(rng.choice(PREDICATE_TYPES), scope, depth))
+            t = rng.choice(types) if kind == 1 else Prop()
+            return Eq(t, term(t, scope, depth), term(t, scope, depth))
+        if roll < 0.55:
+            return rng.choice((And, Or, Implies))(formula(scope, depth - 1),
+                                                  formula(scope, depth - 1))
+        if roll < 0.65:
+            return Not(formula(scope, depth - 1))
+        x = binder()
+        t = rng.choice((A_TYPE, B_TYPE) + PREDICATE_TYPES)
+        return rng.choice((Forall, Exists))(
+            x, t, formula(scope + ((x, t),), depth - 1))
+
+    return formula(tuple(FUNCTION_CONTEXT), depth)
 
 
 # ---------------------------------------------------------------------------

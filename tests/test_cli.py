@@ -402,6 +402,13 @@ EVERY_FORM_EVALS = {
     # a lambda evaluates to a table, and equals the section it denotes
     "lambda-section": (0, "true\n"),
     "member": (0, "true\n"),
+    # a predicate on A is any function type into Prop: a power applies,
+    # a lambda checks against it, and a Pi tests membership and is
+    # written (set ...)
+    "apply-power": (0, "true\n"),
+    "lambda-power": (0, "true\n"),
+    "member-section": (0, "true\n"),
+    "set-section": (0, "true\n"),
     "relation": (0, "true\n"),
     "tree-leaf": (0, "true\n"),
     "tree-one": (0, "true\n"),

@@ -1,6 +1,7 @@
 """Judgment checking: formation rules, bidirectional term typing,
 substitution, and context morphisms."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from mulingua.musiclib import (
 from mulingua.syntax import (
     Absurd, App, Arrow, Base, Context, Coproduct, FamApp, Inl, Lambda, Pair,
     Pi, Power, Product, Prop, Proj1, Sigma, Star, Sup, TupleProj,
-    Unit, Universe, Var, W, Zero, alpha_eq, free_vars, substitute,
+    Unit, Universe, Var, W, Zero, alpha_eq, free_vars, show, substitute,
 )
 
 from generators import random_group_element_term, random_typed_term
@@ -214,6 +215,26 @@ def test_a_pi_lambda_renames_a_binder_the_context_holds():
     v = check_term(MUSIC, ctx, Lambda("k", pc, Lambda("j", fin("k"),
                                                       Var("j"))), expected)
     assert v.reason == "type mismatch: j has type (fin k'), expected (fin k)"
+
+
+PREDICATES = (Power(Base("PC")), Arrow(Base("PC"), Prop()),
+              Pi("x", Base("PC"), Prop()))
+
+
+@pytest.mark.parametrize("predicate", PREDICATES, ids=show)
+def test_every_spelling_of_a_predicate_applies_and_takes_a_lambda(predicate):
+    pc = Base("PC")
+    ctx = Context.of(("a", pc), ("s", predicate))
+    assert infer_term(MUSIC, ctx, App(Var("s"), (Var("a"),))) == Prop()
+    assert check_term(MUSIC, ctx, Lambda("q", pc, App(Var("s"), (Var("q"),))),
+                      predicate)
+
+
+def test_the_spellings_of_a_predicate_are_not_converted_into_each_other():
+    for given, expected in itertools.permutations(PREDICATES, 2):
+        v = check_term(MUSIC, Context.of(("s", given)), Var("s"), expected)
+        assert v.reason == (f"type mismatch: s has type {show(given)}, "
+                            f"expected {show(expected)}")
 
 
 def test_bidirectional_coherence():

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as hst
 
 from mulingua.diagnostics import BudgetError, MulinguaError
 from mulingua.kernel import check_term
+from mulingua.logic import well_formed_formula
 from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_gis_theory,
     make_group_theory, music_signature, pitch_universe, subtraction_structure,
@@ -24,7 +25,8 @@ from mulingua.musiclib import (
 from mulingua.semantics import (
     Atom, FinSet, InlV, InrV, PairV, SectionV, StarV, Structure,
     StructureHom, TableV, TreeV, TruthV, all_environments,
-    check_structure_hom, check_theory, derivable, eval_formula, eval_term,
+    check_structure_hom, check_theory, counterexample, derivable,
+    eval_formula, eval_term,
     identity_hom, interpret_type, iter_type, render_value, type_size,
     value_in_type,
 )
@@ -38,9 +40,11 @@ from mulingua.syntax import (
 from mulingua.voiceleading import transporters
 
 from generators import (
-    BINDERS, random_closed_formula, random_family_structure, random_formula,
-    random_group_element_term, random_tiny_structure, random_type,
-    random_typed_term, rename_bound, tiny_signature,
+    BINDERS, FUNCTION_CONTEXT, function_signature, random_closed_formula,
+    random_family_structure, random_formula, random_function_formula,
+    random_function_structure, random_group_element_term,
+    random_tiny_structure, random_type, random_typed_term, rename_bound,
+    tiny_signature,
 )
 
 GROUP = group_signature()
@@ -378,6 +382,24 @@ TYPE_DIGEST = (
     "3791ada08fb327d3c1dfce4697cff0d82f660f4886a4ed097fea0174988cc004")
 
 
+def test_a_well_typed_formula_over_function_constants_does_not_go_wrong():
+    """Whatever the kernel accepts, the evaluator runs to an answer: a
+    power, an arrow into Prop and a Pi into Prop are each applied,
+    tested with ``in`` and compared, without a StructureError."""
+    rng = random.Random(20)
+    sig = function_signature()
+    accepted = refused = 0
+    for _ in range(300):
+        st = random_function_structure(rng)
+        f = random_function_formula(rng, rng.randrange(1, 5))
+        if not well_formed_formula(sig, FUNCTION_CONTEXT, f):
+            refused += 1
+            continue
+        accepted += 1
+        counterexample(st, FUNCTION_CONTEXT, f)
+    assert accepted and refused
+
+
 # ---------------------------------------------------------------------------
 # evaluation of terms
 # ---------------------------------------------------------------------------
@@ -712,6 +734,40 @@ def test_surjective_but_not_injective_component_at_a_power_fails_the_check():
     assert not verdict
     assert verdict.reason == ("cannot transport along (power X): "
                               "component is not a bijection")
+
+
+A0, A1 = Atom("X", 0), Atom("X", 1)
+
+
+@pytest.mark.parametrize("codomain, value, reason", [
+    (Pi("x", Base("X"), Base("X")), SectionV(((A0, A1), (A1, A0))), ""),
+    (Sigma("x", Base("X"), Base("X")), PairV(A0, A1), ""),
+    (PropType(Top()), StarV(), ""),
+    (W("x", Base("X"), Zero()), TreeV(A0, ()),
+     "component transport not supported for (w (x X) 0)"),
+], ids=["pi", "sigma", "prop", "w"])
+def test_the_identity_hom_transports_each_codomain_or_fails_the_check(
+        codomain, value, reason):
+    sig = Signature(name="one", base_types=("X",),
+                    fun_symbols=(FunSymbol("c", (), codomain),))
+    st = Structure(sig, {"X": FinSet.of(A0, A1)}, {"c": {(): value}})
+    assert check_structure_hom(identity_hom(st)).reason == reason
+
+
+def test_a_section_is_transported_entrywise():
+    sig = Signature(name="one", base_types=("X",), fun_symbols=(
+        FunSymbol("c", (), Pi("x", Base("X"), Base("X"))),))
+    xs = FinSet.of(A0, A1)
+    swap = {"X": {A0: A1, A1: A0}}
+    flip = Structure(sig, {"X": xs}, {"c": {(): SectionV(
+        ((A0, A1), (A1, A0)))}})
+    assert check_structure_hom(StructureHom(flip, flip, swap))
+    constant = Structure(sig, {"X": xs}, {"c": {(): SectionV(
+        ((A0, A0), (A1, A0)))}})
+    assert check_structure_hom(StructureHom(constant, constant, swap)).reason == (
+        "square for 'c' fails at (): (section ((atom X 0) (atom X 1)) "
+        "((atom X 1) (atom X 1))) != (section ((atom X 0) (atom X 0)) "
+        "((atom X 1) (atom X 0)))")
 
 
 def test_a_hom_maps_each_fiber_of_a_family_into_the_target_fiber():
