@@ -14,6 +14,10 @@ are iterated meets and joins over the interpreted bound type.  Terms and
 formulas are evaluated by compiling each node once into nested closures
 over a frame of variable slots, kept on the node; a theory check or a
 context enumeration writes each assignment straight into those slots.
+A function symbol whose arguments are base types is read by position:
+the argument atoms' indices give a mixed-radix position in a flat list
+of the table's values, built on the symbol's first evaluation in a
+structure, so the lookup hashes no key.
 Compiling changes no result and no error: a table, a constant or a
 domain is read, and the budget checked, only when evaluation reaches it.
 
@@ -34,6 +38,7 @@ import itertools
 import os
 from dataclasses import field
 from fractions import Fraction
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
@@ -77,10 +82,13 @@ def element_budget(budget: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 # Atom, StarV, TruthV, PairV, InlV and InrV are hashed and compared on
-# every table lookup, so they have the __eq__ and __hash__ a frozen
-# dataclass generates: _Node's, which loop over the field names, are
-# slower.  The hashes equal the dataclass ones, so set and dict orders
-# do not change.
+# every table lookup by key: a symbol whose arguments are not all atoms
+# of its indexed carriers, a relation, a table value's apply, a set's
+# membership.  (A symbol over base types reads its table by the atoms'
+# carrier positions and hashes nothing; see Structure._position_index.)
+# So they have the __eq__ and __hash__ a frozen dataclass generates:
+# _Node's, which loop over the field names, are slower.  The hashes
+# equal the dataclass ones, so set and dict orders do not change.
 
 @_node
 class Atom(_Node):
@@ -333,6 +341,24 @@ PROP_SET = FinSet((FALSE, TRUE))
 # structures
 # ---------------------------------------------------------------------------
 
+# the slot of a symbol whose positional index is not built yet
+_UNBUILT = object()
+
+
+def _position(key: object, dims: tuple[tuple[str, int], ...]) -> Optional[int]:
+    """The mixed-radix position of a table key, or None unless it is a
+    tuple of atoms of the carriers in ``dims``, each index in range."""
+    if key.__class__ is not tuple or len(key) != len(dims):
+        return None
+    position = 0
+    for a, (carrier, size) in zip(key, dims):
+        if (a.__class__ is not Atom or a.carrier != carrier
+                or a.index.__class__ is not int or not 0 <= a.index < size):
+            return None
+        position = position * size + a.index
+    return position
+
+
 @_node(frozen=False, eq=False)
 class Structure(_Node):
     """A model of a signature in finite sets.
@@ -342,7 +368,10 @@ class Structure(_Node):
     table yields the finite set at each argument tuple.  ``rel_tables``
     holds the accepted tuples of each relation.  ``element_names``
     optionally names carrier atoms for rendering.
-    Structures are immutable after construction.
+    Structures are immutable after construction: evaluation reads a
+    symbol whose arguments are base types through a positional index
+    built from its table on first use, which would go stale if the
+    table changed.
     """
 
     signature: Signature
@@ -361,6 +390,10 @@ class Structure(_Node):
         self.fun_tables = {} if fun_tables is None else fun_tables
         self.rel_tables = {} if rel_tables is None else rel_tables
         self.element_names = {} if element_names is None else element_names
+        # one slot per function symbol for its positional index, filled
+        # the first time the symbol is evaluated here
+        self._positions = dict.fromkeys(
+            (sym.name for sym in signature.fun_symbols), _UNBUILT)
         for base in self.signature.base_types:
             if base not in self.carriers:
                 raise StructureError(f"no carrier for base type {base!r}")
@@ -381,6 +414,37 @@ class Structure(_Node):
         if names is None or name not in names:
             raise StructureError(f"no element named {name!r} in carrier {carrier!r}")
         return Atom(carrier, names.index(name))
+
+    def _position_index(self, name: str) -> tuple:
+        """Fill symbol ``name``'s slot and return its positional index:
+        ``(flat, (carrier, size), ...)``, one pair per argument, where
+        ``flat`` holds the table's values in mixed-radix order of the
+        argument atoms' ``index`` fields.  The index is ``()``, and the
+        table is read by key, unless the symbol is not a family, each
+        domain type is a base type with a carrier, and the table's keys
+        are tuples of atoms of those carriers, each index in range, that
+        fill every position.  Atoms are equal when carrier and index are, so a
+        position read returns what the key lookup returns.  One pass over
+        the table, hashing no key."""
+        index = ()
+        sym = self.signature.fun(name)
+        table = self.fun_tables.get(name)
+        if (sym is not None and not sym.is_family and table is not None
+                and all(isinstance(t, Base) and t.name in self.carriers
+                        for t in sym.domain)):
+            dims = tuple((t.name, len(self.carriers[t.name]))
+                         for t in sym.domain)
+            flat = [None] * prod(size for _, size in dims)
+            if len(table) == len(flat):
+                for key, value in table.items():
+                    position = _position(key, dims)
+                    if position is None:
+                        break
+                    flat[position] = value
+                else:
+                    index = (flat, *dims)
+        self._positions[name] = index
+        return index
 
     def constant_value(self, name: str) -> Value:
         table = self.fun_tables.get(name)
@@ -820,21 +884,7 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
                 raise StructureError(f"unbound variable {name!r} at evaluation")
             return constant
         case App(str() as head, args):
-            arguments = _tuple_of([_term(a, slots, size) for a in args])
-
-            def symbol(fr):
-                st = fr[_STRUCTURE]
-                table = st.fun_tables.get(head)
-                if table is None:
-                    raise StructureError(f"no table for symbol {head!r}")
-                key = arguments(fr)
-                try:
-                    return table[key]
-                except KeyError:
-                    raise StructureError(
-                        f"table for {head!r} has no entry for "
-                        f"{tuple(map(st.render, key))}") from None
-            return symbol
+            return _symbol(head, [_term(a, slots, size) for a in args])
         case App(head, args):
             function = _term(head, slots, size)
             arguments = [_term(a, slots, size) for a in args]
@@ -958,6 +1008,101 @@ def _formula(f: Formula, slots: dict[str, int],
                 return False
             return exists
     return _failing(f"not a formula: {f!r}")
+
+
+def _symbol(head: str, parts: list[Code]) -> Code:
+    """A function symbol applied to arguments.  The symbol's slot is
+    resolved first.  With a positional index (``Structure._position_index``)
+    of the applied arity, arguments that are atoms of the indexed
+    carriers with indices in range read the flat table; anything else,
+    and every error, goes to ``by_key``, which reports a missing table
+    before any argument is evaluated.  Symbols of arity 0, 1 and 2 are
+    written out: a call per lookup, or a list comprehension before
+    Python 3.12, would cost more than the read.  There a non-integer
+    index fails the range test or the list read with a TypeError, and
+    goes to the key lookup too."""
+    arguments = _tuple_of(parts)
+
+    def by_key(fr: Frame, st: Structure, key: Optional[tuple] = None):
+        """The table's key lookup; the arguments are evaluated after the
+        table is found, unless ``key`` holds them already."""
+        table = st.fun_tables.get(head)
+        if table is None:
+            raise StructureError(f"no table for symbol {head!r}")
+        if key is None:
+            key = arguments(fr)
+        try:
+            return table[key]
+        except KeyError:
+            raise StructureError(
+                f"table for {head!r} has no entry for "
+                f"{tuple(map(st.render, key))}") from None
+
+    if not parts:
+        def symbol(fr):
+            st = fr[_STRUCTURE]
+            index = st._positions.get(head, ())
+            if index is _UNBUILT:
+                index = st._position_index(head)
+            if len(index) != 1:
+                return by_key(fr, st)
+            return index[0][0]
+        return symbol
+    if len(parts) == 1:
+        (only,) = parts
+
+        def symbol(fr):
+            st = fr[_STRUCTURE]
+            index = st._positions.get(head, ())
+            if index is _UNBUILT:
+                index = st._position_index(head)
+            if len(index) != 2:
+                return by_key(fr, st)
+            flat, (carrier, n) = index
+            a = only(fr)
+            try:
+                if a.__class__ is Atom and a.carrier == carrier \
+                        and 0 <= a.index < n:
+                    return flat[a.index]
+            except TypeError:
+                pass
+            return by_key(fr, st, (a,))
+        return symbol
+    if len(parts) == 2:
+        first, second = parts
+
+        def symbol(fr):
+            st = fr[_STRUCTURE]
+            index = st._positions.get(head, ())
+            if index is _UNBUILT:
+                index = st._position_index(head)
+            if len(index) != 3:
+                return by_key(fr, st)
+            flat, (carrier1, n1), (carrier2, n2) = index
+            a, b = first(fr), second(fr)
+            try:
+                if a.__class__ is Atom and b.__class__ is Atom \
+                        and a.carrier == carrier1 and b.carrier == carrier2 \
+                        and 0 <= a.index < n1 and 0 <= b.index < n2:
+                    return flat[a.index * n2 + b.index]
+            except TypeError:
+                pass
+            return by_key(fr, st, (a, b))
+        return symbol
+
+    def symbol(fr):
+        st = fr[_STRUCTURE]
+        index = st._positions.get(head, ())
+        if index is _UNBUILT:
+            index = st._position_index(head)
+        if len(index) != len(parts) + 1:
+            return by_key(fr, st)
+        key = arguments(fr)
+        position = _position(key, index[1:])
+        if position is None:
+            return by_key(fr, st, key)
+        return index[0][position]
+    return symbol
 
 
 def _tuple_of(parts: list[Code]) -> Callable[[Frame], tuple]:

@@ -7,13 +7,15 @@ import itertools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from mulingua.diagnostics import BudgetError, MulinguaError
+from mulingua.diagnostics import BudgetError, MulinguaError, StructureError
+from mulingua.dsl import load_source
 from mulingua.kernel import check_term
 from mulingua.logic import well_formed_formula
 from mulingua.musiclib import (
@@ -985,3 +987,181 @@ def test_an_unpreserved_relation_is_reported_whatever_the_hash_seed():
 def test_the_universe_is_not_enumerated():
     with pytest.raises(MulinguaError, match="^cannot enumerate Type$"):
         next(iter_type(Z12, Universe()))
+
+
+# ---------------------------------------------------------------------------
+# table reads by carrier position
+# ---------------------------------------------------------------------------
+
+def lookup_outcome(read):
+    """What a lookup gives: ``("value", v)`` or ``("error", message)``.
+    Rendering a missing key whose atom has a float index on a named
+    carrier raises a TypeError, by key or by position alike."""
+    try:
+        return "value", read()
+    except (StructureError, TypeError) as err:
+        return "error", f"{type(err).__name__}: {err}"
+
+
+def plain_lookup(st, head, args):
+    """A symbol's value by key in ``fun_tables``, with the evaluator's
+    messages."""
+    table = st.fun_tables.get(head)
+    if table is None:
+        raise StructureError(f"no table for symbol {head!r}")
+    try:
+        return table[args]
+    except KeyError:
+        raise StructureError(
+            f"table for {head!r} has no entry for "
+            f"{tuple(map(st.render, args))}") from None
+
+
+def probe_arguments(st, carrier):
+    """The carrier's atoms, then values a position read must not take:
+    indices out of range, below zero, a bool and a float, an atom of no
+    carrier, and a non-atom."""
+    atoms = list(st.carriers.get(carrier, ()))
+    return atoms + [Atom(carrier, -1), Atom(carrier, len(atoms)),
+                    Atom(carrier, True), Atom(carrier, 1.0),
+                    Atom("Elsewhere", 0), StarV()]
+
+
+def assert_reads_match(st):
+    """Every argument tuple of every symbol over base types gives, through
+    ``eval_term``, the same object or the same message as the plain
+    lookup: on the symbol's first evaluation and after."""
+    for sym in st.signature.fun_symbols:
+        if not all(isinstance(t, Base) for t in sym.domain):
+            continue
+        names = [f"x{k}" for k in range(sym.arity)]
+        term = App(sym.name, tuple(map(Var, names)))
+        probes = [probe_arguments(st, t.name) for t in sym.domain]
+        for _ in range(2):
+            for args in itertools.product(*probes):
+                env = dict(zip(names, args))
+                got = lookup_outcome(lambda: eval_term(st, term, env))
+                want = lookup_outcome(lambda: plain_lookup(st, sym.name, args))
+                assert got[0] == want[0], (sym.name, args, got, want)
+                if got[0] == "value":
+                    assert got[1] is want[1], (sym.name, args)
+                else:
+                    assert got[1] == want[1], (sym.name, args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.randoms(use_true_random=False))
+def test_a_position_read_gives_what_the_table_gives(rng):
+    for st in (random_tiny_structure(rng, rng.randrange(4)),
+               random_family_structure(rng), random_function_structure(rng),
+               (subtraction_structure if rng.random() < 0.5
+                else cyclic_group_structure)(rng.randrange(1, 5))):
+        assert_reads_match(st)
+
+
+Y = Base("Y")
+SPARSE = (Atom("X", 3), Atom("X", 7))
+
+
+def unary_structure(carrier, table):
+    sig = Signature("unary", ("X",), (FunSymbol("f", (X,), X),))
+    return Structure(sig, {"X": FinSet(carrier)}, {"f": table})
+
+
+def test_a_table_that_cannot_be_indexed_is_read_by_key():
+    sparse = unary_structure(
+        SPARSE, {(a,): b for a, b in zip(SPARSE, reversed(SPARSE))})
+    foreign = unary_structure((X0, X1), {(X0,): X1, (Atom("Y", 1),): X0})
+    floating = unary_structure((X0, X1), {(X0,): X1, (Atom("X", 1.0),): X0})
+    star = Signature("magma", ("X",), (FunSymbol("star", (X, X), X),))
+    holey = Structure(star, {"X": FinSet.of(X0, X1)}, {"star": {
+        (X0, X0): X0, (X0, X1): X1, (X1, X0): X1}})
+    for st in (sparse, foreign, floating, holey):
+        assert_reads_match(st)
+        assert set(st._positions.values()) == {()}
+    assert eval_term(sparse, App("f", (Var("x"),)), {"x": SPARSE[1]}) \
+        is SPARSE[0]
+    assert lookup_outcome(lambda: eval_term(
+        holey, App("star", (Var("a"), Var("b"))), {"a": X1, "b": X1})) == (
+        "error", "StructureError: table for 'star' has no entry for "
+                 "('(atom X 1)', '(atom X 1)')")
+
+
+def test_a_ternary_table_is_read_by_position():
+    sig = Signature("ternary", ("X", "Y"), (FunSymbol("g", (X, Y, X), X),))
+    ys = tuple(Atom("Y", i) for i in range(3))
+    st = Structure(sig, {"X": FinSet.of(X1, X0), "Y": FinSet(ys)}, {"g": {
+        (a, y, b): (a if y.index else b) for a in (X0, X1) for y in ys
+        for b in (X0, X1)}})
+    assert_reads_match(st)
+    flat, *dims = st._positions["g"]
+    assert dims == [("X", 2), ("Y", 3), ("X", 2)] and len(flat) == 12
+
+
+def test_a_family_or_a_wrong_arity_is_read_by_key():
+    st = random_family_structure(random.Random(3))
+    assert_reads_match(st)
+    assert st._positions["F"] == () and st._positions["f"] != ()
+    group = cyclic_group_structure(3)
+    g1 = Atom("G", 1)
+    for head, args, shown in (("inv", (), "()"), ("star", (g1,), "('1',)"),
+                              ("inv", (g1, g1), "('1', '1')"),
+                              ("e", (g1,), "('1',)"),
+                              ("star", (g1, g1, g1), "('1', '1', '1')")):
+        names = [f"x{k}" for k in range(len(args))]
+        term = App(head, tuple(map(Var, names)))
+        for _ in range(2):
+            assert lookup_outcome(lambda: eval_term(
+                group, term, dict(zip(names, args)))) == (
+                "error", f"StructureError: table for {head!r} has no "
+                         f"entry for {shown}")
+
+
+def test_an_atomic_proposition_reads_its_relation_table():
+    sig = Signature("flags", ("X",), (), (RelSymbol("P", ()),
+                                         RelSymbol("Q", ())))
+    st = Structure(sig, {"X": FinSet.of(X0)}, {},
+                   {"P": frozenset({()}), "Q": frozenset()})
+    assert eval_formula(st, RelAtom("P", ())) is True
+    assert eval_formula(st, RelAtom("Q", ())) is False
+
+
+def test_a_missing_table_is_reported_before_any_argument():
+    for arity in range(4):
+        sig = Signature("bare", ("X",), (FunSymbol("f", (X,) * arity, X),))
+        st = Structure(sig, {"X": FinSet.of(X0)})
+        term = App("f", (Var("nowhere"),) * arity)
+        assert lookup_outcome(lambda: eval_term(st, term)) == (
+            "error", "StructureError: no table for symbol 'f'")
+        assert st._positions == {"f": ()}
+
+
+def test_a_replaced_structure_reads_its_own_tables():
+    st = cyclic_group_structure(4)
+    assert_reads_match(st)
+    shifted = dataclasses.replace(st, fun_tables={
+        **st.fun_tables, "inv": {(a,): Atom("G", (a.index + 1) % 4)
+                                 for a in st.carrier("G")}})
+    assert_reads_match(shifted)
+    inv = App("inv", (Var("g"),))
+    assert eval_term(shifted, inv, {"g": Atom("G", 1)}) == Atom("G", 2)
+    assert eval_term(st, inv, {"g": Atom("G", 1)}) == Atom("G", 3)
+    assert_reads_match(st)
+
+
+def test_repeated_theory_checks_leave_no_state_behind():
+    source = (pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
+    ws = load_source(source.read_text(encoding="utf-8"))
+    st, theory = ws.structures["z4"], ws.theories["commutative"]
+    sizes = {k: len(v) for k, v in vars(st).items() if hasattr(v, "__len__")}
+    reports = {check_theory(st, theory, "z4") for _ in range(10)}
+    assert len(reports) == 1 and next(iter(reports)).passed
+    assert {k: len(v) for k, v in vars(st).items()
+            if hasattr(v, "__len__")} == sizes
+    star = dict(st.fun_tables["star"])
+    del star[(st.named_atom("G", "1"), st.named_atom("G", "2"))]
+    holey = dataclasses.replace(st, fun_tables={**st.fun_tables, "star": star})
+    with pytest.raises(StructureError, match=re.escape(
+            "table for 'star' has no entry for ('1', '2')")):
+        check_theory(holey, theory, "z4")
+    assert check_theory(st, theory, "z4") in reports
