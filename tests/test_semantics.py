@@ -1018,9 +1018,9 @@ def plain_lookup(st, head, args):
 
 
 def probe_arguments(st, carrier):
-    """The carrier's atoms, then values a position read must not take:
-    indices out of range, below zero, a bool and a float, an atom of no
-    carrier, and a non-atom."""
+    """The carrier's atoms, then values that must read as the key lookup
+    reads them: indices out of range, below zero, a bool and a float, an
+    atom of no carrier, and a non-atom."""
     atoms = list(st.carriers.get(carrier, ()))
     return atoms + [Atom(carrier, -1), Atom(carrier, len(atoms)),
                     Atom(carrier, True), Atom(carrier, 1.0),
