@@ -434,8 +434,9 @@ class Structure(_Node):
                         for t in sym.domain)):
             dims = tuple((t.name, len(self.carriers[t.name]))
                          for t in sym.domain)
-            flat = [None] * prod(size for _, size in dims)
-            if len(table) == len(flat):
+            positions = prod(size for _, size in dims)
+            if len(table) == positions:
+                flat = [None] * positions
                 for key, value in table.items():
                     position = _position(key, dims)
                     if position is None:

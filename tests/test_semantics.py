@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -1085,6 +1086,20 @@ def test_a_table_that_cannot_be_indexed_is_read_by_key():
         holey, App("star", (Var("a"), Var("b"))), {"a": X1, "b": X1})) == (
         "error", "StructureError: table for 'star' has no entry for "
                  "('(atom X 1)', '(atom X 1)')")
+
+
+def test_a_holey_table_over_a_large_domain_allocates_no_index():
+    atoms = FinSet(tuple(Atom("X", i) for i in range(3000)))
+    sig = Signature("wide", ("X",), (FunSymbol("star", (X, X), X),))
+    st = Structure(sig, {"X": atoms}, {"star": {(X0, X1): X1}})
+    term = App("star", (Var("a"), Var("b")))
+    tracemalloc.start()
+    try:
+        assert eval_term(st, term, {"a": X0, "b": X1}) == X1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st._positions["star"] == () and peak < 10 ** 6
 
 
 def test_a_ternary_table_is_read_by_position():
