@@ -423,9 +423,9 @@ class Structure(_Node):
         table is read by key, unless the symbol is not a family, each
         domain type is a base type with a carrier, and the table's keys
         are tuples of atoms of those carriers, each index in range, that
-        fill every position.  Atoms are equal when carrier and index are, so a
-        position read returns what the key lookup returns.  One pass over
-        the table, hashing no key."""
+        fill every position.  Atoms are equal when carrier and index are,
+        so a position read returns what the key lookup returns.  One pass
+        over the table, hashing no key."""
         index = ()
         sym = self.signature.fun(name)
         table = self.fun_tables.get(name)
