@@ -26,12 +26,12 @@ from .semantics import (
     type_size,
 )
 from .syntax import (
-    Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr,
-    Lambda, Member, Not, Or, Pair, Pi, Power, Product, Prop, PropType,
-    Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature, Star, Sup, Term,
-    Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, alpha_eq,
-    free_vars, show, substitute,
+    Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
+    Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr, Lambda,
+    Member, Not, Or, Pair, Pi, Product, Prop, PropType, Proj1, Proj2,
+    RelAtom, RelSymbol, Sigma, Signature, Star, Sup, Term, Top, TupleProj,
+    TypeExpr, Unit, Universe, Var, W, Zero, alpha_eq, arrow, free_vars,
+    show, substitute,
 )
 
 __version__ = "0.1.0"

@@ -49,10 +49,11 @@ are variables, ``star``, symbol application ``(f t ...)``,
 ``(forall (x A) F)``, ``(exists (x A) F)``, ``(and F G)``,
 ``(or F G)``, ``(implies F G)``, ``(not F)``, ``(= A s t)``,
 ``(in t P)``, ``(rel R t ...)``, ``top``, ``bottom``.  The reader
-follows ``syntax._KEYWORDS``, the table ``show`` prints with: one
-generic reader covers all three, with ``*``, ``+``, ``->``, ``and``,
-``or`` and ``implies`` also taking more than two arguments, nested to
-the right.
+follows ``syntax._KEYWORDS``, the table ``show`` prints with, and the
+sugar ``syntax.SUGAR``: ``(-> A B)`` and ``(power A)`` read as a Pi.
+One generic reader covers all three, with ``*``, ``+``, ``->``,
+``and``, ``or`` and ``implies`` also taking more than two arguments,
+nested to the right.
 
 Carrier element names may be symbols or bare integers; the words
 ``star``, ``true``, and ``false`` are reserved for value literals.
@@ -79,10 +80,9 @@ from .semantics import (
 )
 from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
-    FIELD_SORTS, KEYWORD_CLASSES, And, App, Arrow, Base, Context, Coproduct,
-    FamApp, Formula, FunSymbol, Implies, Or, Product, Prop, RelSymbol,
-    Signature, Term, TypeExpr, Var, W, _Binding, free_vars, function_space,
-    show,
+    FIELD_SORTS, KEYWORD_CLASSES, And, App, Base, Context, Coproduct,
+    FamApp, Formula, FunSymbol, Implies, Or, Pi, Product, Prop, RelSymbol,
+    Signature, Term, TypeExpr, Var, W, _Binding, arrow, free_vars, show,
 )
 from .voiceleading import (
     GroupAction, Quiver, WindingPaths, sigma_vls_signature, vls,
@@ -200,7 +200,7 @@ _NOUNS = {"TypeExpr": "type", "Term": "term", "Formula": "formula", "int": "inde
 # what the forms (apply f t ...) and (rel R t ...) start with
 _HEADS = {"Term": "a function term", "str": "a relation name"}
 # binary forms written with two or more arguments, nested to the right
-_RIGHT_NESTED = frozenset((Product, Coproduct, Arrow, And, Or, Implies))
+_RIGHT_NESTED = frozenset((Product, Coproduct, arrow, And, Or, Implies))
 
 
 def parse_type_node(node: SNode) -> TypeExpr:
@@ -253,7 +253,7 @@ def _read(node: SNode, sort: str):
             raise node.error(f"'{head}' takes at most {MAX_DEPTH} {_NOUNS[sort]}s")
         parts = reversed([*map(_read, rest, repeat(sort))])
         return reduce(lambda right, left: cls(left, right), parts)
-    if issubclass(cls, _Binding):
+    if isinstance(cls, type) and issubclass(cls, _Binding):
         if len(rest) != 2:
             raise node.error(f"'{head}' takes a binder and a body")
         return cls(*_parse_binder(rest[0]), _read(rest[1], sorts[2]))
@@ -426,16 +426,16 @@ def _pair_types(expected: Optional[TypeExpr]):
 
 
 def _subset_domain(node: SNode, expected: Optional[TypeExpr]) -> TypeExpr:
-    match function_space(expected):
-        case (_, dom, Prop()):
+    match expected:
+        case Pi(_, dom, Prop()):
             return dom
     raise node.error(
         "'set' values need an expected subset type (power or predicate)")
 
 
 def _table_types(expected: Optional[TypeExpr]):
-    match function_space(expected):
-        case (x, dom, cod):
+    match expected:
+        case Pi(x, dom, cod):
             return dom, None if x in free_vars(cod) else cod
     return None, None
 

@@ -4,12 +4,13 @@ telescope contexts, and context morphisms composed by substitution.
 Checking is bidirectional: introduction forms (pairs against dependent
 sums, injections, tree nodes, ``absurd``) are checked against an
 expected type, elimination forms and symbol applications synthesize
-theirs.  Application and lambda read function types only through
-``syntax.function_space``.  Definitional equality of types is
-structural up to renaming of bound variables, so ``(power A)``,
-``(-> A Prop)`` and ``(pi (x A) Prop)`` are three types; no reduction
-happens inside types, since dependency is always over finite index
-types that are resolved at evaluation time.
+theirs.  The one function type is the dependent product, so
+``(power A)``, ``(-> A Prop)`` and ``(pi (x A) Prop)`` are one type, and
+a binder that does not occur in its body neither extends the context
+nor shadows.  Definitional equality of types is structural up to
+renaming of bound variables; no reduction happens inside types, since
+dependency is always over finite index types that are resolved at
+evaluation time.
 
 Diagnostics report the leftmost-innermost failure: recursion fails fast
 left to right and the deepest message propagates unchanged.
@@ -20,11 +21,10 @@ from __future__ import annotations
 from .diagnostics import TypeCheckError, Verdict
 from .records import _Node, _node
 from .syntax import (
-    Absurd, App, Arrow, Base, Context, Coproduct, FamApp,
-    FormulaTerm, Inl, Inr, Lambda, Pair, Pi, Power, Product,
-    Prop, PropType, Proj1, Proj2, Sigma, Signature, Star, Sup,
-    Term, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero,
-    alpha_eq, free_vars, fresh_name, function_space, show, substitute,
+    Absurd, App, Base, Context, Coproduct, FamApp, FormulaTerm, Inl, Inr,
+    Lambda, Pair, Pi, Product, Prop, PropType, Proj1, Proj2, Sigma,
+    Signature, Star, Sup, Term, TupleProj, TypeExpr, Unit, Universe, Var,
+    W, Zero, alpha_eq, arrow, free_vars, fresh_name, show, substitute,
 )
 
 __all__ = [
@@ -58,16 +58,15 @@ def _wf_type(sig: Signature, ctx: Context, t: TypeExpr) -> None:
         case Universe():
             raise TypeCheckError(
                 "level violation: 'Type' cannot occur inside a type expression")
-        case Product(a, b) | Coproduct(a, b) | Arrow(a, b):
+        case Product(a, b) | Coproduct(a, b):
             _wf_type(sig, ctx, a)
             _wf_type(sig, ctx, b)
-        case Power(a):
-            _wf_type(sig, ctx, a)
         case Pi(x, outer, inner) | Sigma(x, outer, inner) | W(x, outer, inner):
-            if ctx.type_of(x) is not None:
+            binds = x in free_vars(inner)
+            if binds and ctx.type_of(x) is not None:
                 raise TypeCheckError(f"binder shadowing: {x!r} is already in scope")
             _wf_type(sig, ctx, outer)
-            _wf_type(sig, ctx.extend(x, outer), inner)
+            _wf_type(sig, ctx.extend(x, outer) if binds else ctx, inner)
         case FamApp(name, args):
             fam = sig.fun(name)
             if fam is None or not fam.is_family:
@@ -185,14 +184,14 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
         case App(head, args):
             fun_type = _infer(sig, ctx, head)
             for arg in args:
-                space = function_space(fun_type)
-                if space is None:
-                    raise TypeCheckError(
-                        f"application of non-function: {show(head)} has "
-                        f"type {show(fun_type)}")
-                x, dom, cod = space
-                _check(sig, ctx, arg, dom)
-                fun_type = cod if x is None else substitute(cod, {x: arg})
+                match fun_type:
+                    case Pi(x, dom, cod):
+                        _check(sig, ctx, arg, dom)
+                        fun_type = substitute(cod, {x: arg})
+                    case _:
+                        raise TypeCheckError(
+                            f"application of non-function: {show(head)} has "
+                            f"type {show(fun_type)}")
             return fun_type
         case Pair(a, b):
             return Product(_infer(sig, ctx, a), _infer(sig, ctx, b))
@@ -226,10 +225,7 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
             return spine[i]
         case Lambda(x, annot, body):
             _wf_type(sig, ctx, annot)
-            body_type = _infer(sig, ctx.extend(x, annot), body)
-            if x in free_vars(body_type):
-                return Pi(x, annot, body_type)
-            return Arrow(annot, body_type)
+            return Pi(x, annot, _infer(sig, ctx.extend(x, annot), body))
         case Star():
             return Unit()
         case FormulaTerm(f):
@@ -266,14 +262,14 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
         case (Inl(_) | Inr(_), _):
             raise TypeCheckError(
                 f"injection checked against non-coproduct type {show(expected)}")
-        case (Lambda(x, annot, body), _) if (
-                space := function_space(expected)) is not None:
-            y, dom, cod = space
+        case (Lambda(x, annot, body), Pi(y, dom, cod)):
             if not alpha_eq(annot, dom):
                 raise TypeCheckError(
                     f"lambda domain annotation {show(annot)} does not match "
                     f"expected domain {show(dom)}")
-            if y is not None:
+            # rename against a dependent Pi, and wherever the lambda's
+            # binder would capture a variable of the codomain
+            if y in free_vars(cod) or x in free_vars(cod):
                 z = fresh_name(x, set(ctx.names()) | free_vars(body)
                                | free_vars(cod))
                 body = substitute(body, {x: Var(z)})
@@ -282,7 +278,7 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
         case (Sup(label, branches), W(x, label_type, arity_body)):
             _check(sig, ctx, label, label_type)
             arity = substitute(arity_body, {x: label})
-            _check(sig, ctx, branches, Arrow(arity, expected))
+            _check(sig, ctx, branches, arrow(arity, expected))
         case (Sup(_, _), _):
             raise TypeCheckError(
                 f"sup checked against non-tree type {show(expected)}")

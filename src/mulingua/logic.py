@@ -1,11 +1,11 @@
 """The higher-order formula language: well-formedness and traversal.
 
 Formulas are the terms of type ``Prop``: relation atoms, typed equality,
-membership in a predicate (any function type into ``Prop``, read
-through ``syntax.function_space``), the constant truth values,
-connectives, and typed quantifiers.  Quantified variables may have any
-constructor type (function types, dependent products, powers), which is
-what makes the language higher-order.
+membership in a predicate (a function type into ``Prop``, however it
+is spelled), the constant truth values, connectives, and typed
+quantifiers.  Quantified variables may have any constructor type
+(function types, dependent products, powers), which is what makes the
+language higher-order.
 
 A quantifier may shadow a context variable; inside types, the dependent
 binders reject shadowing outright.  Derivability of a formula in a
@@ -19,9 +19,9 @@ from __future__ import annotations
 from .diagnostics import TypeCheckError, Verdict
 from .kernel import _check, _infer, _wf_type, well_formed_context
 from .syntax import (
-    And, Arrow, Bottom, Context, Eq, Exists, Forall, Formula, Implies,
-    Member, Not, Or, Prop, RelAtom, Signature, Top, free_vars,
-    function_space, show, substitute,
+    And, Bottom, Context, Eq, Exists, Forall, Formula, Implies, Member, Not,
+    Or, Prop, RelAtom, Signature, Top, alpha_eq, arrow, free_vars, show,
+    substitute,
 )
 
 __all__ = ["well_formed_formula", "free_vars", "substitute"]
@@ -58,13 +58,13 @@ def _wf_formula(sig: Signature, ctx: Context, f: Formula) -> None:
             _check(sig, ctx, rhs, t)
         case Member(element, predicate):
             elem_type = _infer(sig, ctx, element)
+            expected = arrow(elem_type, Prop())
             try:
                 pred_type = _infer(sig, ctx, predicate)
             except TypeCheckError:
-                _check(sig, ctx, predicate, Arrow(elem_type, Prop()))
+                _check(sig, ctx, predicate, expected)
             else:
-                space = function_space(pred_type)
-                if space is None or space[1:] != (elem_type, Prop()):
+                if not alpha_eq(pred_type, expected):
                     raise TypeCheckError(
                         f"non-predicate in membership: {show(predicate)} has "
                         f"type {show(pred_type)}, expected a predicate on "

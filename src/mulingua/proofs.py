@@ -25,10 +25,10 @@ from .semantics import (
 # not used here: perfbench/test_tracer.py checks that its tracer rebinds it
 from .semantics import type_size  # noqa: F401
 from .syntax import (
-    And, App, Arrow, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall,
-    Formula, FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, Product,
-    PropType, Proj1, Proj2, RelAtom, Sigma, Term, Top, TypeExpr, Unit, Var,
-    W, Zero, show,
+    And, App, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall, Formula,
+    FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, Product, PropType,
+    Proj1, Proj2, RelAtom, Sigma, Term, Top, TypeExpr, Unit, Var, W, Zero,
+    arrow, free_vars, show,
 )
 
 __all__ = [
@@ -84,7 +84,7 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return left if left is not None else explain_refutation(st, b, env, budget)
         case Coproduct(_, _):
             return "neither summand is inhabited"
-        case Arrow(_, b):
+        case Pi(x, _, b) if x not in free_vars(b):  # an arrow
             return explain_refutation(st, b, env, budget)
         case Pi(x, _, body):
             bad = first_empty_fiber(st, t, env, budget)
@@ -121,9 +121,9 @@ def prop_as_type(f: Formula) -> TypeExpr:
         case Or(l, r):
             return Coproduct(prop_as_type(l), prop_as_type(r))
         case Implies(l, r):
-            return Arrow(prop_as_type(l), prop_as_type(r))
+            return arrow(prop_as_type(l), prop_as_type(r))
         case Not(body):
-            return Arrow(prop_as_type(body), Zero())
+            return arrow(prop_as_type(body), Zero())
         case Forall(x, t, body):
             return Pi(x, t, prop_as_type(body))
         case Exists(x, t, body):

@@ -3,10 +3,11 @@
 A structure assigns finite carriers to base types, total lookup tables
 to function symbols, subsets to relation symbols, and set-valued tables
 to type families.  Types are interpreted compositionally: products as
-cartesian products, coproducts as tagged unions, function types as all
-tables, dependent products as all sections, powers as tables into the
-two truth values, and tree types by their leaves (a tree type that
-also has a branching label has infinitely many trees).
+cartesian products, coproducts as tagged unions, a dependent product
+as all its sections (all tables when its binder does not occur, so a
+power is the tables into the two truth values), and tree types by their
+leaves (a tree type that also has a branching label has infinitely many
+trees).
 
 Truth values are classical: ``Prop`` denotes {false, true}, conjunction
 is meet, disjunction join, implication the order, and the quantifiers
@@ -45,11 +46,11 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 from .diagnostics import BudgetError, StructureError, Verdict
 from .records import _Node, _node, _set
 from .syntax import (
-    Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member,
-    Node, Not, Or, Pair, Pi, Power, Product, Prop, PropType, Proj1, Proj2,
-    RelAtom, Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr,
-    Unit, Universe, Var, W, Zero, free_vars, function_space, show,
+    Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
+    Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member, Node,
+    Not, Or, Pair, Pi, Product, Prop, PropType, Proj1, Proj2, RelAtom,
+    Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit,
+    Universe, Var, W, Zero, free_vars, show,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -562,8 +563,7 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return min(type_size(st, a, env, budget) * type_size(st, b, env, budget), cap)
         case Coproduct(a, b):
             return min(type_size(st, a, env, budget) + type_size(st, b, env, budget), cap)
-        case Arrow() | Power() | Pi():
-            x, dom, cod = function_space(t)
+        case Pi(x, dom, cod):
             if x not in free_vars(cod):  # sized as the arrow it is
                 return _capped_power(type_size(st, cod, env, budget),
                                      type_size(st, dom, env, budget), cap)
@@ -676,10 +676,9 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
                 yield InlV(va)
             for vb in iter_type(st, b, env, budget):
                 yield InrV(vb)
-        case Arrow() | Power() | Pi():
-            x, dom_t, cod_t = function_space(t)
+        case Pi(x, dom_t, cod_t):
             dom = list(_elements(st, dom_t, env, budget))
-            if x is None:
+            if x not in free_vars(cod_t):
                 outputs = _product((iter_type(st, cod_t, env, budget),), len(dom))
                 for combo in outputs:
                     yield TableV(tuple(zip(dom, combo)))
@@ -756,15 +755,13 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
             if isinstance(v, InrV):
                 return value_in_type(st, v.value, b, env, budget)
             return False
-        case Arrow() | Power() | Pi():
-            x, dom_t, cod_t = function_space(t)
-            # a section is a value of a Pi only; a table, of every former
-            if not isinstance(v, TableV if x is None else _Tabular):
+        case Pi(x, dom_t, cod_t):
+            # a table and a section with the same entries are one function
+            if not isinstance(v, _Tabular):
                 return False
             dom = tuple(_elements(st, dom_t, env, budget))
             return v.domain_values() == dom and all(
-                value_in_type(st, out, cod_t,
-                              env if x is None else {**env, x: arg}, budget)
+                value_in_type(st, out, cod_t, {**env, x: arg}, budget)
                 for arg, out in v.entries)
         case Sigma(x, index_type, body):
             return (isinstance(v, PairV)
@@ -1473,9 +1470,8 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
                 return InlV(_transport(h, v.value, a, budget))
             assert isinstance(v, InrV)
             return InrV(_transport(h, v.value, b, budget))
-        case Arrow() | Power() | Pi():
+        case Pi(_, dom_t, cod_t):
             assert isinstance(v, _Tabular)
-            _, dom_t, cod_t = function_space(t)
             moved = {
                 _transport(h, arg, dom_t, budget): _transport(h, out, cod_t, budget)
                 for arg, out in v.entries}
@@ -1500,7 +1496,8 @@ def render_value(v: Value, st=None) -> str:
             names = st.element_names if isinstance(st, Structure) else st
             if names:
                 per_carrier = names.get(carrier)
-                if per_carrier is not None and 0 <= index < len(per_carrier):
+                if (per_carrier is not None and isinstance(index, int)
+                        and 0 <= index < len(per_carrier)):
                     return per_carrier[index]
             return f"(atom {carrier} {index})"
         case StarV():

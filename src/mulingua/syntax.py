@@ -17,8 +17,12 @@ name, a type the binder does not scope over, and the body it does scope
 over.  So ``alpha_key``, ``free_vars`` and ``substitute`` are each
 written once, over the fields, with variables and binders as the only
 special cases; ``show`` is one keyword table plus the bare names
-(``Var``, ``Base``) and the head forms (``App`` of a symbol,
-``FamApp``).
+(``Var``, ``Base``), the head forms (``App`` of a symbol, ``FamApp``)
+and the arrow.
+
+There is one function type, ``Pi``: the reader's sugar ``(-> A B)`` is
+a Pi whose binder does not occur in B (see ``arrow``) and ``(power A)``
+is ``(-> A Prop)``, and ``show`` prints such a Pi as the arrow.
 
 Binding forms compare and hash up to renaming of their bound variable;
 all other nodes are plain structural data.  ``substitute`` performs
@@ -101,12 +105,6 @@ class Coproduct(_Node):
 
 
 @_node
-class Arrow(_Node):
-    dom: "TypeExpr"
-    cod: "TypeExpr"
-
-
-@_node
 class Pi(_Binding):
     binder: str
     index_type: "TypeExpr"
@@ -131,11 +129,6 @@ class W(_Binding):
 
 
 @_node
-class Power(_Node):
-    inner: "TypeExpr"
-
-
-@_node
 class FamApp(_Node):
     """A declared type family applied to argument terms."""
 
@@ -151,25 +144,16 @@ class PropType(_Node):
 
 
 TypeExpr = Union[
-    Base, Zero, Unit, Prop, Universe, Product, Coproduct, Arrow,
-    Pi, Sigma, W, Power, FamApp, PropType,
+    Base, Zero, Unit, Prop, Universe, Product, Coproduct, Pi, Sigma, W,
+    FamApp, PropType,
 ]
 
 
-def function_space(t: Optional[TypeExpr]
-                   ) -> Optional[tuple[Optional[str], TypeExpr, TypeExpr]]:
-    """A function type read as ``(binder, domain, codomain)``: an arrow
-    is a Pi that binds nothing, and a power is the predicate type, so
-    ``(-> A B)`` is ``(None, A, B)``, ``(power A)`` is ``(None, A, Prop)``
-    and ``(pi (x A) B)`` is ``(x, A, B)``.  Any other type is None."""
-    match t:
-        case Arrow(dom, cod):
-            return None, dom, cod
-        case Power(dom):
-            return None, dom, Prop()
-        case Pi(x, dom, cod):
-            return x, dom, cod
-    return None
+def arrow(dom: TypeExpr, cod: TypeExpr) -> Pi:
+    """The function type ``(-> dom cod)``: a Pi whose binder does not
+    occur in ``cod``.  The predicate type ``(power A)`` is
+    ``arrow(A, Prop())``."""
+    return Pi(fresh_name("_", free_vars(cod)), dom, cod)
 
 
 # -- terms ------------------------------------------------------------------
@@ -589,8 +573,8 @@ def _under_binder(x: str, inner: Node,
 
 _KEYWORDS: dict[type, str] = {
     Zero: "0", Unit: "1", Prop: "Prop", Universe: "Type",
-    Product: "*", Coproduct: "+", Arrow: "->", Pi: "pi", Sigma: "sigma",
-    W: "w", Power: "power", PropType: "prop",
+    Product: "*", Coproduct: "+", Pi: "pi", Sigma: "sigma", W: "w",
+    PropType: "prop",
     App: "apply", Pair: "pair", Proj1: "pr1", Proj2: "pr2", Inl: "inl",
     Inr: "inr", Lambda: "lambda", TupleProj: "proj", Sup: "sup",
     FormulaTerm: "formula", Star: "star", Absurd: "absurd",
@@ -615,6 +599,17 @@ KEYWORD_CLASSES: dict[str, dict[str, type]] = {
     for sort, union in (("TypeExpr", TypeExpr), ("Term", Term), ("Formula", Formula))
 }
 
+# The reader's sugar: type keywords with no class of their own, each with
+# the function that builds its Pi and the sorts of its fields, listed in
+# the two tables above so that the reader reads them as it reads a class.
+SUGAR: dict[str, tuple[Callable[..., Pi], tuple[str, ...]]] = {
+    "->": (arrow, ("TypeExpr", "TypeExpr")),
+    "power": (lambda dom: arrow(dom, Prop()), ("TypeExpr",)),
+}
+KEYWORD_CLASSES["TypeExpr"].update(
+    (kw, build) for kw, (build, _) in SUGAR.items())
+FIELD_SORTS.update(SUGAR.values())
+
 
 def show(node: Node) -> str:
     match node:
@@ -622,6 +617,8 @@ def show(node: Node) -> str:
             return name
         case App(str() as head, args) | FamApp(head, args):
             return f"({' '.join([head, *map(show, args)])})"
+        case Pi(x, dom, cod) if x not in free_vars(cod):
+            return f"(-> {show(dom)} {show(cod)})"
         case _Binding():
             x, outer, inner = _fields(node)
             return f"({_KEYWORDS[type(node)]} ({x} {show(outer)}) {show(inner)})"

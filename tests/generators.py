@@ -12,10 +12,10 @@ from mulingua.semantics import (
     Atom, FinSet, SectionV, Structure, TableV, TruthV,
 )
 from mulingua.syntax import (
-    And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, Formula, FormulaTerm, FunSymbol, Implies, Lambda, Member, Not, Or,
-    Pair, Pi, Power, Product, Prop, PropType, RelAtom, RelSymbol, Sigma,
-    Signature, Term, Top, TypeExpr, Unit, Universe, Var, W, Zero, _Node,
+    And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
+    Formula, FormulaTerm, FunSymbol, Implies, Lambda, Member, Not, Or, Pair,
+    Pi, Product, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term,
+    Top, TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow,
 )
 
 G = Base("G")
@@ -52,7 +52,7 @@ def random_typed_term(rng: random.Random, ctx: Context,
     while ctx.type_of(binder) is not None:
         binder += "'"
     body = random_group_element_term(rng, ctx.extend(binder, G), depth - 1)
-    return Lambda(binder, G, body), Arrow(G, G)
+    return Lambda(binder, G, body), arrow(G, G)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +182,11 @@ def random_type(rng: random.Random, depth: int,
         return rng.choice(leaves)
     roll = rng.randrange(8)
     if roll < 3:
-        ctor = (Product, Coproduct, Arrow)[roll]
+        ctor = (Product, Coproduct, arrow)[roll]
         return ctor(random_type(rng, depth - 1, scope),
                     random_type(rng, depth - 1, scope))
     if roll == 3:
-        return Power(random_type(rng, depth - 1, scope))
+        return arrow(random_type(rng, depth - 1, scope), Prop())
     binder = f"x{len(scope)}"
     if roll == 7:  # labels in X, so the arity can differ from label to label
         label = Var(binder)
@@ -226,12 +226,12 @@ def _random_x_formula(rng: random.Random, scope: tuple[str, ...],
 # ---------------------------------------------------------------------------
 
 A_TYPE, B_TYPE = Base("A"), Base("B")
-# the three spellings of a predicate on A, which the kernel does not
-# convert into each other
-PREDICATE_TYPES = (Power(A_TYPE), Arrow(A_TYPE, Prop()),
+# a predicate on A as the reader builds each of its three spellings,
+# (power A), (-> A Prop) and (pi (x A) Prop): one type
+PREDICATE_TYPES = (arrow(A_TYPE, Prop()), arrow(A_TYPE, Prop()),
                    Pi("x", A_TYPE, Prop()))
 FUNCTION_CONSTANTS = dict(zip(("pw", "ar", "pi"), PREDICATE_TYPES),
-                          tab=Arrow(A_TYPE, B_TYPE))
+                          tab=arrow(A_TYPE, B_TYPE))
 
 
 def function_signature() -> Signature:

@@ -468,6 +468,19 @@ def run_subprocess(argv):
         capture_output=True, text=True, env=env, timeout=10)
 
 
+def test_a_power_is_compared_as_the_predicate_type_it_is(tmp_path):
+    src = tmp_path / "power.mul"
+    src.write_text("""
+    (structure two of vls
+      (carrier Pitch (p q))
+      (carrier Arrow (a))
+      (fun vlr ((p p) (set)) ((p q) (set a)) ((q p) (set)) ((q q) (set))))
+    (formula same (forall (s (power Pitch)) (= (-> Pitch Prop) s s)))
+    """)
+    done = run_subprocess(["eval", "two", "same", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
 def test_sizes_stop_growing_at_the_budget(tmp_path):
     big = tmp_path / "big.mul"
     big.write_text("(formula big (forall (x (power (power (power G)))) top))")

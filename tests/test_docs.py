@@ -16,7 +16,7 @@ import pytest
 from mulingua import musiclib, voiceleading
 from mulingua.cli import main
 from mulingua.dsl import _FORMS, Workspace, builtin_workspace, load_source
-from mulingua.syntax import _KEYWORDS
+from mulingua.syntax import SUGAR, _KEYWORDS
 
 from generators import calls_into
 
@@ -93,7 +93,8 @@ def test_readme_grammar_names_every_keyword():
     spans = re.findall(r"`([^`]+)`", section)
     forms = {head for span in spans for head in re.findall(r"\(([^\s()]+)", span)}
     forms |= {span for span in spans if re.fullmatch(r"[^\s()]+", span)}
-    assert set(_KEYWORDS.values()) <= forms, set(_KEYWORDS.values()) - forms
+    keywords = {*_KEYWORDS.values(), *SUGAR}
+    assert keywords <= forms, keywords - forms
 
 
 def test_readme_shows_every_declaration_form():

@@ -25,8 +25,8 @@ from mulingua.semantics import (
 from mulingua.voiceleading import arrow_payload, vls_of_structure
 from mulingua.sexpr import parse_sexprs, write_sexpr
 from mulingua.syntax import (
-    App, Arrow, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Power,
-    Product, Prop, Sigma, Star, Universe, Var, Zero, show,
+    App, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Product, Prop,
+    Sigma, Star, Universe, Var, Zero, arrow, show,
 )
 
 from generators import calls_into, random_formula
@@ -84,16 +84,16 @@ def test_write_round_trips_tokens():
 
 def test_parse_types():
     assert parse_type_node(parse_one("(* G G)")) == Product(Base("G"), Base("G"))
-    assert parse_type_node(parse_one("(-> G Prop)")) == Arrow(Base("G"), Prop())
+    assert parse_type_node(parse_one("(-> G Prop)")) == arrow(Base("G"), Prop())
     assert parse_type_node(parse_one("(pi (x G) (power G))")) == \
-        Pi("x", Base("G"), Power(Base("G")))
+        Pi("x", Base("G"), arrow(Base("G"), Prop()))
     assert parse_type_node(parse_one("(sigma (x PC) (fin x))")) == \
         Sigma("x", Base("PC"), FamApp("fin", (Var("x"),)))
     assert parse_type_node(parse_one("0")) == Zero()
     assert parse_type_node(parse_one("Type")) == Universe()
     # n-ary arrows nest to the right
     assert parse_type_node(parse_one("(-> G G G)")) == \
-        Arrow(Base("G"), Arrow(Base("G"), Base("G")))
+        arrow(Base("G"), arrow(Base("G"), Base("G")))
 
 
 def test_parse_terms():

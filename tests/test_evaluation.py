@@ -24,8 +24,8 @@ from mulingua.semantics import (
     render_value,
 )
 from mulingua.syntax import (
-    And, App, Arrow, Base, Context, Eq, Exists, FamApp, Forall, Lambda, Or,
-    Pair, Power, Proj1, Proj2, Top, Unit, Var,
+    And, App, Base, Context, Eq, Exists, FamApp, Forall, Lambda, Or, Pair,
+    Proj1, Proj2, Prop, Top, Unit, Var, arrow,
 )
 
 from generators import (
@@ -131,7 +131,8 @@ def test_seeded_outcomes_match_the_pinned_digest(monkeypatch):
 # ---------------------------------------------------------------------------
 
 Z12 = cyclic_group_structure(12)
-HUGE = Arrow(Power(Power(G)), Unit())  # one element, over 2^4096 arguments
+# one element, over 2^4096 arguments
+HUGE = arrow(arrow(arrow(G, Prop()), Prop()), Unit())
 
 
 def eval_source(monkeypatch, tmp_path, structure, source):

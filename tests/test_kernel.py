@@ -7,6 +7,7 @@ import random
 import pytest
 
 from mulingua.diagnostics import TypeCheckError
+from mulingua.dsl import parse_type_node
 from mulingua.kernel import (
     ContextMorphism, check_context_morphism, check_term,
     compose_context_morphisms, identity_morphism, infer_term,
@@ -15,10 +16,12 @@ from mulingua.kernel import (
 from mulingua.musiclib import (
     group_signature, harmony_signature, music_signature,
 )
+from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
-    Absurd, App, Arrow, Base, Context, Coproduct, FamApp, Inl, Lambda, Pair,
-    Pi, Power, Product, Prop, Proj1, Sigma, Star, Sup, TupleProj,
-    Unit, Universe, Var, W, Zero, alpha_eq, free_vars, show, substitute,
+    Absurd, App, Base, Context, Coproduct, Eq, FamApp, FormulaTerm, Inl,
+    Lambda, Pair, Pi, Product, Prop, PropType, Proj1, Sigma, Star, Sup,
+    TupleProj, Unit, Universe, Var, W, Zero, alpha_eq, arrow, free_vars,
+    show, substitute,
 )
 
 from generators import random_group_element_term, random_typed_term
@@ -47,15 +50,29 @@ def test_unknown_base_type_is_rejected():
 def test_dependent_arity_family_telescope():
     ctx = Context.of(("n", Base("PC")))
     t = Sigma("x", Base("PC"),
-              Arrow(FamApp("fin", (Var("x"),)), Base("PC")))
+              arrow(FamApp("fin", (Var("x"),)), Base("PC")))
     assert well_formed_type(MUSIC, ctx, t)
 
 
 def test_binder_shadowing_is_rejected():
     ctx = Context.of(("x", G))
-    v = well_formed_type(GROUP, ctx, Pi("x", G, G))
+    v = well_formed_type(GROUP, ctx,
+                         Pi("x", G, PropType(Eq(G, Var("x"), App("e")))))
     assert not v
     assert "shadowing" in v.reason
+
+
+def test_a_binder_its_body_does_not_use_shadows_nothing():
+    """An arrow's binder does not occur in its codomain, so it binds
+    nothing: nested arrows are well formed where the context already
+    holds the binder's name, and so is a written Pi that does not use
+    its binder."""
+    t = arrow(G, arrow(G, G))
+    assert t.binder == t.body.binder == "_"
+    ctx = Context.of(("_", G))
+    assert well_formed_type(GROUP, ctx, t)
+    assert check_term(GROUP, ctx, Lambda("x", G, Lambda("y", G, Var("_"))), t)
+    assert well_formed_type(GROUP, Context.of(("x", G)), Pi("x", G, G))
 
 
 def test_level_violation_is_rejected():
@@ -65,8 +82,8 @@ def test_level_violation_is_rejected():
 
 
 def test_simple_types_and_constructors():
-    for t in (Zero(), Unit(), Prop(), Power(G), Coproduct(G, Unit()),
-              Arrow(Product(G, G), Prop())):
+    for t in (Zero(), Unit(), Prop(), arrow(G, Prop()), Coproduct(G, Unit()),
+              arrow(Product(G, G), Prop())):
         assert well_formed_type(GROUP, EMPTY, t)
 
 
@@ -78,7 +95,7 @@ def test_signature_validation():
 
 def test_context_telescope_discipline():
     assert well_formed_context(MUSIC, Context.of(
-        ("n", Base("PC")), ("s", Power(Base("PC")))))
+        ("n", Base("PC")), ("s", arrow(Base("PC"), Prop()))))
     dup = Context.of(("n", Base("PC")), ("n", Base("IC")))
     assert not well_formed_context(MUSIC, dup)
 
@@ -157,7 +174,7 @@ def test_dependent_arity_tree_type_is_well_formed():
 
 def test_dependent_pair_checking():
     ctx = Context.of(("p", Base("PC")))
-    t = Sigma("x", Base("PC"), Arrow(FamApp("fin", (Var("x"),)), Base("PC")))
+    t = Sigma("x", Base("PC"), arrow(FamApp("fin", (Var("x"),)), Base("PC")))
     term = Pair(Var("p"), Lambda("k", FamApp("fin", (Var("p"),)), Var("p")))
     assert check_term(MUSIC, ctx, term, t)
 
@@ -177,9 +194,9 @@ def test_absurd_checks_at_any_type():
 
 
 def test_lambda_against_arrow_and_pi():
-    assert check_term(GROUP, EMPTY, Lambda("x", G, Var("x")), Arrow(G, G))
+    assert check_term(GROUP, EMPTY, Lambda("x", G, Var("x")), arrow(G, G))
     wrong = check_term(GROUP, EMPTY, Lambda("x", Unit(), Var("x")),
-                       Arrow(G, G))
+                       arrow(G, G))
     assert not wrong and "domain" in wrong.reason
     pc = Base("PC")
     assert check_term(MUSIC, EMPTY, Lambda("k", pc, Var("k")),
@@ -193,7 +210,7 @@ def test_lambda_against_arrow_and_pi():
 def test_a_lambda_domain_that_does_not_match_is_refused_with_its_reason():
     pc = Base("PC")
     assert check_term(GROUP, EMPTY, Lambda("x", Unit(), Var("x")),
-                      Arrow(G, G)).reason == (
+                      arrow(G, G)).reason == (
         "lambda domain annotation 1 does not match expected domain G")
     assert check_term(MUSIC, EMPTY, Lambda("k", Unit(), Var("k")),
                       Pi("x", pc, pc)).reason == (
@@ -209,7 +226,7 @@ def test_a_pi_lambda_renames_a_binder_the_context_holds():
         return FamApp("fin", (Var(name),))
 
     ctx = Context.of(("k", pc), ("c", fin("k")))
-    expected = Pi("x", pc, Arrow(fin("x"), fin("k")))
+    expected = Pi("x", pc, arrow(fin("x"), fin("k")))
     assert check_term(MUSIC, ctx, Lambda("k", pc, Lambda("j", fin("k"),
                                                          Var("c"))), expected)
     v = check_term(MUSIC, ctx, Lambda("k", pc, Lambda("j", fin("k"),
@@ -217,12 +234,35 @@ def test_a_pi_lambda_renames_a_binder_the_context_holds():
     assert v.reason == "type mismatch: j has type (fin k'), expected (fin k)"
 
 
-PREDICATES = (Power(Base("PC")), Arrow(Base("PC"), Prop()),
-              Pi("x", Base("PC"), Prop()))
+def test_an_arrow_lambda_renames_a_binder_its_codomain_mentions():
+    """Against (-> PC (fin k)), whose k is the context's, a lambda that
+    binds k must not capture the codomain's k."""
+    pc = Base("PC")
+
+    def fin(name):
+        return FamApp("fin", (Var(name),))
+
+    ctx = Context.of(("k", pc), ("c", fin("k")), ("g", Pi("y", pc, fin("y"))))
+    expected = arrow(pc, fin("k"))
+    assert check_term(MUSIC, ctx, Lambda("k", pc, Var("c")), expected)
+    v = check_term(MUSIC, ctx, Lambda("k", pc, App(Var("g"), (Var("k"),))),
+                   expected)
+    assert v.reason == ("type mismatch: (apply g k') has type (fin k'), "
+                        "expected (fin k)")
 
 
-@pytest.mark.parametrize("predicate", PREDICATES, ids=show)
-def test_every_spelling_of_a_predicate_applies_and_takes_a_lambda(predicate):
+# the three spellings of a predicate on PC, as the reader reads them
+SPELLINGS = ("(power PC)", "(-> PC Prop)", "(pi (x PC) Prop)")
+
+
+def _read_type(text):
+    (node,) = parse_sexprs(text)
+    return parse_type_node(node)
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_every_spelling_of_a_predicate_applies_and_takes_a_lambda(spelling):
+    predicate = _read_type(spelling)
     pc = Base("PC")
     ctx = Context.of(("a", pc), ("s", predicate))
     assert infer_term(MUSIC, ctx, App(Var("s"), (Var("a"),))) == Prop()
@@ -230,11 +270,16 @@ def test_every_spelling_of_a_predicate_applies_and_takes_a_lambda(predicate):
                       predicate)
 
 
-def test_the_spellings_of_a_predicate_are_not_converted_into_each_other():
-    for given, expected in itertools.permutations(PREDICATES, 2):
-        v = check_term(MUSIC, Context.of(("s", given)), Var("s"), expected)
-        assert v.reason == (f"type mismatch: s has type {show(given)}, "
-                            f"expected {show(expected)}")
+def test_the_spellings_of_a_predicate_are_one_type():
+    pc = Base("PC")
+    predicates = [_read_type(text) for text in SPELLINGS]
+    lam = Lambda("q", pc, FormulaTerm(Eq(pc, Var("q"), Var("q"))))
+    for given, expected in itertools.product(predicates, repeat=2):
+        assert alpha_eq(given, expected)
+        assert check_term(MUSIC, Context.of(("s", given)), Var("s"), expected)
+    for predicate in predicates:
+        assert show(predicate) == "(-> PC Prop)"
+        assert check_term(MUSIC, EMPTY, lam, predicate)
 
 
 def test_bidirectional_coherence():

@@ -6,8 +6,8 @@ import random
 from mulingua.logic import well_formed_formula
 from mulingua.musiclib import harmony_signature, music_signature
 from mulingua.syntax import (
-    And, App, Arrow, Base, Context, Eq, Exists, Forall, FormulaTerm,
-    Lambda, Member, Power, Prop, RelAtom, Top, Var, free_vars, substitute,
+    And, App, Base, Context, Eq, Exists, Forall, FormulaTerm, Lambda,
+    Member, Prop, RelAtom, Top, Var, arrow, free_vars, substitute,
 )
 
 from generators import random_formula, tiny_signature
@@ -23,7 +23,7 @@ EMPTY = Context()
 # ---------------------------------------------------------------------------
 
 def test_membership_with_power_typed_predicate():
-    ctx = Context.of(("p", Base("PC")), ("s", Power(Base("PC"))))
+    ctx = Context.of(("p", Base("PC")), ("s", arrow(Base("PC"), Prop())))
     assert well_formed_formula(MUSIC, ctx, Member(Var("p"), Var("s")))
 
 
@@ -79,14 +79,14 @@ def test_non_predicate_in_membership():
 
 
 def test_a_predicate_on_another_domain_is_no_predicate_in_membership():
-    ctx = Context.of(("p", Base("PC")), ("s", Power(Base("IC"))))
+    ctx = Context.of(("p", Base("PC")), ("s", arrow(Base("IC"), Prop())))
     v = well_formed_formula(MUSIC, ctx, Member(Var("p"), Var("s")))
-    assert v.reason == ("non-predicate in membership: s has type (power IC), "
+    assert v.reason == ("non-predicate in membership: s has type (-> IC Prop), "
                         "expected a predicate on PC")
 
 
 def test_higher_order_quantification():
-    f = Forall("s", Power(Base("PC")),
+    f = Forall("s", arrow(Base("PC"), Prop()),
                Exists("p", Base("PC"), Member(Var("p"), Var("s"))))
     assert well_formed_formula(MUSIC, EMPTY, f)
 
@@ -183,7 +183,8 @@ def test_quantifier_capture_is_avoided():
 def test_weakening_with_fresh_variables():
     rng = random.Random(31)
     base = Context.of(("x", Base("X")), ("y", Base("X")))
-    extended = base.extend("zfresh", Base("X")).extend("wfresh", Arrow(Base("X"), Prop()))
+    extended = base.extend("zfresh", Base("X")).extend(
+        "wfresh", arrow(Base("X"), Prop()))
     for _ in range(60):
         f = random_formula(rng, ["x", "y"], 3, [0])
         if well_formed_formula(TINY, base, f):

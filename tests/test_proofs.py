@@ -20,8 +20,8 @@ from mulingua.semantics import (
     value_in_type,
 )
 from mulingua.syntax import (
-    Arrow, Base, Coproduct, FunSymbol, Pi, Power, Product, PropType, Sigma,
-    Unit, Zero, show,
+    App, Base, Coproduct, Eq, FunSymbol, Pi, Product, Prop, PropType, Sigma,
+    Unit, Var, Zero, arrow, show,
 )
 
 from generators import random_closed_formula, random_tiny_structure
@@ -55,19 +55,31 @@ def test_pi_over_empty_index_has_empty_section():
 
 
 def test_arrow_out_of_empty_domain():
-    proof = inhabit(Z12, Arrow(Zero(), Zero()))
+    proof = inhabit(Z12, arrow(Zero(), Zero()))
     assert proof is not None and proof.value == TableV(())
 
 
+def test_a_pi_that_does_not_use_its_binder_is_proved_as_an_arrow():
+    """Its proof is a table, and its refutation reads as the arrow's."""
+    proof = inhabit(Z12, Pi("x", G, G))
+    assert type(proof.value) is TableV
+    assert render_witness(proof.value, Z12).startswith("(table (0 0) (1 0)")
+    for t in (Pi("x", G, Zero()), arrow(G, Zero())):
+        assert explain_refutation(Z12, t) == "the empty type has no elements"
+    dependent = Pi("x", G, PropType(Eq(G, Var("x"), App("e"))))
+    assert explain_refutation(Z12, dependent) == (
+        "fiber at 1 is empty: proposition (= G x (e)) is false")
+
+
 def test_power_is_inhabited_by_empty_subset():
-    proof = inhabit(Z12, Power(G))
+    proof = inhabit(Z12, arrow(G, Prop()))
     assert proof is not None
     assert all(not flag.value for _, flag in proof.value.entries)
 
 
 def test_witnesses_lie_in_their_types():
-    for t in (Unit(), Product(G, G), Coproduct(Zero(), G), Arrow(G, G),
-              Power(G), Sigma("x", G, Unit()), Pi("x", G, G)):
+    for t in (Unit(), Product(G, G), Coproduct(Zero(), G), arrow(G, G),
+              arrow(G, Prop()), Sigma("x", G, Unit()), Pi("x", G, G)):
         proof = inhabit(Z12, t)
         assert proof is not None
         assert value_in_type(Z12, proof.value, t)
@@ -81,7 +93,7 @@ def _decides(st, t, env=None):
     match t:
         case s.Zero():
             return False
-        case s.Unit() | s.Prop() | s.Power(_):
+        case s.Unit() | s.Prop():
             return True
         case s.Base(name):
             return len(st.carrier(name)) > 0
@@ -89,7 +101,7 @@ def _decides(st, t, env=None):
             return _decides(st, a, env) and _decides(st, b, env)
         case s.Coproduct(a, b):
             return _decides(st, a, env) or _decides(st, b, env)
-        case s.Arrow(a, b):
+        case s.Pi(x, a, b) if x not in s.free_vars(b):
             return (not _decides(st, a, env)) or _decides(st, b, env)
         case s.Pi(x, a, body):
             return all(_decides(st, body, {**env, x: v})
@@ -141,8 +153,8 @@ def test_translation_shapes():
     assert prop_as_type(Bottom()) == Zero()
     assert prop_as_type(And(Top(), Bottom())) == Product(Unit(), Zero())
     assert prop_as_type(Or(Top(), Bottom())) == Coproduct(Unit(), Zero())
-    assert prop_as_type(Implies(Top(), Bottom())) == Arrow(Unit(), Zero())
-    assert prop_as_type(Not(Top())) == Arrow(Unit(), Zero())
+    assert prop_as_type(Implies(Top(), Bottom())) == arrow(Unit(), Zero())
+    assert prop_as_type(Not(Top())) == arrow(Unit(), Zero())
     assert prop_as_type(Forall("x", x, Top())) == Pi("x", x, Unit())
     assert prop_as_type(Exists("x", x, Top())) == Sigma("x", x, Unit())
     atom = RelAtom("R", (Var("x"),))
@@ -283,8 +295,8 @@ def test_witness_is_first_in_enumeration_order():
     cases = [
         (Z12, Product(G, G)),
         (Z12, Coproduct(Zero(), G)),
-        (Z12, Arrow(G, Prop())),
-        (Z12, Power(Prop())),
+        (Z12, arrow(G, Prop())),
+        (Z12, arrow(Prop(), Prop())),
         (Z12, Pi("x", Prop(), G)),
         # the fiber over the first index value is empty, so the witness
         # skips ahead exactly as the enumeration does
@@ -335,4 +347,4 @@ def test_formula_proofs_match_golden_digest():
         lines.append(repr(proof.value) if proof is not None
                      else explain_refutation(st, t))
     assert _digest(lines) == (
-        "68689a353377bb29e04798812fcab1b0dc9eab7d8465366f052494d07cd2d371")
+        "0eac1522e9b2f5367681f01a4f357a923eacdc7efa002a6b680a5a6fb4ddef6c")

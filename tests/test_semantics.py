@@ -34,10 +34,10 @@ from mulingua.semantics import (
     value_in_type,
 )
 from mulingua.syntax import (
-    And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Power, Product,
-    Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Top, Unit,
-    Universe, Var, W, Zero, show, substitute,
+    And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
+    FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Product, Prop,
+    PropType, RelAtom, RelSymbol, Sigma, Signature, Top, Unit, Universe,
+    Var, W, Zero, arrow, show, substitute,
 )
 
 from mulingua.voiceleading import transporters
@@ -80,9 +80,9 @@ def test_pi_over_empty_index_is_terminal():
 
 
 def test_arrow_and_power_sizes():
-    assert type_size(Z12, Arrow(Unit(), G)) == 12
-    assert type_size(Z12, Arrow(G, Prop())) == 2 ** 12
-    assert type_size(Z12, Power(G)) == 2 ** 12
+    assert type_size(Z12, arrow(Unit(), G)) == 12
+    assert type_size(Z12, arrow(G, Prop())) == 2 ** 12
+    assert type_size(Z12, Pi("x", G, Prop())) == 2 ** 12
 
 
 def test_coproduct_enumeration_order():
@@ -102,8 +102,8 @@ def test_sizes_are_exact_up_to_the_budget_and_budget_plus_one_above():
     cases = [  # (type, structure, exact size)
         (Product(G, G), Z12, 144),
         (Coproduct(G, Product(G, G)), Z12, 156),
-        (Arrow(G, Prop()), Z12, 2 ** 12),
-        (Power(G), Z12, 2 ** 12),
+        (arrow(G, Prop()), Z12, 2 ** 12),
+        (Pi("x", G, Prop()), Z12, 2 ** 12),
         (Pi("x", G, G), Z12, 12 ** 12),
         (Sigma("x", G, G), Z12, 144),
         (Sigma("p", Base("PC"), fin), MUSIC12, sum(range(12))),
@@ -118,9 +118,9 @@ def test_sizes_are_exact_up_to_the_budget_and_budget_plus_one_above():
                 assert type_size(st, t, env, budget) == min(exact, budget + 1)
     assert type_size(MUSIC12, fin, env, budget=3) == 4
     # a size with thousands of digits is never computed
-    huge = Power(Power(Power(G)))
+    huge = arrow(arrow(arrow(G, Prop()), Prop()), Prop())
     assert type_size(Z12, huge) == 10 ** 6 + 1
-    assert type_size(Z12, Arrow(huge, G), budget=10) == 11
+    assert type_size(Z12, arrow(huge, G), budget=10) == 11
     assert type_size(Z12, Pi("x", G, huge), budget=10) == 11
 
 
@@ -136,11 +136,11 @@ def test_only_a_family_symbol_has_fibers():
 
 def test_budget_overflow_on_materialization():
     with pytest.raises(BudgetError):
-        interpret_type(Z12, Arrow(G, G))  # 12^12 tables
+        interpret_type(Z12, arrow(G, G))  # 12^12 tables
 
 
 def test_quantifier_over_huge_function_type_overflows():
-    f = Forall("f", Arrow(G, G), Top())
+    f = Forall("f", arrow(G, G), Top())
     with pytest.raises(BudgetError):
         eval_formula(Z12, f)
 
@@ -262,7 +262,7 @@ def test_arrow_witness_searches_the_codomain_once(monkeypatch):
     alone = inhabit(Z12, square_root).value
     searched = len(calls)
     calls.clear()
-    table = inhabit(Z12, Arrow(G, square_root)).value
+    table = inhabit(Z12, arrow(G, square_root)).value
     assert len(calls) == searched
     assert table == TableV(tuple((g, alone) for g in Z12.carrier("G")))
     assert alone.first == Atom("G", 6)
@@ -288,8 +288,8 @@ def test_value_in_type():
     assert value_in_type(Z12, Atom("G", 3), G)
     assert not value_in_type(Z12, Atom("G", 3), Unit())
     table = eval_term(Z12, Lambda("x", G, Var("x")))
-    assert value_in_type(Z12, table, Arrow(G, G))
-    assert not value_in_type(Z12, table, Arrow(G, Prop()))
+    assert value_in_type(Z12, table, arrow(G, G))
+    assert not value_in_type(Z12, table, arrow(G, Prop()))
 
 
 def test_checked_tree_terms_evaluate_to_trees():
@@ -382,7 +382,28 @@ def test_seeded_type_interpretation_matches_the_pinned_digest():
 
 TYPE_COUNT = 7764
 TYPE_DIGEST = (
-    "3791ada08fb327d3c1dfce4697cff0d82f660f4886a4ed097fea0174988cc004")
+    "5cea640c8182c09e0ff35a069a1eeb1e1d3613a67c056da1175031567d431ec4")
+
+
+def test_a_table_and_a_section_are_members_of_a_function_type_alike():
+    """Both membership tests take a function by its entries, whatever
+    its class: a table and a section with the entries of an element of
+    a seeded function type (arrow, power or Pi) are both in it."""
+    rng = random.Random(22)
+    checked = 0
+    while checked < 60:
+        st, t = random_family_structure(rng), random_type(rng, 3)
+        try:
+            members = interpret_type(st, t, budget=64)
+        except MulinguaError:  # over the budget, or infinitely many trees
+            continue
+        functions = [v for v in members.elements[:3]
+                     if isinstance(v, (TableV, SectionV))]
+        for v in functions:
+            for w in (TableV(v.entries), SectionV(v.entries)):
+                assert value_in_type(st, w, t, budget=64), (show(t), w)
+                assert w in members
+        checked += bool(functions)
 
 
 def test_a_well_typed_formula_over_function_constants_does_not_go_wrong():
@@ -713,20 +734,22 @@ def test_component_map_must_land_in_target_carrier():
 
 def test_non_bijective_component_at_a_power_fails_the_check():
     sig = Signature(name="everything", base_types=("X",),
-                    fun_symbols=(FunSymbol("all", (), Power(Base("X"))),))
+                    fun_symbols=(FunSymbol("all", (),
+                                           arrow(Base("X"), Prop())),))
     xs = FinSet.of(Atom("X", 0), Atom("X", 1))
     st = Structure(sig, {"X": xs}, {"all": {
         (): TableV(tuple((x, TruthV(True)) for x in xs))}})
     collapse = StructureHom(st, st, {"X": {x: Atom("X", 0) for x in xs}})
     verdict = check_structure_hom(collapse)
     assert not verdict
-    assert verdict.reason == ("cannot transport along (power X): "
+    assert verdict.reason == ("cannot transport along (-> X Prop): "
                               "component is not a bijection")
 
 
 def test_surjective_but_not_injective_component_at_a_power_fails_the_check():
     sig = Signature(name="some", base_types=("X",),
-                    fun_symbols=(FunSymbol("first", (), Power(Base("X"))),))
+                    fun_symbols=(FunSymbol("first", (),
+                                           arrow(Base("X"), Prop())),))
     xs, x0 = FinSet.of(Atom("X", 0), Atom("X", 1)), Atom("X", 0)
     source = Structure(sig, {"X": xs}, {"first": {
         (): TableV(tuple((x, TruthV(x == x0)) for x in xs))}})
@@ -735,7 +758,7 @@ def test_surjective_but_not_injective_component_at_a_power_fails_the_check():
     merge = StructureHom(source, target, {"X": {x: x0 for x in xs}})
     verdict = check_structure_hom(merge)
     assert not verdict
-    assert verdict.reason == ("cannot transport along (power X): "
+    assert verdict.reason == ("cannot transport along (-> X Prop): "
                               "component is not a bijection")
 
 
@@ -919,7 +942,8 @@ def test_a_hom_transports_pairs_and_injections_componentwise():
 
 def test_a_hom_transports_function_values_along_bijective_components():
     sig = Signature("maps", ("X",), (
-        FunSymbol("to", (), Arrow(X, X)), FunSymbol("some", (), Power(X))))
+        FunSymbol("to", (), arrow(X, X)),
+        FunSymbol("some", (), arrow(X, Prop()))))
 
     def st(image, member):
         return two_points(sig, {
@@ -995,13 +1019,24 @@ def test_the_universe_is_not_enumerated():
 # ---------------------------------------------------------------------------
 
 def lookup_outcome(read):
-    """What a lookup gives: ``("value", v)`` or ``("error", message)``.
-    Rendering a missing key whose atom has a float index on a named
-    carrier raises a TypeError, by key or by position alike."""
+    """What a lookup gives: ``("value", v)`` or ``("error", message)``."""
     try:
         return "value", read()
-    except (StructureError, TypeError) as err:
+    except StructureError as err:
         return "error", f"{type(err).__name__}: {err}"
+
+
+def test_a_missing_entry_at_a_float_index_is_reported_by_its_atom():
+    """An atom whose index is no integer is not named after a carrier
+    element, so a table without its entry says so in the usual words."""
+    st = cyclic_group_structure(2)
+    g1 = Atom("G", 1)
+    inv = {k: v for k, v in st.fun_tables["inv"].items() if k != (g1,)}
+    holey = dataclasses.replace(st, fun_tables={**st.fun_tables, "inv": inv})
+    assert render_value(Atom("G", 1.0), st) == "(atom G 1.0)"
+    with pytest.raises(StructureError, match=re.escape(
+            "table for 'inv' has no entry for ('(atom G 1.0)',)")):
+        eval_term(holey, App("inv", (Var("x"),)), {"x": Atom("G", 1.0)})
 
 
 def plain_lookup(st, head, args):

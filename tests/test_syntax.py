@@ -33,19 +33,21 @@ from mulingua.semantics import (
 )
 from mulingua.sexpr import SNode, Sym, parse_sexprs
 from mulingua.syntax import (
-    Absurd, And, App, Arrow, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr,
-    Lambda, Member, Not, Or, Pair, Pi, Power, Product, Prop, PropType,
-    Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature, Star, Sup, Term,
-    Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, _Binding,
-    alpha_key, free_vars, show, substitute,
+    Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
+    Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr, Lambda,
+    Member, Not, Or, Pair, Pi, Product, Prop, PropType, Proj1, Proj2,
+    RelAtom, RelSymbol, Sigma, Signature, Star, Sup, Term, Top, TupleProj,
+    TypeExpr, Unit, Universe, Var, W, Zero, _Binding, alpha_key, arrow,
+    free_vars, show, substitute,
 )
 from mulingua.voiceleading import (
     ExplicitTable, QuiverHom, WindingPaths, vls,
 )
 from mulingua.wtypes import RhythmSpec
 
-from generators import random_formula, random_typed_term, rename_bound
+from generators import (
+    random_formula, random_type, random_typed_term, rename_bound,
+)
 
 G = Base("G")
 
@@ -58,11 +60,11 @@ SHOWN = [
     (Universe(), "Type"),
     (Product(G, Unit()), "(* G 1)"),
     (Coproduct(G, Zero()), "(+ G 0)"),
-    (Arrow(G, Prop()), "(-> G Prop)"),
+    (arrow(G, Prop()), "(-> G Prop)"),
     (Pi("x", G, FamApp("F", (Var("x"),))), "(pi (x G) (F x))"),
     (Sigma("x", G, PropType(Top())), "(sigma (x G) (prop top))"),
     (W("l", G, FamApp("Ar", (Var("l"),))), "(w (l G) (Ar l))"),
-    (Power(G), "(power G)"),
+    (Pi("x", G, Prop()), "(-> G Prop)"),
     (FamApp("F", (Var("a"), App("e"))), "(F a (e))"),
     (PropType(Bottom()), "(prop bottom)"),
     (Var("a"), "a"),
@@ -88,7 +90,7 @@ SHOWN = [
     (Implies(Top(), Not(Bottom())), "(implies top (not bottom))"),
     (Not(Top()), "(not top)"),
     (Forall("x", G, RelAtom("R", (Var("x"),))), "(forall (x G) (rel R x))"),
-    (Exists("y", Arrow(G, G), RelAtom("P", ())), "(exists (y (-> G G)) (rel P))"),
+    (Exists("y", arrow(G, G), RelAtom("P", ())), "(exists (y (-> G G)) (rel P))"),
 ]
 
 
@@ -111,7 +113,7 @@ def test_golden_table_lists_every_node_class():
     assert listed == classes - {FunSymbol, RelSymbol, Signature, Context}
     assert listed == {*typing.get_args(TypeExpr), *typing.get_args(Term),
                       *typing.get_args(Formula)}
-    assert len(listed) == 38
+    assert len(listed) == 36
 
 
 # One instance of every other record class, with the dataclass flags it
@@ -285,12 +287,14 @@ SCOPE = Context.of(("a", G), ("b", G))
 
 def _samples(rng):
     """A term over ``a`` and ``b`` with its type, an open formula over
-    them, and that formula under a type binder, each with its parser."""
+    them, that formula under a type binder, and a closed type of Pi,
+    Sigma, W, family and power types, each with its parser."""
     term, ty = random_typed_term(rng, SCOPE, 4)
     formula = random_formula(rng, ["a", "b"], 4, [0])
     return ((term, parse_term_node), (ty, parse_type_node),
             (formula, parse_formula_node),
-            (Sigma("s", G, PropType(formula)), parse_type_node))
+            (Sigma("s", G, PropType(formula)), parse_type_node),
+            (random_type(rng, 3), parse_type_node))
 
 
 @settings(max_examples=150, deadline=None)
