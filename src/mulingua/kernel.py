@@ -225,6 +225,8 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
             return spine[i]
         case Lambda(x, annot, body):
             _wf_type(sig, ctx, annot)
+            if ctx.type_of(x) is not None:
+                x, body = _rename_apart(ctx, x, body)
             return Pi(x, annot, _infer(sig, ctx.extend(x, annot), body))
         case Star():
             return Unit()
@@ -267,12 +269,9 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
                 raise TypeCheckError(
                     f"lambda domain annotation {show(annot)} does not match "
                     f"expected domain {show(dom)}")
-            # rename against a dependent Pi, and wherever the lambda's
-            # binder would capture a variable of the codomain
-            if y in free_vars(cod) or x in free_vars(cod):
-                z = fresh_name(x, set(ctx.names()) | free_vars(body)
-                               | free_vars(cod))
-                body = substitute(body, {x: Var(z)})
+            # a dependent Pi's binder becomes the lambda's, renamed apart
+            if y in free_vars(cod) or ctx.type_of(x) is not None:
+                z, body = _rename_apart(ctx, x, body, free_vars(cod))
                 x, cod = z, substitute(cod, {y: Var(z)})
             _check(sig, ctx.extend(x, annot), body, cod)
         case (Sup(label, branches), W(x, label_type, arity_body)):
@@ -290,6 +289,16 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
                 raise TypeCheckError(
                     f"type mismatch: {show(term)} has type {show(inferred)}, "
                     f"expected {show(expected)}")
+
+
+def _rename_apart(ctx: Context, x: str, body: Term,
+                  avoid: frozenset[str] = frozenset()) -> tuple[str, Term]:
+    """Rename a lambda's binder ``x`` apart from the context, the body and
+    ``avoid``.  A binder that shadowed a context variable would capture
+    it wherever a type mentions it: in the types the context gives the
+    body's other variables, and in the codomain."""
+    z = fresh_name(x, set(ctx.names()) | free_vars(body) | avoid)
+    return z, substitute(body, {x: Var(z)})
 
 
 # ---------------------------------------------------------------------------

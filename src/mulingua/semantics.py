@@ -759,7 +759,12 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
             # a table and a section with the same entries are one function
             if not isinstance(v, _Tabular):
                 return False
-            dom = tuple(_elements(st, dom_t, env, budget))
+            # sized first: a table of the wrong length is refused, and an
+            # empty domain taken as one, without enumerating the domain
+            size = type_size(st, dom_t, env, budget)
+            if min(len(v.entries), budget + 1) != size:
+                return False
+            dom = tuple(_elements(st, dom_t, env, budget)) if size else ()
             return v.domain_values() == dom and all(
                 value_in_type(st, out, cod_t, {**env, x: arg}, budget)
                 for arg, out in v.entries)

@@ -3,6 +3,7 @@ substitution, and context morphisms."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -249,6 +250,31 @@ def test_an_arrow_lambda_renames_a_binder_its_codomain_mentions():
                    expected)
     assert v.reason == ("type mismatch: (apply g k') has type (fin k'), "
                         "expected (fin k)")
+
+
+def test_a_lambda_binder_that_shadows_the_context_captures_no_entry_type():
+    """h takes an element of (fin k) for the context's k.  A lambda that
+    binds k anew must not hand h an element of (fin k) for its own k,
+    whichever spelling of the expected type, and when it is inferred."""
+    pc = Base("PC")
+
+    def fin(name):
+        return FamApp("fin", (Var(name),))
+
+    ctx = Context.of(("k", pc), ("c", fin("k")), ("h", arrow(fin("k"), pc)),
+                     ("g", Pi("y", pc, fin("y"))))
+    capture = Lambda("k", pc, App(Var("h"), (App(Var("g"), (Var("k"),)),)))
+    mismatch = ("type mismatch: (apply g k') has type (fin k'), "
+                "expected (fin k)")
+    for expected in (Pi("x", pc, pc), arrow(pc, pc)):
+        assert check_term(MUSIC, ctx, capture, expected).reason == mismatch
+    with pytest.raises(TypeCheckError, match=re.escape(mismatch)):
+        infer_term(MUSIC, ctx, capture)
+    # the inferred type of a lambda that ignores its binder is an arrow
+    # into the context's (fin k)
+    inferred = infer_term(MUSIC, ctx, Lambda("k", pc, Var("c")))
+    assert alpha_eq(inferred, arrow(pc, fin("k")))
+    assert show(inferred) == "(-> PC (fin k))"
 
 
 # the three spellings of a predicate on PC, as the reader reads them

@@ -382,7 +382,7 @@ def test_seeded_type_interpretation_matches_the_pinned_digest():
 
 TYPE_COUNT = 7764
 TYPE_DIGEST = (
-    "5cea640c8182c09e0ff35a069a1eeb1e1d3613a67c056da1175031567d431ec4")
+    "9b76668bcfa759658f46f560a6908d2cf6bc6a00af2762a126965eeb137de73a")
 
 
 def test_a_table_and_a_section_are_members_of_a_function_type_alike():
@@ -404,6 +404,31 @@ def test_a_table_and_a_section_are_members_of_a_function_type_alike():
                 assert value_in_type(st, w, t, budget=64), (show(t), w)
                 assert w in members
         checked += bool(functions)
+
+
+def test_a_function_whose_length_cannot_match_its_domain_is_refused_in_budget():
+    """Membership sizes a function type's domain before enumerating it:
+    at budget 2, a table or section shorter than the domain (144 pairs,
+    or the 12 elements of G) is refused rather than over the budget, and
+    the empty function lies in a function type whose domain is empty,
+    although enumerating that domain walks the 12 elements of G."""
+    pairs = Sigma("x", G, G)
+    pair = PairV(Atom("G", 0), Atom("G", 0))
+    for v in (TableV(()), SectionV(()), SectionV(((pair, TruthV(True)),))):
+        assert value_in_type(Z12, v, arrow(pairs, Prop()), budget=2) is False
+    fiber = Pi("x", G, PropType(Eq(G, Var("x"), Var("x"))))
+    assert value_in_type(Z12, SectionV(((Atom("G", 0), StarV()),)), fiber,
+                         budget=2) is False
+    # three entries may be the whole of an over-budget domain
+    with pytest.raises(BudgetError):
+        value_in_type(Z12, TableV(((pair, TruthV(True)),) * 3),
+                      arrow(pairs, Prop()), budget=2)
+    empty = Coproduct(Sigma("x", G, Zero()), Zero())
+    assert type_size(Z12, empty, budget=2) == 0
+    with pytest.raises(BudgetError):
+        list(iter_type(Z12, empty, budget=2))
+    for v in (TableV(()), SectionV(())):
+        assert value_in_type(Z12, v, arrow(empty, Prop()), budget=2)
 
 
 def test_a_well_typed_formula_over_function_constants_does_not_go_wrong():
