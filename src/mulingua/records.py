@@ -13,8 +13,9 @@ fields by position, so declaring a class generates no method.
 
 A class built by keyword, or with defaults or checks at construction,
 writes its own ``__init__`` with parameters named after its fields (so
-``dataclasses.replace`` works on it); a class on a hot path writes its
-own ``__eq__`` and ``__hash__``, which are faster than the generic ones.
+``dataclasses.replace`` works on it).  A class on a hot path writes its
+own ``__init__``, ``__eq__`` and ``__hash__``, which are faster than the
+generic ones, and may keep its hash in an attribute that is no field.
 """
 
 from __future__ import annotations

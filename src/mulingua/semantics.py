@@ -87,9 +87,15 @@ def element_budget(budget: Optional[int] = None) -> int:
 # of its indexed carriers, a relation, a table value's apply, a set's
 # membership.  (A symbol over base types reads its table by the atoms'
 # carrier positions and hashes nothing; see Structure._position_index.)
-# So they have the __eq__ and __hash__ a frozen dataclass generates:
-# _Node's, which loop over the field names, are slower.  The hashes
-# equal the dataclass ones, so set and dict orders do not change.
+# So they write their own __eq__ and __hash__: _Node's, which loop over
+# the field names, are slower.  An Atom and a PairV hash once: an Atom
+# when it is built, since nearly every Atom is hashed, and a PairV on its
+# first hash, since enumeration builds many pairs that are never hashed.
+# Either keeps the hash in _hash, which is no field, so it shows in no
+# repr and no comparison, and is rebuilt through __init__ when copied or
+# unpickled, so a process with another hash seed does not inherit it.
+# Every hash equals the one a frozen dataclass generates, so set and dict
+# orders do not change.
 
 @_node
 class Atom(_Node):
@@ -98,13 +104,21 @@ class Atom(_Node):
     carrier: str
     index: int
 
+    def __init__(self, carrier: str, index: int) -> None:
+        _set(self, "carrier", carrier)
+        _set(self, "index", index)
+        _set(self, "_hash", hash((carrier, index)))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.carrier, self.index) == (other.carrier, other.index)
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self.index))
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.carrier, self.index)
 
 
 @_node
@@ -144,13 +158,25 @@ class PairV(_Node):
     first: "Value"
     second: "Value"
 
+    def __init__(self, first: "Value", second: "Value") -> None:
+        _set(self, "first", first)
+        _set(self, "second", second)
+        _set(self, "_hash", None)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.first, self.second) == (other.first, other.second)
 
     def __hash__(self) -> int:
-        return hash((self.first, self.second))
+        h = self._hash
+        if h is None:
+            h = hash((self.first, self.second))
+            _set(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return PairV, (self.first, self.second)
 
 
 @_node
@@ -311,8 +337,10 @@ class FinSet(_Node):
 
     def __init__(self, elements: tuple[Value, ...]) -> None:
         _set(self, "elements", elements)
-        if len(set(elements)) != len(elements):
+        members = frozenset(elements)
+        if len(members) != len(elements):
             raise StructureError("finite set has duplicate elements")
+        _set(self, "_members", members)
 
     @staticmethod
     def of(*elements: Value) -> "FinSet":
@@ -325,11 +353,7 @@ class FinSet(_Node):
         return len(self.elements)
 
     def __contains__(self, v: Value) -> bool:
-        members = self.__dict__.get("_members")
-        if members is None:
-            members = frozenset(self.elements)
-            object.__setattr__(self, "_members", members)
-        return v in members
+        return v in self._members
 
     def index(self, v: Value) -> int:
         return self.elements.index(v)

@@ -23,6 +23,12 @@ by point or arrow by arrow, which gives the verdict, message or
 exception in the order the scan meets it.  Nothing is kept between
 calls: the rules, quivers and homs are mutable records.
 
+``vls`` and ``enumerate_automorphisms`` handle vertices by index, their
+position in the vertex set: ``vls`` places each fiber of a rule at the
+index pair of its endpoints, and ``enumerate_automorphisms`` finds the
+image of the fiber at (i, j) at (image[i], image[j]), so neither hashes
+a vertex per pitch pair or per vertex permutation.
+
 A model of the minimal signature is a plain ``Structure``, and a map
 between two models a ``StructureHom``; ``vls_of_structure`` and
 ``hom_to_quiver_hom`` carry them to a quiver and a quiver hom::
@@ -266,7 +272,10 @@ def arrow_payload(arrow: Value) -> Value:
     return arrow.second
 
 
-def _rule_fibers(pitch: FinSet, rule: VLRule) -> dict[tuple[Value, Value], FinSet]:
+def _rule_fibers(pitch: FinSet, rule: VLRule) -> list:
+    """The rule's fibers in pitch-pair order: the fiber at (x, y) is at
+    i*n+j, where i and j are the positions of x and y in the pitch set."""
+    n = len(pitch)
     match rule:
         case GroupAction():
             for (_, x) in rule.action:
@@ -279,49 +288,49 @@ def _rule_fibers(pitch: FinSet, rule: VLRule) -> dict[tuple[Value, Value], FinSe
                 raise StructureError(f"invalid group action: {v.reason}")
             # the laws hold and every action key lies in the pitch set,
             # so every element maps every point into it: maps is built
-            return _transporter_fibers(pitch, maps)
+            return _transporter_fibers(n, maps)
         case WindingPaths(modulus, max_winding):
-            if len(pitch) != modulus:
+            if n != modulus:
                 raise StructureError(
                     f"winding rule over {modulus} points got a pitch set of "
-                    f"size {len(pitch)}")
-            index = {x: i for i, x in enumerate(pitch)}
-            return {
-                (x, y): FinSet(tuple(
-                    Atom("disp", (index[y] - index[x]) % modulus + modulus * w)
-                    for w in range(-max_winding, max_winding + 1)))
-                for x in pitch for y in pitch}
+                    f"size {n}")
+            return [FinSet(tuple(
+                        Atom("disp", (j - i) % modulus + modulus * w)
+                        for w in range(-max_winding, max_winding + 1)))
+                    for i in range(n) for j in range(n)]
         case ExplicitTable(table):
+            index = {x: i for i, x in enumerate(pitch)}
+            cells: list = [()] * (n * n)
             for (x, y), fiber in table.items():
-                if x not in pitch or y not in pitch:
+                i, j = index.get(x), index.get(y)
+                if i is None or j is None:
                     raise StructureError(
                         "explicit table mentions vertices outside the pitch set")
-            empty = FinSet(())
-            return {(x, y): table.get((x, y), empty)
-                    for x in pitch for y in pitch}
+                cells[i * n + j] = fiber
+            return cells
     raise StructureError(f"not a voice-leading rule: {rule!r}")
 
 
-def _transporter_fibers(pitch: FinSet, maps: dict[Value, tuple[int, ...]]
-                        ) -> dict[tuple[Value, Value], FinSet]:
-    """The transporters of every pitch pair, from the point maps in one
-    pass over the group, so each fiber keeps group-carrier order."""
-    points = tuple(pitch)
-    n = len(points)
+def _transporter_fibers(n: int, maps: dict[Value, tuple[int, ...]]
+                        ) -> list[FinSet]:
+    """The transporters of every pair of the n points, in pair order,
+    from the point maps in one pass over the group, so each fiber keeps
+    group-carrier order."""
     cells: list[list[Value]] = [[] for _ in range(n * n)]
     for g, row in maps.items():
         for i, j in enumerate(row):
             cells[i * n + j].append(g)
-    pairs = [(x, y) for x in points for y in points]
-    return {pair: FinSet(tuple(gs)) for pair, gs in zip(pairs, cells)}
+    return [FinSet(tuple(gs)) for gs in cells]
 
 
 def vls(pitch: FinSet, rule: VLRule) -> Quiver:
     """The voice-leading space of a pitch set and a rule: arrows are the
     triples ((x, y), t) with t in the rule's fiber at (x, y), fiber by
-    fiber in pitch-pair order."""
+    fiber in pitch-pair order.  Each fiber is keyed by the pitch set's
+    own atoms."""
     fibers = {}
-    for (x, y), payloads in _rule_fibers(pitch, rule).items():
+    for (x, y), payloads in zip(itertools.product(pitch, repeat=2),
+                                _rule_fibers(pitch, rule)):
         if payloads:
             pair = PairV(x, y)
             fibers[(x, y)] = tuple(PairV(pair, t) for t in payloads)
@@ -464,19 +473,24 @@ def enumerate_automorphisms(q: Quiver,
     budget = element_budget(budget)
     vertices = list(q.vertices)
     n = len(vertices)
-    candidate_space = math.factorial(n)
-    for fiber in q.fibers.values():
-        candidate_space *= math.factorial(len(fiber))
+    candidate_space = 1
+    for size in (n, *map(len, q.fibers.values())):
+        candidate_space *= math.factorial(size)
         if candidate_space > budget:
             raise BudgetError(
                 f"automorphism candidate space exceeds the budget ({budget}); "
                 "for group-action spaces use conjugation automorphisms "
                 "instead")
 
+    # each fiber by the indices (i, j) of its endpoints, so an image
+    # fiber is found at (image[i], image[j]) without hashing a vertex
     index = {v: i for i, v in enumerate(vertices)}
     m = [[0] * n for _ in range(n)]
+    by_index = {}
     for (x, y), fiber in q.fibers.items():
-        m[index[x]][index[y]] = len(fiber)
+        i, j = index[x], index[y]
+        m[i][j] = len(fiber)
+        by_index[(i, j)] = fiber
 
     results: list[QuiverHom] = []
 
@@ -497,8 +511,8 @@ def enumerate_automorphisms(q: Quiver,
         gamma0 = {v: vertices[j] for v, j in zip(vertices, image)}
         per_pair = [
             [tuple(zip(fiber, perm)) for perm in itertools.permutations(
-                q.fibers.get((gamma0[x], gamma0[y]), ()))]
-            for (x, y), fiber in q.fibers.items()]
+                by_index.get((image[i], image[j]), ()))]
+            for (i, j), fiber in by_index.items()]
         for combo in itertools.product(*per_pair):
             results.append(QuiverHom(
                 dict(itertools.chain.from_iterable(combo)), dict(gamma0)))

@@ -9,7 +9,8 @@ import sys
 from contextlib import contextmanager
 
 from mulingua.semantics import (
-    Atom, FinSet, SectionV, Structure, TableV, TruthV,
+    Atom, FinSet, InlV, InrV, PairV, SectionV, StarV, Structure, TableV,
+    TreeV, TruthV, Value,
 )
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
@@ -349,6 +350,34 @@ def rename_bound(node, renaming=None):
             value = rename_bound(value, renaming)
         out.append(value)
     return type(node)(*out)
+
+
+# ---------------------------------------------------------------------------
+# semantic values
+# ---------------------------------------------------------------------------
+
+def random_value(rng: random.Random, depth: int) -> Value:
+    """A value nested up to ``depth`` deep: atoms at the leaves, over
+    them pairs, injections, tables, sections and trees."""
+    roll = rng.randrange(8) if depth > 0 else rng.randrange(3)
+    if roll == 0:
+        return Atom(rng.choice(("X", "Y", "PC")), rng.randrange(-2, 13))
+    if roll == 1:
+        return rng.choice((StarV(), TruthV(False), TruthV(True)))
+    if roll == 2:
+        return Atom("v", rng.randrange(4))
+    if roll in (3, 4):
+        return PairV(random_value(rng, depth - 1),
+                     random_value(rng, depth - 1))
+    if roll == 5:
+        return rng.choice((InlV, InrV))(random_value(rng, depth - 1))
+    if roll == 6:
+        return rng.choice((TableV, SectionV))(tuple(
+            (Atom("X", i), random_value(rng, depth - 1))
+            for i in range(rng.randrange(3))))
+    return TreeV(random_value(rng, depth - 1), tuple(
+        TreeV(random_value(rng, depth - 2), ())
+        for _ in range(rng.randrange(3))))
 
 
 # ---------------------------------------------------------------------------

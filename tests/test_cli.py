@@ -468,6 +468,24 @@ def run_subprocess(argv):
         capture_output=True, text=True, env=env, timeout=10)
 
 
+def test_autos_refuses_a_space_without_arrows_past_the_budget(tmp_path):
+    pitches = [f"p{i}" for i in range(10)]  # 10! vertex permutations
+    fibers = " ".join(f"(({x} {y}) (set))" for x in pitches for y in pitches)
+    src = tmp_path / "bare.mul"
+    src.write_text(f"""
+    (structure bare of vls
+      (carrier Pitch ({" ".join(pitches)}))
+      (carrier Arrow (a))
+      (fun vlr {fibers}))
+    (quiver q table bare)
+    """)
+    done = run_subprocess(["autos", "q", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "budget exceeded: automorphism candidate space exceeds the "
+               "budget (1000000); for group-action spaces use conjugation "
+               "automorphisms instead\n")
+
+
 def test_a_power_is_compared_as_the_predicate_type_it_is(tmp_path):
     src = tmp_path / "power.mul"
     src.write_text("""

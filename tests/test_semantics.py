@@ -1240,3 +1240,104 @@ def test_repeated_theory_checks_leave_no_state_behind():
             "table for 'star' has no entry for ('1', '2')")):
         check_theory(holey, theory, "z4")
     assert check_theory(st, theory, "z4") in reports
+
+
+# ---------------------------------------------------------------------------
+# value hashes
+# ---------------------------------------------------------------------------
+
+# An Atom keeps the hash it is built with and a PairV the hash it first
+# computes; either must equal the hash a frozen dataclass generates, and
+# must not depend on anything but the hash seed and the field values.
+HASH_PARITY = """
+import dataclasses, pathlib, pickle, random, sys
+from generators import random_value
+from mulingua.semantics import Atom, PairV, TreeV
+
+TWINS = {}
+
+
+def twin(value):
+    # the value rebuilt from dataclasses generated by make_dataclass;
+    # TreeV keeps its own hash, as in the record-twin test
+    if isinstance(value, tuple):
+        return tuple(twin(v) for v in value)
+    if not dataclasses.is_dataclass(value):
+        return value
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(cls)]
+    if cls not in TWINS:
+        TWINS[cls] = dataclasses.make_dataclass(
+            cls.__name__, names, frozen=True,
+            namespace={"__hash__": TreeV.__hash__} if cls is TreeV else {})
+    return TWINS[cls](*(twin(getattr(value, name)) for name in names))
+
+
+def rebuilt(value):
+    # an equal value made of new objects, none of them hashed yet
+    if isinstance(value, tuple):
+        return tuple(rebuilt(v) for v in value)
+    if not dataclasses.is_dataclass(value):
+        return value
+    return type(value)(*(rebuilt(getattr(value, f.name))
+                         for f in dataclasses.fields(value)))
+
+
+def nodes(value):
+    if isinstance(value, tuple):
+        for v in value:
+            yield from nodes(v)
+    elif dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from nodes(getattr(value, f.name))
+
+
+rng = random.Random(24)
+checked = 0
+for _ in range(400):
+    value = random_value(rng, rng.randrange(5))
+    fresh = rebuilt(value)
+    assert hash(value) == hash(twin(value)) == hash(value) == hash(fresh)
+    assert fresh == value
+    for node in nodes(value):
+        checked += 1
+        if isinstance(node, Atom):
+            assert hash(node) == hash((node.carrier, node.index))
+        if isinstance(node, PairV):
+            assert hash(node) == hash((node.first, node.second))
+            other = Atom("X", checked)
+            moved = dataclasses.replace(node, second=other)
+            assert hash(moved) == hash((node.first, other))
+            assert hash(dataclasses.replace(node)) == hash(node)
+            unhashed = PairV(node.first, node.second)
+            moved = dataclasses.replace(unhashed, first=other)
+            assert hash(moved) == hash((other, node.second))
+            assert hash(unhashed) == hash(node)
+# values pickled by a process with another hash seed hash as if built here
+kept = pathlib.Path(sys.argv[1])
+if kept.exists():
+    for value in pickle.loads(kept.read_bytes()):
+        assert hash(value) == hash(rebuilt(value))
+        checked += 1
+else:
+    values = [random_value(rng, 4) for _ in range(50)]
+    for value in values:
+        hash(value)
+    kept.write_bytes(pickle.dumps(values))
+print("checked", checked)
+"""
+
+
+def test_value_hashes_equal_the_generated_ones_under_each_hash_seed(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_PARITY, str(tmp_path / "values")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'tests'}"})
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(int(done.stdout.removeprefix("checked ")))
+    assert outputs[1] == outputs[0] + 50

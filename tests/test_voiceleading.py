@@ -140,6 +140,74 @@ def test_rule_and_pitch_carrier_must_agree():
         vls(PITCH, GroupAction(TI.group, bad_action))
 
 
+def scanned_explicit_space(pitch, table):
+    """The fibers and arrows of an explicit-table space by the all-pairs
+    scan: every key checked for membership first, then one table lookup
+    per pitch pair, in pitch-pair order."""
+    for (x, y), fiber in table.items():
+        if x not in pitch or y not in pitch:
+            raise StructureError(
+                "explicit table mentions vertices outside the pitch set")
+    fibers = {}
+    for x in pitch:
+        for y in pitch:
+            payloads = table.get((x, y), FinSet(()))
+            if payloads:
+                pair = PairV(x, y)
+                fibers[(x, y)] = tuple(PairV(pair, t) for t in payloads)
+    return fibers, itertools.chain.from_iterable(fibers.values())
+
+
+def explicit_tables(rng):
+    """Pitch sets with explicit tables: first every pair of three vertices
+    in reverse pitch-pair order, keyed by equal atoms that are not the
+    pitch set's, every other fiber given empty; then seeded random
+    tables, a fifth of them with a key outside the pitch set."""
+    pitch = FinSet(tuple(Atom("v", i) for i in range(3)))
+    pairs = [(x, y) for x in pitch for y in pitch]
+    yield pitch, {(Atom("v", x.index), Atom("v", y.index)):
+                  FinSet((Atom("a", k),) if k % 2 else ())
+                  for k, (x, y) in reversed(list(enumerate(pairs)))}
+    for _ in range(300):
+        n = rng.randrange(5)
+        pitch = FinSet(tuple(Atom("v", i) for i in range(n)))
+        pairs = [(x, y) for x in pitch for y in pitch]
+        rng.shuffle(pairs)
+        table, arrow = {}, itertools.count()
+        for x, y in pairs[:rng.randrange(len(pairs) + 1)]:
+            if rng.random() < 0.5:
+                x, y = Atom("v", x.index), Atom("v", y.index)
+            table[(x, y)] = FinSet(tuple(
+                Atom("a", next(arrow)) for _ in range(rng.randrange(3))))
+        if rng.random() < 0.2:
+            items = list(table.items())
+            stray = (Atom("v", rng.randrange(n + 1)), Atom("w", 0))
+            items.insert(rng.randrange(len(items) + 1),
+                         (stray[::rng.choice((1, -1))], FinSet(())))
+            table = dict(items)
+        yield pitch, table
+
+
+def explicit_outcome(build):
+    """The fibers in order, each with the identities of its key's atoms,
+    and the arrows; or the error."""
+    try:
+        fibers, arrows = build()
+    except StructureError as err:
+        return "error", str(err)
+    return ("space", [(key, tuple(map(id, key)), fiber)
+                      for key, fiber in fibers.items()], list(arrows))
+
+
+def test_an_explicit_space_matches_the_all_pairs_scan():
+    for pitch, table in explicit_tables(random.Random(2402)):
+        def built():
+            q = vls(pitch, ExplicitTable(table))
+            return q.fibers, q.arrows
+        assert explicit_outcome(built) == explicit_outcome(
+            lambda: scanned_explicit_space(pitch, table))
+
+
 def test_per_pair_transporters_have_size_two():
     fibers = {}
     for arrow in TI_QUIVER.arrows:
@@ -651,6 +719,14 @@ def test_budget_refusal_suggests_conjugation():
         enumerate_automorphisms(TI_QUIVER, budget=1)
     with pytest.raises(BudgetError):
         enumerate_automorphisms(TI_QUIVER)  # 12! alone exceeds the default
+
+
+def test_vertex_permutations_alone_are_held_to_the_budget():
+    q = explicit_quiver(9, [])  # 9! = 362880 vertex permutations, no arrow
+    with pytest.raises(BudgetError, match="candidate space exceeds"):
+        enumerate_automorphisms(q, budget=1000)
+    assert len(enumerate_automorphisms(explicit_quiver(6, []),
+                                       budget=720)) == 720
 
 
 def test_parallel_arrow_blowup_is_refused():
