@@ -50,10 +50,11 @@ are variables, ``star``, symbol application ``(f t ...)``,
 ``(or F G)``, ``(implies F G)``, ``(not F)``, ``(= A s t)``,
 ``(in t P)``, ``(rel R t ...)``, ``top``, ``bottom``.  The reader
 follows ``syntax._KEYWORDS``, the table ``show`` prints with, and the
-sugar ``syntax.SUGAR``: ``(-> A B)`` and ``(power A)`` read as a Pi.
-One generic reader covers all three, with ``*``, ``+``, ``->``,
-``and``, ``or`` and ``implies`` also taking more than two arguments,
-nested to the right.
+sugar ``syntax.SUGAR``: ``(-> A B)`` and ``(power A)`` read as a Pi,
+``(* A B)`` as a Sigma.  One generic reader covers all three, with
+``*``, ``+``, ``->``, ``and``, ``or`` and ``implies`` also taking more
+than two arguments, nested to the right.  A value ``(pair s t)`` reads s
+against its Sigma's index type, t against a body without the binder.
 
 Carrier element names may be symbols or bare integers; the words
 ``star``, ``true``, and ``false`` are reserved for value literals.
@@ -81,8 +82,9 @@ from .semantics import (
 from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
     FIELD_SORTS, KEYWORD_CLASSES, And, App, Base, Context, Coproduct,
-    FamApp, Formula, FunSymbol, Implies, Or, Pi, Product, Prop, RelSymbol,
-    Signature, Term, TypeExpr, Var, W, _Binding, arrow, free_vars, show,
+    FamApp, Formula, FunSymbol, Implies, Or, Pi, Prop, RelSymbol, Sigma,
+    Signature, Term, TypeExpr, Var, W, _Binding, arrow, free_vars, product,
+    show,
 )
 from .voiceleading import (
     GroupAction, Quiver, WindingPaths, sigma_vls_signature, vls,
@@ -200,7 +202,7 @@ _NOUNS = {"TypeExpr": "type", "Term": "term", "Formula": "formula", "int": "inde
 # what the forms (apply f t ...) and (rel R t ...) start with
 _HEADS = {"Term": "a function term", "str": "a relation name"}
 # binary forms written with two or more arguments, nested to the right
-_RIGHT_NESTED = frozenset((Product, Coproduct, arrow, And, Or, Implies))
+_RIGHT_NESTED = frozenset((product, Coproduct, arrow, And, Or, Implies))
 
 
 def parse_type_node(node: SNode) -> TypeExpr:
@@ -420,8 +422,9 @@ def _carriers_naming(st: Structure, name: str) -> list[str]:
 
 
 def _pair_types(expected: Optional[TypeExpr]):
-    if isinstance(expected, Product):
-        return expected.left, expected.right
+    match expected:
+        case Sigma(x, first, second):
+            return first, None if x in free_vars(second) else second
     return None, None
 
 

@@ -4,13 +4,14 @@ telescope contexts, and context morphisms composed by substitution.
 Checking is bidirectional: introduction forms (pairs against dependent
 sums, injections, tree nodes, ``absurd``) are checked against an
 expected type, elimination forms and symbol applications synthesize
-theirs.  The one function type is the dependent product, so
-``(power A)``, ``(-> A Prop)`` and ``(pi (x A) Prop)`` are one type, and
-a binder that does not occur in its body neither extends the context
-nor shadows.  Definitional equality of types is structural up to
-renaming of bound variables; no reduction happens inside types, since
-dependency is always over finite index types that are resolved at
-evaluation time.
+theirs.  The one function type is the dependent product and the one
+pair type the dependent sum: ``(-> A Prop)`` is ``(pi (x A) Prop)`` and
+``(* A B)`` is ``(sigma (x A) B)`` for x not in B, and ``(proj t i)``
+walks the nested sums of t's type.  A binder that does not occur in its
+body neither extends the context nor shadows.  Definitional equality of
+types is structural up to renaming of bound variables; no reduction
+happens inside types, since dependency is always over finite index
+types that are resolved at evaluation time.
 
 Diagnostics report the leftmost-innermost failure: recursion fails fast
 left to right and the deepest message propagates unchanged.
@@ -22,16 +23,15 @@ from .diagnostics import TypeCheckError, Verdict
 from .records import _Node, _node
 from .syntax import (
     Absurd, App, Base, Context, Coproduct, FamApp, FormulaTerm, Inl, Inr,
-    Lambda, Pair, Pi, Product, Prop, PropType, Proj1, Proj2, Sigma,
-    Signature, Star, Sup, Term, TupleProj, TypeExpr, Unit, Universe, Var,
-    W, Zero, alpha_eq, arrow, free_vars, fresh_name, show, substitute,
+    Lambda, Pair, Pi, Prop, PropType, Proj1, Proj2, Sigma, Signature, Star,
+    Sup, Term, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, alpha_eq,
+    arrow, free_vars, fresh_name, product, show, substitute,
 )
 
 __all__ = [
     "ContextMorphism", "check_context_morphism", "check_term",
     "compose_context_morphisms", "identity_morphism", "infer_term",
-    "product_spine", "validate_signature", "well_formed_context",
-    "well_formed_type",
+    "validate_signature", "well_formed_context", "well_formed_type",
 ]
 
 
@@ -58,7 +58,7 @@ def _wf_type(sig: Signature, ctx: Context, t: TypeExpr) -> None:
         case Universe():
             raise TypeCheckError(
                 "level violation: 'Type' cannot occur inside a type expression")
-        case Product(a, b) | Coproduct(a, b):
+        case Coproduct(a, b):
             _wf_type(sig, ctx, a)
             _wf_type(sig, ctx, b)
         case Pi(x, outer, inner) | Sigma(x, outer, inner) | W(x, outer, inner):
@@ -146,13 +146,6 @@ def check_term(sig: Signature, ctx: Context, term: Term,
         return Verdict.failed(str(err))
 
 
-def product_spine(t: TypeExpr) -> tuple[TypeExpr, ...]:
-    """Flatten a right-nested product into its components."""
-    if isinstance(t, Product):
-        return (t.left,) + product_spine(t.right)
-    return (t,)
-
-
 def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
     match term:
         case Var(name):
@@ -194,11 +187,9 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
                             f"type {show(fun_type)}")
             return fun_type
         case Pair(a, b):
-            return Product(_infer(sig, ctx, a), _infer(sig, ctx, b))
+            return product(_infer(sig, ctx, a), _infer(sig, ctx, b))
         case Proj1(p):
             match _infer(sig, ctx, p):
-                case Product(left, _):
-                    return left
                 case Sigma(_, index_type, _):
                     return index_type
                 case other:
@@ -206,23 +197,26 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
                         f"projection of non-product: {show(p)} has type {show(other)}")
         case Proj2(p):
             match _infer(sig, ctx, p):
-                case Product(_, right):
-                    return right
                 case Sigma(x, _, body):
                     return substitute(body, {x: Proj1(p)})
                 case other:
                     raise TypeCheckError(
                         f"projection of non-product: {show(p)} has type {show(other)}")
         case TupleProj(t, i):
-            inferred = _infer(sig, ctx, t)
-            if not isinstance(inferred, Product):
+            inferred = rest = _infer(sig, ctx, t)
+            if not isinstance(inferred, Sigma):
                 raise TypeCheckError(
                     f"projection of non-product: {show(t)} has type {show(inferred)}")
-            spine = product_spine(inferred)
-            if not 0 <= i < len(spine):
+            # component j is the j-th nested sum's index type, read with
+            # the earlier binders as projections; the last is the body
+            j = 0
+            while j < i and isinstance(rest, Sigma):
+                rest = substitute(rest.body, {rest.binder: TupleProj(t, j)})
+                j += 1
+            if j != i:
                 raise TypeCheckError(
                     f"projection index {i} out of range for {show(inferred)}")
-            return spine[i]
+            return rest.index_type if isinstance(rest, Sigma) else rest
         case Lambda(x, annot, body):
             _wf_type(sig, ctx, annot)
             if ctx.type_of(x) is not None:
@@ -248,9 +242,6 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
 
 def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None:
     match (term, expected):
-        case (Pair(a, b), Product(left, right)):
-            _check(sig, ctx, a, left)
-            _check(sig, ctx, b, right)
         case (Pair(a, b), Sigma(x, index_type, body)):
             _check(sig, ctx, a, index_type)
             _check(sig, ctx, b, substitute(body, {x: a}))

@@ -26,9 +26,9 @@ from .semantics import (
 from .semantics import type_size  # noqa: F401
 from .syntax import (
     And, App, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall, Formula,
-    FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, Product, PropType,
-    Proj1, Proj2, RelAtom, Sigma, Term, Top, TypeExpr, Unit, Var, W, Zero,
-    arrow, free_vars, show,
+    FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, PropType, Proj1,
+    Proj2, RelAtom, Sigma, Term, Top, TypeExpr, Unit, Var, W, Zero, arrow,
+    free_vars, product, show,
 )
 
 __all__ = [
@@ -79,9 +79,6 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return "the empty type has no elements"
         case Base(name):
             return f"carrier {name!r} is empty"
-        case Product(a, b):
-            left = explain_refutation(st, a, env, budget)
-            return left if left is not None else explain_refutation(st, b, env, budget)
         case Coproduct(_, _):
             return "neither summand is inhabited"
         case Pi(x, _, b) if x not in free_vars(b):  # an arrow
@@ -91,6 +88,9 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             inner = explain_refutation(st, body, {**env, x: bad}, budget)
             return (f"fiber at {render_value(bad, st)} is empty"
                     + (f": {inner}" if inner else ""))
+        case Sigma(x, a, b) if x not in free_vars(b):  # a product
+            left = explain_refutation(st, a, env, budget)
+            return left if left is not None else explain_refutation(st, b, env, budget)
         case Sigma(_, index_type, _):
             return f"no element of {show(index_type)} admits a witness"
         case W(_, _, _):
@@ -117,7 +117,7 @@ def prop_as_type(f: Formula) -> TypeExpr:
         case Bottom():
             return Zero()
         case And(l, r):
-            return Product(prop_as_type(l), prop_as_type(r))
+            return product(prop_as_type(l), prop_as_type(r))
         case Or(l, r):
             return Coproduct(prop_as_type(l), prop_as_type(r))
         case Implies(l, r):
@@ -199,7 +199,7 @@ def all_interval_type(st: Structure, chord: Iterable[Value]) -> TypeExpr:
     fiber = PropType(And(
         And(Member(Proj1(pair), chord_term), Member(Proj2(pair), chord_term)),
         realized))
-    return Pi("i", ic, Sigma("q", Product(pc, pc), fiber))
+    return Pi("i", ic, Sigma("q", product(pc, pc), fiber))
 
 
 def domfunc_leading_tone_type(st: Structure, key: Value) -> TypeExpr:

@@ -2,12 +2,12 @@
 
 A structure assigns finite carriers to base types, total lookup tables
 to function symbols, subsets to relation symbols, and set-valued tables
-to type families.  Types are interpreted compositionally: products as
-cartesian products, coproducts as tagged unions, a dependent product
-as all its sections (all tables when its binder does not occur, so a
-power is the tables into the two truth values), and tree types by their
-leaves (a tree type that also has a branching label has infinitely many
-trees).
+to type families.  Types are interpreted compositionally: a dependent
+sum as its pairs (the cartesian product when its binder does not
+occur), coproducts as tagged unions, a dependent product as all its
+sections (all tables when its binder does not occur, so a power is the
+tables into the two truth values), and tree types by their leaves (a
+tree type that also has a branching label has infinitely many trees).
 
 Truth values are classical: ``Prop`` denotes {false, true}, conjunction
 is meet, disjunction join, implication the order, and the quantifiers
@@ -48,9 +48,9 @@ from .records import _Node, _node, _set
 from .syntax import (
     Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
     Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member, Node,
-    Not, Or, Pair, Pi, Product, Prop, PropType, Proj1, Proj2, RelAtom,
-    Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit,
-    Universe, Var, W, Zero, free_vars, show,
+    Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
+    Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe,
+    Var, W, Zero, free_vars, show,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -583,8 +583,6 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return 1
         case Prop():
             return 2
-        case Product(a, b):
-            return min(type_size(st, a, env, budget) * type_size(st, b, env, budget), cap)
         case Coproduct(a, b):
             return min(type_size(st, a, env, budget) + type_size(st, b, env, budget), cap)
         case Pi(x, dom, cod):
@@ -691,10 +689,6 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             yield StarV()
         case Prop():
             yield from PROP_SET
-        case Product(a, b):
-            for va, vb in _product((iter_type(st, a, env, budget),
-                                    iter_type(st, b, env, budget))):
-                yield PairV(va, vb)
         case Coproduct(a, b):
             for va in iter_type(st, a, env, budget):
                 yield InlV(va)
@@ -710,6 +704,10 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
                 fibers = (iter_type(st, cod_t, {**env, x: v}, budget) for v in dom)
                 for combo in _product(fibers):
                     yield SectionV(tuple(zip(dom, combo)))
+        case Sigma(x, a, b) if x not in free_vars(b):  # a product
+            for va, vb in _product((iter_type(st, a, env, budget),
+                                    iter_type(st, b, env, budget))):
+                yield PairV(va, vb)
         case Sigma(x, index_type, body):
             for v in _elements(st, index_type, env, budget):
                 for w in iter_type(st, body, {**env, x: v}, budget):
@@ -769,10 +767,6 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
             return v == StarV()
         case Prop():
             return isinstance(v, TruthV)
-        case Product(a, b):
-            return (isinstance(v, PairV)
-                    and value_in_type(st, v.first, a, env, budget)
-                    and value_in_type(st, v.second, b, env, budget))
         case Coproduct(a, b):
             if isinstance(v, InlV):
                 return value_in_type(st, v.value, a, env, budget)
@@ -1490,7 +1484,7 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
                     f"component map for {name!r} is not total") from None
         case Unit() | Prop() | PropType():
             return v
-        case Product(a, b) | Sigma(_, a, b):
+        case Sigma(_, a, b):
             assert isinstance(v, PairV)
             return PairV(_transport(h, v.first, a, budget),
                          _transport(h, v.second, b, budget))

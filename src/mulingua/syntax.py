@@ -17,12 +17,14 @@ name, a type the binder does not scope over, and the body it does scope
 over.  So ``alpha_key``, ``free_vars`` and ``substitute`` are each
 written once, over the fields, with variables and binders as the only
 special cases; ``show`` is one keyword table plus the bare names
-(``Var``, ``Base``), the head forms (``App`` of a symbol, ``FamApp``)
-and the arrow.
+(``Var``, ``Base``), the head forms (``App`` of a symbol, ``FamApp``),
+the arrow and the product.
 
-There is one function type, ``Pi``: the reader's sugar ``(-> A B)`` is
-a Pi whose binder does not occur in B (see ``arrow``) and ``(power A)``
-is ``(-> A Prop)``, and ``show`` prints such a Pi as the arrow.
+There is one function type, ``Pi``, and one pair type, ``Sigma``: the
+reader's sugar ``(-> A B)`` and ``(* A B)`` are a Pi and a Sigma whose
+binder does not occur in B (see ``arrow`` and ``product``), ``(power A)``
+is ``(-> A Prop)``, and ``show`` prints such a Pi as the arrow and such
+a Sigma as the product.
 
 Binding forms compare and hash up to renaming of their bound variable;
 all other nodes are plain structural data.  ``substitute`` performs
@@ -93,12 +95,6 @@ class Universe(_Node):
 
 
 @_node
-class Product(_Node):
-    left: "TypeExpr"
-    right: "TypeExpr"
-
-
-@_node
 class Coproduct(_Node):
     left: "TypeExpr"
     right: "TypeExpr"
@@ -144,8 +140,8 @@ class PropType(_Node):
 
 
 TypeExpr = Union[
-    Base, Zero, Unit, Prop, Universe, Product, Coproduct, Pi, Sigma, W,
-    FamApp, PropType,
+    Base, Zero, Unit, Prop, Universe, Coproduct, Pi, Sigma, W, FamApp,
+    PropType,
 ]
 
 
@@ -154,6 +150,12 @@ def arrow(dom: TypeExpr, cod: TypeExpr) -> Pi:
     occur in ``cod``.  The predicate type ``(power A)`` is
     ``arrow(A, Prop())``."""
     return Pi(fresh_name("_", free_vars(cod)), dom, cod)
+
+
+def product(left: TypeExpr, right: TypeExpr) -> Sigma:
+    """The pair type ``(* left right)``: a Sigma whose binder does not
+    occur in ``right``."""
+    return Sigma(fresh_name("_", free_vars(right)), left, right)
 
 
 # -- terms ------------------------------------------------------------------
@@ -573,7 +575,7 @@ def _under_binder(x: str, inner: Node,
 
 _KEYWORDS: dict[type, str] = {
     Zero: "0", Unit: "1", Prop: "Prop", Universe: "Type",
-    Product: "*", Coproduct: "+", Pi: "pi", Sigma: "sigma", W: "w",
+    Coproduct: "+", Pi: "pi", Sigma: "sigma", W: "w",
     PropType: "prop",
     App: "apply", Pair: "pair", Proj1: "pr1", Proj2: "pr2", Inl: "inl",
     Inr: "inr", Lambda: "lambda", TupleProj: "proj", Sup: "sup",
@@ -600,9 +602,10 @@ KEYWORD_CLASSES: dict[str, dict[str, type]] = {
 }
 
 # The reader's sugar: type keywords with no class of their own, each with
-# the function that builds its Pi and the sorts of its fields, listed in
-# the two tables above so that the reader reads them as it reads a class.
-SUGAR: dict[str, tuple[Callable[..., Pi], tuple[str, ...]]] = {
+# the function that builds its Pi or Sigma and the sorts of its fields,
+# listed in the two tables above so the reader reads them as a class.
+SUGAR: dict[str, tuple[Callable[..., _Binding], tuple[str, ...]]] = {
+    "*": (product, ("TypeExpr", "TypeExpr")),
     "->": (arrow, ("TypeExpr", "TypeExpr")),
     "power": (lambda dom: arrow(dom, Prop()), ("TypeExpr",)),
 }
@@ -619,6 +622,8 @@ def show(node: Node) -> str:
             return f"({' '.join([head, *map(show, args)])})"
         case Pi(x, dom, cod) if x not in free_vars(cod):
             return f"(-> {show(dom)} {show(cod)})"
+        case Sigma(x, left, right) if x not in free_vars(right):
+            return f"(* {show(left)} {show(right)})"
         case _Binding():
             x, outer, inner = _fields(node)
             return f"({_KEYWORDS[type(node)]} ({x} {show(outer)}) {show(inner)})"

@@ -15,8 +15,8 @@ from mulingua.semantics import (
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
     Formula, FormulaTerm, FunSymbol, Implies, Lambda, Member, Not, Or, Pair,
-    Pi, Product, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term,
-    Top, TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow,
+    Pi, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term, Top,
+    TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow, product,
 )
 
 G = Base("G")
@@ -48,7 +48,7 @@ def random_typed_term(rng: random.Random, ctx: Context,
     if roll < 0.85:
         left, lt = random_typed_term(rng, ctx, depth - 1)
         right, rt = random_typed_term(rng, ctx, depth - 1)
-        return Pair(left, right), Product(lt, rt)
+        return Pair(left, right), product(lt, rt)
     binder = f"x{rng.randrange(1000)}"
     while ctx.type_of(binder) is not None:
         binder += "'"
@@ -183,7 +183,7 @@ def random_type(rng: random.Random, depth: int,
         return rng.choice(leaves)
     roll = rng.randrange(8)
     if roll < 3:
-        ctor = (Product, Coproduct, arrow)[roll]
+        ctor = (product, Coproduct, arrow)[roll]
         return ctor(random_type(rng, depth - 1, scope),
                     random_type(rng, depth - 1, scope))
     if roll == 3:

@@ -499,6 +499,17 @@ def test_a_power_is_compared_as_the_predicate_type_it_is(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
 
 
+@pytest.mark.parametrize("formula", [
+    "(forall (p (* G G)) (= (sigma (x G) G) p p))",
+    "(forall (p (sigma (x G) G)) (= G (proj p 1) (proj p 1)))",
+])
+def test_a_sigma_whose_binder_does_not_occur_is_the_product(tmp_path, formula):
+    src = tmp_path / "pairs.mul"
+    src.write_text(f"(formula pairs {formula})")
+    done = run_subprocess(["eval", "z12", "pairs", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
 def test_sizes_stop_growing_at_the_budget(tmp_path):
     big = tmp_path / "big.mul"
     big.write_text("(formula big (forall (x (power (power (power G)))) top))")

@@ -19,14 +19,14 @@ from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_group_theory,
 )
 from mulingua.semantics import (
-    Atom, FinSet, InlV, InrV, SectionV, StarV, TableV, TreeV, TruthV,
+    Atom, FinSet, InlV, InrV, PairV, SectionV, StarV, TableV, TreeV, TruthV,
     check_theory, eval_formula,
 )
 from mulingua.voiceleading import arrow_payload, vls_of_structure
 from mulingua.sexpr import parse_sexprs, write_sexpr
 from mulingua.syntax import (
-    App, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Product, Prop,
-    Sigma, Star, Universe, Var, Zero, arrow, show,
+    App, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Prop, Sigma, Star,
+    Universe, Var, Zero, arrow, product, show,
 )
 
 from generators import calls_into, random_formula
@@ -83,7 +83,7 @@ def test_write_round_trips_tokens():
 # ---------------------------------------------------------------------------
 
 def test_parse_types():
-    assert parse_type_node(parse_one("(* G G)")) == Product(Base("G"), Base("G"))
+    assert parse_type_node(parse_one("(* G G)")) == product(Base("G"), Base("G"))
     assert parse_type_node(parse_one("(-> G Prop)")) == arrow(Base("G"), Prop())
     assert parse_type_node(parse_one("(pi (x G) (power G))")) == \
         Pi("x", Base("G"), arrow(Base("G"), Prop()))
@@ -444,7 +444,7 @@ def test_term_and_type_declarations():
     assert term == App("star", (Var("x"), Var("x")))
     inline_ctx, _ = ws.terms["squared"]
     assert inline_ctx.names() == ("x",)
-    assert ws.types["gg"] == Product(Base("G"), Base("G"))
+    assert ws.types["gg"] == product(Base("G"), Base("G"))
 
 
 def test_subset_values_in_structures():
@@ -475,6 +475,25 @@ def test_a_predicate_reads_as_a_set_and_a_power_as_a_table():
     assert st.fun_tables["pred"][()] == members_b
     assert st.fun_tables["sub"][()] == members_b
     reloaded(st)
+
+
+def test_a_pair_reads_its_first_component_against_a_dependent_sum():
+    """A pair value reads its first component against its sum's index
+    type, a dependent sum's too, so an element name two carriers share
+    resolves; the second is read against the body only when the body
+    does not use the binder."""
+    tables = []
+    for codomain in ("(sigma (y X) (prop (= X y y)))", "(* X 1)"):
+        st = load_source(f"""
+            (signature s (types X Y) (fun (f (X) {codomain})))
+            (structure m of s
+              (carrier X (a b))
+              (carrier Y (a))
+              (fun f ((a) (pair a star)) ((b) (pair b star))))""").structures["m"]
+        tables.append(st.fun_tables["f"])
+        reloaded(st)
+    assert tables[0] == tables[1]
+    assert tables[0][(Atom("X", 0),)] == PairV(Atom("X", 0), StarV())
 
 
 def test_a_set_is_refused_against_a_function_type_not_into_prop():

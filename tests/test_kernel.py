@@ -8,21 +8,24 @@ import re
 import pytest
 
 from mulingua.diagnostics import TypeCheckError
-from mulingua.dsl import parse_type_node
+from mulingua.dsl import parse_formula_node, parse_type_node
 from mulingua.kernel import (
     ContextMorphism, check_context_morphism, check_term,
     compose_context_morphisms, identity_morphism, infer_term,
     validate_signature, well_formed_context, well_formed_type,
 )
+from mulingua.logic import well_formed_formula
 from mulingua.musiclib import (
     group_signature, harmony_signature, music_signature,
+    trivial_group_structure,
 )
+from mulingua.semantics import eval_formula
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
     Absurd, App, Base, Context, Coproduct, Eq, FamApp, FormulaTerm, Inl,
-    Lambda, Pair, Pi, Product, Prop, PropType, Proj1, Sigma, Star, Sup,
-    TupleProj, Unit, Universe, Var, W, Zero, alpha_eq, arrow, free_vars,
-    show, substitute,
+    Lambda, Pair, Pi, Prop, PropType, Proj1, Sigma, Star, Sup, TupleProj,
+    Unit, Universe, Var, W, Zero, alpha_eq, arrow, free_vars, product, show,
+    substitute,
 )
 
 from generators import random_group_element_term, random_typed_term
@@ -39,7 +42,7 @@ EMPTY = Context()
 # ---------------------------------------------------------------------------
 
 def test_product_of_declared_bases_is_well_formed():
-    assert well_formed_type(GROUP, EMPTY, Product(G, G))
+    assert well_formed_type(GROUP, EMPTY, product(G, G))
 
 
 def test_unknown_base_type_is_rejected():
@@ -77,14 +80,14 @@ def test_a_binder_its_body_does_not_use_shadows_nothing():
 
 
 def test_level_violation_is_rejected():
-    v = well_formed_type(GROUP, EMPTY, Product(G, Universe()))
+    v = well_formed_type(GROUP, EMPTY, product(G, Universe()))
     assert not v
     assert "level violation" in v.reason
 
 
 def test_simple_types_and_constructors():
     for t in (Zero(), Unit(), Prop(), arrow(G, Prop()), Coproduct(G, Unit()),
-              arrow(Product(G, G), Prop())):
+              arrow(product(G, G), Prop())):
         assert well_formed_type(GROUP, EMPTY, t)
 
 
@@ -181,17 +184,58 @@ def test_dependent_pair_checking():
 
 
 def test_tuple_projection_on_spine():
-    ctx = Context.of(("t", Product(G, Product(G, Unit()))))
+    ctx = Context.of(("t", product(G, product(G, Unit()))))
     assert infer_term(GROUP, ctx, TupleProj(Var("t"), 0)) == G
     assert infer_term(GROUP, ctx, TupleProj(Var("t"), 2)) == Unit()
     v = check_term(GROUP, ctx, TupleProj(Var("t"), 3), G)
     assert not v and "out of range" in v.reason
 
 
+def test_tuple_projection_walks_into_a_dependent_tail():
+    """``(proj t j)`` walks every nested sum, as evaluation flattens
+    every pair, and reads a dependent body's binder as the projection
+    before it."""
+    t = Var("t")
+    tail = Sigma("x", G, PropType(Eq(G, Var("x"), Var("x"))))
+    ctx = Context.of(("t", product(G, tail)))
+    assert infer_term(GROUP, ctx, TupleProj(t, 1)) == G
+    assert infer_term(GROUP, ctx, TupleProj(t, 2)) == PropType(
+        Eq(G, TupleProj(t, 1), TupleProj(t, 1)))
+    for i in (3, -1):
+        v = check_term(GROUP, ctx, TupleProj(t, i), G)
+        assert v.reason == (f"projection index {i} out of range for "
+                            "(* G (sigma (x G) (prop (= G x x))))")
+    # a dependent pair is a spine of its own
+    ctx = Context.of(("t", tail))
+    assert infer_term(GROUP, ctx, TupleProj(t, 1)) == PropType(
+        Eq(G, TupleProj(t, 0), TupleProj(t, 0)))
+
+
+@pytest.mark.parametrize("tail", [
+    "(sigma (x G) (prop (= G x x)))", "(sigma (x G) G)"])
+def test_a_pair_projection_of_a_spine_component_is_refused(tail):
+    """Component 1 of (* G tail) is the tail's first component, of type
+    G, so projecting it again is refused; evaluation would find no pair
+    there."""
+    f = parse_formula_node(parse_sexprs(
+        f"(forall (t (* G {tail})) (= G (pr1 (proj t 1)) (pr1 (proj t 1))))"
+    )[0])
+    v = well_formed_formula(GROUP, EMPTY, f)
+    assert v.reason == "projection of non-product: (proj t 1) has type G"
+
+
+def test_the_last_component_of_a_dependent_tail_checks_and_evaluates():
+    f = parse_formula_node(parse_sexprs(
+        "(forall (t (* G (sigma (x G) (prop (= G x x)))))"
+        " (= (prop (= G (proj t 1) (proj t 1))) (proj t 2) (proj t 2)))")[0])
+    assert well_formed_formula(GROUP, EMPTY, f)
+    assert eval_formula(trivial_group_structure(), f) is True
+
+
 def test_absurd_checks_at_any_type():
     ctx = Context.of(("z", Zero()))
     assert check_term(GROUP, ctx, Absurd(Var("z")), G)
-    assert check_term(GROUP, ctx, Absurd(Var("z")), Product(G, Prop()))
+    assert check_term(GROUP, ctx, Absurd(Var("z")), product(G, Prop()))
 
 
 def test_lambda_against_arrow_and_pi():
@@ -334,7 +378,7 @@ def test_alpha_equivalent_terms_compare_equal():
     assert hash(left) == hash(right)
     assert Pair(left, Star()) == Pair(right, Star())
     assert Lambda("x", G, Var("z")) != Lambda("y", G, Var("y"))
-    assert Pi("a", G, Product(G, G)) == Pi("b", G, Product(G, G))
+    assert Pi("a", G, product(G, G)) == Pi("b", G, product(G, G))
 
 
 def test_substitute_direct_replacement():

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from mulingua.diagnostics import BudgetError, MulinguaError, StructureError
-from mulingua.dsl import load_source
-from mulingua.kernel import check_term
+from mulingua.dsl import load_source, parse_type_node
+from mulingua.kernel import check_term, infer_term
 from mulingua.logic import well_formed_formula
 from mulingua.musiclib import (
     cyclic_group_structure, group_signature, make_gis_theory,
@@ -33,11 +33,12 @@ from mulingua.semantics import (
     identity_hom, interpret_type, iter_type, render_value, type_size,
     value_in_type,
 )
+from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
-    FunSymbol, Implies, Lambda, Member, Not, Or, Pi, Product, Prop,
-    PropType, RelAtom, RelSymbol, Sigma, Signature, Top, Unit, Universe,
-    Var, W, Zero, arrow, show, substitute,
+    FunSymbol, Implies, Lambda, Member, Not, Or, Pair, Pi, Prop, PropType,
+    RelAtom, RelSymbol, Sigma, Signature, Top, Unit, Universe, Var, W, Zero,
+    arrow, free_vars, fresh_name, product, show, substitute,
 )
 
 from mulingua.voiceleading import transporters
@@ -67,8 +68,8 @@ def test_prop_is_two_valued():
 
 
 def test_product_counts_multiply():
-    assert type_size(Z12, Product(G, G)) == 144
-    assert len(interpret_type(Z12, Product(G, G))) == 144
+    assert type_size(Z12, product(G, G)) == 144
+    assert len(interpret_type(Z12, product(G, G))) == 144
 
 
 def test_pi_over_empty_index_is_terminal():
@@ -100,8 +101,8 @@ def test_dependent_sigma_size():
 def test_sizes_are_exact_up_to_the_budget_and_budget_plus_one_above():
     fin = FamApp("fin", (Var("p"),))
     cases = [  # (type, structure, exact size)
-        (Product(G, G), Z12, 144),
-        (Coproduct(G, Product(G, G)), Z12, 156),
+        (product(G, G), Z12, 144),
+        (Coproduct(G, product(G, G)), Z12, 156),
         (arrow(G, Prop()), Z12, 2 ** 12),
         (Pi("x", G, Prop()), Z12, 2 ** 12),
         (Pi("x", G, G), Z12, 12 ** 12),
@@ -151,7 +152,7 @@ def test_budget_env_var_override(monkeypatch):
     assert element_budget() == 10
     assert element_budget(500) == 500
     with pytest.raises(BudgetError):
-        interpret_type(Z12, Product(G, G))  # 144 > 10
+        interpret_type(Z12, product(G, G))  # 144 > 10
     monkeypatch.delenv("MULINGUA_BUDGET")
     assert element_budget() == 10 ** 6
 
@@ -337,17 +338,19 @@ STRANGERS = (Atom("X", 7), Atom("Y", 0), StarV(), TruthV(False),
              TreeV(Atom("X", 0), ()))
 
 
+def _outcome(thunk):
+    """The thunk's value, or its error's type and message."""
+    try:
+        return thunk()
+    except MulinguaError as err:
+        return (type(err).__name__, str(err))
+
+
 def type_records(rng: random.Random):
     """Per seeded type and budget: its size, up to its first 50 elements,
     and membership verdicts for some of them and for outside values; an
     error is recorded as its type and message, after the elements that
     came before it."""
-    def outcome(thunk):
-        try:
-            return thunk()
-        except MulinguaError as err:
-            return (type(err).__name__, str(err))
-
     for _ in range(300):
         st = random_family_structure(rng)
         t, other = random_type(rng, 3), random_type(rng, 2)
@@ -357,7 +360,7 @@ def type_records(rng: random.Random):
         except MulinguaError:
             outsiders = []
         for budget in (1000, 2):
-            yield show(t), budget, outcome(lambda: type_size(st, t, budget=budget))
+            yield show(t), budget, _outcome(lambda: type_size(st, t, budget=budget))
             elements, error = [], None
             try:
                 for v in itertools.islice(iter_type(st, t, budget=budget), 50):
@@ -366,7 +369,7 @@ def type_records(rng: random.Random):
                 error = (type(err).__name__, str(err))
             yield [render_value(v, st) for v in elements], error
             for v in (*elements[:5], *outsiders, *STRANGERS):
-                yield render_value(v, st), outcome(
+                yield render_value(v, st), _outcome(
                     lambda: value_in_type(st, v, t, budget=budget))
 
 
@@ -380,9 +383,54 @@ def test_seeded_type_interpretation_matches_the_pinned_digest():
     assert digest.hexdigest() == TYPE_DIGEST
 
 
-TYPE_COUNT = 7764
+TYPE_COUNT = 7793
 TYPE_DIGEST = (
-    "9b76668bcfa759658f46f560a6908d2cf6bc6a00af2762a126965eeb137de73a")
+    "2dc139557f18184f943e11d0aafad42e426bd75353a89ac3b1579907b8d143c5")
+
+
+def test_a_product_and_a_sigma_whose_binder_does_not_occur_are_one_type():
+    """(* A B) and (sigma (x A) B), x not free in B, read as equal nodes
+    with equal hashes, both printed as the product; the kernel accepts a
+    pair term at one exactly when at the other; and they have the same
+    size, elements and members at a budget above and below their size."""
+    rng = random.Random(25)
+    for _ in range(100):
+        st = random_family_structure(rng)
+        a, b = random_type(rng, 2), random_type(rng, 2)
+        x = fresh_name("x", free_vars(b))
+        pair_text = f"(* {show(a)} {show(b)})"
+        read = [parse_type_node(parse_sexprs(text)[0]) for text in (
+            pair_text, f"(sigma ({x} {show(a)}) {show(b)})")]
+        assert read[0] == read[1] and hash(read[0]) == hash(read[1])
+        assert [show(t) for t in read] == [pair_text, pair_text]
+        outsiders = (*STRANGERS, PairV(Atom("X", 0), StarV()))
+        for budget in (1000, 2):
+            sizes, element_lists, verdicts = [], [], []
+            for t in read:
+                sizes.append(_outcome(lambda: type_size(st, t, budget=budget)))
+                elements = _outcome(lambda: list(itertools.islice(
+                    iter_type(st, t, budget=budget), 50)))
+                element_lists.append(elements)
+                values = elements[:5] if isinstance(elements, list) else []
+                verdicts.append([_outcome(lambda: value_in_type(
+                    st, v, t, budget=budget)) for v in (*values, *outsiders)])
+            assert sizes[0] == sizes[1], pair_text
+            assert element_lists[0] == element_lists[1], pair_text
+            assert verdicts[0] == verdicts[1], pair_text
+    ctx = Context.of(("g", G))
+    for _ in range(200):
+        term, _t = random_typed_term(rng, ctx, 3)
+        if not isinstance(term, Pair):
+            continue
+        # a type the term has or, as often, one it does not
+        (_, a), (_, b) = (random_typed_term(rng, ctx, 2) for _ in range(2))
+        if rng.random() < 0.5:
+            a, b = infer_term(GROUP, ctx, term.first), infer_term(
+                GROUP, ctx, term.second)
+        x = fresh_name("y", free_vars(b) | set(ctx.names()))
+        verdicts = [bool(check_term(GROUP, ctx, term, t))
+                    for t in (product(a, b), Sigma(x, a, b))]
+        assert verdicts[0] == verdicts[1], show(term)
 
 
 def test_a_table_and_a_section_are_members_of_a_function_type_alike():
@@ -411,7 +459,10 @@ def test_a_function_whose_length_cannot_match_its_domain_is_refused_in_budget():
     at budget 2, a table or section shorter than the domain (144 pairs,
     or the 12 elements of G) is refused rather than over the budget, and
     the empty function lies in a function type whose domain is empty,
-    although enumerating that domain walks the 12 elements of G."""
+    although enumerating that domain walks the 12 elements of G.  The
+    empty domain is the functions from G into 0: a pair type with an
+    empty factor, such as (* G 0), stops at that factor's first element
+    and walks nothing."""
     pairs = Sigma("x", G, G)
     pair = PairV(Atom("G", 0), Atom("G", 0))
     for v in (TableV(()), SectionV(()), SectionV(((pair, TruthV(True)),))):
@@ -423,7 +474,8 @@ def test_a_function_whose_length_cannot_match_its_domain_is_refused_in_budget():
     with pytest.raises(BudgetError):
         value_in_type(Z12, TableV(((pair, TruthV(True)),) * 3),
                       arrow(pairs, Prop()), budget=2)
-    empty = Coproduct(Sigma("x", G, Zero()), Zero())
+    assert list(iter_type(Z12, Sigma("x", G, Zero()), budget=2)) == []
+    empty = Coproduct(arrow(G, Zero()), Zero())
     assert type_size(Z12, empty, budget=2) == 0
     with pytest.raises(BudgetError):
         list(iter_type(Z12, empty, budget=2))
@@ -955,7 +1007,7 @@ def two_points(sig, fun_tables, rel_tables=None):
 def test_a_hom_transports_pairs_and_injections_componentwise():
     # twist (a, b) is (inl b) on the diagonal and (inr a) off it
     sig = Signature("twisted", ("X",), (
-        FunSymbol("twist", (Product(X, X),), Coproduct(X, X)),))
+        FunSymbol("twist", (product(X, X),), Coproduct(X, X)),))
     st = two_points(sig, {"twist": {
         (PairV(a, b),): InlV(b) if a == b else InrV(a)
         for a in (X0, X1) for b in (X0, X1)}})

@@ -20,7 +20,7 @@ from mulingua.semantics import (
     Atom, FinSet, PairV, Structure, StructureHom, check_structure_hom,
     identity_hom, iter_type, render_value,
 )
-from mulingua.syntax import Base, FamApp, Product, Proj1, Proj2, Sigma, Var
+from mulingua.syntax import Base, FamApp, Proj1, Proj2, Sigma, Var, product
 from mulingua.voiceleading import (
     ExplicitTable, GroupAction, Quiver, QuiverHom, WindingPaths, arrow_payload,
     arrow_source, arrow_target, check_quiver_hom, compose_quiver_homs,
@@ -895,7 +895,7 @@ def test_induced_hom_is_functorial_on_identities_and_composites():
 
 
 # the space as the kernel writes it: the sum of the fibers of vlr
-SPACE = Sigma("p", Product(Base("Pitch"), Base("Pitch")),
+SPACE = Sigma("p", product(Base("Pitch"), Base("Pitch")),
               FamApp("vlr", (Proj1(Var("p")), Proj2(Var("p")))))
 
 
