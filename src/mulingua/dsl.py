@@ -45,16 +45,18 @@ function symbol whose codomain is ``Type`` declares a family.  Terms
 are variables, ``star``, symbol application ``(f t ...)``,
 ``(pair s t)``, ``(pr1 t)``, ``(pr2 t)``, ``(inl t)``, ``(inr t)``,
 ``(lambda (x A) t)``, ``(apply f t ...)``, ``(proj t i)``,
-``(sup l b)``, ``(formula F)``, ``(absurd t)``.  Formulas use
-``(forall (x A) F)``, ``(exists (x A) F)``, ``(and F G)``,
+``(sup l b)``, ``(absurd t)``.  Formulas are the terms of type
+``Prop``: ``(forall (x A) F)``, ``(exists (x A) F)``, ``(and F G)``,
 ``(or F G)``, ``(implies F G)``, ``(not F)``, ``(= A s t)``,
-``(in t P)``, ``(rel R t ...)``, ``top``, ``bottom``.  The reader
-follows ``syntax._KEYWORDS``, the table ``show`` prints with, and the
-sugar ``syntax.SUGAR``: ``(-> A B)`` and ``(power A)`` read as a Pi,
-``(* A B)`` as a Sigma.  One generic reader covers all three, with
-``*``, ``+``, ``->``, ``and``, ``or`` and ``implies`` also taking more
-than two arguments, nested to the right.  A value ``(pair s t)`` reads s
-against its Sigma's index type, t against a body without the binder.
+``(in t P)``, ``(rel R t ...)``, ``top``, ``bottom``, and any other
+term the kernel types ``Prop``.  The reader follows ``syntax._KEYWORDS``,
+the table ``show`` prints with, and the sugar ``syntax.SUGAR``:
+``(-> A B)`` and ``(power A)`` read as a Pi, ``(* A B)`` as a Sigma,
+and ``(formula F)`` inside a term as F.  One generic reader covers
+types and terms, with ``*``, ``+``, ``->``, ``and``, ``or`` and
+``implies`` also taking more than two arguments, nested to the right.
+A value ``(pair s t)`` reads s against its Sigma's index type, t
+against a body without the binder.
 
 Carrier element names may be symbols or bare integers; the words
 ``star``, ``true``, and ``false`` are reserved for value literals.
@@ -82,7 +84,7 @@ from .semantics import (
 from .sexpr import MAX_DEPTH, SNode, Sym, parse_sexprs
 from .syntax import (
     FIELD_SORTS, KEYWORD_CLASSES, And, App, Base, Context, Coproduct,
-    FamApp, Formula, FunSymbol, Implies, Or, Pi, Prop, RelSymbol, Sigma,
+    FamApp, FunSymbol, Implies, Or, Pi, Prop, RelSymbol, Sigma,
     Signature, Term, TypeExpr, Var, W, _Binding, arrow, free_vars, product,
     show,
 )
@@ -135,7 +137,7 @@ class Workspace(_Node):
     structures: MutableMapping[str, Structure] = field(default_factory=dict)
     contexts: MutableMapping[str, Context] = field(default_factory=dict)
     terms: MutableMapping[str, tuple[Context, Term]] = field(default_factory=dict)
-    formulas: MutableMapping[str, tuple[Context, Formula]] = field(
+    formulas: MutableMapping[str, tuple[Context, Term]] = field(
         default_factory=dict)
     types: MutableMapping[str, TypeExpr] = field(default_factory=dict)
     quivers: MutableMapping[str, Quiver] = field(default_factory=dict)
@@ -190,15 +192,14 @@ def element_name(node: SNode) -> str:
 # types, terms, formulas
 # ---------------------------------------------------------------------------
 
-# One reader for the three sorts, driven by the keyword table ``show``
+# One reader for the two sorts, driven by the keyword table ``show``
 # prints with.  Per sort: its name in messages, what heads a list of it,
 # and the classes of a symbol that is no keyword, alone and as a head.
 _SORTS = {
     "TypeExpr": ("type expression", "a type constructor", Base, FamApp),
     "Term": ("term", "a term head", Var, App),
-    "Formula": ("formula", "a formula head", None, None),
 }
-_NOUNS = {"TypeExpr": "type", "Term": "term", "Formula": "formula", "int": "index"}
+_NOUNS = {"TypeExpr": "type", "Term": "term", "int": "index"}
 # what the forms (apply f t ...) and (rel R t ...) start with
 _HEADS = {"Term": "a function term", "str": "a relation name"}
 # binary forms written with two or more arguments, nested to the right
@@ -213,8 +214,9 @@ def parse_term_node(node: SNode) -> Term:
     return _read(node, "Term")
 
 
-def parse_formula_node(node: SNode) -> Formula:
-    return _read(node, "Formula")
+def parse_formula_node(node: SNode) -> Term:
+    """A formula is a term; the kernel checks that it has type Prop."""
+    return _read(node, "Term")
 
 
 def _read(node: SNode, sort: str):
@@ -230,8 +232,6 @@ def _read(node: SNode, sort: str):
         cls = keywords.get(v.text)
         if cls is not None and not FIELD_SORTS[cls]:
             return cls()
-        if atom is None:
-            raise node.error(f"unknown {what} {v.text!r}")
         return atom(v.text)
     if isinstance(v, int) and sort == "TypeExpr":
         if str(v) in keywords:  # the numerals 0 and 1
@@ -245,8 +245,6 @@ def _read(node: SNode, sort: str):
     cls = keywords.get(head)
     sorts = FIELD_SORTS.get(cls)
     if not sorts:  # no keyword, or one that stands alone
-        if head_form is None:
-            raise node.error(f"unknown {what} head {head!r}")
         return head_form(head, tuple(map(_read, rest, repeat("Term"))))
     if cls in _RIGHT_NESTED:
         if len(rest) < 2:

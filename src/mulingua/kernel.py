@@ -13,6 +13,13 @@ types is structural up to renaming of bound variables; no reduction
 happens inside types, since dependency is always over finite index
 types that are resolved at evaluation time.
 
+Formulas are the terms of type ``Prop``: a formula node synthesizes
+``Prop``, and a connective's operands, a quantifier's body and the F of
+``(prop F)`` check at ``Prop``.  A lambda's binder that shadows a
+context variable is renamed apart, and so is a quantifier's where a type
+of the context mentions its name, so neither captures a variable of
+those types.
+
 Diagnostics report the leftmost-innermost failure: recursion fails fast
 left to right and the deepest message propagates unchanged.
 """
@@ -22,10 +29,11 @@ from __future__ import annotations
 from .diagnostics import TypeCheckError, Verdict
 from .records import _Node, _node
 from .syntax import (
-    Absurd, App, Base, Context, Coproduct, FamApp, FormulaTerm, Inl, Inr,
-    Lambda, Pair, Pi, Prop, PropType, Proj1, Proj2, Sigma, Signature, Star,
-    Sup, Term, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, alpha_eq,
-    arrow, free_vars, fresh_name, product, show, substitute,
+    FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
+    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Not, Or, Pair, Pi,
+    Prop, PropType, Proj1, Proj2, RelAtom, Sigma, Signature, Star, Sup, Term,
+    Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, alpha_eq, arrow,
+    free_vars, fresh_name, product, show, substitute,
 )
 
 __all__ = [
@@ -78,8 +86,7 @@ def _wf_type(sig: Signature, ctx: Context, t: TypeExpr) -> None:
             for arg, dom in zip(args, fam.domain):
                 _check(sig, ctx, arg, dom)
         case PropType(f):
-            from .logic import _wf_formula
-            _wf_formula(sig, ctx, f)
+            _check(sig, ctx, f, Prop())
         case _:
             raise TypeCheckError(f"not a type expression: {t!r}")
 
@@ -224,10 +231,49 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
             return Pi(x, annot, _infer(sig, ctx.extend(x, annot), body))
         case Star():
             return Unit()
-        case FormulaTerm(f):
-            from .logic import _wf_formula
-            _wf_formula(sig, ctx, f)
+        case RelAtom(name, args):
+            r = sig.rel(name)
+            if r is None:
+                raise TypeCheckError(f"unknown relation {name!r}")
+            if len(args) != r.arity:
+                raise TypeCheckError(
+                    f"arity mismatch: relation {name!r} takes {r.arity} "
+                    f"argument(s), got {len(args)}")
+            for arg, t in zip(args, r.arity_types):
+                _check(sig, ctx, arg, t)
             return Prop()
+        case Eq(t, lhs, rhs):
+            _wf_type(sig, ctx, t)
+            _check(sig, ctx, lhs, t)
+            _check(sig, ctx, rhs, t)
+            return Prop()
+        case Member(element, predicate):
+            elem_type = _infer(sig, ctx, element)
+            expected = arrow(elem_type, Prop())
+            try:
+                pred_type = _infer(sig, ctx, predicate)
+            except TypeCheckError:
+                _check(sig, ctx, predicate, expected)
+            else:
+                if not alpha_eq(pred_type, expected):
+                    raise TypeCheckError(
+                        f"non-predicate in membership: {show(predicate)} has "
+                        f"type {show(pred_type)}, expected a predicate on "
+                        f"{show(elem_type)}")
+            return Prop()
+        case Top() | Bottom():
+            return Prop()
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            operands = (l, r)
+        case Not(body):
+            operands = (body,)
+        case Forall(x, t, body) | Exists(x, t, body):
+            _wf_type(sig, ctx, t)
+            # renamed only where it would capture: a chain of quantifiers
+            # over one name renames nothing
+            if any(x in free_vars(u) for _, u in ctx):
+                x, body = _rename_apart(ctx, x, body)
+            ctx, operands = ctx.extend(x, t), (body,)
         case Inl(_) | Inr(_):
             raise TypeCheckError(
                 "injection needs an expected coproduct type to check against")
@@ -237,7 +283,17 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
         case Absurd(_):
             raise TypeCheckError(
                 "absurd needs an expected type to check against")
-    raise TypeCheckError(f"not a term: {term!r}")
+        case _:
+            raise TypeCheckError(f"not a term: {term!r}")
+    # a connective's operands and a quantifier's body are checked at Prop;
+    # a formula node synthesizes Prop, so it is inferred, and a formula
+    # nested as deep as the reader allows takes one frame per level
+    for f in operands:
+        if isinstance(f, FORMULAS):
+            _infer(sig, ctx, f)
+        else:
+            _check(sig, ctx, f, Prop())
+    return Prop()
 
 
 def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None:
@@ -284,10 +340,10 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
 
 def _rename_apart(ctx: Context, x: str, body: Term,
                   avoid: frozenset[str] = frozenset()) -> tuple[str, Term]:
-    """Rename a lambda's binder ``x`` apart from the context, the body and
-    ``avoid``.  A binder that shadowed a context variable would capture
-    it wherever a type mentions it: in the types the context gives the
-    body's other variables, and in the codomain."""
+    """Rename a lambda's or a quantifier's binder ``x`` apart from the
+    context, the body and ``avoid``.  A binder that shadowed a context
+    variable would capture it wherever a type mentions it: in the types
+    the context gives the body's other variables, and in the codomain."""
     z = fresh_name(x, set(ctx.names()) | free_vars(body) | avoid)
     return z, substitute(body, {x: Var(z)})
 

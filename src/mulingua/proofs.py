@@ -25,10 +25,9 @@ from .semantics import (
 # not used here: perfbench/test_tracer.py checks that its tracer rebinds it
 from .semantics import type_size  # noqa: F401
 from .syntax import (
-    And, App, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall, Formula,
-    FormulaTerm, Implies, Lambda, Member, Not, Or, Pi, PropType, Proj1,
-    Proj2, RelAtom, Sigma, Term, Top, TypeExpr, Unit, Var, W, Zero, arrow,
-    free_vars, product, show,
+    And, App, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall, Implies,
+    Lambda, Member, Not, Or, Pi, PropType, Proj1, Proj2, RelAtom, Sigma,
+    Term, Top, TypeExpr, Unit, Var, W, Zero, arrow, free_vars, product, show,
 )
 
 __all__ = [
@@ -106,11 +105,11 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
 # propositions as types
 # ---------------------------------------------------------------------------
 
-def prop_as_type(f: Formula) -> TypeExpr:
+def prop_as_type(f: Term) -> TypeExpr:
     """Conjunction becomes product, disjunction coproduct, implication
     function type, negation functions into the empty type, and the
-    quantifiers dependent product and sum; atoms stay propositions
-    (sub-singleton types)."""
+    quantifiers dependent product and sum; atoms, and any other term of
+    type Prop, stay propositions (sub-singleton types)."""
     match f:
         case Top():
             return Unit()
@@ -128,9 +127,7 @@ def prop_as_type(f: Formula) -> TypeExpr:
             return Pi(x, t, prop_as_type(body))
         case Exists(x, t, body):
             return Sigma(x, t, prop_as_type(body))
-        case RelAtom(_, _) | Eq(_, _, _) | Member(_, _):
-            return PropType(f)
-    raise StructureError(f"not a formula: {f!r}")
+    return PropType(f)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +164,12 @@ def pcset_predicate(st: Structure, pcs: Iterable[Value],
     base = Base(carrier)
     names = _constant_names(st, base)
     ordered = sorted(pcs, key=st.carrier(carrier).index)
-    body: Formula = Bottom()
+    body: Term = Bottom()
     for v in reversed(ordered):
         name = names[v] if v in names else constant_for(st, v, base)
         clause = Eq(base, Var("p"), App(name))
         body = clause if isinstance(body, Bottom) else Or(clause, body)
-    return Lambda("p", base, FormulaTerm(body))
+    return Lambda("p", base, body)
 
 
 def interval_class(n: int, interval: int) -> int:

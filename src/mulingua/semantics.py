@@ -11,10 +11,11 @@ tree type that also has a branching label has infinitely many trees).
 
 Truth values are classical: ``Prop`` denotes {false, true}, conjunction
 is meet, disjunction join, implication the order, and the quantifiers
-are iterated meets and joins over the interpreted bound type.  Terms and
-formulas are evaluated by compiling each node once into nested closures
-over a frame of variable slots, kept on the node; a theory check or a
-context enumeration writes each assignment straight into those slots.
+are iterated meets and joins over the interpreted bound type; a formula
+is a term whose value is a truth value.  Terms and formulas are
+evaluated by compiling each node once into nested closures over a frame
+of variable slots, kept on the node; a theory check or a context
+enumeration writes each assignment straight into those slots.
 A function symbol whose arguments are base types is read by position:
 the argument atoms' indices give a mixed-radix position in a flat list
 of the table's values, built on the symbol's first evaluation in a
@@ -46,9 +47,8 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 from .diagnostics import BudgetError, StructureError, Verdict
 from .records import _Node, _node, _set
 from .syntax import (
-    Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, Formula, FormulaTerm, Implies, Inl, Inr, Lambda, Member, Node,
-    Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
+    FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
+    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
     Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe,
     Var, W, Zero, free_vars, show,
 )
@@ -844,7 +844,7 @@ def eval_term(st: Structure, term: Term, env: Optional[Env] = None,
     return _run(st, term, False, env, budget)
 
 
-def eval_formula(st: Structure, f: Formula, env: Optional[Env] = None,
+def eval_formula(st: Structure, f: Term, env: Optional[Env] = None,
                  budget: Optional[int] = None) -> bool:
     """Two-valued semantics; quantifiers enumerate the bound type."""
     return _run(st, f, True, env, budget)
@@ -944,12 +944,10 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
             inner = _term(v, slots, size)
             injection = InlV if isinstance(t, Inl) else InrV
             return lambda fr: injection(inner(fr))
-        case Lambda() | FormulaTerm() if not free_vars(t):
+        case Lambda() if not free_vars(t):
             return _lifted(t)
         case Lambda(x, annot, body):
             return _lambda(x, annot, body, slots, size)
-        case FormulaTerm(f):
-            return _truth(_formula(f, slots, size))
         case Star():
             return lambda fr: StarV()
         case Sup(l, b):
@@ -964,12 +962,15 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
             return tree
         case Absurd(_):
             return _failing("evaluated a term of the empty type")
+    if isinstance(t, FORMULAS):  # a formula in term position: its truth value
+        return _truth(_formula(t, slots, size)) if free_vars(t) else _lifted(t)
     return _failing(f"not a term: {t!r}")
 
 
-def _formula(f: Formula, slots: dict[str, int],
+def _formula(f: Term, slots: dict[str, int],
              size: list[int]) -> Callable[[Frame], bool]:
-    """Compile a formula, as ``_term`` compiles a term."""
+    """Compile a formula, as ``_term`` compiles a term, to its test; a
+    term that is no formula node tests its value."""
     match f:
         case RelAtom(name, args):
             arguments = _tuple_of([_term(a, slots, size) for a in args])
@@ -1028,7 +1029,8 @@ def _formula(f: Formula, slots: dict[str, int],
                         return True
                 return False
             return exists
-    return _failing(f"not a formula: {f!r}")
+    value = _term(f, slots, size)
+    return lambda fr: value(fr) == TRUE
 
 
 def _symbol(head: str, parts: list[Code]) -> Code:
@@ -1164,17 +1166,17 @@ def _truth(test: Callable[[Frame], bool]) -> Code:
     return lambda fr: TRUE if test(fr) else FALSE
 
 
-def _lifted(t: Union[Lambda, FormulaTerm]) -> Code:
-    """A closed lambda or formula term, compiled once on its own.  It
-    evaluates the same under every environment, so it keeps its last
-    structure and value, and the structure holds nothing."""
+def _lifted(t: Term) -> Code:
+    """A closed lambda or formula in term position, compiled once on its
+    own.  It evaluates the same under every environment, so it keeps its
+    last structure and value, and the structure holds nothing."""
     run = t.__dict__.get("_lifted")
     if run is None:
         size = [_FIRST_SLOT]
         if isinstance(t, Lambda):
             inner = _lambda(t.binder, t.annot, t.body, {}, size)
         else:
-            inner = _truth(_formula(t.formula, {}, size))
+            inner = _truth(_formula(t, {}, size))
         last: list = [None, None]  # structure, value
 
         def run(fr):
@@ -1250,7 +1252,7 @@ def _assignments(ctx: Context, frame: Frame) -> Iterator[None]:
 _END = object()
 
 
-def counterexample(st: Structure, ctx: Context, f: Formula,
+def counterexample(st: Structure, ctx: Context, f: Term,
                    budget: Optional[int] = None
                    ) -> Optional[tuple[tuple[str, Value], ...]]:
     """The first assignment to the context, in canonical order, under
@@ -1267,7 +1269,7 @@ def counterexample(st: Structure, ctx: Context, f: Formula,
     return None
 
 
-def derivable(st: Structure, ctx: Context, f: Formula,
+def derivable(st: Structure, ctx: Context, f: Term,
               budget: Optional[int] = None) -> bool:
     """True when the formula evaluates to true under every substitution
     of the context in this model."""
@@ -1282,7 +1284,7 @@ def derivable(st: Structure, ctx: Context, f: Formula,
 class TheoryAxiom(_Node):
     label: str
     context: Context
-    formula: Formula
+    formula: Term
 
 
 @_node

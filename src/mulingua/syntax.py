@@ -1,9 +1,11 @@
-"""Abstract syntax: signatures, type expressions, terms, and formulas.
+"""Abstract syntax: signatures, type expressions, and terms.
 
-Everything here is immutable data. The three syntactic categories are
-mutually recursive: formulas contain terms, terms embed formulas (via
-``FormulaTerm``), and type expressions may mention terms (family
-application) and formulas (propositions read as types).
+Everything here is immutable data. The two syntactic categories are
+mutually recursive: terms carry type annotations, and type expressions
+may mention terms (family application, and a proposition read as the
+type of its proofs).  Formulas are the terms of type ``Prop``: the
+formula classes (``FORMULAS``) are term classes, and any term of type
+``Prop`` stands as a formula.
 
 Every node class is a record declared through ``records``: it derives
 from ``_Node`` and names its fields in ``__match_args__``, and ``_Node``
@@ -24,11 +26,12 @@ There is one function type, ``Pi``, and one pair type, ``Sigma``: the
 reader's sugar ``(-> A B)`` and ``(* A B)`` are a Pi and a Sigma whose
 binder does not occur in B (see ``arrow`` and ``product``), ``(power A)``
 is ``(-> A Prop)``, and ``show`` prints such a Pi as the arrow and such
-a Sigma as the product.
+a Sigma as the product.  The reader reads ``(formula F)`` inside a term
+as F itself.
 
 Binding forms compare and hash up to renaming of their bound variable;
 all other nodes are plain structural data.  ``substitute`` performs
-simultaneous capture-avoiding substitution across all three categories.
+simultaneous capture-avoiding substitution across both categories.
 
 Data derived from a node is memoized on the frozen instance, beside its
 fields: ``free_vars`` and ``alpha_key`` are computed once per node, and
@@ -136,7 +139,7 @@ class FamApp(_Node):
 class PropType(_Node):
     """A proposition read as the (sub-singleton) type of its proofs."""
 
-    prop: "Formula"
+    prop: "Term"
 
 
 TypeExpr = Union[
@@ -228,11 +231,6 @@ class Sup(_Node):
 
 
 @_node
-class FormulaTerm(_Node):
-    formula: "Formula"
-
-
-@_node
 class Star(_Node):
     pass
 
@@ -244,13 +242,7 @@ class Absurd(_Node):
     scrutinee: "Term"
 
 
-Term = Union[
-    Var, App, Pair, Proj1, Proj2, Inl, Inr, Lambda, TupleProj, Sup,
-    FormulaTerm, Star, Absurd,
-]
-
-
-# -- formulas ---------------------------------------------------------------
+# -- formulas: the terms of type Prop ----------------------------------------
 
 @_node
 class RelAtom(_Node):
@@ -287,46 +279,52 @@ class Bottom(_Node):
 
 @_node
 class And(_Node):
-    left: "Formula"
-    right: "Formula"
+    left: "Term"
+    right: "Term"
 
 
 @_node
 class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+    left: "Term"
+    right: "Term"
 
 
 @_node
 class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+    left: "Term"
+    right: "Term"
 
 
 @_node
 class Not(_Node):
-    body: "Formula"
+    body: "Term"
 
 
 @_node
 class Forall(_Binding):
     binder: str
     var_type: "TypeExpr"
-    body: "Formula"
+    body: "Term"
 
 
 @_node
 class Exists(_Binding):
     binder: str
     var_type: "TypeExpr"
-    body: "Formula"
+    body: "Term"
 
 
 Formula = Union[
     RelAtom, Eq, Member, Top, Bottom, And, Or, Implies, Not, Forall, Exists,
 ]
+FORMULAS = get_args(Formula)
 
-Node = Union[TypeExpr, Term, Formula]
+Term = Union[
+    Var, App, Pair, Proj1, Proj2, Inl, Inr, Lambda, TupleProj, Sup, Star,
+    Absurd, Formula,
+]
+
+Node = Union[TypeExpr, Term]
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +529,9 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def substitute(node: Node, subst: Mapping[str, Term]) -> Node:
     """Simultaneous capture-avoiding substitution of terms for variables.
 
-    Works uniformly on terms, type expressions, and formulas; bound
-    variables are renamed when a replacement would capture them.  A node
-    in which no substituted variable is free comes back unchanged.
+    Works uniformly on terms (formulas among them) and type expressions;
+    bound variables are renamed when a replacement would capture them.  A
+    node in which no substituted variable is free comes back unchanged.
     """
     return _substitute(node, dict(subst))
 
@@ -579,39 +577,40 @@ _KEYWORDS: dict[type, str] = {
     PropType: "prop",
     App: "apply", Pair: "pair", Proj1: "pr1", Proj2: "pr2", Inl: "inl",
     Inr: "inr", Lambda: "lambda", TupleProj: "proj", Sup: "sup",
-    FormulaTerm: "formula", Star: "star", Absurd: "absurd",
+    Star: "star", Absurd: "absurd",
     RelAtom: "rel", Eq: "=", Member: "in", Top: "top", Bottom: "bottom",
     And: "and", Or: "or", Implies: "implies", Not: "not",
     Forall: "forall", Exists: "exists",
 }
 
 
-# The keyword table read backwards, for the ``.mul`` reader: per class the
-# sort of each field, from its annotation (``TypeExpr``, ``Term``,
-# ``Formula``, ``str``, ``int``, or ``Term...`` for a tuple of terms; an
-# application head reads as a term), and per sort the class of each keyword.
-_ANNOTATED = {"tuple[Term, ...]": "Term...", "Union[str, Term]": "Term"}
-FIELD_SORTS: dict[type, tuple[str, ...]] = {
-    cls: tuple(_ANNOTATED.get(a, a)
-               for a in (f.type.replace("'", "") for f in fields(cls)))
-    for cls in get_args(Node)
-}
-KEYWORD_CLASSES: dict[str, dict[str, type]] = {
-    sort: {kw: cls for cls, kw in _KEYWORDS.items() if cls in get_args(union)}
-    for sort, union in (("TypeExpr", TypeExpr), ("Term", Term), ("Formula", Formula))
+# The reader's sugar: keywords with no class of their own, each with the
+# sort it reads as, the function that builds its node and the sorts of
+# its fields.  ``(formula F)`` is F itself.
+SUGAR: dict[str, tuple[str, Callable[..., Node], tuple[str, ...]]] = {
+    "*": ("TypeExpr", product, ("TypeExpr", "TypeExpr")),
+    "->": ("TypeExpr", arrow, ("TypeExpr", "TypeExpr")),
+    "power": ("TypeExpr", lambda dom: arrow(dom, Prop()), ("TypeExpr",)),
+    "formula": ("Term", lambda f: f, ("Term",)),
 }
 
-# The reader's sugar: type keywords with no class of their own, each with
-# the function that builds its Pi or Sigma and the sorts of its fields,
-# listed in the two tables above so the reader reads them as a class.
-SUGAR: dict[str, tuple[Callable[..., _Binding], tuple[str, ...]]] = {
-    "*": (product, ("TypeExpr", "TypeExpr")),
-    "->": (arrow, ("TypeExpr", "TypeExpr")),
-    "power": (lambda dom: arrow(dom, Prop()), ("TypeExpr",)),
+# The keyword table and the sugar read backwards, for the ``.mul``
+# reader: per class (or sugar builder) the sort of each field, from its
+# annotation (``TypeExpr``, ``Term``, ``str``, ``int``, or ``Term...``
+# for a tuple of terms; an application head reads as a term), and per
+# sort the class of each keyword.
+_ANNOTATED = {"tuple[Term, ...]": "Term...", "Union[str, Term]": "Term"}
+FIELD_SORTS: dict[Callable[..., Node], tuple[str, ...]] = {
+    **{cls: tuple(_ANNOTATED.get(a, a)
+                  for a in (f.type.replace("'", "") for f in fields(cls)))
+       for cls in get_args(Node)},
+    **{build: sorts for _, build, sorts in SUGAR.values()},
 }
-KEYWORD_CLASSES["TypeExpr"].update(
-    (kw, build) for kw, (build, _) in SUGAR.items())
-FIELD_SORTS.update(SUGAR.values())
+KEYWORD_CLASSES: dict[str, dict[str, Callable[..., Node]]] = {
+    sort: {**{kw: cls for cls, kw in _KEYWORDS.items() if cls in get_args(union)},
+           **{kw: build for kw, (of, build, _) in SUGAR.items() if of == sort}}
+    for sort, union in (("TypeExpr", TypeExpr), ("Term", Term))
+}
 
 
 def show(node: Node) -> str:

@@ -14,7 +14,7 @@ from mulingua.semantics import (
 )
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
-    Formula, FormulaTerm, FunSymbol, Implies, Lambda, Member, Not, Or, Pair,
+    Formula, FunSymbol, Implies, Lambda, Member, Not, Or, Pair,
     Pi, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term, Top,
     TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow, product,
 )
@@ -294,7 +294,7 @@ def random_function_formula(rng: random.Random, depth: int) -> Formula:
             return App(Var("tab"), (term(A_TYPE, scope, depth - 1),))
         if t == Prop():
             if depth > 0 and rng.random() < 0.5:
-                return FormulaTerm(formula(scope, depth - 1))
+                return formula(scope, depth - 1)
             return App(term(rng.choice(PREDICATE_TYPES), scope, depth - 1),
                        (term(A_TYPE, scope, depth - 1),))
         x = binder()
@@ -321,6 +321,59 @@ def random_function_formula(rng: random.Random, depth: int) -> Formula:
             x, t, formula(scope + ((x, t),), depth - 1))
 
     return formula(tuple(FUNCTION_CONTEXT), depth)
+
+
+def random_prop_formula(rng: random.Random, depth: int) -> Formula:
+    """A closed, well-typed formula over ``function_signature`` in which
+    formulas and terms of type Prop change places: a variable of type
+    Prop, or a predicate applied to an element with ``apply``, stands in
+    formula position, and a formula stands in term position, as a side
+    of ``(= Prop F G)`` or as a lambda's body."""
+    fresh = [0]
+    predicate = PREDICATE_TYPES[0]
+
+    def binder() -> str:
+        fresh[0] += 1
+        return f"v{fresh[0]}"
+
+    def bound(scope: tuple, t: TypeExpr) -> list:
+        return [Var(n) for n, u in scope if u == t]
+
+    def predicate_term(scope: tuple, depth: int) -> Term:
+        if depth > 0 and rng.random() < 0.4:
+            x = binder()
+            return Lambda(x, A_TYPE, formula(scope + ((x, A_TYPE),), depth - 1))
+        return rng.choice(bound(scope, predicate)
+                          + [Var(n) for n in ("pw", "ar", "pi")])
+
+    def formula(scope: tuple, depth: int) -> Formula:
+        props, elements = bound(scope, Prop()), bound(scope, A_TYPE)
+        roll = rng.random()
+        if depth <= 0 or roll < 0.2:
+            leaves = [lambda: rng.choice((Top(), Bottom()))]
+            if props:
+                leaves += [lambda: rng.choice(props)] * 2
+            if elements:
+                leaves += [
+                    lambda: App(predicate_term(scope, depth),
+                                (rng.choice(elements),)),
+                    lambda: Member(rng.choice(elements),
+                                   predicate_term(scope, depth))]
+            return rng.choice(leaves)()
+        if roll < 0.4:
+            return rng.choice((And, Or, Implies))(formula(scope, depth - 1),
+                                                  formula(scope, depth - 1))
+        if roll < 0.5:
+            return Not(formula(scope, depth - 1))
+        if roll < 0.65:
+            return Eq(Prop(), formula(scope, depth - 1),
+                      formula(scope, depth - 1))
+        x = binder()
+        t = rng.choice((A_TYPE, Prop(), Prop(), predicate))
+        return rng.choice((Forall, Exists))(
+            x, t, formula(scope + ((x, t),), depth - 1))
+
+    return formula((), depth)
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,54 @@ def test_a_sigma_whose_binder_does_not_occur_is_the_product(tmp_path, formula):
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
 
 
+DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo.mul"
+
+
+@pytest.mark.parametrize("formula", [
+    "(forall (p Prop) (or p (not p)))",
+    "(forall (s (power G)) (forall (x G) (or (apply s x) (not (in x s)))))",
+])
+def test_a_term_of_type_prop_stands_as_a_formula(tmp_path, formula):
+    src = tmp_path / "props.mul"
+    src.write_text(f"(formula props {formula})")
+    done = run_subprocess(["eval", "z4", "props", str(DEMO), str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("goal, exit_code, out", [
+    ("(pi (p Prop) (+ (prop p) (-> (prop p) 0)))", 0,
+     "inhabited\nproof: {false => (inr (table)); true => (inl star)}\n"),
+    ("(pi (p Prop) (prop p))", 1,
+     "uninhabited: fiber at false is empty: proposition p is false\n"),
+])
+def test_a_proposition_variable_is_a_type(tmp_path, goal, exit_code, out):
+    src = tmp_path / "goal.mul"
+    src.write_text(f"(type goal {goal})")
+    done = run_subprocess(["prove", "z4", "goal", str(DEMO), str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (exit_code, out, "")
+
+
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_a_quantifier_that_shadows_the_context_captures_no_entry_type(
+        tmp_path, quantifier):
+    # c is an element of (F k) for the context's k, and the quantifier
+    # binds k anew: comparing c at the inner k's (F k) is a type mismatch
+    src = tmp_path / "capture.mul"
+    src.write_text(f"""
+    (signature s (types G) (fun (F (G) Type) (g () (pi (y G) (F y)))))
+    (structure m of s
+      (carrier G (a b))
+      (fun F ((a) (set a)) ((b) (set b)))
+      (fun g (() (section (a a) (b b)))))
+    (formula cap (ctx (k G) (c (F k)))
+      ({quantifier} (k G) (= (F k) c (apply g k))))
+    """)
+    done = run_subprocess(["eval", "m", "cap", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "formula is not well-formed here: type mismatch: c has type "
+               "(F k), expected (F k')\n")
+
+
 def test_sizes_stop_growing_at_the_budget(tmp_path):
     big = tmp_path / "big.mul"
     big.write_text("(formula big (forall (x (power (power (power G)))) top))")

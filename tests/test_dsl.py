@@ -125,7 +125,8 @@ def test_formula_show_parse_round_trip():
 
 
 # Malformed input in type (T), term (E) and formula (F) position, one or
-# more per keyword form, with the exact error and where it points.
+# more per keyword form, with the exact error and where it points.  A
+# formula is read as a term, so the reader names it a term.
 MALFORMED = [
     ("T", "5", "1:1: unexpected number 5 in type position"),
     ("T", "(* G 5)", "1:6: unexpected number 5 in type position"),
@@ -144,9 +145,8 @@ MALFORMED = [
     ("T", "(pi (5 G) G)", "1:6: expected a variable"),
     ("T", "(power)", "1:1: 'power' takes one type"),
     ("T", "(power G G)", "1:1: 'power' takes one type"),
-    ("T", "(prop)", "1:1: 'prop' takes one formula"),
-    ("T", "(prop top bottom)", "1:1: 'prop' takes one formula"),
-    ("T", "(prop x)", "1:7: unknown formula 'x'"),
+    ("T", "(prop)", "1:1: 'prop' takes one term"),
+    ("T", "(prop top bottom)", "1:1: 'prop' takes one term"),
     ("T", "(F (pair a))", "1:4: 'pair' takes two terms"),
     ("T", "(Prop 5)", "1:7: expected a term"),
     ("E", "5", "1:1: expected a term"),
@@ -167,24 +167,21 @@ MALFORMED = [
     ("E", "(proj t 1/2)", "1:1: 'proj' takes a term and an index"),
     ("E", "(proj (pair) 1)", "1:7: 'pair' takes two terms"),
     ("E", "(sup l)", "1:1: 'sup' takes two terms"),
-    ("E", "(formula)", "1:1: 'formula' takes one formula"),
-    ("E", "(formula a)", "1:10: unknown formula 'a'"),
+    ("E", "(formula)", "1:1: 'formula' takes one term"),
     ("E", "(absurd)", "1:1: 'absurd' takes one term"),
     ("E", "(apply)", "1:1: 'apply' takes a function term"),
     ("E", "(apply (pr1) a)", "1:8: 'pr1' takes one term"),
     ("E", "(star a 5)", "1:9: expected a term"),
     ("E", "(f\n  (pair a b c))", "2:3: 'pair' takes two terms"),
-    ("F", "5", "1:1: expected a formula"),
-    ("F", "x", "1:1: unknown formula 'x'"),
-    ("F", "and", "1:1: unknown formula 'and'"),
-    ("F", '"s"', "1:1: expected a formula"),
-    ("F", "()", "1:1: empty formula"),
-    ("F", "(5)", "1:2: expected a formula head"),
-    ("F", "(and top)", "1:1: 'and' takes at least two formulas"),
-    ("F", "(or)", "1:1: 'or' takes at least two formulas"),
-    ("F", "(implies top)", "1:1: 'implies' takes at least two formulas"),
-    ("F", "(not)", "1:1: 'not' takes one formula"),
-    ("F", "(not top top)", "1:1: 'not' takes one formula"),
+    ("F", "5", "1:1: expected a term"),
+    ("F", '"s"', "1:1: expected a term"),
+    ("F", "()", "1:1: empty term"),
+    ("F", "(5)", "1:2: expected a term head"),
+    ("F", "(and top)", "1:1: 'and' takes at least two terms"),
+    ("F", "(or)", "1:1: 'or' takes at least two terms"),
+    ("F", "(implies top)", "1:1: 'implies' takes at least two terms"),
+    ("F", "(not)", "1:1: 'not' takes one term"),
+    ("F", "(not top top)", "1:1: 'not' takes one term"),
     ("F", "(forall (x G))", "1:1: 'forall' takes a binder and a body"),
     ("F", "(exists ((x) G) top)", "1:10: expected a variable"),
     ("F", "(= G a)", "1:1: '=' takes a type and two terms"),
@@ -194,11 +191,8 @@ MALFORMED = [
     ("F", "(rel)", "1:1: 'rel' takes a relation name"),
     ("F", "(rel 5 a)", "1:6: expected a relation name"),
     ("F", "(rel R 5)", "1:8: expected a term"),
-    ("F", "(foo a)", "1:1: unknown formula head 'foo'"),
-    ("F", "(top)", "1:1: unknown formula head 'top'"),
-    ("F", "(pair a b)", "1:1: unknown formula head 'pair'"),
     ("F", "(forall (x (* G)) top)", "1:12: '*' takes at least two types"),
-    ("F", "(and top\n bottom\n (not))", "3:2: 'not' takes one formula"),
+    ("F", "(and top\n bottom\n (not))", "3:2: 'not' takes one term"),
 ]
 
 
@@ -209,6 +203,34 @@ def test_malformed_expressions_are_reported_in_place(sort, text, message):
     with pytest.raises(ParseError) as err:
         parse(parse_one(text))
     assert str(err.value) == message
+
+
+# Input in formula (F), type (T) and term (E) position that reads, a
+# formula being a term, and that the kernel refuses: each stands in a
+# theory axiom over the group signature, in the context (a G) (b G), and
+# the loader reports the kernel's reason at the axiom.
+KERNEL_REFUSED = [
+    ("F", "x", "unbound variable 'x'"),
+    ("F", "and", "unbound variable 'and'"),
+    ("F", "(foo a)", "unknown function symbol 'foo'"),
+    ("F", "(top)", "unknown function symbol 'top'"),
+    ("F", "(pair a b)", "pair checked against non-product type Prop"),
+    ("F", "a", "type mismatch: a has type G, expected Prop"),
+    ("T", "(prop x)", "unbound variable 'x'"),
+    ("T", "(prop (inv a))", "type mismatch: (inv a) has type G, expected Prop"),
+    ("E", "(formula a)", "type mismatch: a has type G, expected Prop"),
+]
+_IN_AN_AXIOM = {"F": "{}", "T": "(forall (q {}) top)", "E": "(= Prop {} top)"}
+
+
+@pytest.mark.parametrize("sort, text, reason", KERNEL_REFUSED)
+def test_a_formula_that_reads_is_refused_by_the_kernel(sort, text, reason):
+    source = (f"(theory N over group\n"
+              f"  (axiom a (ctx (a G) (b G)) {_IN_AN_AXIOM[sort].format(text)}))")
+    with pytest.raises(ParseError) as err:
+        load_source(source)
+    assert str(err.value) == (
+        f"2:3: axiom a is not well-formed over group: {reason}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from mulingua.musiclib import (
 from mulingua.semantics import eval_formula
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
-    Absurd, App, Base, Context, Coproduct, Eq, FamApp, FormulaTerm, Inl,
+    Absurd, App, Base, Context, Coproduct, Eq, Exists, FamApp, Forall, Inl,
     Lambda, Pair, Pi, Prop, PropType, Proj1, Sigma, Star, Sup, TupleProj,
     Unit, Universe, Var, W, Zero, alpha_eq, arrow, free_vars, product, show,
     substitute,
@@ -321,6 +321,33 @@ def test_a_lambda_binder_that_shadows_the_context_captures_no_entry_type():
     assert show(inferred) == "(-> PC (fin k))"
 
 
+@pytest.mark.parametrize("quantifier", [Forall, Exists])
+def test_a_quantifier_binder_that_shadows_the_context_captures_no_entry_type(
+        quantifier):
+    """c is an element of (fin k) for the context's k.  A quantifier that
+    binds k anew is renamed apart, as a lambda is, so c is not compared
+    at (fin k) for its own k; one that no context type mentions renames
+    nothing."""
+    pc = Base("PC")
+
+    def fin(name):
+        return FamApp("fin", (Var(name),))
+
+    ctx = Context.of(("k", pc), ("c", fin("k")), ("g", Pi("y", pc, fin("y"))))
+    capture = quantifier(
+        "k", pc, Eq(fin("k"), Var("c"), App(Var("g"), (Var("k"),))))
+    assert well_formed_formula(MUSIC, ctx, capture).reason == (
+        "type mismatch: c has type (fin k), expected (fin k')")
+    assert well_formed_formula(
+        MUSIC, ctx, quantifier("k", pc, Eq(fin("k"), Var("c"), Var("c")))
+    ).reason == "type mismatch: c has type (fin k), expected (fin k')"
+    assert well_formed_formula(
+        MUSIC, ctx, quantifier("c", pc, Eq(pc, Var("c"), Var("k"))))
+    unmentioned = quantifier("g", pc, Eq(Base("IC"), Var("g"), Var("g")))
+    assert well_formed_formula(MUSIC, ctx, unmentioned).reason == (
+        "type mismatch: g has type PC, expected IC")
+
+
 # the three spellings of a predicate on PC, as the reader reads them
 SPELLINGS = ("(power PC)", "(-> PC Prop)", "(pi (x PC) Prop)")
 
@@ -343,7 +370,7 @@ def test_every_spelling_of_a_predicate_applies_and_takes_a_lambda(spelling):
 def test_the_spellings_of_a_predicate_are_one_type():
     pc = Base("PC")
     predicates = [_read_type(text) for text in SPELLINGS]
-    lam = Lambda("q", pc, FormulaTerm(Eq(pc, Var("q"), Var("q"))))
+    lam = Lambda("q", pc, Eq(pc, Var("q"), Var("q")))
     for given, expected in itertools.product(predicates, repeat=2):
         assert alpha_eq(given, expected)
         assert check_term(MUSIC, Context.of(("s", given)), Var("s"), expected)

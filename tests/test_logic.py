@@ -3,14 +3,23 @@ substitution."""
 
 import random
 
+from mulingua.dsl import parse_formula_node
+from mulingua.kernel import well_formed_type
 from mulingua.logic import well_formed_formula
 from mulingua.musiclib import harmony_signature, music_signature
+from mulingua.proofs import inhabit, prop_as_type
+from mulingua.semantics import eval_formula
+from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
-    And, App, Base, Context, Eq, Exists, Forall, FormulaTerm, Lambda,
-    Member, Prop, RelAtom, Top, Var, arrow, free_vars, substitute,
+    And, App, Base, Context, Eq, Exists, Forall, Implies, Lambda, Member,
+    Not, Or, Prop, RelAtom, Top, Var, alpha_eq, arrow, free_vars, show,
+    substitute,
 )
 
-from generators import random_formula, tiny_signature
+from generators import (
+    function_signature, random_formula, random_function_structure,
+    random_prop_formula, tiny_signature,
+)
 
 HARMONY = harmony_signature()
 MUSIC = music_signature(12)
@@ -29,7 +38,7 @@ def test_membership_with_power_typed_predicate():
 
 def test_membership_with_predicate_lambda():
     ctx = Context.of(("p", Base("PC")))
-    pred = Lambda("q", Base("PC"), FormulaTerm(Top()))
+    pred = Lambda("q", Base("PC"), Top())
     assert well_formed_formula(MUSIC, ctx, Member(Var("p"), pred))
 
 
@@ -189,3 +198,44 @@ def test_weakening_with_fresh_variables():
         f = random_formula(rng, ["x", "y"], 3, [0])
         if well_formed_formula(TINY, base, f):
             assert well_formed_formula(TINY, extended, f)
+
+
+# ---------------------------------------------------------------------------
+# formulas are the terms of type Prop
+# ---------------------------------------------------------------------------
+
+def test_a_term_of_type_prop_is_a_formula_and_a_formula_a_term():
+    """Over formulas with Prop variables and applied predicates in
+    formula position, and formulas in term position: the kernel accepts
+    each, it is true exactly when its proposition-as-type is inhabited,
+    and its rendering reads back to the same formula."""
+    rng = random.Random(2026_26)
+    sig = function_signature()
+    in_formula_position, shown = set(), []
+    for _ in range(200):
+        st = random_function_structure(rng)
+        f = random_prop_formula(rng, rng.randrange(2, 5))
+        assert well_formed_formula(sig, EMPTY, f), show(f)
+        t = prop_as_type(f)
+        assert well_formed_type(sig, EMPTY, t), show(t)
+        assert eval_formula(st, f) == (inhabit(st, t) is not None), show(f)
+        (node,) = parse_sexprs(show(f))
+        assert alpha_eq(parse_formula_node(node), f)
+        in_formula_position |= set(map(type, _formula_positions(f)))
+        shown.append(show(f))
+    # the draws put a variable and an application in formula position,
+    # and formulas in each term position
+    assert {Var, App, Member, Eq, Forall, Exists} <= in_formula_position
+    for needle in ("(= Prop ", "(lambda "):
+        assert any(needle in text for text in shown), needle
+
+
+def _formula_positions(f):
+    """f and, recursively, its operands and quantified bodies."""
+    yield f
+    match f:
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            yield from _formula_positions(l)
+            yield from _formula_positions(r)
+        case Not(body) | Forall(_, _, body) | Exists(_, _, body):
+            yield from _formula_positions(body)

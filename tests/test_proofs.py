@@ -227,7 +227,7 @@ def test_chord_members_are_named_by_their_first_declared_constant():
         fun_tables={**MUSIC12.fun_tables, "zero": {(): Atom("PC", 0)}})
     term = pcset_predicate(st, pcs(4, 0))
     assert show(term) == (
-        "(lambda (p PC) (formula (or (= PC p (zero)) (= PC p (p4)))))")
+        "(lambda (p PC) (or (= PC p (zero)) (= PC p (p4))))")
     with pytest.raises(StructureError,
                        match="^no constant of type PC names the value 5$"):
         pcset_predicate(st, pcs(0, 5))

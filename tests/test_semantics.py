@@ -569,10 +569,8 @@ def test_interval_composition_law_holds():
 
 
 def test_membership_is_evaluation():
-    from mulingua.syntax import FormulaTerm
-    scale = Lambda("p", Base("PC"), FormulaTerm(
-        Or(Eq(Base("PC"), Var("p"), App("p0")),
-           Eq(Base("PC"), Var("p"), App("p4")))))
+    scale = Lambda("p", Base("PC"), Or(Eq(Base("PC"), Var("p"), App("p0")),
+                                       Eq(Base("PC"), Var("p"), App("p4"))))
     assert eval_formula(MUSIC12, Member(App("p4"), scale))
     assert not eval_formula(MUSIC12, Member(App("p5"), scale))
 

@@ -34,7 +34,7 @@ from mulingua.semantics import (
 from mulingua.sexpr import SNode, Sym, parse_sexprs
 from mulingua.syntax import (
     Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, Formula, FormulaTerm, FunSymbol, Implies, Inl, Inr, Lambda,
+    Forall, Formula, FunSymbol, Implies, Inl, Inr, Lambda,
     Member, Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom,
     RelSymbol, Sigma, Signature, Star, Sup, Term, Top, TupleProj, TypeExpr,
     Unit, Universe, Var, W, Zero, _Binding, alpha_key, arrow, free_vars,
@@ -78,7 +78,6 @@ SHOWN = [
     (Lambda("x", G, App(Var("f"), (Var("x"),))), "(lambda (x G) (apply f x))"),
     (TupleProj(Var("t"), 2), "(proj t 2)"),
     (Sup(Var("l"), Var("b")), "(sup l b)"),
-    (FormulaTerm(Member(Var("a"), Var("P"))), "(formula (in a P))"),
     (Star(), "star"),
     (Absurd(Var("z")), "(absurd z)"),
     (RelAtom("R", (Var("a"), Var("b"))), "(rel R a b)"),
@@ -112,9 +111,9 @@ def test_golden_table_lists_every_node_class():
     classes = {cls for cls in _record_classes()
                if cls.__module__ == "mulingua.syntax"}
     assert listed == classes - {FunSymbol, RelSymbol, Signature, Context}
-    assert listed == {*typing.get_args(TypeExpr), *typing.get_args(Term),
-                      *typing.get_args(Formula)}
-    assert len(listed) == 35
+    assert listed == {*typing.get_args(TypeExpr), *typing.get_args(Term)}
+    assert set(typing.get_args(Formula)) < listed
+    assert len(listed) == 34
 
 
 # One instance of every other record class, with the dataclass flags it
@@ -259,14 +258,23 @@ def test_importing_the_cli_generates_no_method():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_a_formula_is_a_term_and_formula_is_reader_sugar_for_it():
+    """A formula node stands in term position with no wrapper: ``(formula
+    F)`` inside a term reads as F, and ``show`` prints F."""
+    node = Lambda("x", G, Member(Var("x"), Var("P")))
+    for text in ("(lambda (x G) (formula (in x P)))",
+                 "(lambda (x G) (in x P))"):
+        (sexpr,) = parse_sexprs(text)
+        assert parse_term_node(sexpr) == node
+    assert show(node) == "(lambda (x G) (in x P))"
+    (sexpr,) = parse_sexprs("(formula (formula top))")
+    assert parse_formula_node(sexpr) == Top()
+
+
 def test_every_golden_rendering_reads_back_to_the_same_node():
     for node, text in SHOWN:
-        if isinstance(node, typing.get_args(TypeExpr)):
-            parse = parse_type_node
-        elif isinstance(node, typing.get_args(Term)):
-            parse = parse_term_node
-        else:
-            parse = parse_formula_node
+        parse = (parse_type_node if isinstance(node, typing.get_args(TypeExpr))
+                 else parse_term_node)
         (sexpr,) = parse_sexprs(text)
         back = parse(sexpr)
         assert back == node and type(back) is type(node), text
@@ -379,7 +387,7 @@ def test_closed_term_value_is_kept_per_structure():
     moved = dataclasses.replace(
         st, fun_tables={**st.fun_tables, "p0": {(): Atom("PC", 5)}})
     pc = Base("PC")
-    predicate = Lambda("p", pc, FormulaTerm(Eq(pc, Var("p"), App("p0"))))
+    predicate = Lambda("p", pc, Eq(pc, Var("p"), App("p0")))
     first = eval_term(st, predicate)
     assert eval_term(st, predicate) is first
     assert eval_term(moved, predicate) != first
