@@ -226,7 +226,7 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
             return rest.index_type if isinstance(rest, Sigma) else rest
         case Lambda(x, annot, body):
             _wf_type(sig, ctx, annot)
-            if ctx.type_of(x) is not None:
+            if _captures(ctx, x):
                 x, body = _rename_apart(ctx, x, body)
             return Pi(x, annot, _infer(sig, ctx.extend(x, annot), body))
         case Star():
@@ -316,8 +316,9 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
                 raise TypeCheckError(
                     f"lambda domain annotation {show(annot)} does not match "
                     f"expected domain {show(dom)}")
-            # a dependent Pi's binder becomes the lambda's, renamed apart
-            if y in free_vars(cod) or ctx.type_of(x) is not None:
+            # a dependent Pi's binder becomes the lambda's, renamed apart;
+            # so is a binder that would capture a name of the codomain
+            if y in free_vars(cod) or x in free_vars(cod) or _captures(ctx, x):
                 z, body = _rename_apart(ctx, x, body, free_vars(cod))
                 x, cod = z, substitute(cod, {y: Var(z)})
             _check(sig, ctx.extend(x, annot), body, cod)
@@ -338,13 +339,24 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
                     f"expected {show(expected)}")
 
 
+def _captures(ctx: Context, x: str) -> bool:
+    """Whether a lambda's binder ``x`` shadows a context variable or a
+    name free in a context type, such as a constant."""
+    return (ctx.type_of(x) is not None
+            or any(x in free_vars(u) for _, u in ctx))
+
+
 def _rename_apart(ctx: Context, x: str, body: Term,
                   avoid: frozenset[str] = frozenset()) -> tuple[str, Term]:
     """Rename a lambda's or a quantifier's binder ``x`` apart from the
-    context, the body and ``avoid``.  A binder that shadowed a context
-    variable would capture it wherever a type mentions it: in the types
-    the context gives the body's other variables, and in the codomain."""
-    z = fresh_name(x, set(ctx.names()) | free_vars(body) | avoid)
+    context, the names free in its types, the body and ``avoid``.  A
+    binder that shadowed a context variable, or a constant, would capture
+    it wherever a type mentions it: in the types the context gives the
+    body's other variables, and in the codomain."""
+    names = set(ctx.names()) | free_vars(body) | avoid
+    for _, u in ctx:
+        names |= free_vars(u)
+    z = fresh_name(x, names)
     return z, substitute(body, {x: Var(z)})
 
 

@@ -9,7 +9,11 @@ enumeration follows carrier order with pairs lexicographic, so proof
 objects are reproducible byte for byte.  That first element is found
 without enumerating the rest; a dependent product is decided fiber by
 fiber (a section exists iff every fiber is inhabited), never by
-enumerating the full section space.
+enumerating the full section space.  A witness pair is searched
+component by component: where a fiber's proposition is a conjunction
+whose leading conjuncts read only the pair's first component, as the
+all-interval fiber's ``(in (pr1 q) chord)`` does, they are tested once
+per first component, before any second component is tried with it.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ import itertools
 import os
 from dataclasses import field
 from fractions import Fraction
+from functools import reduce
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -50,7 +51,7 @@ from .syntax import (
     FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
     FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
     Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe,
-    Var, W, Zero, free_vars, show,
+    Var, W, Zero, _Binding, _children, _fields, free_vars, show,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -674,7 +675,15 @@ def _product(factors: Iterable[Iterable[Value]],
 def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
               budget: Optional[int] = None) -> Iterator[Value]:
     """Lazily enumerate the interpretation in canonical order.  The first
-    element is the type's canonical inhabitant."""
+    element is the type's canonical inhabitant.
+
+    A ``(sigma (q (* A B)) (prop F))`` whose conjunction F leads with
+    conjuncts that read q only as ``(pr1 q)`` is enumerated as two nested
+    binders: that leading run is tested once per element a of A, once B
+    is known to have an element, and a failing a skips all of its pairs;
+    the rest of F is tested once per pair.  Conjuncts are tested in
+    source order, short-circuiting, so the elements, their order and any
+    error are those of testing the whole F at every pair."""
     env = env or {}
     budget = element_budget(budget)
     match t:
@@ -708,6 +717,38 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             for va, vb in _product((iter_type(st, a, env, budget),
                                     iter_type(st, b, env, budget))):
                 yield PairV(va, vb)
+        case Sigma(x, pair_type, PropType()) if (
+                split := _first_component_split(t)) is not None:
+            # the leading conjuncts read only the pair's first component:
+            # tested once per first component, and the rest once per pair
+            lead, rest = split
+            if type_size(st, pair_type, env, budget) > budget:
+                raise _over_budget(budget)
+
+            def tested(a, seconds):  # the pairs at which the rest holds
+                for b in seconds:
+                    v = PairV(a, b)
+                    if rest is None or eval_formula(st, rest, {**env, x: v},
+                                                    budget):
+                        yield PairV(v, StarV())
+
+            firsts = iter_type(st, pair_type.index_type, env, budget)
+            seconds = iter_type(st, pair_type.body, env, budget)
+            a = next(firsts, None)
+            b = None if a is None else next(seconds, None)
+            if b is None:
+                return
+            # as in _product, the first pair is tested before either
+            # factor is enumerated past its first element
+            holds = eval_formula(st, lead, {**env, x: PairV(a, b)}, budget)
+            if holds:
+                yield from tested(a, (b,))
+            others, seconds = list(firsts), [b, *seconds]
+            if holds:
+                yield from tested(a, seconds[1:])
+            for a in others:
+                if eval_formula(st, lead, {**env, x: PairV(a, b)}, budget):
+                    yield from tested(a, seconds)
         case Sigma(x, index_type, body):
             for v in _elements(st, index_type, env, budget):
                 for w in iter_type(st, body, {**env, x: v}, budget):
@@ -729,6 +770,49 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             yield from _family_set(st, t, env, budget)
         case _:
             raise StructureError(f"cannot enumerate {show(t)}")
+
+
+def _first_component_split(t: Sigma) -> Optional[tuple[Term, Optional[Term]]]:
+    """For ``(sigma (q P) (prop F))`` with P a pair type: F's conjuncts,
+    in source order, split into the leading run in which q is free only
+    as ``(pr1 q)`` and the rest (None when there is none), each as one
+    conjunction; None when no conjunct leads so.  Kept on the node."""
+    split = t.__dict__.get("_first_component_split", _UNBUILT)
+    if split is _UNBUILT:
+        split = None
+        q, pair_type, body = t.binder, t.index_type, t.body
+        if (isinstance(pair_type, Sigma) and isinstance(body, PropType)
+                and pair_type.binder not in free_vars(pair_type.body)):
+            conjuncts = _conjuncts(body.prop)
+            k = 0
+            while k < len(conjuncts) and _reads_only_first(conjuncts[k], q):
+                k += 1
+            if k:
+                rest = conjuncts[k:]
+                split = (reduce(And, conjuncts[:k]),
+                         reduce(And, rest) if rest else None)
+        _set(t, "_first_component_split", split)
+    return split
+
+
+def _conjuncts(f: Term) -> list[Term]:
+    if isinstance(f, And):
+        return [*_conjuncts(f.left), *_conjuncts(f.right)]
+    return [f]
+
+
+def _reads_only_first(node: Node, q: str) -> bool:
+    """Whether ``q`` is free in the node only as ``(pr1 q)``."""
+    if q not in free_vars(node):
+        return True
+    if isinstance(node, Proj1) and node.pair == Var(q):
+        return True
+    if isinstance(node, Var):
+        return False
+    # a binder of q hides it in its scope, so only its type can read q
+    children = (_fields(node)[1],) if (
+        isinstance(node, _Binding) and node.binder == q) else _children(node)
+    return all(_reads_only_first(child, q) for child in children)
 
 
 def interpret_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,

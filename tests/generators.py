@@ -15,8 +15,9 @@ from mulingua.semantics import (
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
     Formula, FunSymbol, Implies, Lambda, Member, Not, Or, Pair,
-    Pi, Prop, PropType, RelAtom, RelSymbol, Sigma, Signature, Term, Top,
-    TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow, product,
+    Pi, Prop, PropType, Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature,
+    Term, Top, TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow, product,
+    substitute,
 )
 
 G = Base("G")
@@ -220,6 +221,33 @@ def _random_x_formula(rng: random.Random, scope: tuple[str, ...],
     ctor = Forall if rng.random() < 0.5 else Exists
     return ctor(binder, Base("X"),
                 _random_x_formula(rng, scope + (binder,), depth - 1))
+
+
+def random_pair_sigma(rng: random.Random) -> Sigma:
+    """``(sigma (q (* A B)) (prop F))`` over ``family_signature``: F is
+    one to four conjuncts, nested either way, each reading q as ``(pr1
+    q)``, as ``(pr2 q)``, as both, as a whole, or not at all.  The
+    factors are mostly base types, so most conjuncts evaluate, and
+    ``(f (pr1 q))`` at a point of Y raises."""
+    q = Var("q")
+    factors = [Base("X"), Base("X"), Base("Y"), random_type(rng, 1)]
+    pair_type = product(rng.choice(factors), rng.choice(factors))
+    components = {"u": Proj1(q), "v": Proj2(q)}
+
+    def conjunct() -> Formula:
+        roll = rng.random()
+        if roll < 0.1:
+            return rng.choice((Top(), Bottom()))
+        if roll < 0.2:
+            return Eq(pair_type, q, q)
+        scope = rng.choice((("u",), ("u",), ("v",), ("u", "v")))
+        return substitute(_random_x_formula(rng, scope, 2), components)
+
+    conjuncts = [conjunct() for _ in range(rng.randrange(1, 5))]
+    while len(conjuncts) > 1:
+        i = rng.randrange(len(conjuncts) - 1)
+        conjuncts[i:i + 2] = [And(conjuncts[i], conjuncts[i + 1])]
+    return Sigma("q", pair_type, PropType(conjuncts[0]))
 
 
 # ---------------------------------------------------------------------------

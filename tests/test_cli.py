@@ -510,6 +510,26 @@ def test_a_sigma_whose_binder_does_not_occur_is_the_product(tmp_path, formula):
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
 
 
+def test_a_lambda_binder_named_after_a_constant_is_renamed_apart(tmp_path):
+    """The second lambda maps b into (F b), not (F e): its binder e must
+    not capture the constant e of the expected type (-> G (F e))."""
+    src = tmp_path / "capture.mul"
+    src.write_text("""
+    (signature s (types G) (fun (e () G) (F (G) Type) (g () (pi (y G) (F y)))))
+    (structure m of s
+      (carrier G (a b))
+      (fun e (() a))
+      (fun F ((a) (set a b)) ((b) (set a b)))
+      (fun g (() (section (a a) (b b)))))
+    (formula capl (ctx (c (F e)))
+      (= (-> G (F e)) (lambda (e G) c) (lambda (e G) (apply g e))))
+    """)
+    done = run_subprocess(["eval", "m", "capl", str(src)])
+    assert done.returncode == 2 and done.stdout == ""
+    assert "type mismatch: (apply g e') has type (F e'), expected (F e)" \
+        in done.stderr
+
+
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo.mul"
 
 

@@ -22,10 +22,10 @@ from mulingua.musiclib import (
 from mulingua.semantics import eval_formula
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
-    Absurd, App, Base, Context, Coproduct, Eq, Exists, FamApp, Forall, Inl,
-    Lambda, Pair, Pi, Prop, PropType, Proj1, Sigma, Star, Sup, TupleProj,
-    Unit, Universe, Var, W, Zero, alpha_eq, arrow, free_vars, product, show,
-    substitute,
+    Absurd, App, Base, Context, Coproduct, Eq, Exists, FamApp, Forall,
+    FunSymbol, Inl, Lambda, Pair, Pi, Prop, PropType, Proj1, Sigma, Signature,
+    Star, Sup, TupleProj, Unit, Universe, Var, W, Zero, alpha_eq, arrow,
+    free_vars, product, show, substitute,
 )
 
 from generators import random_group_element_term, random_typed_term
@@ -319,6 +319,25 @@ def test_a_lambda_binder_that_shadows_the_context_captures_no_entry_type():
     inferred = infer_term(MUSIC, ctx, Lambda("k", pc, Var("c")))
     assert alpha_eq(inferred, arrow(pc, fin("k")))
     assert show(inferred) == "(-> PC (fin k))"
+
+
+def test_a_lambda_binder_named_after_a_constant_captures_no_type():
+    """The context's c lies in (F e) for the constant e.  A lambda that
+    binds e anew is renamed apart wherever the constant is free in a
+    context type or in the expected codomain, checked or inferred."""
+    g_type = Base("G")
+    sig = Signature(name="s", base_types=("G",), fun_symbols=(
+        FunSymbol("e", (), g_type), FunSymbol("F", (g_type,), Universe()),
+        FunSymbol("g", (), Pi("y", g_type, FamApp("F", (Var("y"),))))))
+    fe = FamApp("F", (Var("e"),))  # as the reader builds (F e)
+    ctx = Context.of(("c", fe))
+    capture = Lambda("e", g_type, App(Var("g"), (Var("e"),)))
+    mismatch = "type mismatch: (apply g e') has type (F e'), expected (F e)"
+    assert check_term(sig, ctx, capture, arrow(g_type, fe)).reason == mismatch
+    assert check_term(sig, EMPTY, capture, arrow(g_type, fe)).reason == mismatch
+    assert check_term(sig, ctx, Lambda("e", g_type, Var("c")), arrow(g_type, fe))
+    inferred = infer_term(sig, ctx, Lambda("e", g_type, Var("c")))
+    assert show(inferred) == "(-> G (F e))"
 
 
 @pytest.mark.parametrize("quantifier", [Forall, Exists])

@@ -2,11 +2,14 @@
 packaged musical propositions."""
 
 import dataclasses
+import functools
+import itertools
 import random
+import re
 
 import pytest
 
-from mulingua.diagnostics import StructureError
+from mulingua.diagnostics import BudgetError, StructureError
 from mulingua.musiclib import (
     cyclic_group_structure, domfunc_model, note_to_pc, z_music_structure,
 )
@@ -16,15 +19,20 @@ from mulingua.proofs import (
     render_witness,
 )
 from mulingua.semantics import (
-    Atom, PairV, SectionV, StarV, TableV, eval_formula, type_size,
+    Atom, FinSet, PairV, SectionV, StarV, Structure, TableV,
+    _first_component_split, eval_formula, iter_type, type_size,
     value_in_type,
 )
 from mulingua.syntax import (
-    App, Base, Coproduct, Eq, FunSymbol, Pi, Prop, PropType, Sigma, Unit,
-    Var, Zero, arrow, product, show,
+    And, App, Base, Coproduct, Eq, FunSymbol, Not, Pi, Proj1, Proj2, Prop,
+    PropType, RelAtom, Sigma, Top, Unit, Var, Zero, arrow, free_vars, product,
+    show,
 )
 
-from generators import random_closed_formula, random_tiny_structure
+from generators import (
+    family_signature, random_closed_formula, random_family_structure,
+    random_pair_sigma, random_tiny_structure,
+)
 
 MUSIC12 = z_music_structure(12)
 Z12 = cyclic_group_structure(12)
@@ -306,6 +314,94 @@ def test_witness_is_first_in_enumeration_order():
         proof = inhabit(st, t)
         assert proof is not None
         assert proof.value == next(iter(iter_type(st, t)))
+
+
+# ---------------------------------------------------------------------------
+# a pair binder's leading conjuncts, tested once per first component
+# ---------------------------------------------------------------------------
+
+def _plain_sigma(st, t, budget):
+    """``(sigma (q P) (prop F))`` enumerated plainly: P's elements within
+    the budget (a product, where F does not read q, is not sized), each
+    kept where the whole of F holds."""
+    sized = t.binder in free_vars(t.body)
+    if sized and type_size(st, t.index_type, budget=budget) > budget:
+        raise BudgetError(f"enumeration of more than {budget} elements "
+                          "exceeds the element budget")
+    for v in iter_type(st, t.index_type, budget=budget):
+        if eval_formula(st, t.body.prop, {t.binder: v}, budget):
+            yield PairV(v, StarV())
+
+
+def _first_50(elements):
+    """The first 50 elements, and the error that ended them, if any."""
+    got = []
+    try:
+        for v in itertools.islice(elements, 50):
+            got.append(v)
+    except (BudgetError, StructureError) as err:
+        return got, type(err), str(err)
+    return got, None, None
+
+
+def test_a_pair_binder_enumerates_as_the_plain_nested_search():
+    rng = random.Random(2027)
+    split = 0
+    for _ in range(400):
+        st = random_family_structure(rng)
+        t = random_pair_sigma(rng)
+        split += _first_component_split(t) is not None
+        for budget in (1000, 2):
+            assert _first_50(iter_type(st, t, budget=budget)) == \
+                _first_50(_plain_sigma(st, t, budget)), show(t)
+    assert split > 200  # most cases reach the split
+
+
+def _pair_sigma(pair_type, *conjuncts):
+    return Sigma("q", pair_type, PropType(functools.reduce(And, conjuncts)))
+
+
+X, Y = Base("X"), Base("Y")
+Q = Var("q")
+FAMILY = Structure(
+    signature=family_signature(),
+    carriers={"X": FinSet.of(Atom("X", 0), Atom("X", 1)),
+              "Y": FinSet.of(Atom("Y", 0))},
+    fun_tables={"f": {(Atom("X", 0),): Atom("X", 1),
+                      (Atom("X", 1),): Atom("X", 0)},
+                "F": {(Atom("X", 0),): FinSet.of(),
+                      (Atom("X", 1),): FinSet.of(Atom("Y", 0))}},
+    rel_tables={"R": frozenset({(Atom("X", 1),)})})
+NO_F_OF_Y = "table for 'f' has no entry for ('(atom Y 0)',)"
+
+
+def test_a_false_leading_conjunct_hides_a_later_error():
+    never = Not(Eq(X, Proj1(Q), Proj1(Q)))
+    raising = RelAtom("R", (App("f", (Proj2(Q),)),))
+    t = _pair_sigma(product(X, Y), never, raising)
+    assert _first_component_split(t) is not None
+    assert list(iter_type(FAMILY, t)) == list(_plain_sigma(FAMILY, t, 1000)) == []
+
+
+def test_a_raising_leading_conjunct_raises_as_the_plain_search_does():
+    raising = RelAtom("R", (App("f", (Proj1(Q),)),))
+    t = _pair_sigma(product(Y, X), raising, RelAtom("R", (Proj2(Q),)))
+    assert _first_component_split(t) is not None
+    for elements in (iter_type(FAMILY, t), _plain_sigma(FAMILY, t, 1000)):
+        with pytest.raises(StructureError, match=f"^{re.escape(NO_F_OF_Y)}$"):
+            next(elements)
+
+
+def test_an_empty_second_factor_evaluates_no_conjunct(monkeypatch):
+    from mulingua import semantics
+    calls = []
+    monkeypatch.setattr(semantics, "eval_formula",
+                        lambda *args: calls.append(args))
+    raising = RelAtom("R", (App("f", (Proj1(Q),)),))
+    t = _pair_sigma(product(Y, Zero()), raising, Top())
+    assert _first_component_split(t) is not None
+    assert list(iter_type(FAMILY, t)) == []
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
