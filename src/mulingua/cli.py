@@ -32,7 +32,7 @@ from .dsl import (
     Workspace, builtin_workspace, element_name, load_source, parse_type_node,
     quiver_of_rule,
 )
-from .kernel import well_formed_type
+from .kernel import elaborate, well_formed_type
 from .logic import well_formed_formula
 from .proofs import (
     all_interval_type, domfunc_leading_tone_type, explain_refutation,
@@ -165,7 +165,7 @@ def _run_eval(args, ws: Workspace) -> int:
     verdict = well_formed_formula(st.signature, ctx, formula)
     if not verdict:
         return _usage(f"formula is not well-formed here: {verdict.reason}")
-    found = counterexample(st, ctx, formula)
+    found = counterexample(st, *elaborate(st.signature, ctx, formula))
     if found is not None:
         assignment = " ".join(
             f"({name} {render_value(v, st)})" for name, v in found)
@@ -208,6 +208,7 @@ def _run_prove(args, ws: Workspace) -> int:
     verdict = well_formed_type(st.signature, Context(), goal)
     if not verdict:
         return _usage(f"type is not well-formed here: {verdict.reason}")
+    _, goal = elaborate(st.signature, Context(), goal)
     proof = inhabit(st, goal)
     if proof is None:
         reason = explain_refutation(st, goal)

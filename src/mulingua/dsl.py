@@ -73,7 +73,7 @@ from typing import Optional
 
 from . import musiclib
 from .diagnostics import BudgetError, StructureError
-from .kernel import validate_signature
+from .kernel import elaborate, validate_signature
 from .logic import well_formed_formula
 from .records import _Node, _node
 from .semantics import (
@@ -538,7 +538,14 @@ def _read_signature(node: SNode, name: str, ws: Workspace) -> Signature:
     verdict = validate_signature(sig)
     if not verdict:
         raise node.error(verdict.reason)
-    return sig
+    # the symbols' types as evaluation reads them, each projection elaborated
+    def core(t: TypeExpr) -> TypeExpr:
+        return elaborate(sig, Context(), t)[1]
+    return Signature(name, base_types, tuple(
+        FunSymbol(f.name, tuple(map(core, f.domain)), core(f.codomain))
+        for f in sig.fun_symbols), tuple(
+        RelSymbol(r.name, tuple(map(core, r.arity_types)))
+        for r in sig.rel_symbols))
 
 
 def _read_theory(node: SNode, name: str, ws: Workspace) -> Theory:
@@ -563,7 +570,7 @@ def _read_theory(node: SNode, name: str, ws: Workspace) -> Theory:
         if not verdict:
             raise clause.error(f"axiom {label} is not well-formed over "
                                f"{items[3].value.text}: {verdict.reason}")
-        axioms.append(TheoryAxiom(label, ctx, formula))
+        axioms.append(TheoryAxiom(label, *elaborate(sig, ctx, formula)))
     return Theory(name, sig, tuple(axioms))
 
 

@@ -9,9 +9,10 @@ pair type the dependent sum: ``(-> A Prop)`` is ``(pi (x A) Prop)`` and
 ``(* A B)`` is ``(sigma (x A) B)`` for x not in B, and ``(proj t i)``
 walks the nested sums of t's type.  A binder that does not occur in its
 body neither extends the context nor shadows.  Definitional equality of
-types is structural up to renaming of bound variables; no reduction
-happens inside types, since dependency is always over finite index
-types that are resolved at evaluation time.
+types is structural up to renaming of bound variables and up to
+reading ``(proj t i)`` as its ``pr1``/``pr2`` chain (see ``elaborate``);
+no reduction happens inside types, since dependency is always over
+finite index types that are resolved at evaluation time.
 
 Formulas are the terms of type ``Prop``: a formula node synthesizes
 ``Prop``, and a connective's operands, a quantifier's body and the F of
@@ -27,19 +28,21 @@ left to right and the deepest message propagates unchanged.
 from __future__ import annotations
 
 from .diagnostics import TypeCheckError, Verdict
-from .records import _Node, _node
+from .records import _Node, _node, _set
 from .syntax import (
     FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Not, Or, Pair, Pi,
-    Prop, PropType, Proj1, Proj2, RelAtom, Sigma, Signature, Star, Sup, Term,
-    Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, alpha_eq, arrow,
-    free_vars, fresh_name, product, show, substitute,
+    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Not, Or, Pair,
+    Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma, Signature, Star, Sup,
+    Term, Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, _Binding,
+    _fields, alpha_eq, arrow, free_vars, fresh_name, product, show,
+    substitute,
 )
 
 __all__ = [
     "ContextMorphism", "check_context_morphism", "check_term",
-    "compose_context_morphisms", "identity_morphism", "infer_term",
-    "validate_signature", "well_formed_context", "well_formed_type",
+    "compose_context_morphisms", "elaborate", "identity_morphism",
+    "infer_term", "validate_signature", "well_formed_context",
+    "well_formed_type",
 ]
 
 
@@ -255,7 +258,7 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
             except TypeCheckError:
                 _check(sig, ctx, predicate, expected)
             else:
-                if not alpha_eq(pred_type, expected):
+                if not _same_type(sig, ctx, pred_type, expected):
                     raise TypeCheckError(
                         f"non-predicate in membership: {show(predicate)} has "
                         f"type {show(pred_type)}, expected a predicate on "
@@ -312,7 +315,7 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
             raise TypeCheckError(
                 f"injection checked against non-coproduct type {show(expected)}")
         case (Lambda(x, annot, body), Pi(y, dom, cod)):
-            if not alpha_eq(annot, dom):
+            if not _same_type(sig, ctx, annot, dom):
                 raise TypeCheckError(
                     f"lambda domain annotation {show(annot)} does not match "
                     f"expected domain {show(dom)}")
@@ -333,10 +336,20 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
             _check(sig, ctx, t, Zero())
         case _:
             inferred = _infer(sig, ctx, term)
-            if not alpha_eq(inferred, expected):
+            if not _same_type(sig, ctx, inferred, expected):
                 raise TypeCheckError(
                     f"type mismatch: {show(term)} has type {show(inferred)}, "
                     f"expected {show(expected)}")
+
+
+def _same_type(sig: Signature, ctx: Context, a: TypeExpr, b: TypeExpr) -> bool:
+    """Definitional equality: alpha-equivalence, reading each ``(proj t
+    i)`` as its ``pr1``/``pr2`` chain, so a type stored elaborated (a
+    signature's, say) equals the same type as written."""
+    if alpha_eq(a, b):
+        return True
+    core_a, core_b = _elaborated(sig, ctx, a), _elaborated(sig, ctx, b)
+    return (core_a is not a or core_b is not b) and alpha_eq(core_a, core_b)
 
 
 def _captures(ctx: Context, x: str) -> bool:
@@ -358,6 +371,60 @@ def _rename_apart(ctx: Context, x: str, body: Term,
         names |= free_vars(u)
     z = fresh_name(x, names)
     return z, substitute(body, {x: Var(z)})
+
+
+# ---------------------------------------------------------------------------
+# elaboration
+# ---------------------------------------------------------------------------
+
+def elaborate(sig: Signature, ctx: Context,
+              node: Node) -> tuple[Context, Node]:
+    """The context and a node that checks in it, with each ``(proj t i)``
+    rewritten into its ``pr1``/``pr2`` chain, read off the nested sums of
+    t's type: a component before the last is ``pr1`` of i ``pr2``s, the
+    last is i ``pr2``s.  Only the kernel knows where a spine ends (the
+    last component may itself hold pairs), so evaluation runs elaborated
+    nodes only.  A chain keeps its source node, which ``show`` prints,
+    so every message keeps the source spelling.  A context or node with
+    no ``proj`` comes back as the same object."""
+    node = _elaborated(sig, ctx, node)
+    entries = tuple((name, _elaborated(sig, Context(ctx.entries[:k]), t))
+                    for k, (name, t) in enumerate(ctx.entries))
+    if any(new is not old for (_, new), (_, old) in zip(entries, ctx.entries)):
+        ctx = Context(entries)
+    return ctx, node
+
+
+def _elaborated(sig: Signature, ctx: Context, node: Node) -> Node:
+    """``elaborate``'s walk: one frame per level of the node, as the
+    checker takes, so any node the reader gives is walked."""
+    if isinstance(node, TupleProj):
+        t, i = node.tuple_term, node.index
+        rest = _infer(sig, ctx, t)  # a sum, i levels deep or more
+        chain = _elaborated(sig, ctx, t)
+        for _ in range(i):
+            rest, chain = rest.body, Proj2(chain)
+        if isinstance(rest, Sigma):
+            chain = Proj1(chain)
+        _set(chain, "_source", node)
+        return chain
+    fields = _fields(node)
+    scopes = [ctx] * len(fields)
+    if isinstance(node, _Binding):  # (binder, outer, inner)
+        scopes[2] = ctx.extend(fields[0], fields[1])
+    changed, new = False, []
+    for value, scope in zip(fields, scopes):
+        if isinstance(value, _Node):
+            value, old = _elaborated(sig, scope, value), value
+            changed = changed or value is not old
+        elif isinstance(value, tuple):
+            items = []
+            for item in value:
+                items.append(_elaborated(sig, scope, item))
+                changed = changed or items[-1] is not item
+            value = tuple(items)
+        new.append(value)
+    return type(node)(*new) if changed else node
 
 
 # ---------------------------------------------------------------------------

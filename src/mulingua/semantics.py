@@ -19,7 +19,11 @@ enumeration writes each assignment straight into those slots.
 A function symbol whose arguments are base types is read by position:
 the argument atoms' indices give a mixed-radix position in a flat list
 of the table's values, built on the symbol's first evaluation in a
-structure, so the lookup hashes no key.
+structure, so the lookup hashes no key.  Under a theory check, a symbol
+from base types to a base type whose arguments are bound to carrier
+elements is read with no check at all: the carriers and the table's
+values are checked once per structure, and once per frame that the
+site's carriers are the symbol's.
 Compiling changes no result and no error: a table, a constant or a
 domain is read, and the budget checked, only when evaluation reaches it.
 
@@ -50,7 +54,7 @@ from .records import _Node, _node, _set
 from .syntax import (
     FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
     FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
-    Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe,
+    Signature, Star, Sup, Term, Top, TypeExpr, Unit, Universe,
     Var, W, Zero, _Binding, _children, _fields, free_vars, show,
 )
 
@@ -385,6 +389,14 @@ def _position(key: object, dims: tuple[tuple[str, int], ...]) -> Optional[int]:
     return position
 
 
+def _in_carrier(values: Iterable, carrier: str, size: int) -> bool:
+    """Whether every value is an atom of ``carrier`` with an ``int`` index
+    in ``range(size)``."""
+    return all(v.__class__ is Atom and v.carrier == carrier
+               and v.index.__class__ is int and 0 <= v.index < size
+               for v in values)
+
+
 @_node(frozen=False, eq=False)
 class Structure(_Node):
     """A model of a signature in finite sets.
@@ -396,8 +408,9 @@ class Structure(_Node):
     optionally names carrier atoms for rendering.
     Structures are immutable after construction: evaluation reads a
     symbol whose arguments are base types through a positional index
-    built from its table on first use, which would go stale if the
-    table changed.
+    built from its table on first use, and a base-to-base symbol through
+    the typed reads built beside it, either of which would go stale if
+    the table changed.
     """
 
     signature: Signature
@@ -417,9 +430,11 @@ class Structure(_Node):
         self.rel_tables = {} if rel_tables is None else rel_tables
         self.element_names = {} if element_names is None else element_names
         # one slot per function symbol for its positional index, filled
-        # the first time the symbol is evaluated here
-        self._positions = dict.fromkeys(
-            (sym.name for sym in signature.fun_symbols), _UNBUILT)
+        # the first time the symbol is evaluated here, and one for its
+        # typed reads, filled in the same pass
+        names = [sym.name for sym in signature.fun_symbols]
+        self._positions = dict.fromkeys(names, _UNBUILT)
+        self._typed = dict.fromkeys(names)
         for base in self.signature.base_types:
             if base not in self.carriers:
                 raise StructureError(f"no carrier for base type {base!r}")
@@ -451,8 +466,10 @@ class Structure(_Node):
         are tuples of atoms of those carriers, each index in range, that
         fill every position.  Atoms are equal when carrier and index are,
         so a position read returns what the key lookup returns.  One pass
-        over the table, hashing no key."""
-        index = ()
+        over the table, hashing no key.
+
+        The same call fills the symbol's typed reads (``_typed_of``)."""
+        index, typed = (), None
         sym = self.signature.fun(name)
         table = self.fun_tables.get(name)
         if (sym is not None and not sym.is_family and table is not None
@@ -470,8 +487,35 @@ class Structure(_Node):
                     flat[position] = value
                 else:
                     index = (flat, *dims)
+                    typed = self._typed_of(sym, flat, dims)
         self._positions[name] = index
+        self._typed[name] = typed
         return index
+
+    def _typed_of(self, sym, flat: list, dims: tuple) -> Optional[tuple]:
+        """A base-to-base symbol's typed reads, ``(reads, domain carriers,
+        codomain carrier)``, for a positional index ``(flat, *dims)`` of
+        at most two arguments: ``reads`` is the constant's value, ``flat``,
+        or the rows of ``flat``, so that ``rows[a.index][b.index]`` is the
+        value at ``(a, b)``.  None unless every element of the domain
+        carriers, and every value of the table, is an atom of its carrier
+        with an ``int`` index in range: then an argument drawn from a
+        domain carrier, or read from another such table into it, is a
+        valid index with no check at the read."""
+        cod = sym.codomain
+        if (len(dims) > 2 or not isinstance(cod, Base)
+                or cod.name not in self.carriers
+                or not all(_in_carrier(self.carriers[c], c, n)
+                           for c, n in dims)
+                or not _in_carrier(flat, cod.name,
+                                   len(self.carriers[cod.name]))):
+            return None
+        if len(dims) == 2:
+            (_, n1), (_, n2) = dims
+            reads = [flat[i * n2:(i + 1) * n2] for i in range(n1)]
+        else:
+            reads = flat if dims else flat[0]
+        return reads, tuple(c for c, _ in dims), cod.name
 
     def constant_value(self, name: str) -> Value:
         table = self.fun_tables.get(name)
@@ -915,6 +959,20 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
 # short-circuits never fails.  A closed lambda or formula term is
 # compiled on its own and keeps the value it last computed, with the
 # structure it computed it in.
+#
+# Checks that hold for a whole frame are decided once, when the frame is
+# built (binding-time specialisation: Jones, Gomard & Sestoft, "Partial
+# Evaluation and Automatic Program Generation", 1993).  A node compiled
+# for a context (``counterexample``) knows which slots hold atoms of a
+# base type's carrier: a context entry of base type, and a quantifier's
+# or lambda's binder over a base type.  A symbol of at most two
+# arguments, each such a slot or such a symbol, is a typed site with a
+# slot of its own, read as ``rows[a.index][b.index]`` with no check.
+# ``_prepared`` writes each site's typed reads (``Structure._typed_of``)
+# into its slot when the symbol's domain carriers are those the site's
+# arguments are drawn from, and None otherwise; a site that finds None
+# takes ``_symbol``'s checked path, which gives every error.  A node
+# compiled for an environment types nothing.
 
 _STRUCTURE, _BUDGET, _FIRST_SLOT = 0, 1, 2
 
@@ -938,7 +996,7 @@ def _run(st: Structure, node: Node, is_formula: bool, env: Optional[Env],
          budget: Optional[int]):
     budget = element_budget(budget)
     scope = tuple(sorted(env.keys() & free_vars(node))) if env else ()
-    run, size = _compiled(node, is_formula, scope)
+    run, size, _ = _compiled(node, is_formula, scope)
     return run(_frame(st, budget, [env[name] for name in scope], size))
 
 
@@ -948,51 +1006,71 @@ def _frame(st: Structure, budget: int, values: list, size: int) -> Frame:
     return frame
 
 
-def _compiled(node: Node, is_formula: bool,
-              scope: tuple[str, ...]) -> tuple[Code, int]:
+Site = tuple[int, str, tuple[Union[str, int], ...]]
+
+
+class _Layout:
+    """What compiling one node lays out in its frame: ``size``, which
+    every binder and typed site grows by one; ``carriers``, the carrier
+    of each slot known to hold an atom of it, or None when the node is
+    compiled for an environment and types nothing; and ``sites``, each
+    typed site as ``(slot, symbol, arguments)``, an argument given as
+    its slot's carrier or as the slot of the site it reads, inner sites
+    first."""
+
+    __slots__ = ("size", "carriers", "sites")
+
+    def __init__(self, size: int, carriers: Optional[dict[int, str]]) -> None:
+        self.size, self.carriers, self.sites = size, carriers, []
+
+    def slot(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+
+def _compiled(node: Node, is_formula: bool, scope: tuple[str, ...],
+              carriers: Optional[tuple[Optional[str], ...]] = None
+              ) -> tuple[Code, int, tuple[Site, ...]]:
     """The node's closure with the names of ``scope`` in the first slots
-    (of a name given twice, the later one), and its frame size; kept on
-    the node, per scope."""
+    (of a name given twice, the later one), its frame size and its typed
+    sites; kept on the node, per scope.  ``carriers`` gives the base type
+    of each scope slot, or None for a slot of any other type; without it
+    nothing is typed, and there are no sites."""
     codes = node.__dict__.get("_compiled")
     if codes is None:
         codes = {}
         object.__setattr__(node, "_compiled", codes)
-    code = codes.get((is_formula, scope))
+    key = (is_formula, scope, carriers)
+    code = codes.get(key)
     if code is None:
         slots = {name: i for i, name in enumerate(scope, _FIRST_SLOT)}
-        size = [_FIRST_SLOT + len(scope)]
-        run = (_formula if is_formula else _term)(node, slots, size)
-        code = codes[(is_formula, scope)] = (run, size[0])
+        typed = None if carriers is None else {
+            i: c for i, c in enumerate(carriers, _FIRST_SLOT) if c is not None}
+        layout = _Layout(_FIRST_SLOT + len(scope), typed)
+        run = (_formula if is_formula else _term)(node, slots, layout)
+        code = codes[key] = (run, layout.size, tuple(layout.sites))
     return code
 
 
-def _bind(x: str, slots: dict[str, int],
-          size: list[int]) -> tuple[int, dict[str, int]]:
-    """A new slot for a binder, and the slots of its scope."""
-    slot = size[0]
-    size[0] += 1
+def _bind(x: str, t: TypeExpr, slots: dict[str, int],
+          layout: _Layout) -> tuple[int, dict[str, int]]:
+    """A new slot for a binder over type ``t``, and the slots of its
+    scope."""
+    slot = layout.slot()
+    if layout.carriers is not None and isinstance(t, Base):
+        layout.carriers[slot] = t.name
     return slot, {**slots, x: slot}
 
 
-def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
-    """Compile a term under ``slots`` (the slot of each name in scope);
-    ``size`` holds the frame size, which every binder grows by one."""
+def _term(t: Term, slots: dict[str, int], layout: _Layout) -> Code:
+    """Compile a term under ``slots`` (the slot of each name in scope)
+    into the frame ``layout``."""
     match t:
-        case Var(name) if name in slots:
-            return itemgetter(slots[name])
-        case Var(name):
-            def constant(fr):
-                st = fr[_STRUCTURE]
-                sym = st.signature.fun(name)
-                if sym is not None and sym.is_constant:
-                    return st.constant_value(name)
-                raise StructureError(f"unbound variable {name!r} at evaluation")
-            return constant
-        case App(str() as head, args):
-            return _symbol(head, [_term(a, slots, size) for a in args])
+        case Var(_) | App(str(), _):
+            return _sourced(t, slots, layout)[0]
         case App(head, args):
-            function = _term(head, slots, size)
-            arguments = [_term(a, slots, size) for a in args]
+            function = _term(head, slots, layout)
+            arguments = [_term(a, slots, layout) for a in args]
 
             def application(fr):
                 value = function(fr)
@@ -1003,10 +1081,10 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
                 return value
             return application
         case Pair(a, b):
-            first, second = _term(a, slots, size), _term(b, slots, size)
+            first, second = _term(a, slots, layout), _term(b, slots, layout)
             return lambda fr: PairV(first(fr), second(fr))
         case Proj1(p) | Proj2(p):
-            pair = _term(p, slots, size)
+            pair = _term(p, slots, layout)
             side = "first" if isinstance(t, Proj1) else "second"
 
             def projection(fr):
@@ -1015,27 +1093,18 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
                     raise StructureError(f"{side} projection of a non-pair value")
                 return getattr(v, side)
             return projection
-        case TupleProj(p, i):
-            spine = _term(p, slots, size)
-
-            def tuple_projection(fr):
-                values = _value_spine(spine(fr))
-                if not 0 <= i < len(values):
-                    raise StructureError(f"projection index {i} out of range")
-                return values[i]
-            return tuple_projection
         case Inl(v) | Inr(v):
-            inner = _term(v, slots, size)
+            inner = _term(v, slots, layout)
             injection = InlV if isinstance(t, Inl) else InrV
             return lambda fr: injection(inner(fr))
         case Lambda() if not free_vars(t):
             return _lifted(t)
         case Lambda(x, annot, body):
-            return _lambda(x, annot, body, slots, size)
+            return _lambda(x, annot, body, slots, layout)
         case Star():
             return lambda fr: StarV()
         case Sup(l, b):
-            label, branches = _term(l, slots, size), _term(b, slots, size)
+            label, branches = _term(l, slots, layout), _term(b, slots, layout)
 
             def tree(fr):
                 label_v = label(fr)
@@ -1047,17 +1116,19 @@ def _term(t: Term, slots: dict[str, int], size: list[int]) -> Code:
         case Absurd(_):
             return _failing("evaluated a term of the empty type")
     if isinstance(t, FORMULAS):  # a formula in term position: its truth value
-        return _truth(_formula(t, slots, size)) if free_vars(t) else _lifted(t)
+        if free_vars(t):
+            return _truth(_formula(t, slots, layout))
+        return _lifted(t)
     return _failing(f"not a term: {t!r}")
 
 
 def _formula(f: Term, slots: dict[str, int],
-             size: list[int]) -> Callable[[Frame], bool]:
+             layout: _Layout) -> Callable[[Frame], bool]:
     """Compile a formula, as ``_term`` compiles a term, to its test; a
     term that is no formula node tests its value."""
     match f:
         case RelAtom(name, args):
-            arguments = _tuple_of([_term(a, slots, size) for a in args])
+            arguments = _tuple_of([_term(a, slots, layout) for a in args])
 
             def relation(fr):
                 table = fr[_STRUCTURE].rel_tables.get(name)
@@ -1066,10 +1137,11 @@ def _formula(f: Term, slots: dict[str, int],
                 return arguments(fr) in table
             return relation
         case Eq(_, lhs, rhs):
-            left, right = _term(lhs, slots, size), _term(rhs, slots, size)
+            left, right = _term(lhs, slots, layout), _term(rhs, slots, layout)
             return lambda fr: left(fr) == right(fr)
         case Member(e, p):
-            element, predicate = _term(e, slots, size), _term(p, slots, size)
+            element = _term(e, slots, layout)
+            predicate = _term(p, slots, layout)
 
             def member(fr):
                 pred = predicate(fr)
@@ -1082,21 +1154,24 @@ def _formula(f: Term, slots: dict[str, int],
         case Bottom():
             return lambda fr: False
         case And(l, r):
-            left, right = _formula(l, slots, size), _formula(r, slots, size)
+            left = _formula(l, slots, layout)
+            right = _formula(r, slots, layout)
             return lambda fr: left(fr) and right(fr)
         case Or(l, r):
-            left, right = _formula(l, slots, size), _formula(r, slots, size)
+            left = _formula(l, slots, layout)
+            right = _formula(r, slots, layout)
             return lambda fr: left(fr) or right(fr)
         case Implies(l, r):
-            left, right = _formula(l, slots, size), _formula(r, slots, size)
+            left = _formula(l, slots, layout)
+            right = _formula(r, slots, layout)
             return lambda fr: (not left(fr)) or right(fr)
         case Not(b):
-            body = _formula(b, slots, size)
+            body = _formula(b, slots, layout)
             return lambda fr: not body(fr)
         case Forall(x, t, b) | Exists(x, t, b):
             domain = _domain(t, slots)
-            slot, inner = _bind(x, slots, size)
-            body = _formula(b, inner, size)
+            slot, inner = _bind(x, t, slots, layout)
+            body = _formula(b, inner, layout)
             if isinstance(f, Forall):
                 def forall(fr):
                     for v in domain(fr):
@@ -1113,21 +1188,91 @@ def _formula(f: Term, slots: dict[str, int],
                         return True
                 return False
             return exists
-    value = _term(f, slots, size)
+    value = _term(f, slots, layout)
     return lambda fr: value(fr) == TRUE
 
 
+def _sourced(t: Term, slots: dict[str, int],
+             layout: _Layout) -> tuple[Code, Optional[Union[str, int]]]:
+    """Compile a term, with where a typed site can read it: the carrier
+    of the typed slot it reads, the slot of the typed site it is, or
+    None.  A name that no binder or environment provides compiles to a
+    constant lookup, so a variable shadows a constant of the same name;
+    a constant, and a symbol of at most two arguments each of which a
+    typed site can read, is a typed site of its own."""
+    # class tests, not a match: a goal built per query is compiled per query
+    if isinstance(t, Var):
+        name, slot = t.name, slots.get(t.name)
+        if slot is not None:
+            return itemgetter(slot), (
+                None if layout.carriers is None else layout.carriers.get(slot))
+
+        def constant(fr):
+            st = fr[_STRUCTURE]
+            sym = st.signature.fun(name)
+            if sym is not None and sym.is_constant:
+                return st.constant_value(name)
+            raise StructureError(f"unbound variable {name!r} at evaluation")
+        return _site(name, [], [], constant, layout)
+    if isinstance(t, App) and isinstance(t.head, str):
+        parts, sources = [], []
+        for a in t.args:
+            part, source = _sourced(a, slots, layout)
+            parts.append(part)
+            sources.append(source)
+        return _site(t.head, parts, sources, _symbol(t.head, parts), layout)
+    return _term(t, slots, layout), None
+
+
+def _site(head: str, parts: list[Code], sources: list, checked: Code,
+          layout: _Layout) -> tuple[Code, Optional[int]]:
+    """A symbol read, as a typed site when the layout types slots and
+    every argument has a source, with the site's slot; else ``checked``
+    and None."""
+    if layout.carriers is None or len(parts) > 2 or None in sources:
+        return checked, None
+    site = layout.slot()
+    layout.sites.append((site, head, tuple(sources)))
+    return _typed_symbol(site, parts, checked), site
+
+
+def _typed_symbol(site: int, parts: list[Code], checked: Code) -> Code:
+    """A typed site: the value its frame slot's reads give at the
+    arguments' indices, or ``checked``'s when the slot holds None."""
+    if not parts:
+        def typed(fr):
+            value = fr[site]
+            return checked(fr) if value is None else value
+        return typed
+    if len(parts) == 1:
+        (only,) = parts
+
+        def typed(fr):
+            flat = fr[site]
+            return checked(fr) if flat is None else flat[only(fr).index]
+        return typed
+    first, second = parts
+
+    def typed(fr):
+        rows = fr[site]
+        if rows is None:
+            return checked(fr)
+        return rows[first(fr).index][second(fr).index]
+    return typed
+
+
 def _symbol(head: str, parts: list[Code]) -> Code:
-    """A function symbol applied to arguments.  The symbol's slot is
-    resolved first.  With a positional index (``Structure._position_index``)
-    of the applied arity, arguments that are atoms of the indexed
-    carriers with indices in range read the flat table; anything else,
-    and every error, goes to ``by_key``, which reports a missing table
-    before any argument is evaluated.  Symbols of arity 0, 1 and 2 are
-    written out: a call per lookup, or a list comprehension before
-    Python 3.12, would cost more than the read.  There a non-integer
-    index fails the range test or the list read with a TypeError, and
-    goes to the key lookup too."""
+    """A function symbol applied to arguments, checked at every read: the
+    path of every symbol outside a typed site, and of a typed site whose
+    frame holds no reads.  The symbol's slot is resolved first.  With a
+    positional index (``Structure._position_index``) of the applied
+    arity, arguments that are atoms of the indexed carriers with indices
+    in range read the flat table; anything else, and every error, goes
+    to ``by_key``, which reports a missing table before any argument is
+    evaluated.  Symbols of arity 0, 1 and 2 are written out: a call per
+    lookup, or a list comprehension before Python 3.12, would cost more
+    than the read.  There a non-integer index fails the range test or the
+    list read with a TypeError, and goes to the key lookup too."""
     arguments = _tuple_of(parts)
 
     def by_key(fr: Frame, st: Structure, key: Optional[tuple] = None):
@@ -1225,17 +1370,11 @@ def _tuple_of(parts: list[Code]) -> Callable[[Frame], tuple]:
     return lambda fr: tuple([part(fr) for part in parts])
 
 
-def _value_spine(v: Value) -> tuple[Value, ...]:
-    if isinstance(v, PairV):
-        return (v.first,) + _value_spine(v.second)
-    return (v,)
-
-
 def _lambda(x: str, annot: TypeExpr, body: Term, slots: dict[str, int],
-            size: list[int]) -> Code:
+            layout: _Layout) -> Code:
     domain = _domain(annot, slots)
-    slot, inner = _bind(x, slots, size)
-    value = _term(body, inner, size)
+    slot, inner = _bind(x, annot, slots, layout)
+    value = _term(body, inner, layout)
 
     def table(fr):
         entries = []
@@ -1256,17 +1395,17 @@ def _lifted(t: Term) -> Code:
     last structure and value, and the structure holds nothing."""
     run = t.__dict__.get("_lifted")
     if run is None:
-        size = [_FIRST_SLOT]
+        layout = _Layout(_FIRST_SLOT, None)
         if isinstance(t, Lambda):
-            inner = _lambda(t.binder, t.annot, t.body, {}, size)
+            inner = _lambda(t.binder, t.annot, t.body, {}, layout)
         else:
-            inner = _truth(_formula(t, {}, size))
+            inner = _truth(_formula(t, {}, layout))
         last: list = [None, None]  # structure, value
 
         def run(fr):
             st = fr[_STRUCTURE]
             if last[0] is not st:
-                last[:] = st, inner(_frame(st, fr[_BUDGET], [], size[0]))
+                last[:] = st, inner(_frame(st, fr[_BUDGET], [], layout.size))
             return last[1]
         object.__setattr__(t, "_lifted", run)
     return run
@@ -1344,13 +1483,38 @@ def counterexample(st: Structure, ctx: Context, f: Term,
     None when the formula holds under every assignment."""
     budget = element_budget(budget)
     names = ctx.names()
-    run, size = _compiled(f, True, names)
-    frame = _frame(st, budget, [], size)
+    run, frame, _ = _prepared(st, ctx, f, budget)
     for _ in _assignments(ctx, frame):
         if not run(frame):
             slots = {name: i for i, name in enumerate(names, _FIRST_SLOT)}
             return tuple((name, frame[slots[name]]) for name in names)
     return None
+
+
+def _prepared(st: Structure, ctx: Context, f: Term, budget: int
+              ) -> tuple[Callable[[Frame], bool], Frame, tuple[Site, ...]]:
+    """The formula compiled for the context, a frame for it, and its
+    typed sites.  Each site's slot holds the symbol's typed reads when
+    the symbol's domain carriers are those its arguments are drawn from:
+    a typed slot's carrier, or the codomain of an inner site that has its
+    reads.  Any other site keeps None, and so does every site that reads
+    it."""
+    carriers = tuple(t.name if isinstance(t, Base) else None
+                     for _, t in ctx.entries)
+    run, size, sites = _compiled(f, True, ctx.names(), carriers)
+    frame = _frame(st, budget, [], size)
+    codomains: dict[int, str] = {}  # the sites filled, by slot
+    for site, head, sources in sites:
+        if st._positions.get(head, ()) is _UNBUILT:
+            st._position_index(head)
+        typed = st._typed.get(head)
+        if typed is not None:
+            reads, domain, codomain = typed
+            if tuple(codomains.get(s) if s.__class__ is int else s
+                     for s in sources) == domain:
+                frame[site] = reads
+                codomains[site] = codomain
+    return run, frame, sites
 
 
 def derivable(st: Structure, ctx: Context, f: Term,

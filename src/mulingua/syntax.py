@@ -38,6 +38,8 @@ fields: ``free_vars`` and ``alpha_key`` are computed once per node, and
 the evaluator keeps a node's compiled closures, and a closed term's last
 value, on the node (see ``semantics._compiled`` and
 ``semantics._lifted``), so derived data is freed together with the node.
+The ``pr1``/``pr2`` chain that ``kernel.elaborate`` makes of a ``(proj t
+i)`` keeps that source node beside its fields, and ``show`` prints it.
 """
 
 from __future__ import annotations
@@ -614,6 +616,9 @@ KEYWORD_CLASSES: dict[str, dict[str, Callable[..., Node]]] = {
 
 
 def show(node: Node) -> str:
+    source = node.__dict__.get("_source")
+    if source is not None:  # an elaborated projection prints as written
+        return show(source)
     match node:
         case Var(name) | Base(name):
             return name

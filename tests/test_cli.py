@@ -11,6 +11,7 @@ import pytest
 
 from mulingua import musiclib, voiceleading
 from mulingua.cli import main
+from mulingua.dsl import load_source, signature_to_dsl
 from mulingua.sexpr import MAX_DEPTH
 
 from generators import calls_into
@@ -508,6 +509,45 @@ def test_a_sigma_whose_binder_does_not_occur_is_the_product(tmp_path, formula):
     src.write_text(f"(formula pairs {formula})")
     done = run_subprocess(["eval", "z12", "pairs", str(src)])
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+def test_a_projection_into_a_family_of_pairs_reads_the_last_component(
+        tmp_path):
+    """(proj t 1) of t : (* G (F g)) is t's second component, although
+    each member of (F g) is itself a pair."""
+    src = tmp_path / "proj.mul"
+    src.write_text("""
+    (signature s (types G) (fun (F (G) Type)))
+    (structure m of s
+      (carrier G (a))
+      (fun F ((a) (set (pair a a)))))
+    (formula probe (forall (g G) (forall (u (F g)) (forall (t (* G (F g)))
+      (implies (= (F g) (pr2 t) u) (= (F g) (proj t 1) u))))))
+    """)
+    done = run_subprocess(["eval", "m", "probe", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+def test_a_projection_in_a_signature_type_loads_checks_and_evaluates(
+        tmp_path):
+    """A symbol's type is stored elaborated, and a context type written
+    with the projection is the same type."""
+    pointed = "(sigma (p (* G G)) (prop (= G (proj p 0) (proj p 1))))"
+    src = tmp_path / "sigproj.mul"
+    src.write_text(f"""
+    (signature s (types G) (fun (f ({pointed}) G)))
+    (structure m of s
+      (carrier G (a))
+      (fun f (((pair (pair a a) star)) a)))
+    (theory t over s (axiom ax (ctx (q {pointed})) (= G (f q) (f q))))
+    (formula fq (ctx (q {pointed})) (= G (f q) (f q)))
+    """)
+    assert run(["model-check", "t", "m", str(src)]) == (
+        0, "ax: pass\n1 axiom(s), 1 pass, 0 fail\n", "")
+    assert run(["eval", "m", "fq", str(src)]) == (0, "true\n", "")
+    ws = load_source(src.read_text())
+    assert signature_to_dsl(ws.signatures["s"]) == (
+        f"(signature s\n  (types G)\n  (fun (f ({pointed}) G)))")
 
 
 def test_a_lambda_binder_named_after_a_constant_is_renamed_apart(tmp_path):

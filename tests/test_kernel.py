@@ -7,11 +7,11 @@ import re
 
 import pytest
 
-from mulingua.diagnostics import TypeCheckError
+from mulingua.diagnostics import StructureError, TypeCheckError
 from mulingua.dsl import parse_formula_node, parse_type_node
 from mulingua.kernel import (
     ContextMorphism, check_context_morphism, check_term,
-    compose_context_morphisms, identity_morphism, infer_term,
+    compose_context_morphisms, elaborate, identity_morphism, infer_term,
     validate_signature, well_formed_context, well_formed_type,
 )
 from mulingua.logic import well_formed_formula
@@ -23,9 +23,9 @@ from mulingua.semantics import eval_formula
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
     Absurd, App, Base, Context, Coproduct, Eq, Exists, FamApp, Forall,
-    FunSymbol, Inl, Lambda, Pair, Pi, Prop, PropType, Proj1, Sigma, Signature,
-    Star, Sup, TupleProj, Unit, Universe, Var, W, Zero, alpha_eq, arrow,
-    free_vars, product, show, substitute,
+    FunSymbol, Inl, Lambda, Pair, Pi, Prop, PropType, Proj1, Proj2, Sigma,
+    Signature, Star, Sup, TupleProj, Unit, Universe, Var, W, Zero, alpha_eq,
+    arrow, free_vars, product, show, substitute,
 )
 
 from generators import random_group_element_term, random_typed_term
@@ -229,7 +229,43 @@ def test_the_last_component_of_a_dependent_tail_checks_and_evaluates():
         "(forall (t (* G (sigma (x G) (prop (= G x x)))))"
         " (= (prop (= G (proj t 1) (proj t 1))) (proj t 2) (proj t 2)))")[0])
     assert well_formed_formula(GROUP, EMPTY, f)
-    assert eval_formula(trivial_group_structure(), f) is True
+    _, core = elaborate(GROUP, EMPTY, f)
+    assert eval_formula(trivial_group_structure(), core) is True
+
+
+def test_elaboration_rewrites_each_projection_into_its_chain():
+    t = Var("t")
+    spine = product(G, product(G, Unit()))
+    f = parse_formula_node(parse_sexprs(
+        "(forall (t (* G (* G 1))) (and (= G (proj t 0) (proj t 1))"
+        " (= 1 (proj t 2) star)))")[0])
+    ctx, core = elaborate(GROUP, EMPTY, f)
+    assert ctx is EMPTY and show(core) == show(f)
+    assert core.body.left == Eq(G, Proj1(t), Proj1(Proj2(t)))
+    assert core.body.right.lhs == Proj2(Proj2(t))
+    assert well_formed_formula(GROUP, EMPTY, core)
+    # a context entry is elaborated in the entries before it
+    ctx = Context.of(("t", spine), ("u", PropType(
+        Eq(G, TupleProj(t, 1), TupleProj(t, 0)))))
+    elaborated, _ = elaborate(GROUP, ctx, Var("u"))
+    u_type = elaborated.entries[1][1]
+    assert u_type == PropType(Eq(G, Proj1(Proj2(t)), Proj1(t)))
+    assert show(u_type) == "(prop (= G (proj t 1) (proj t 0)))"
+    # no projection: the same objects
+    g = parse_formula_node(parse_sexprs(
+        "(forall (x G) (= G (star x e) x))")[0])
+    for context in (EMPTY, elaborated):
+        again, same = elaborate(GROUP, context, g)
+        assert again is context and same is g
+
+
+def test_an_unelaborated_projection_does_not_evaluate():
+    f = parse_formula_node(parse_sexprs(
+        "(forall (t (* G G)) (= G (proj t 0) (pr1 t)))")[0])
+    with pytest.raises(StructureError, match="^not a term: TupleProj"):
+        eval_formula(trivial_group_structure(), f)
+    assert eval_formula(trivial_group_structure(),
+                        elaborate(GROUP, EMPTY, f)[1]) is True
 
 
 def test_absurd_checks_at_any_type():

@@ -1293,6 +1293,304 @@ def test_repeated_theory_checks_leave_no_state_behind():
 
 
 # ---------------------------------------------------------------------------
+# typed symbol reads
+# ---------------------------------------------------------------------------
+
+# A formula compiled for a context reads a base-to-base symbol whose
+# arguments are drawn from carriers with no check at the read, once the
+# frame's sites are filled.  Every result, counterexample and error must
+# be the one a plain evaluator gives that reads every table by key.
+
+from mulingua.semantics import (
+    FALSE, TRUE, Theory, TheoryAxiom, _Tabular, _prepared,
+)
+from mulingua.syntax import FORMULAS, Proj1, Proj2
+
+H = Base("H")
+
+
+def plain_value(st, t, env):
+    """A term's value, every symbol read by key in ``fun_tables``, with
+    the evaluator's messages and in its order."""
+    match t:
+        case Var(name) if name in env:
+            return env[name]
+        case Var(name):
+            sym = st.signature.fun(name)
+            if sym is not None and sym.is_constant:
+                return st.constant_value(name)
+            raise StructureError(f"unbound variable {name!r} at evaluation")
+        case App(str() as head, args):
+            if st.fun_tables.get(head) is None:
+                raise StructureError(f"no table for symbol {head!r}")
+            return plain_lookup(
+                st, head, tuple(plain_value(st, a, env) for a in args))
+        case App(head, args):
+            value = plain_value(st, head, env)
+            for a in args:
+                if not isinstance(value, _Tabular):
+                    raise StructureError("application of a non-table value")
+                value = value.apply(plain_value(st, a, env))
+            return value
+        case Lambda(x, annot, body):
+            return TableV(tuple((v, plain_value(st, body, {**env, x: v}))
+                                for v in interpret_type(st, annot, env)))
+        case Pair(a, b):
+            return PairV(plain_value(st, a, env), plain_value(st, b, env))
+        case Proj1(p) | Proj2(p):
+            return getattr(plain_value(st, p, env),
+                           "first" if isinstance(t, Proj1) else "second")
+    assert isinstance(t, FORMULAS), t
+    return TRUE if plain_truth(st, t, env) else FALSE
+
+
+def plain_truth(st, f, env):
+    match f:
+        case RelAtom(name, args):
+            table = st.rel_tables.get(name)
+            if table is None:
+                raise StructureError(f"no table for relation {name!r}")
+            return tuple(plain_value(st, a, env) for a in args) in table
+        case Eq(_, lhs, rhs):
+            return plain_value(st, lhs, env) == plain_value(st, rhs, env)
+        case Member(e, p):
+            pred = plain_value(st, p, env)
+            if not isinstance(pred, _Tabular):
+                raise StructureError("membership predicate is not a table")
+            return pred.apply(plain_value(st, e, env)) == TRUE
+        case Top():
+            return True
+        case Bottom():
+            return False
+        case And(l, r):
+            return plain_truth(st, l, env) and plain_truth(st, r, env)
+        case Or(l, r):
+            return plain_truth(st, l, env) or plain_truth(st, r, env)
+        case Implies(l, r):
+            return not plain_truth(st, l, env) or plain_truth(st, r, env)
+        case Not(b):
+            return not plain_truth(st, b, env)
+        case Forall(x, t, b):
+            return all(plain_truth(st, b, {**env, x: v})
+                       for v in interpret_type(st, t, env))
+        case Exists(x, t, b):
+            return any(plain_truth(st, b, {**env, x: v})
+                       for v in interpret_type(st, t, env))
+    return plain_value(st, f, env) == TRUE
+
+
+def plain_counterexample(st, ctx, f):
+    for env in all_environments(st, ctx):
+        if not plain_truth(st, f, env):
+            return tuple((name, env[name]) for name in ctx.names())
+    return None
+
+
+def outcome(run):
+    try:
+        return "value", run()
+    except StructureError as err:
+        return "error", type(err), str(err)
+
+
+def assert_agrees(st, ctx, f):
+    """``counterexample`` gives what the plain evaluator gives: the same
+    first counterexample, or the same exception and message."""
+    assert outcome(lambda: counterexample(st, ctx, f)) == outcome(
+        lambda: plain_counterexample(st, ctx, f)), show(f)
+
+
+def filled_sites(st, ctx, f):
+    """The symbols of the formula's typed sites under ``ctx``: those
+    whose frame slot got the table's reads, and the rest."""
+    _, frame, sites = _prepared(st, ctx, f, 10 ** 6)
+    filled = [head for slot, head, _ in sites if frame[slot] is not None]
+    return filled, [head for slot, head, _ in sites if frame[slot] is None]
+
+
+def random_group_term(rng, scope, depth):
+    """A term over the group signature: the names in scope, the constant
+    written as a name and as an application, star and inv."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return rng.choice([Var("e"), App("e"), *map(Var, scope)])
+    if roll < 0.7:
+        return App("star", (random_group_term(rng, scope, depth - 1),
+                            random_group_term(rng, scope, depth - 1)))
+    if roll < 0.9 or not scope:
+        return App("inv", (random_group_term(rng, scope, depth - 1),))
+    # an argument read off a pair is no typed source
+    x, p = Var(rng.choice(scope)), f"p{depth}"
+    return Proj1(App(Lambda(p, G, Pair(Var(p), x)), (x,)))
+
+
+def random_group_formula(rng, scope, depth):
+    """A formula over the group signature; a quantifier may shadow a
+    name in scope."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        return Eq(G, random_group_term(rng, scope, 2),
+                  random_group_term(rng, scope, 2))
+    if roll < 0.6:
+        return rng.choice((And, Or, Implies))(
+            random_group_formula(rng, scope, depth - 1),
+            random_group_formula(rng, scope, depth - 1))
+    if roll < 0.7:
+        return Not(random_group_formula(rng, scope, depth - 1))
+    x = rng.choice(["a", "b", "x", "y"])
+    return rng.choice((Forall, Exists))(
+        x, G, random_group_formula(rng, [*scope, x], depth - 1))
+
+
+def group_with_carrier(elements, star, inv):
+    """A group-signature structure whose tables are keyed by the atoms
+    G 0..n-1, whatever its carrier holds."""
+    atoms = [Atom("G", i) for i in range(len(elements))]
+    n = len(atoms)
+    return Structure(group_signature(), {"G": FinSet(tuple(elements))}, {
+        "star": {(a, b): atoms[star(a.index, b.index) % n]
+                 for a in atoms for b in atoms},
+        "e": {(): atoms[0]},
+        "inv": {(a,): atoms[inv(a.index) % n] for a in atoms}})
+
+
+def declining_group(rng):
+    """A group-signature structure that must decline typed reads of the
+    symbols that read G (a carrier element that is a foreign atom, a
+    float index or an index out of range), or of inv alone (an
+    unvalidated table whose output leaves the carrier)."""
+    n = rng.randrange(2, 5)
+    elements = [Atom("G", i) for i in range(n)]
+    kind = rng.randrange(4)
+    if kind == 3:
+        st = cyclic_group_structure(n)
+        inv = dict(st.fun_tables["inv"])
+        inv[(rng.choice(elements),)] = Atom("G", n + rng.randrange(3))
+        return dataclasses.replace(
+            st, fun_tables={**st.fun_tables, "inv": inv}), {"inv"}
+    k = rng.randrange(n)
+    elements[k] = (Atom("H", k), Atom("G", float(k)), Atom("G", n + k))[kind]
+    return group_with_carrier(elements, lambda i, j: i + j,
+                              lambda i: -i), {"star", "inv"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.randoms(use_true_random=False))
+def test_typed_reads_agree_with_reads_by_key(rng):
+    names = ("a", "b", "c")[:rng.randrange(4)]
+    group_ctx = Context.of(*[(x, G) for x in names])
+    scope = list(group_ctx.names())
+    formulas = [random_group_formula(rng, scope, 3) for _ in range(3)]
+    clean = (cyclic_group_structure if rng.random() < 0.5
+             else subtraction_structure)(rng.randrange(1, 6))
+    broken, declined = declining_group(rng)
+    for st in (clean, broken):
+        for f in formulas:
+            assert_agrees(st, group_ctx, f)
+            filled, unfilled = filled_sites(st, group_ctx, f)
+            if st is clean:
+                assert not unfilled
+            else:
+                assert not declined & set(filled)
+        theory = Theory("laws", GROUP, tuple(
+            TheoryAxiom(f"ax{k}", group_ctx, f)
+            for k, f in enumerate(formulas)))
+        report = outcome(lambda: check_theory(st, theory).results)
+        plain = outcome(lambda: tuple(
+            (f"ax{k}", found is None, found) for k, found in enumerate(
+                plain_counterexample(st, group_ctx, f) for f in formulas)))
+        if report[0] == "value":
+            report = "value", tuple((r.label, r.passed, r.counterexample)
+                                    for r in report[1])
+        assert report == plain
+
+    tiny = random_tiny_structure(rng, rng.randrange(4))
+    tiny_scope = ["u", "w"][:rng.randrange(3)]
+    tiny_ctx = Context.of(*[(x, Base("X")) for x in tiny_scope])
+    f = random_formula(rng, tiny_scope, 3, [0])
+    assert_agrees(tiny, tiny_ctx, f)
+    assert not filled_sites(tiny, tiny_ctx, f)[1]
+    assert_agrees(random_function_structure(rng), FUNCTION_CONTEXT,
+                  random_function_formula(rng, 3))
+
+
+def test_an_inner_output_outside_its_carrier_gives_the_key_lookup_message():
+    st = cyclic_group_structure(3)
+    star = {**st.fun_tables["star"],
+            (Atom("G", 1), Atom("G", 1)): Atom("G", 7)}
+    st = dataclasses.replace(st, fun_tables={**st.fun_tables, "star": star})
+    ctx = Context.of(("a", G), ("b", G), ("c", G))
+    f = make_group_theory().axioms[0].formula  # associativity
+    assert show(f) == "(= G (star (star a b) c) (star a (star b c)))"
+    assert outcome(lambda: counterexample(st, ctx, f)) == (
+        "error", StructureError,
+        "table for 'star' has no entry for ('0', '(atom G 7)')")
+    assert_agrees(st, ctx, f)
+    assert filled_sites(st, ctx, f) == ([], ["star"] * 4)
+
+
+def test_a_missing_table_under_a_short_circuited_branch_is_never_read():
+    sig = Signature("partial", ("G",), (FunSymbol("f", (G,), G),
+                                        FunSymbol("g", (G, G), G)))
+    st = Structure(sig, {"G": FinSet.of(Atom("G", 0), Atom("G", 1))})
+    ctx = Context.of(("a", G))
+    f = Or(Eq(G, Var("a"), Var("a")), Forall("b", G, Eq(
+        G, App("g", (App("f", (Var("a"),)), Var("b"))), Var("a"))))
+    assert counterexample(st, ctx, f) is None
+    assert filled_sites(st, ctx, f) == ([], ["f", "g"])
+    with pytest.raises(StructureError, match="^no table for symbol 'g'$"):
+        counterexample(st, ctx, Or(f.right, f.left))
+
+
+def test_a_missing_entry_names_its_arguments():
+    st = cyclic_group_structure(3)
+    star = dict(st.fun_tables["star"])
+    del star[(Atom("G", 1), Atom("G", 2))]
+    holey = dataclasses.replace(st, fun_tables={**st.fun_tables, "star": star})
+    for axiom in make_group_theory().axioms:
+        assert_agrees(holey, axiom.context, axiom.formula)
+    with pytest.raises(StructureError, match=re.escape(
+            "table for 'star' has no entry for ('1', '2')")):
+        check_theory(holey, make_group_theory())
+    assert check_theory(st, make_group_theory()).passed
+
+
+def test_a_replaced_structure_reads_its_own_tables_when_typed():
+    st = cyclic_group_structure(4)
+    theory = make_group_theory()
+    assert check_theory(st, theory).passed
+    first = theory.axioms[0]
+    assert filled_sites(st, first.context, first.formula)[1] == []
+    shifted = dataclasses.replace(st, fun_tables={
+        **st.fun_tables, "star": subtraction_structure(4).fun_tables["star"]})
+    report = check_theory(shifted, theory)
+    assert not any(r.passed for r in report.results)
+    for axiom, result in zip(theory.axioms, report.results):
+        assert result.counterexample == plain_counterexample(
+            shifted, axiom.context, axiom.formula)
+    assert check_theory(st, theory).passed
+
+
+def test_a_context_that_repeats_a_name_types_the_later_entry():
+    sig = Signature("two", ("G", "H"), (FunSymbol("h", (H,), H),))
+    hs = [Atom("H", i) for i in range(3)]
+    st = Structure(sig, {"G": FinSet.of(Atom("G", 0), Atom("G", 1)),
+                         "H": FinSet(tuple(hs))},
+                   {"h": {(a,): hs[(a.index + 1) % 3] for a in hs}})
+    ctx = Context.of(("x", G), ("x", H))
+    f = Not(Eq(H, App("h", (Var("x"),)), Var("x")))
+    assert filled_sites(st, ctx, f) == (["h"], [])
+    assert counterexample(st, ctx, f) is None
+    hx = App("h", (Var("x"),))
+    f = Eq(H, App("h", (App("h", (hx,)),)), hx)
+    assert counterexample(st, ctx, f) == (("x", hs[0]), ("x", hs[0]))
+    assert_agrees(st, ctx, f)
+    swapped = Context.of(("x", H), ("x", G))
+    assert filled_sites(st, swapped, f) == ([], ["h"] * 4)
+    assert_agrees(st, swapped, f)
+
+
+# ---------------------------------------------------------------------------
 # value hashes
 # ---------------------------------------------------------------------------
 
