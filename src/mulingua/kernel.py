@@ -213,19 +213,7 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
                     raise TypeCheckError(
                         f"projection of non-product: {show(p)} has type {show(other)}")
         case TupleProj(t, i):
-            inferred = rest = _infer(sig, ctx, t)
-            if not isinstance(inferred, Sigma):
-                raise TypeCheckError(
-                    f"projection of non-product: {show(t)} has type {show(inferred)}")
-            # component j is the j-th nested sum's index type, read with
-            # the earlier binders as projections; the last is the body
-            j = 0
-            while j < i and isinstance(rest, Sigma):
-                rest = substitute(rest.body, {rest.binder: TupleProj(t, j)})
-                j += 1
-            if j != i:
-                raise TypeCheckError(
-                    f"projection index {i} out of range for {show(inferred)}")
+            rest = _component(sig, ctx, t, i)
             return rest.index_type if isinstance(rest, Sigma) else rest
         case Lambda(x, annot, body):
             _wf_type(sig, ctx, annot)
@@ -348,8 +336,33 @@ def _same_type(sig: Signature, ctx: Context, a: TypeExpr, b: TypeExpr) -> bool:
     signature's, say) equals the same type as written."""
     if alpha_eq(a, b):
         return True
-    core_a, core_b = _elaborated(sig, ctx, a), _elaborated(sig, ctx, b)
+    # a lambda's annotation is compared before it is checked: one whose
+    # projection does not check is no type, so it equals none
+    try:
+        core_a, core_b = _elaborated(sig, ctx, a), _elaborated(sig, ctx, b)
+    except TypeCheckError:
+        return False
     return (core_a is not a or core_b is not b) and alpha_eq(core_a, core_b)
+
+
+def _component(sig: Signature, ctx: Context, t: Term, i: int) -> TypeExpr:
+    """Where component i of the tuple t sits in t's type: the i-th nested
+    sum, whose index type is the component's type, read with the earlier
+    binders as projections; or, for the last component, the innermost
+    body, which may itself be a sum.  The rule for ``(proj t i)`` and its
+    elaboration into a ``pr1``/``pr2`` chain both read this one walk."""
+    inferred = rest = _infer(sig, ctx, t)
+    if not isinstance(inferred, Sigma):
+        raise TypeCheckError(
+            f"projection of non-product: {show(t)} has type {show(inferred)}")
+    j = 0
+    while j < i and isinstance(rest, Sigma):
+        rest = substitute(rest.body, {rest.binder: TupleProj(t, j)})
+        j += 1
+    if j != i:
+        raise TypeCheckError(
+            f"projection index {i} out of range for {show(inferred)}")
+    return rest
 
 
 def _captures(ctx: Context, x: str) -> bool:
@@ -400,11 +413,13 @@ def _elaborated(sig: Signature, ctx: Context, node: Node) -> Node:
     checker takes, so any node the reader gives is walked."""
     if isinstance(node, TupleProj):
         t, i = node.tuple_term, node.index
-        rest = _infer(sig, ctx, t)  # a sum, i levels deep or more
+        last = not isinstance(_component(sig, ctx, t, i), Sigma)
         chain = _elaborated(sig, ctx, t)
+        # component 0 of a sum is never its last, so the chain holds at
+        # least one pr1 or pr2 built here, and the source goes on that
         for _ in range(i):
-            rest, chain = rest.body, Proj2(chain)
-        if isinstance(rest, Sigma):
+            chain = Proj2(chain)
+        if not last:
             chain = Proj1(chain)
         _set(chain, "_source", node)
         return chain

@@ -528,6 +528,28 @@ def test_a_projection_into_a_family_of_pairs_reads_the_last_component(
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
 
 
+@pytest.mark.parametrize("binder, proj", [
+    ("(t (* G G))", "(proj t 2)"),
+    ("(t G)", "(proj t 0)"),
+    ("(t G)", "(proj w 0)"),
+])
+def test_a_lambda_annotation_whose_projection_does_not_check_mismatches(
+        tmp_path, binder, proj):
+    """The annotation is compared with the expected domain before it is
+    checked; a projection in it that does not check makes it match no
+    domain, and the formula is refused as ill-formed."""
+    annot = f"(prop (= G {proj} {proj}))"
+    src = tmp_path / "annot.mul"
+    src.write_text(f"""
+    (formula bad (forall {binder} (= (-> (prop top) Prop)
+      (lambda (x {annot}) top) (lambda (y (prop top)) top))))
+    """)
+    done = run_subprocess(["eval", "z12", "bad", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"formula is not well-formed here: lambda domain annotation "
+               f"{annot} does not match expected domain (prop top)\n")
+
+
 def test_a_projection_in_a_signature_type_loads_checks_and_evaluates(
         tmp_path):
     """A symbol's type is stored elaborated, and a context type written
