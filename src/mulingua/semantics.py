@@ -16,14 +16,12 @@ is a term whose value is a truth value.  Terms and formulas are
 evaluated by compiling each node once into nested closures over a frame
 of variable slots, kept on the node; a theory check or a context
 enumeration writes each assignment straight into those slots.
-A function symbol whose arguments are base types is read by position:
-the argument atoms' indices give a mixed-radix position in a flat list
-of the table's values, built on the symbol's first evaluation in a
-structure, so the lookup hashes no key.  Under a theory check, a symbol
-from base types to a base type whose arguments are bound to carrier
-elements is read with no check at all: the carriers and the table's
-values are checked once per structure, and once per frame that the
-site's carriers are the symbol's.
+A function symbol's table is read by key, except under a theory check:
+there a symbol of at most two arguments from base types to a base type,
+whose arguments are bound to carrier elements, is read by the atoms'
+indices with no check at all: the carriers and the table are checked
+once per structure, and once per frame that the site's carriers are the
+symbol's.
 Compiling changes no result and no error: a table, a constant or a
 domain is read, and the budget checked, only when evaluation reaches it.
 
@@ -88,10 +86,10 @@ def element_budget(budget: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 # Atom, StarV, TruthV, PairV, InlV and InrV are hashed and compared on
-# every table lookup by key: a symbol whose arguments are not all atoms
-# of its indexed carriers, a relation, a table value's apply, a set's
-# membership.  (A symbol over base types reads its table by the atoms'
-# carrier positions and hashes nothing; see Structure._position_index.)
+# every table lookup by key: a symbol read outside a typed site of a
+# theory check, a relation, a table value's apply, a set's membership.
+# (A typed site reads its table by the atoms' indices and hashes nothing;
+# see Structure._typed_of.)
 # So they write their own __eq__ and __hash__: _Node's, which loop over
 # the field names, are slower.  An Atom and a PairV hash once: an Atom
 # when it is built, since nearly every Atom is hashed, and a PairV on its
@@ -371,22 +369,8 @@ PROP_SET = FinSet((FALSE, TRUE))
 # structures
 # ---------------------------------------------------------------------------
 
-# the slot of a symbol whose positional index is not built yet
+# the slot of a symbol whose typed reads are not built yet
 _UNBUILT = object()
-
-
-def _position(key: object, dims: tuple[tuple[str, int], ...]) -> Optional[int]:
-    """The mixed-radix position of a table key, or None unless it is a
-    tuple of atoms of the carriers in ``dims``, each index in range."""
-    if key.__class__ is not tuple or len(key) != len(dims):
-        return None
-    position = 0
-    for a, (carrier, size) in zip(key, dims):
-        if (a.__class__ is not Atom or a.carrier != carrier
-                or a.index.__class__ is not int or not 0 <= a.index < size):
-            return None
-        position = position * size + a.index
-    return position
 
 
 def _in_carrier(values: Iterable, carrier: str, size: int) -> bool:
@@ -406,11 +390,9 @@ class Structure(_Node):
     table yields the finite set at each argument tuple.  ``rel_tables``
     holds the accepted tuples of each relation.  ``element_names``
     optionally names carrier atoms for rendering.
-    Structures are immutable after construction: evaluation reads a
-    symbol whose arguments are base types through a positional index
-    built from its table on first use, and a base-to-base symbol through
-    the typed reads built beside it, either of which would go stale if
-    the table changed.
+    Structures are immutable after construction: a theory check reads a
+    base-to-base symbol through typed reads built from its table on
+    first use, which would go stale if the table changed.
     """
 
     signature: Signature
@@ -429,12 +411,10 @@ class Structure(_Node):
         self.fun_tables = {} if fun_tables is None else fun_tables
         self.rel_tables = {} if rel_tables is None else rel_tables
         self.element_names = {} if element_names is None else element_names
-        # one slot per function symbol for its positional index, filled
-        # the first time the symbol is evaluated here, and one for its
-        # typed reads, filled in the same pass
-        names = [sym.name for sym in signature.fun_symbols]
-        self._positions = dict.fromkeys(names, _UNBUILT)
-        self._typed = dict.fromkeys(names)
+        # one slot per function symbol for its typed reads, filled the
+        # first time a theory check reads the symbol here
+        self._typed = dict.fromkeys(
+            (sym.name for sym in signature.fun_symbols), _UNBUILT)
         for base in self.signature.base_types:
             if base not in self.carriers:
                 raise StructureError(f"no carrier for base type {base!r}")
@@ -456,66 +436,51 @@ class Structure(_Node):
             raise StructureError(f"no element named {name!r} in carrier {carrier!r}")
         return Atom(carrier, names.index(name))
 
-    def _position_index(self, name: str) -> tuple:
-        """Fill symbol ``name``'s slot and return its positional index:
-        ``(flat, (carrier, size), ...)``, one pair per argument, where
-        ``flat`` holds the table's values in mixed-radix order of the
-        argument atoms' ``index`` fields.  The index is ``()``, and the
-        table is read by key, unless the symbol is not a family, each
-        domain type is a base type with a carrier, and the table's keys
-        are tuples of atoms of those carriers, each index in range, that
-        fill every position.  Atoms are equal when carrier and index are,
-        so a position read returns what the key lookup returns.  One pass
-        over the table, hashing no key.
-
-        The same call fills the symbol's typed reads (``_typed_of``)."""
-        index, typed = (), None
+    def _typed_of(self, name: str) -> Optional[tuple]:
+        """Fill symbol ``name``'s slot and return its typed reads,
+        ``(reads, domain carriers, codomain carrier)``: ``reads`` is the
+        constant's value, the values by the argument's ``index``, or rows
+        of them, so that ``rows[a.index][b.index]`` is the value at
+        ``(a, b)``.  None unless the symbol maps at most two base types
+        to a base type, all with carriers, and every element of the
+        domain carriers, every atom of a key and every value is an atom
+        of its carrier with an ``int`` index in range, and the keys fill
+        every position: then an argument drawn from a domain carrier, or
+        read from another such table into it, is a valid index with no
+        check at the read, and gives what the key lookup gives, since
+        atoms are equal when carrier and index are.  The table's size is
+        checked before anything is allocated, and no key is hashed."""
+        typed = None
         sym = self.signature.fun(name)
         table = self.fun_tables.get(name)
-        if (sym is not None and not sym.is_family and table is not None
+        if (sym is not None and table is not None and len(sym.domain) <= 2
                 and all(isinstance(t, Base) and t.name in self.carriers
-                        for t in sym.domain)):
-            dims = tuple((t.name, len(self.carriers[t.name]))
-                         for t in sym.domain)
-            positions = prod(size for _, size in dims)
-            if len(table) == positions:
-                flat = [None] * positions
-                for key, value in table.items():
-                    position = _position(key, dims)
-                    if position is None:
-                        break
-                    flat[position] = value
+                        for t in (*sym.domain, sym.codomain))):
+            domain = tuple(t.name for t in sym.domain)
+            sizes = [len(self.carriers[c]) for c in domain]
+            cod = sym.codomain.name
+            keys = table.keys()
+            if (len(table) == prod(sizes)
+                    and all(k.__class__ is tuple and len(k) == len(domain)
+                            for k in keys)
+                    and all(_in_carrier(self.carriers[c], c, n)
+                            and _in_carrier((k[i] for k in keys), c, n)
+                            for i, (c, n) in enumerate(zip(domain, sizes)))
+                    and _in_carrier(table.values(), cod,
+                                    len(self.carriers[cod]))):
+                if not domain:
+                    reads = next(iter(table.values()))
+                elif len(domain) == 1:
+                    reads = [None] * sizes[0]
+                    for (a,), value in table.items():
+                        reads[a.index] = value
                 else:
-                    index = (flat, *dims)
-                    typed = self._typed_of(sym, flat, dims)
-        self._positions[name] = index
+                    reads = [[None] * sizes[1] for _ in range(sizes[0])]
+                    for (a, b), value in table.items():
+                        reads[a.index][b.index] = value
+                typed = reads, domain, cod
         self._typed[name] = typed
-        return index
-
-    def _typed_of(self, sym, flat: list, dims: tuple) -> Optional[tuple]:
-        """A base-to-base symbol's typed reads, ``(reads, domain carriers,
-        codomain carrier)``, for a positional index ``(flat, *dims)`` of
-        at most two arguments: ``reads`` is the constant's value, ``flat``,
-        or the rows of ``flat``, so that ``rows[a.index][b.index]`` is the
-        value at ``(a, b)``.  None unless every element of the domain
-        carriers, and every value of the table, is an atom of its carrier
-        with an ``int`` index in range: then an argument drawn from a
-        domain carrier, or read from another such table into it, is a
-        valid index with no check at the read."""
-        cod = sym.codomain
-        if (len(dims) > 2 or not isinstance(cod, Base)
-                or cod.name not in self.carriers
-                or not all(_in_carrier(self.carriers[c], c, n)
-                           for c, n in dims)
-                or not _in_carrier(flat, cod.name,
-                                   len(self.carriers[cod.name]))):
-            return None
-        if len(dims) == 2:
-            (_, n1), (_, n2) = dims
-            reads = [flat[i * n2:(i + 1) * n2] for i in range(n1)]
-        else:
-            reads = flat if dims else flat[0]
-        return reads, tuple(c for c, _ in dims), cod.name
+        return typed
 
     def constant_value(self, name: str) -> Value:
         table = self.fun_tables.get(name)
@@ -971,8 +936,9 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
 # ``_prepared`` writes each site's typed reads (``Structure._typed_of``)
 # into its slot when the symbol's domain carriers are those the site's
 # arguments are drawn from, and None otherwise; a site that finds None
-# takes ``_symbol``'s checked path, which gives every error.  A node
-# compiled for an environment types nothing.
+# takes ``_symbol``'s key lookup, which gives every error.  A node
+# compiled for an environment types nothing, and reads every symbol by
+# key.
 
 _STRUCTURE, _BUDGET, _FIRST_SLOT = 0, 1, 2
 
@@ -1262,98 +1228,69 @@ def _typed_symbol(site: int, parts: list[Code], checked: Code) -> Code:
 
 
 def _symbol(head: str, parts: list[Code]) -> Code:
-    """A function symbol applied to arguments, checked at every read: the
-    path of every symbol outside a typed site, and of a typed site whose
-    frame holds no reads.  The symbol's slot is resolved first.  With a
-    positional index (``Structure._position_index``) of the applied
-    arity, arguments that are atoms of the indexed carriers with indices
-    in range read the flat table; anything else, and every error, goes
-    to ``by_key``, which reports a missing table before any argument is
-    evaluated.  Symbols of arity 0, 1 and 2 are written out: a call per
-    lookup, or a list comprehension before Python 3.12, would cost more
-    than the read.  There a non-integer index fails the range test or the
-    list read with a TypeError, and goes to the key lookup too."""
-    arguments = _tuple_of(parts)
+    """A function symbol applied to arguments, read by key: the path of
+    every symbol outside a typed site, and of a typed site whose frame
+    holds no reads.  The table is looked up before any argument is
+    evaluated, so a missing table is reported first.  Symbols of arity
+    0, 1 and 2 are written out: a call per lookup, or a list
+    comprehension before Python 3.12, would cost more than the read."""
 
-    def by_key(fr: Frame, st: Structure, key: Optional[tuple] = None):
-        """The table's key lookup; the arguments are evaluated after the
-        table is found, unless ``key`` holds them already."""
-        table = st.fun_tables.get(head)
-        if table is None:
-            raise StructureError(f"no table for symbol {head!r}")
-        if key is None:
-            key = arguments(fr)
-        try:
-            return table[key]
-        except KeyError:
-            raise StructureError(
-                f"table for {head!r} has no entry for "
-                f"{tuple(map(st.render, key))}") from None
+    def missing(st: Structure, key: tuple):
+        raise StructureError(
+            f"table for {head!r} has no entry for "
+            f"{tuple(map(st.render, key))}") from None
 
     if not parts:
         def symbol(fr):
             st = fr[_STRUCTURE]
-            index = st._positions.get(head, ())
-            if index is _UNBUILT:
-                index = st._position_index(head)
-            if len(index) != 1:
-                return by_key(fr, st)
-            return index[0][0]
+            table = st.fun_tables.get(head)
+            if table is None:
+                raise StructureError(f"no table for symbol {head!r}")
+            try:
+                return table[()]
+            except KeyError:
+                missing(st, ())
         return symbol
     if len(parts) == 1:
         (only,) = parts
 
         def symbol(fr):
             st = fr[_STRUCTURE]
-            index = st._positions.get(head, ())
-            if index is _UNBUILT:
-                index = st._position_index(head)
-            if len(index) != 2:
-                return by_key(fr, st)
-            flat, (carrier, n) = index
-            a = only(fr)
+            table = st.fun_tables.get(head)
+            if table is None:
+                raise StructureError(f"no table for symbol {head!r}")
+            key = (only(fr),)
             try:
-                if a.__class__ is Atom and a.carrier == carrier \
-                        and 0 <= a.index < n:
-                    return flat[a.index]
-            except TypeError:
-                pass
-            return by_key(fr, st, (a,))
+                return table[key]
+            except KeyError:
+                missing(st, key)
         return symbol
     if len(parts) == 2:
         first, second = parts
 
         def symbol(fr):
             st = fr[_STRUCTURE]
-            index = st._positions.get(head, ())
-            if index is _UNBUILT:
-                index = st._position_index(head)
-            if len(index) != 3:
-                return by_key(fr, st)
-            flat, (carrier1, n1), (carrier2, n2) = index
-            a, b = first(fr), second(fr)
+            table = st.fun_tables.get(head)
+            if table is None:
+                raise StructureError(f"no table for symbol {head!r}")
+            key = (first(fr), second(fr))
             try:
-                if a.__class__ is Atom and b.__class__ is Atom \
-                        and a.carrier == carrier1 and b.carrier == carrier2 \
-                        and 0 <= a.index < n1 and 0 <= b.index < n2:
-                    return flat[a.index * n2 + b.index]
-            except TypeError:
-                pass
-            return by_key(fr, st, (a, b))
+                return table[key]
+            except KeyError:
+                missing(st, key)
         return symbol
+    arguments = _tuple_of(parts)
 
     def symbol(fr):
         st = fr[_STRUCTURE]
-        index = st._positions.get(head, ())
-        if index is _UNBUILT:
-            index = st._position_index(head)
-        if len(index) != len(parts) + 1:
-            return by_key(fr, st)
+        table = st.fun_tables.get(head)
+        if table is None:
+            raise StructureError(f"no table for symbol {head!r}")
         key = arguments(fr)
-        position = _position(key, index[1:])
-        if position is None:
-            return by_key(fr, st, key)
-        return index[0][position]
+        try:
+            return table[key]
+        except KeyError:
+            missing(st, key)
     return symbol
 
 
@@ -1505,9 +1442,9 @@ def _prepared(st: Structure, ctx: Context, f: Term, budget: int
     frame = _frame(st, budget, [], size)
     codomains: dict[int, str] = {}  # the sites filled, by slot
     for site, head, sources in sites:
-        if st._positions.get(head, ()) is _UNBUILT:
-            st._position_index(head)
         typed = st._typed.get(head)
+        if typed is _UNBUILT:
+            typed = st._typed_of(head)
         if typed is not None:
             reads, domain, codomain = typed
             if tuple(codomains.get(s) if s.__class__ is int else s
@@ -1632,22 +1569,20 @@ def check_structure_hom(h: StructureHom,
     symbol, a fiberwise map for every type family, and preservation of
     every relation.  Compatibility with the constructors is checked at
     base types and extended componentwise through products, dependent
-    sums, coproducts and (for bijective components) function types; a
-    component that is not a bijection where one is needed, a tree or
-    family type, a table entry missing in the source or the target, or
-    a domain past the budget fails the check with the reason.
+    sums, coproducts, trees (label by label), family members (by
+    ``_moved``) and, for bijective components, function types; a
+    component that is not a bijection where one is needed, a table entry
+    missing in the source or the target, or a domain past the budget
+    fails the check with the reason.
 
     A family is checked fiberwise, as a quiver hom needs: every member
-    of the source fiber at ``args`` must lie in the target fiber at the
-    moved ``args``.  A member moves by the component map of the base
-    type whose source carrier holds it (the first in signature order
-    when several do), whatever its atom tag, and stays as it is when no
-    carrier holds it.  No bijectivity between fibers is required."""
+    of the source fiber at ``args``, moved by ``_moved``, must lie in the
+    target fiber at the moved ``args``.  No bijectivity between fibers
+    is required."""
     budget = element_budget(budget)
     sig = h.source.signature
     if sig != h.target.signature:
         return Verdict.failed("source and target have different signatures")
-    holder: dict[Value, str] = {}
     for base in sig.base_types:
         cmap = h.component_maps.get(base)
         if cmap is None:
@@ -1658,7 +1593,6 @@ def check_structure_hom(h: StructureHom,
             if cmap[v] not in h.target.carrier(base):
                 return Verdict.failed(
                     f"component map for {base!r} leaves the target carrier")
-            holder.setdefault(v, base)
     try:
         for sym in sig.fun_symbols:
             try:
@@ -1681,8 +1615,7 @@ def check_structure_hom(h: StructureHom,
                 if sym.is_family:
                     fiber = target_table[mapped_args]
                     for v in source_table[args]:
-                        moved = (h.component_maps[holder[v]][v]
-                                 if v in holder else v)
+                        moved = _moved(h, v)
                         if moved not in fiber:
                             shown = ", ".join(h.source.render(a) for a in args)
                             return Verdict.failed(
@@ -1717,6 +1650,17 @@ def _not_total(side: str, name: str, args: tuple[Value, ...],
                st: Structure) -> Verdict:
     return Verdict.failed(f"{side} table for {name!r} is not total: missing "
                           f"{tuple(map(st.render, args))}")
+
+
+def _moved(h: StructureHom, v: Value) -> Value:
+    """A family member moved along the components: by the component map
+    of the base type whose source carrier holds it (the first in
+    signature order when several do), whatever its atom tag, and as it
+    is when no carrier holds it."""
+    for base in h.source.signature.base_types:
+        if v in h.source.carrier(base):
+            return h.component_maps[base][v]
+    return v
 
 
 class _NotTransported(StructureError):
@@ -1754,6 +1698,12 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
                     f"cannot transport along {show(t)}: component is not a "
                     "bijection")
             return type(v)(tuple((arg, moved[arg]) for arg in target_dom))
+        case W(_, label_type, _):
+            assert isinstance(v, TreeV)
+            return wfold(v, lambda label, branches: TreeV(
+                _transport(h, label, label_type, budget), branches))
+        case FamApp(_, _):
+            return _moved(h, v)
     raise _NotTransported(f"component transport not supported for {show(t)}")
 
 

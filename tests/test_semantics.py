@@ -844,15 +844,57 @@ A0, A1 = Atom("X", 0), Atom("X", 1)
     (Pi("x", Base("X"), Base("X")), SectionV(((A0, A1), (A1, A0))), ""),
     (Sigma("x", Base("X"), Base("X")), PairV(A0, A1), ""),
     (PropType(Top()), StarV(), ""),
-    (W("x", Base("X"), Zero()), TreeV(A0, ()),
-     "component transport not supported for (w (x X) 0)"),
-], ids=["pi", "sigma", "prop", "w"])
+    (W("x", Base("X"), Zero()), TreeV(A0, ()), ""),
+    (Pi("x", Base("X"), FamApp("F", (Var("x"),))),
+     SectionV(((A0, A1), (A1, Atom("Tag", 0)))), ""),
+], ids=["pi", "sigma", "prop", "w", "pi-family"])
 def test_the_identity_hom_transports_each_codomain_or_fails_the_check(
         codomain, value, reason):
-    sig = Signature(name="one", base_types=("X",),
-                    fun_symbols=(FunSymbol("c", (), codomain),))
-    st = Structure(sig, {"X": FinSet.of(A0, A1)}, {"c": {(): value}})
+    sig = Signature(name="one", base_types=("X",), fun_symbols=(
+        FunSymbol("F", (Base("X"),), Universe()),
+        FunSymbol("c", (), codomain)))
+    st = Structure(sig, {"X": FinSet.of(A0, A1)}, {
+        "F": {(A0,): FinSet.of(A1), (A1,): FinSet.of(Atom("Tag", 0))},
+        "c": {(): value}})
     assert check_structure_hom(identity_hom(st)).reason == reason
+
+
+def test_a_section_into_a_family_moves_each_member_with_its_carrier():
+    sig = Signature(name="one", base_types=("X",), fun_symbols=(
+        FunSymbol("F", (Base("X"),), Universe()),
+        FunSymbol("c", (), Pi("x", Base("X"), FamApp("F", (Var("x"),))))))
+    fibers = {(A0,): FinSet.of(A1), (A1,): FinSet.of(A0)}
+    swap = {"X": {A0: A1, A1: A0}}
+    flip = Structure(sig, {"X": FinSet.of(A0, A1)}, {
+        "F": fibers, "c": {(): SectionV(((A0, A1), (A1, A0)))}})
+    assert check_structure_hom(StructureHom(flip, flip, swap))
+    tagged = Structure(sig, {"X": FinSet.of(A0, A1)}, {
+        "F": {(A0,): FinSet.of(Atom("Tag", 0)), (A1,): FinSet.of(A0)},
+        "c": {(): SectionV(((A0, Atom("Tag", 0)), (A1, A0)))}})
+    assert check_structure_hom(StructureHom(tagged, flip, swap)).reason == (
+        "fiber of 'F' at ((atom X 0)) sends (atom Tag 0) to (atom Tag 0), "
+        "outside the target fiber")
+
+
+def test_a_tree_is_transported_label_by_label_at_any_depth():
+    """A tree moves by the component map at every label, on an explicit
+    stack, so a tree deeper than the recursion limit moves too."""
+    chain = W("x", Base("X"), Unit())
+    sig = Signature(name="one", base_types=("X",),
+                    fun_symbols=(FunSymbol("c", (), chain),))
+    xs = FinSet.of(A0, A1)
+    deep = TreeV(A0, ())
+    for k in range(sys.getrecursionlimit() + 100):
+        deep = TreeV((A0, A1)[k % 2], (deep,))
+    st = Structure(sig, {"X": xs}, {"c": {(): deep}})
+    assert check_structure_hom(identity_hom(st))
+    swap = {"X": {A0: A1, A1: A0}}
+    source = Structure(sig, {"X": xs}, {"c": {(): TreeV(A0, (TreeV(A1, ()),))}})
+    target = Structure(sig, {"X": xs}, {"c": {(): TreeV(A1, (TreeV(A0, ()),))}})
+    assert check_structure_hom(StructureHom(source, target, swap))
+    assert check_structure_hom(StructureHom(source, source, swap)).reason == (
+        "square for 'c' fails at (): (tree (atom X 1) (tree (atom X 0))) != "
+        "(tree (atom X 0) (tree (atom X 1)))")
 
 
 def test_a_section_is_transported_entrywise():
@@ -1179,6 +1221,19 @@ def unary_structure(carrier, table):
     return Structure(sig, {"X": FinSet(carrier)}, {"f": table})
 
 
+def assert_typed_reads_declined(st):
+    """Under a theory check too, every symbol reads its table by key: no
+    typed site is filled, and the result or the error is the one the
+    plain evaluator gives."""
+    for sym in st.signature.fun_symbols:
+        names = [f"x{k}" for k in range(sym.arity)]
+        ctx = Context.of(*zip(names, sym.domain))
+        term = App(sym.name, tuple(map(Var, names)))
+        f = Eq(sym.codomain, term, term)
+        assert_agrees(st, ctx, f)
+        assert filled_sites(st, ctx, f)[0] == [], sym.name
+
+
 def test_a_table_that_cannot_be_indexed_is_read_by_key():
     sparse = unary_structure(
         SPARSE, {(a,): b for a, b in zip(SPARSE, reversed(SPARSE))})
@@ -1189,7 +1244,7 @@ def test_a_table_that_cannot_be_indexed_is_read_by_key():
         (X0, X0): X0, (X0, X1): X1, (X1, X0): X1}})
     for st in (sparse, foreign, floating, holey):
         assert_reads_match(st)
-        assert set(st._positions.values()) == {()}
+        assert_typed_reads_declined(st)
     assert eval_term(sparse, App("f", (Var("x"),)), {"x": SPARSE[1]}) \
         is SPARSE[0]
     assert lookup_outcome(lambda: eval_term(
@@ -1206,27 +1261,36 @@ def test_a_holey_table_over_a_large_domain_allocates_no_index():
     tracemalloc.start()
     try:
         assert eval_term(st, term, {"a": X0, "b": X1}) == X1
+        filled = filled_sites(st, Context.of(("a", X), ("b", X)),
+                              Eq(X, term, Var("b")))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert st._positions["star"] == () and peak < 10 ** 6
+    assert filled == ([], ["star"]) and peak < 10 ** 6
 
 
-def test_a_ternary_table_is_read_by_position():
+def test_a_ternary_table_is_read_by_key():
     sig = Signature("ternary", ("X", "Y"), (FunSymbol("g", (X, Y, X), X),))
     ys = tuple(Atom("Y", i) for i in range(3))
     st = Structure(sig, {"X": FinSet.of(X1, X0), "Y": FinSet(ys)}, {"g": {
         (a, y, b): (a if y.index else b) for a in (X0, X1) for y in ys
         for b in (X0, X1)}})
     assert_reads_match(st)
-    flat, *dims = st._positions["g"]
-    assert dims == [("X", 2), ("Y", 3), ("X", 2)] and len(flat) == 12
+    ctx = Context.of(("a", X), ("y", Y), ("b", X))
+    f = Eq(X, App("g", (Var("a"), Var("y"), Var("b"))), Var("a"))
+    assert_agrees(st, ctx, f)
+    assert filled_sites(st, ctx, f) == ([], [])  # three arguments: no site
 
 
 def test_a_family_or_a_wrong_arity_is_read_by_key():
     st = random_family_structure(random.Random(3))
     assert_reads_match(st)
-    assert st._positions["F"] == () and st._positions["f"] != ()
+    ctx, x = Context.of(("x", X)), Var("x")
+    for f, filled in ((Eq(X, App("f", (x,)), x), (["f"], [])),
+                      (Eq(Universe(), App("F", (x,)), App("F", (x,))),
+                       ([], ["F", "F"]))):
+        assert_agrees(st, ctx, f)
+        assert filled_sites(st, ctx, f) == filled
     group = cyclic_group_structure(3)
     g1 = Atom("G", 1)
     for head, args, shown in (("inv", (), "()"), ("star", (g1,), "('1',)"),
@@ -1240,6 +1304,9 @@ def test_a_family_or_a_wrong_arity_is_read_by_key():
                 group, term, dict(zip(names, args)))) == (
                 "error", f"StructureError: table for {head!r} has no "
                          f"entry for {shown}")
+        ctx, f = Context.of(*[(name, G) for name in names]), Eq(G, term, term)
+        assert_agrees(group, ctx, f)
+        assert filled_sites(group, ctx, f)[0] == []
 
 
 def test_an_atomic_proposition_reads_its_relation_table():
@@ -1258,7 +1325,10 @@ def test_a_missing_table_is_reported_before_any_argument():
         term = App("f", (Var("nowhere"),) * arity)
         assert lookup_outcome(lambda: eval_term(st, term)) == (
             "error", "StructureError: no table for symbol 'f'")
-        assert st._positions == {"f": ()}
+        ctx, f = Context.of(("x", X)), Eq(X, term, term)
+        assert lookup_outcome(lambda: counterexample(st, ctx, f)) == (
+            "error", "StructureError: no table for symbol 'f'")
+        assert filled_sites(st, ctx, f)[0] == []
 
 
 def test_a_replaced_structure_reads_its_own_tables():
@@ -1487,6 +1557,10 @@ def test_typed_reads_agree_with_reads_by_key(rng):
     for st in (clean, broken):
         for f in formulas:
             assert_agrees(st, group_ctx, f)
+            # compiled for an environment, so typed nothing: read by key
+            for env in all_environments(st, group_ctx):
+                assert outcome(lambda: eval_formula(st, f, env)) == outcome(
+                    lambda: plain_truth(st, f, env)), (show(f), env)
             filled, unfilled = filled_sites(st, group_ctx, f)
             if st is clean:
                 assert not unfilled
