@@ -16,12 +16,12 @@ is a term whose value is a truth value.  Terms and formulas are
 evaluated by compiling each node once into nested closures over a frame
 of variable slots, kept on the node; a theory check or a context
 enumeration writes each assignment straight into those slots.
-A function symbol's table is read by key, except under a theory check:
-there a symbol of at most two arguments from base types to a base type,
-whose arguments are bound to carrier elements, is read by the atoms'
-indices with no check at all: the carriers and the table are checked
-once per structure, and once per frame that the site's carriers are the
-symbol's.
+A constant, and a symbol of one or two arguments from base types to a
+base type whose arguments are carrier elements bound by a context, a
+quantifier or a lambda, or read from another such symbol, is read by
+the atoms' indices with no check at all: the carriers and the table
+are checked once per structure, and once per frame that the site's
+carriers are the symbol's.  Any other symbol's table is read by key.
 Compiling changes no result and no error: a table, a constant or a
 domain is read, and the budget checked, only when evaluation reaches it.
 
@@ -86,8 +86,8 @@ def element_budget(budget: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 # Atom, StarV, TruthV, PairV, InlV and InrV are hashed and compared on
-# every table lookup by key: a symbol read outside a typed site of a
-# theory check, a relation, a table value's apply, a set's membership.
+# every table lookup by key: a symbol read outside a typed site, a
+# relation, a table value's apply, a set's membership.
 # (A typed site reads its table by the atoms' indices and hashes nothing;
 # see Structure._typed_of.)
 # So they write their own __eq__ and __hash__: _Node's, which loop over
@@ -481,12 +481,6 @@ class Structure(_Node):
                 typed = reads, domain, cod
         self._typed[name] = typed
         return typed
-
-    def constant_value(self, name: str) -> Value:
-        table = self.fun_tables.get(name)
-        if table is None:
-            raise StructureError(f"no table for constant {name!r}")
-        return table[()]
 
     def validate(self, budget: Optional[int] = None) -> Verdict:
         """Check every table is total on its domain and lands in its
@@ -917,28 +911,28 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
 # the structure, the budget, and then one slot per variable.  The
 # compiler resolves each variable to its slot, and each binder writes
 # its own slot in place; a name that no binder or environment provides
-# compiles to a constant lookup, so a variable shadows a constant of the
-# same name.  The closures do at run time what evaluation does, in the
-# same order: a table, a constant or a domain is looked up, and the
-# budget checked, only when its branch is reached, so a branch that
+# is read as the constant ``(name)``, so a variable shadows a constant
+# of the same name.  The closures do at run time what evaluation does,
+# in the same order: a table, a constant or a domain is looked up, and
+# the budget checked, only when its branch is reached, so a branch that
 # short-circuits never fails.  A closed lambda or formula term is
 # compiled on its own and keeps the value it last computed, with the
 # structure it computed it in.
 #
 # Checks that hold for a whole frame are decided once, when the frame is
 # built (binding-time specialisation: Jones, Gomard & Sestoft, "Partial
-# Evaluation and Automatic Program Generation", 1993).  A node compiled
-# for a context (``counterexample``) knows which slots hold atoms of a
-# base type's carrier: a context entry of base type, and a quantifier's
-# or lambda's binder over a base type.  A symbol of at most two
+# Evaluation and Automatic Program Generation", 1993).  A compiled node
+# knows which slots hold atoms of a base type's carrier: a quantifier's
+# or lambda's binder over a base type, and, in a node compiled for a
+# context (``counterexample``), a context entry of base type; the values
+# of an environment are of no known type.  A symbol of at most two
 # arguments, each such a slot or such a symbol, is a typed site with a
-# slot of its own, read as ``rows[a.index][b.index]`` with no check.
-# ``_prepared`` writes each site's typed reads (``Structure._typed_of``)
-# into its slot when the symbol's domain carriers are those the site's
-# arguments are drawn from, and None otherwise; a site that finds None
-# takes ``_symbol``'s key lookup, which gives every error.  A node
-# compiled for an environment types nothing, and reads every symbol by
-# key.
+# slot of its own, read as ``rows[a.index][b.index]`` with no check; so
+# is every constant.  ``_frame`` writes each site's typed reads
+# (``Structure._typed_of``) into its slot when the symbol's domain
+# carriers are those the site's arguments are drawn from, and None
+# otherwise; a site that finds None takes ``_symbol``'s key lookup,
+# which gives every error.
 
 _STRUCTURE, _BUDGET, _FIRST_SLOT = 0, 1, 2
 
@@ -962,13 +956,32 @@ def _run(st: Structure, node: Node, is_formula: bool, env: Optional[Env],
          budget: Optional[int]):
     budget = element_budget(budget)
     scope = tuple(sorted(env.keys() & free_vars(node))) if env else ()
-    run, size, _ = _compiled(node, is_formula, scope)
-    return run(_frame(st, budget, [env[name] for name in scope], size))
+    run, size, sites = _compiled(node, is_formula, scope)
+    return run(_frame(st, budget, [env[name] for name in scope], size, sites))
 
 
-def _frame(st: Structure, budget: int, values: list, size: int) -> Frame:
+def _frame(st: Structure, budget: int, values: list, size: int,
+           sites: tuple[Site, ...] = ()) -> Frame:
+    """A frame of ``size`` slots: the structure, the budget, then
+    ``values``.  Each typed site's slot holds the symbol's typed reads
+    when the symbol's domain carriers are those its arguments are drawn
+    from: a typed slot's carrier, or the codomain of an inner site that
+    has its reads.  Any other site keeps None, and so does every site
+    that reads it."""
     frame = [st, budget, *values]
     frame += [None] * (size - len(frame))
+    if sites:
+        codomains: dict[int, str] = {}  # the sites filled, by slot
+        for site, head, sources in sites:
+            typed = st._typed.get(head)
+            if typed is _UNBUILT:
+                typed = st._typed_of(head)
+            if typed is not None:
+                reads, domain, codomain = typed
+                if tuple(codomains.get(s) if s.__class__ is int else s
+                         for s in sources) == domain:
+                    frame[site] = reads
+                    codomains[site] = codomain
     return frame
 
 
@@ -978,15 +991,14 @@ Site = tuple[int, str, tuple[Union[str, int], ...]]
 class _Layout:
     """What compiling one node lays out in its frame: ``size``, which
     every binder and typed site grows by one; ``carriers``, the carrier
-    of each slot known to hold an atom of it, or None when the node is
-    compiled for an environment and types nothing; and ``sites``, each
+    of each slot known to hold an atom of it; and ``sites``, each
     typed site as ``(slot, symbol, arguments)``, an argument given as
     its slot's carrier or as the slot of the site it reads, inner sites
     first."""
 
     __slots__ = ("size", "carriers", "sites")
 
-    def __init__(self, size: int, carriers: Optional[dict[int, str]]) -> None:
+    def __init__(self, size: int, carriers: dict[int, str]) -> None:
         self.size, self.carriers, self.sites = size, carriers, []
 
     def slot(self) -> int:
@@ -995,13 +1007,14 @@ class _Layout:
 
 
 def _compiled(node: Node, is_formula: bool, scope: tuple[str, ...],
-              carriers: Optional[tuple[Optional[str], ...]] = None
+              carriers: tuple[Optional[str], ...] = ()
               ) -> tuple[Code, int, tuple[Site, ...]]:
     """The node's closure with the names of ``scope`` in the first slots
     (of a name given twice, the later one), its frame size and its typed
     sites; kept on the node, per scope.  ``carriers`` gives the base type
-    of each scope slot, or None for a slot of any other type; without it
-    nothing is typed, and there are no sites."""
+    of each scope slot known to hold an atom of its carrier, or None for
+    any other; a scope slot past its end, such as an environment's, is
+    typed by nothing."""
     codes = node.__dict__.get("_compiled")
     if codes is None:
         codes = {}
@@ -1010,9 +1023,8 @@ def _compiled(node: Node, is_formula: bool, scope: tuple[str, ...],
     code = codes.get(key)
     if code is None:
         slots = {name: i for i, name in enumerate(scope, _FIRST_SLOT)}
-        typed = None if carriers is None else {
-            i: c for i, c in enumerate(carriers, _FIRST_SLOT) if c is not None}
-        layout = _Layout(_FIRST_SLOT + len(scope), typed)
+        layout = _Layout(_FIRST_SLOT + len(scope), {
+            i: c for i, c in enumerate(carriers, _FIRST_SLOT) if c is not None})
         run = (_formula if is_formula else _term)(node, slots, layout)
         code = codes[key] = (run, layout.size, tuple(layout.sites))
     return code
@@ -1023,7 +1035,7 @@ def _bind(x: str, t: TypeExpr, slots: dict[str, int],
     """A new slot for a binder over type ``t``, and the slots of its
     scope."""
     slot = layout.slot()
-    if layout.carriers is not None and isinstance(t, Base):
+    if isinstance(t, Base):
         layout.carriers[slot] = t.name
     return slot, {**slots, x: slot}
 
@@ -1162,23 +1174,23 @@ def _sourced(t: Term, slots: dict[str, int],
              layout: _Layout) -> tuple[Code, Optional[Union[str, int]]]:
     """Compile a term, with where a typed site can read it: the carrier
     of the typed slot it reads, the slot of the typed site it is, or
-    None.  A name that no binder or environment provides compiles to a
-    constant lookup, so a variable shadows a constant of the same name;
-    a constant, and a symbol of at most two arguments each of which a
-    typed site can read, is a typed site of its own."""
+    None.  A name that no binder or environment provides is read as the
+    constant ``(name)`` once it is found to be a constant, so a variable
+    shadows a constant of the same name; a constant, and a symbol of at
+    most two arguments each of which a typed site can read, is a typed
+    site of its own."""
     # class tests, not a match: a goal built per query is compiled per query
     if isinstance(t, Var):
         name, slot = t.name, slots.get(t.name)
         if slot is not None:
-            return itemgetter(slot), (
-                None if layout.carriers is None else layout.carriers.get(slot))
+            return itemgetter(slot), layout.carriers.get(slot)
+        read = _symbol(name, [])
 
         def constant(fr):
-            st = fr[_STRUCTURE]
-            sym = st.signature.fun(name)
-            if sym is not None and sym.is_constant:
-                return st.constant_value(name)
-            raise StructureError(f"unbound variable {name!r} at evaluation")
+            sym = fr[_STRUCTURE].signature.fun(name)
+            if sym is None or not sym.is_constant:
+                raise StructureError(f"unbound variable {name!r} at evaluation")
+            return read(fr)
         return _site(name, [], [], constant, layout)
     if isinstance(t, App) and isinstance(t.head, str):
         parts, sources = [], []
@@ -1192,10 +1204,10 @@ def _sourced(t: Term, slots: dict[str, int],
 
 def _site(head: str, parts: list[Code], sources: list, checked: Code,
           layout: _Layout) -> tuple[Code, Optional[int]]:
-    """A symbol read, as a typed site when the layout types slots and
-    every argument has a source, with the site's slot; else ``checked``
-    and None."""
-    if layout.carriers is None or len(parts) > 2 or None in sources:
+    """A symbol read, as a typed site when it has at most two arguments
+    and every argument has a source, with the site's slot; else
+    ``checked`` and None."""
+    if len(parts) > 2 or None in sources:
         return checked, None
     site = layout.slot()
     layout.sites.append((site, head, tuple(sources)))
@@ -1332,17 +1344,18 @@ def _lifted(t: Term) -> Code:
     last structure and value, and the structure holds nothing."""
     run = t.__dict__.get("_lifted")
     if run is None:
-        layout = _Layout(_FIRST_SLOT, None)
+        layout = _Layout(_FIRST_SLOT, {})
         if isinstance(t, Lambda):
             inner = _lambda(t.binder, t.annot, t.body, {}, layout)
         else:
             inner = _truth(_formula(t, {}, layout))
+        size, sites = layout.size, tuple(layout.sites)
         last: list = [None, None]  # structure, value
 
         def run(fr):
             st = fr[_STRUCTURE]
             if last[0] is not st:
-                last[:] = st, inner(_frame(st, fr[_BUDGET], [], layout.size))
+                last[:] = st, inner(_frame(st, fr[_BUDGET], [], size, sites))
             return last[1]
         object.__setattr__(t, "_lifted", run)
     return run
@@ -1430,28 +1443,12 @@ def counterexample(st: Structure, ctx: Context, f: Term,
 
 def _prepared(st: Structure, ctx: Context, f: Term, budget: int
               ) -> tuple[Callable[[Frame], bool], Frame, tuple[Site, ...]]:
-    """The formula compiled for the context, a frame for it, and its
-    typed sites.  Each site's slot holds the symbol's typed reads when
-    the symbol's domain carriers are those its arguments are drawn from:
-    a typed slot's carrier, or the codomain of an inner site that has its
-    reads.  Any other site keeps None, and so does every site that reads
-    it."""
+    """The formula compiled for the context, a frame for it with its
+    typed sites filled (see ``_frame``), and its typed sites."""
     carriers = tuple(t.name if isinstance(t, Base) else None
                      for _, t in ctx.entries)
     run, size, sites = _compiled(f, True, ctx.names(), carriers)
-    frame = _frame(st, budget, [], size)
-    codomains: dict[int, str] = {}  # the sites filled, by slot
-    for site, head, sources in sites:
-        typed = st._typed.get(head)
-        if typed is _UNBUILT:
-            typed = st._typed_of(head)
-        if typed is not None:
-            reads, domain, codomain = typed
-            if tuple(codomains.get(s) if s.__class__ is int else s
-                     for s in sources) == domain:
-                frame[site] = reads
-                codomains[site] = codomain
-    return run, frame, sites
+    return run, _frame(st, budget, [], size, sites), sites
 
 
 def derivable(st: Structure, ctx: Context, f: Term,

@@ -550,6 +550,23 @@ def test_a_lambda_annotation_whose_projection_does_not_check_mismatches(
                f"{annot} does not match expected domain (prop top)\n")
 
 
+def test_a_type_family_in_term_position_exits_2(tmp_path):
+    src = tmp_path / "family.mul"
+    src.write_text("""
+    (signature s (types G) (fun (F (G) Type) (P () (-> G Prop))) (rel (R (G))))
+    (structure m of s
+      (carrier G (a))
+      (fun F ((a) (set a)))
+      (fun P (() (table (a false))))
+      (rel R))
+    (formula bad (ctx (x G)) (= G (F x) x))
+    """)
+    done = run_subprocess(["eval", "m", "bad", str(src)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "formula is not well-formed here: type family 'F' used in "
+               "term position\n")
+
+
 def test_a_projection_in_a_signature_type_loads_checks_and_evaluates(
         tmp_path):
     """A symbol's type is stored elaborated, and a context type written

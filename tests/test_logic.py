@@ -3,7 +3,9 @@ substitution."""
 
 import random
 
-from mulingua.dsl import parse_formula_node
+import pytest
+
+from mulingua.dsl import load_source, parse_formula_node, parse_type_node
 from mulingua.kernel import well_formed_type
 from mulingua.logic import well_formed_formula
 from mulingua.musiclib import harmony_signature, music_signature
@@ -98,6 +100,31 @@ def test_higher_order_quantification():
     f = Forall("s", arrow(Base("PC"), Prop()),
                Exists("p", Base("PC"), Member(Var("p"), Var("s"))))
     assert well_formed_formula(MUSIC, EMPTY, f)
+
+
+KERNEL = load_source("""
+(signature s (types G) (fun (F (G) Type) (P () (-> G Prop))) (rel (R (G))))
+""").signatures["s"]
+
+
+@pytest.mark.parametrize("entry, formula, reason", [
+    ("G", "(= G (F x) x)", "type family 'F' used in term position"),
+    ("G", "(= G (R x) x)",
+     "relation symbol 'R' applied as a function; use a relation atom"),
+    ("G", "(= G (sup x x) x)", "sup checked against non-tree type G"),
+    ("G", "(= G (inl x) x)", "injection checked against non-coproduct type G"),
+    ("G", "(in (inl x) P)",
+     "injection needs an expected coproduct type to check against"),
+    ("G", "(in (sup x x) P)",
+     "sup needs an expected tree type to check against"),
+    ("G", "(in (absurd x) P)", "absurd needs an expected type to check against"),
+    ("(H x)", "top", "entry 'x': unknown type family 'H'"),
+])
+def test_the_kernel_refuses_each_misplaced_form(entry, formula, reason):
+    (t,), (f,) = parse_sexprs(entry), parse_sexprs(formula)
+    ctx = Context.of(("x", parse_type_node(t)))
+    assert well_formed_formula(KERNEL, ctx, parse_formula_node(f)).reason \
+        == reason
 
 
 def test_quantifier_may_shadow_context_variable():

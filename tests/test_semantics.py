@@ -1387,9 +1387,9 @@ def plain_value(st, t, env):
             return env[name]
         case Var(name):
             sym = st.signature.fun(name)
-            if sym is not None and sym.is_constant:
-                return st.constant_value(name)
-            raise StructureError(f"unbound variable {name!r} at evaluation")
+            if sym is None or not sym.is_constant:
+                raise StructureError(f"unbound variable {name!r} at evaluation")
+            return plain_lookup(st, name, ())
         case App(str() as head, args):
             if st.fun_tables.get(head) is None:
                 raise StructureError(f"no table for symbol {head!r}")
@@ -1557,10 +1557,17 @@ def test_typed_reads_agree_with_reads_by_key(rng):
     for st in (clean, broken):
         for f in formulas:
             assert_agrees(st, group_ctx, f)
-            # compiled for an environment, so typed nothing: read by key
+            # compiled for an environment, whose values are of no known
+            # type: only the binders and the constants are typed
             for env in all_environments(st, group_ctx):
                 assert outcome(lambda: eval_formula(st, f, env)) == outcome(
                     lambda: plain_truth(st, f, env)), (show(f), env)
+            # closed over the context by lambdas, whose binders are typed
+            closed = f
+            for x in reversed(scope):
+                closed = Lambda(x, G, closed)
+            assert outcome(lambda: eval_term(st, closed)) == outcome(
+                lambda: plain_value(st, closed, {})), show(closed)
             filled, unfilled = filled_sites(st, group_ctx, f)
             if st is clean:
                 assert not unfilled
@@ -1662,6 +1669,82 @@ def test_a_context_that_repeats_a_name_types_the_later_entry():
     swapped = Context.of(("x", H), ("x", G))
     assert filled_sites(st, swapped, f) == ([], ["h"] * 4)
     assert_agrees(st, swapped, f)
+
+
+class CountingTable(dict):
+    """A table that records its reads by key in a shared list."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def counting(st):
+    """The structure with each table recording its reads by key, and the
+    list they are recorded in."""
+    reads = []
+    return dataclasses.replace(st, fun_tables={
+        name: CountingTable(table, reads)
+        for name, table in st.fun_tables.items()}), reads
+
+
+# a binder over a base type and a constant, evaluated under an
+# environment and as a closed lambda
+BOUND_UNDER_AN_ENVIRONMENT = (
+    Forall("x", G, Eq(G, App("star", (Var("x"), App("e"))), Var("x"))),
+    Lambda("x", G, App("star", (Var("x"), Var("e")))))
+
+
+def reads_by_key(st):
+    """For each of ``BOUND_UNDER_AN_ENVIRONMENT``, under every environment
+    of one group element: the evaluator's outcome, the plain evaluator's,
+    and the reads by key the evaluator took."""
+    st, reads = counting(st)
+    formula, closed = BOUND_UNDER_AN_ENVIRONMENT
+    for node, run, plain in ((formula, eval_formula, plain_truth),
+                             (closed, eval_term, plain_value)):
+        for env in all_environments(st, Context.of(("a", G))):
+            del reads[:]
+            got = outcome(lambda: run(st, node, env))
+            taken = len(reads)
+            yield got, outcome(lambda: plain(st, node, env)), taken
+
+
+def test_binders_and_constants_are_typed_under_an_environment():
+    for st in (cyclic_group_structure(12), subtraction_structure(5)):
+        for got, want, taken in reads_by_key(st):
+            assert got == want and got[0] == "value"
+            assert taken == 0
+
+
+def test_a_declined_table_is_read_by_key_under_an_environment():
+    kinds = set()
+    for seed in range(24):
+        broken, declined = declining_group(random.Random(seed))
+        kinds.add("star" in declined)
+        for got, want, taken in reads_by_key(broken):
+            assert got == want
+            # star is read by key, or, when only inv is declined, typed
+            assert (taken > 0) == ("star" in declined)
+    assert kinds == {True, False}
+
+
+def test_a_constant_read_as_a_name_or_an_application_gives_one_error():
+    elements = FinSet.of(Atom("G", 0), Atom("G", 1))
+    for tables, message in (
+            ({"e": {}}, "table for 'e' has no entry for ()"),
+            ({}, "no table for symbol 'e'")):
+        st = Structure(GROUP, {"G": elements}, tables)
+        for t in (Var("e"), App("e")):
+            want = ("error", StructureError, message)
+            assert outcome(lambda: eval_term(st, t)) == want
+            assert outcome(lambda: counterexample(
+                st, Context(), Eq(G, t, t))) == want
+            assert outcome(lambda: plain_value(st, t, {})) == want
 
 
 # ---------------------------------------------------------------------------
