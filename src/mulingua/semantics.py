@@ -85,20 +85,33 @@ def element_budget(budget: Optional[int] = None) -> int:
 # semantic values
 # ---------------------------------------------------------------------------
 
-# Atom, StarV, TruthV, PairV, InlV and InrV are hashed and compared on
-# every table lookup by key: a symbol read outside a typed site, a
-# relation, a table value's apply, a set's membership.
+# An Atom is interned: Atom(carrier, index) returns the one object kept
+# per (carrier, index, index type) in _ATOMS, so a base type's element is
+# one object however often a loader, a table or an enumeration builds it.
+# Atoms therefore compare with object's __eq__, an identity test in C, and
+# one atom equals another only when both were built from equal carriers
+# and equal indices of one type: Atom("X", 1.0) and Atom("X", True) are
+# not Atom("X", 1).  The table only grows; the element budget bounds the
+# distinct atoms a process builds.  Copies and unpickled atoms are rebuilt
+# through the constructor (__reduce__), so they are interned too.
+#
+# StarV, TruthV, PairV, InlV and InrV are hashed and compared on every
+# table lookup by key: a symbol read outside a typed site, a relation, a
+# table value's apply, a set's membership.
 # (A typed site reads its table by the atoms' indices and hashes nothing;
 # see Structure._typed_of.)
 # So they write their own __eq__ and __hash__: _Node's, which loop over
 # the field names, are slower.  An Atom and a PairV hash once: an Atom
-# when it is built, since nearly every Atom is hashed, and a PairV on its
-# first hash, since enumeration builds many pairs that are never hashed.
-# Either keeps the hash in _hash, which is no field, so it shows in no
-# repr and no comparison, and is rebuilt through __init__ when copied or
-# unpickled, so a process with another hash seed does not inherit it.
-# Every hash equals the one a frozen dataclass generates, so set and dict
-# orders do not change.
+# when it is interned, since nearly every Atom is hashed, and a PairV on
+# its first hash, since enumeration builds many pairs that are never
+# hashed.  Either keeps the hash in _hash, which is no field, so it shows
+# in no repr and no comparison, and is rebuilt when copied or unpickled,
+# so a process with another hash seed does not inherit it.  Every hash
+# equals the one a frozen dataclass generates, so set and dict orders do
+# not change.
+
+_ATOMS: dict[tuple, "Atom"] = {}
+
 
 @_node
 class Atom(_Node):
@@ -107,15 +120,21 @@ class Atom(_Node):
     carrier: str
     index: int
 
-    def __init__(self, carrier: str, index: int) -> None:
-        _set(self, "carrier", carrier)
-        _set(self, "index", index)
-        _set(self, "_hash", hash((carrier, index)))
+    def __new__(cls, carrier: str, index: int) -> "Atom":
+        key = carrier, index, index.__class__
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = object.__new__(cls)
+            _set(atom, "carrier", carrier)
+            _set(atom, "index", index)
+            _set(atom, "_hash", hash((carrier, index)))
+            # setdefault: two threads that build one atom keep one object
+            atom = _ATOMS.setdefault(key, atom)
+        return atom
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.carrier, self.index) == (other.carrier, other.index)
+    # object's, run in C: __new__ did the work, and equality is identity
+    __init__ = object.__init__
+    __eq__ = object.__eq__
 
     def __hash__(self) -> int:
         return self._hash
@@ -374,11 +393,11 @@ _UNBUILT = object()
 
 
 def _in_carrier(values: Iterable, carrier: str, size: int) -> bool:
-    """Whether every value is an atom of ``carrier`` with an ``int`` index
-    in ``range(size)``."""
-    return all(v.__class__ is Atom and v.carrier == carrier
-               and v.index.__class__ is int and 0 <= v.index < size
-               for v in values)
+    """Whether every value is one of the carrier's own atoms
+    ``Atom(carrier, i)``, ``i`` an ``int`` in ``range(size)``.  Atoms are
+    interned, so this compares identities, and hashes no value."""
+    own = map(Atom, itertools.repeat(carrier), range(size))
+    return set(map(id, own)).issuperset(map(id, values))
 
 
 @_node(frozen=False, eq=False)
@@ -443,13 +462,14 @@ class Structure(_Node):
         of them, so that ``rows[a.index][b.index]`` is the value at
         ``(a, b)``.  None unless the symbol maps at most two base types
         to a base type, all with carriers, and every element of the
-        domain carriers, every atom of a key and every value is an atom
-        of its carrier with an ``int`` index in range, and the keys fill
-        every position: then an argument drawn from a domain carrier, or
-        read from another such table into it, is a valid index with no
-        check at the read, and gives what the key lookup gives, since
-        atoms are equal when carrier and index are.  The table's size is
-        checked before anything is allocated, and no key is hashed."""
+        domain carriers, every atom of a key and every value is one of
+        its carrier's own atoms, ``Atom(c, i)`` with ``i`` an ``int`` in
+        range, and the keys fill every position: then an argument drawn
+        from a domain carrier, or read from another such table into it,
+        is a valid index with no check at the read, and gives what the
+        key lookup gives, since it is the very object of the key.  The
+        table's size is checked before anything is allocated, and no key
+        is hashed."""
         typed = None
         sym = self.signature.fun(name)
         table = self.fun_tables.get(name)
