@@ -43,7 +43,7 @@ import os
 from dataclasses import field
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import inf, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
@@ -644,6 +644,41 @@ def _capped_power(base: int, exp: int, cap: int) -> int:
     return min(base ** exp, cap)
 
 
+def _cardinality(st: Structure, t: TypeExpr, env: Env,
+                 budget: int) -> Union[int, float]:
+    """``type_size``, or ``inf`` for a tree type with infinitely many
+    trees (a leaf label and a branching label), and for a sum, product or
+    arrow of such types that has infinitely many elements: a product with
+    an empty factor has none, and an arrow out of an empty type or into
+    at most one element has at most one.  Raises where ``type_size``
+    raises for any other type."""
+    try:
+        return type_size(st, t, env, budget)
+    except BudgetError:
+        match t:
+            case W() if {leaf for _, leaf in _tree_labels(st, t, env, budget)
+                         } == {True, False}:
+                return inf
+            case Coproduct(a, b):
+                size = (_cardinality(st, a, env, budget)
+                        + _cardinality(st, b, env, budget))
+            case Sigma(x, a, b) if x not in free_vars(b):
+                sizes = (_cardinality(st, a, env, budget),
+                         _cardinality(st, b, env, budget))
+                size = 0 if 0 in sizes else prod(sizes)
+            case Pi(x, a, b) if x not in free_vars(b):
+                n = _cardinality(st, b, env, budget)
+                m = _cardinality(st, a, env, budget)
+                if m == 0 or n <= 1:  # the empty function, or none, or one
+                    size = 1 if m == 0 else n
+                else:
+                    size = inf if inf in (m, n) else _capped_power(
+                        n, m, budget + 1)
+            case _:
+                raise
+        return size if size == inf else min(size, budget + 1)
+
+
 def _elements(st: Structure, t: TypeExpr, env: Env,
               budget: int) -> Iterable[Value]:
     """``iter_type`` once the type's size is known to be within the
@@ -776,13 +811,12 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             for v in _elements(st, index_type, env, budget):
                 for w in iter_type(st, body, {**env, x: v}, budget):
                     yield PairV(v, w)
-        case W(x, label_type, arity_body):
+        case W():
             # The leaves are the trees of depth one.  With a branching
             # label besides, every tree can be grown again, without end.
             leaves = branches = False
-            for label in _elements(st, label_type, env, budget):
-                arity = iter_type(st, arity_body, {**env, x: label}, budget)
-                if next(arity, None) is None:
+            for label, leaf in _tree_labels(st, t, env, budget):
+                if leaf:
                     leaves = True
                     yield TreeV(label, ())
                 else:
@@ -793,6 +827,15 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             yield from _family_set(st, t, env, budget)
         case _:
             raise StructureError(f"cannot enumerate {show(t)}")
+
+
+def _tree_labels(st: Structure, t: W, env: Env,
+                 budget: int) -> Iterator[tuple[Value, bool]]:
+    """Each label of a tree type in order, with whether its arity is
+    empty, so that it labels a leaf."""
+    for label in _elements(st, t.label_type, env, budget):
+        arity = iter_type(st, t.arity_body, {**env, t.binder: label}, budget)
+        yield label, next(arity, None) is None
 
 
 def _first_component_split(t: Sigma) -> Optional[tuple[Term, Optional[Term]]]:
@@ -885,8 +928,15 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
             if not isinstance(v, _Tabular):
                 return False
             # sized first: a table of the wrong length is refused, and an
-            # empty domain taken as one, without enumerating the domain
-            size = type_size(st, dom_t, env, budget)
+            # empty domain taken as one, without enumerating the domain;
+            # no finite table is total on an infinite domain
+            try:
+                size = type_size(st, dom_t, env, budget)
+            except BudgetError as err:
+                try:
+                    size = _cardinality(st, dom_t, env, budget)
+                except BudgetError:
+                    raise err from None
             if min(len(v.entries), budget + 1) != size:
                 return False
             dom = tuple(_elements(st, dom_t, env, budget)) if size else ()

@@ -385,7 +385,7 @@ def test_seeded_type_interpretation_matches_the_pinned_digest():
 
 TYPE_COUNT = 7793
 TYPE_DIGEST = (
-    "2dc139557f18184f943e11d0aafad42e426bd75353a89ac3b1579907b8d143c5")
+    "f197fc83a55bec250612f773acec82c1de116d2c99c76688b551d29050441624")
 
 
 def test_a_product_and_a_sigma_whose_binder_does_not_occur_are_one_type():
@@ -481,6 +481,41 @@ def test_a_function_whose_length_cannot_match_its_domain_is_refused_in_budget():
         list(iter_type(Z12, empty, budget=2))
     for v in (TableV(()), SectionV(())):
         assert value_in_type(Z12, v, arrow(empty, Prop()), budget=2)
+
+
+def test_no_finite_function_is_total_on_infinitely_many_trees():
+    """Over X = {0, 1} with R = {0}, the trees labelled by X whose arity
+    at x is (prop (R x)) are infinitely many: 0 branches, 1 is a leaf.
+    No finite table or section is a function on them, nor on a product
+    or an arrow that has infinitely many elements through them; a product
+    with an empty factor, or an arrow into an empty type, is empty
+    however many trees it meets, so the empty function lies on it.
+    Sizing and enumerating the tree type still raise, and a finite domain
+    over the budget is still refused by enumerating it."""
+    x0, x1 = Atom("X", 0), Atom("X", 1)
+    sig = Signature("trees", ("X",), (), (RelSymbol("R", (X,)),))
+    st = Structure(sig, {"X": FinSet.of(x0, x1)},
+                   rel_tables={"R": frozenset({(x0,)})})
+    trees = W("x0", X, PropType(RelAtom("R", (Var("x0"),))))
+    assert value_in_type(st, SectionV(()), Pi("t", trees, Unit()),
+                         budget=1000) is False
+    leaf = TreeV(x1, ())
+    for dom in (trees, product(X, trees), arrow(X, trees),
+                Coproduct(Zero(), trees)):
+        for v in (TableV(()), SectionV(()), TableV(((leaf, StarV()),))):
+            assert value_in_type(st, v, arrow(dom, Unit()), budget=1000) \
+                is False, show(dom)
+    for empty in (product(Zero(), trees), arrow(trees, Zero())):
+        assert value_in_type(st, TableV(()), arrow(empty, Unit()),
+                             budget=1000), show(empty)
+    for thunk in (lambda: type_size(st, trees, budget=1000),
+                  lambda: list(iter_type(st, trees, budget=1000))):
+        with pytest.raises(BudgetError, match="infinitely many trees"):
+            thunk()
+    pair = PairV(Atom("G", 0), Atom("G", 0))
+    with pytest.raises(BudgetError, match="exceeds the element budget"):
+        value_in_type(Z12, TableV(((pair, TruthV(True)),) * 3),
+                      arrow(Sigma("x", G, G), Prop()), budget=2)
 
 
 def test_a_well_typed_formula_over_function_constants_does_not_go_wrong():
