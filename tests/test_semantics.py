@@ -1,11 +1,13 @@
 """Finite-set interpretation, evaluation, theory checking, and
 structure homomorphisms."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import os
 import pathlib
+import pickle
 import random
 import re
 import subprocess
@@ -1881,3 +1883,77 @@ def test_value_hashes_equal_the_generated_ones_under_each_hash_seed(tmp_path):
         assert (done.returncode, done.stderr) == (0, "")
         outputs.append(int(done.stdout.removeprefix("checked ")))
     assert outputs[1] == outputs[0] + 50
+
+
+# ---------------------------------------------------------------------------
+# interned atoms
+# ---------------------------------------------------------------------------
+
+def test_an_atom_is_one_object_however_it_is_built_or_copied():
+    atom = Atom("G", 3)
+    assert Atom("G", 3) is atom and Atom(carrier="G", index=3) is atom
+    for copied in (copy.copy(atom), copy.deepcopy(atom),
+                   pickle.loads(pickle.dumps(atom)),
+                   dataclasses.replace(atom),
+                   dataclasses.replace(Atom("G", 4), index=3)):
+        assert copied is atom
+    # equality is object's identity test, run in C
+    assert Atom.__eq__ is object.__eq__ and Atom.__ne__ is object.__ne__
+    for st in (Z12, copy.copy(Z12), copy.deepcopy(Z12),
+               pickle.loads(pickle.dumps(Z12)),
+               dataclasses.replace(Z12, fun_tables=dict(Z12.fun_tables))):
+        assert st.carriers["G"].elements == Z12.carriers["G"].elements
+        assert all(a is b for a, b in zip(st.carriers["G"],
+                                          Z12.carriers["G"]))
+        assert all(st.fun_tables["star"][a, b] is Z12.fun_tables["star"][a, b]
+                   for a in Z12.carriers["G"] for b in Z12.carriers["G"])
+
+
+def test_an_index_of_another_type_makes_another_atom():
+    one = Atom("X", 1)
+    for index in (1.0, True):
+        other = Atom("X", index)
+        assert other is not one and other != one and other is Atom("X", index)
+        assert repr(other) == f"Atom(carrier='X', index={index!r})"
+        assert hash(other) == hash(("X", index)) == hash(one)
+    assert Atom("X", 1.0) is not Atom("X", True)
+    assert repr(one) == "Atom(carrier='X', index=1)"
+    assert hash(one) == hash(("X", 1))
+
+
+def _atoms_in(value):
+    """Every atom in a value, a finite set or a tuple of values."""
+    if isinstance(value, Atom):
+        yield value
+    elif isinstance(value, (FinSet, tuple)):
+        for member in value:
+            yield from _atoms_in(member)
+    elif isinstance(value, (TableV, SectionV)):
+        for key, out in value.entries:
+            yield from _atoms_in(key)
+            yield from _atoms_in(out)
+    elif isinstance(value, TreeV):
+        yield from _atoms_in(value.label)
+        yield from _atoms_in(value.branches)
+    elif isinstance(value, PairV):
+        yield from _atoms_in(value.first)
+        yield from _atoms_in(value.second)
+    elif isinstance(value, (InlV, InrV)):
+        yield from _atoms_in(value.value)
+
+
+def test_every_loaded_table_holds_its_carriers_own_atoms():
+    """Each atom of a carrier that a structure's tables hold (keys, values,
+    family members, relation tuples) is that carrier's own object."""
+    source = (pathlib.Path(__file__).resolve().parent.parent / "demo.mul")
+    ws = load_source(source.read_text(encoding="utf-8"))
+    structures = list(ws.structures.items())
+    assert len(structures) > 10
+    for name, st in structures:
+        own = {id(a) for carrier in st.carriers.values() for a in carrier}
+        tables = [*st.fun_tables.values(), *map(dict.fromkeys,
+                                                st.rel_tables.values())]
+        held = [atom for table in tables for item in table.items()
+                for atom in _atoms_in(item) if atom.carrier in st.carriers]
+        assert held, name
+        assert all(id(atom) in own for atom in held), name
