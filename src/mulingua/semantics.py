@@ -91,9 +91,12 @@ def element_budget(budget: Optional[int] = None) -> int:
 # Atoms therefore compare with object's __eq__, an identity test in C, and
 # one atom equals another only when both were built from equal carriers
 # and equal indices of one type: Atom("X", 1.0) and Atom("X", True) are
-# not Atom("X", 1).  The table only grows; the element budget bounds the
-# distinct atoms a process builds.  Copies and unpickled atoms are rebuilt
-# through the constructor (__reduce__), so they are interned too.
+# not Atom("X", 1).  Its hash is still the stored hash((carrier, index)),
+# not object's, which would make set orders depend on addresses.  The
+# table only grows, by one entry per distinct (carrier, index, index
+# type) that a process builds, so loading or checking a structure again
+# adds nothing.  Copies and unpickled atoms are rebuilt through the
+# constructor (__reduce__), so they are interned too.
 #
 # StarV, TruthV, PairV, InlV and InrV are hashed and compared on every
 # table lookup by key: a symbol read outside a typed site, a relation, a
