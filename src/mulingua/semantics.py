@@ -88,15 +88,16 @@ def element_budget(budget: Optional[int] = None) -> int:
 # An Atom is interned: Atom(carrier, index) returns the one object kept
 # per (carrier, index, index type) in _ATOMS, so a base type's element is
 # one object however often a loader, a table or an enumeration builds it.
-# Atoms therefore compare with object's __eq__, an identity test in C, and
+# Atoms therefore compare and hash as object does, by identity in C:
 # one atom equals another only when both were built from equal carriers
-# and equal indices of one type: Atom("X", 1.0) and Atom("X", True) are
-# not Atom("X", 1).  Its hash is still the stored hash((carrier, index)),
-# not object's, which would make set orders depend on addresses.  The
-# table only grows, by one entry per distinct (carrier, index, index
-# type) that a process builds, so loading or checking a structure again
-# adds nothing.  Copies and unpickled atoms are rebuilt through the
-# constructor (__reduce__), so they are interned too.
+# and equal indices of one type, so Atom("X", 1.0) and Atom("X", True)
+# are not Atom("X", 1).  So a set of values may iterate in another order
+# in another run, and no output may read that order: a relation's tuples
+# are walked in ordered_tuples' order.  The table only grows, by one
+# entry per distinct (carrier, index, index type) that a process builds,
+# so loading or checking a structure again adds nothing.  Copies and
+# unpickled atoms are rebuilt through the constructor (__reduce__), so
+# they are interned too.
 #
 # StarV, TruthV, PairV, InlV and InrV are hashed and compared on every
 # table lookup by key: a symbol read outside a typed site, a relation, a
@@ -104,14 +105,12 @@ def element_budget(budget: Optional[int] = None) -> int:
 # (A typed site reads its table by the atoms' indices and hashes nothing;
 # see Structure._typed_of.)
 # So they write their own __eq__ and __hash__: _Node's, which loop over
-# the field names, are slower.  An Atom and a PairV hash once: an Atom
-# when it is interned, since nearly every Atom is hashed, and a PairV on
-# its first hash, since enumeration builds many pairs that are never
-# hashed.  Either keeps the hash in _hash, which is no field, so it shows
-# in no repr and no comparison, and is rebuilt when copied or unpickled,
-# so a process with another hash seed does not inherit it.  Every hash
-# equals the one a frozen dataclass generates, so set and dict orders do
-# not change.
+# the field names, are slower.  A PairV hashes once, on its first hash,
+# since enumeration builds many pairs that are never hashed.  It keeps
+# the hash in _hash, which is no field, so it shows in no repr and no
+# comparison, and is rebuilt when copied or unpickled, so a process with
+# another hash seed does not inherit it.  Each of these hashes equals the
+# one a frozen dataclass generates from the same field values.
 
 _ATOMS: dict[tuple, "Atom"] = {}
 
@@ -130,7 +129,6 @@ class Atom(_Node):
             atom = object.__new__(cls)
             _set(atom, "carrier", carrier)
             _set(atom, "index", index)
-            _set(atom, "_hash", hash((carrier, index)))
             # setdefault: two threads that build one atom keep one object
             atom = _ATOMS.setdefault(key, atom)
         return atom
@@ -138,9 +136,7 @@ class Atom(_Node):
     # object's, run in C: __new__ did the work, and equality is identity
     __init__ = object.__init__
     __eq__ = object.__eq__
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return Atom, (self.carrier, self.index)
@@ -397,10 +393,9 @@ _UNBUILT = object()
 
 def _in_carrier(values: Iterable, carrier: str, size: int) -> bool:
     """Whether every value is one of the carrier's own atoms
-    ``Atom(carrier, i)``, ``i`` an ``int`` in ``range(size)``.  Atoms are
-    interned, so this compares identities, and hashes no value."""
-    own = map(Atom, itertools.repeat(carrier), range(size))
-    return set(map(id, own)).issuperset(map(id, values))
+    ``Atom(carrier, i)``, ``i`` an ``int`` in ``range(size)``."""
+    return set(map(Atom, itertools.repeat(carrier), range(size))
+               ).issuperset(values)
 
 
 @_node(frozen=False, eq=False)
@@ -555,7 +550,8 @@ class Structure(_Node):
             table = self.rel_tables.get(rel.name)
             if table is None:
                 return Verdict.failed(f"missing table for relation {rel.name!r}")
-            for tup in table:
+            # in a fixed order: it decides whether a bad table fails or raises
+            for tup in self.ordered_tuples(rel.name):
                 if len(tup) != rel.arity or not all(
                         value_in_type(self, v, t)
                         for v, t in zip(tup, rel.arity_types)):
@@ -942,7 +938,9 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
                     raise err from None
             if min(len(v.entries), budget + 1) != size:
                 return False
-            dom = tuple(_elements(st, dom_t, env, budget)) if size else ()
+            if size > budget:
+                raise _over_budget(budget)
+            dom = tuple(iter_type(st, dom_t, env, budget)) if size else ()
             return v.domain_values() == dom and all(
                 value_in_type(st, out, cod_t, {**env, x: arg}, budget)
                 for arg, out in v.entries)
@@ -1027,13 +1025,15 @@ def eval_formula(st: Structure, f: Term, env: Optional[Env] = None,
 
 def _run(st: Structure, node: Node, is_formula: bool, env: Optional[Env],
          budget: Optional[int]):
-    budget = element_budget(budget)
-    scope = tuple(sorted(env.keys() & free_vars(node))) if env else ()
-    run, size, sites = _compiled(node, is_formula, scope)
-    return run(_frame(st, budget, [env[name] for name in scope], size, sites))
+    """Evaluate a node compiled for its environment's names as given, so
+    each shape of environment (the same names in the same order) compiles
+    it once; a binder in the node still shadows a name."""
+    env = env or {}
+    run, size, sites = _compiled(node, is_formula, tuple(env))
+    return run(_frame(st, element_budget(budget), env.values(), size, sites))
 
 
-def _frame(st: Structure, budget: int, values: list, size: int,
+def _frame(st: Structure, budget: int, values: Iterable, size: int,
            sites: tuple[Site, ...] = ()) -> Frame:
     """A frame of ``size`` slots: the structure, the budget, then
     ``values``.  Each typed site's slot holds the symbol's typed reads
@@ -1084,10 +1084,10 @@ def _compiled(node: Node, is_formula: bool, scope: tuple[str, ...],
               ) -> tuple[Code, int, tuple[Site, ...]]:
     """The node's closure with the names of ``scope`` in the first slots
     (of a name given twice, the later one), its frame size and its typed
-    sites; kept on the node, per scope.  ``carriers`` gives the base type
-    of each scope slot known to hold an atom of its carrier, or None for
-    any other; a scope slot past its end, such as an environment's, is
-    typed by nothing."""
+    sites; kept on the node, per scope, which may name what it never reads.
+    ``carriers`` gives the base type of each scope slot known to hold an
+    atom of its carrier, or None for any other; a scope slot past its
+    end, such as an environment's, is typed by nothing."""
     codes = node.__dict__.get("_compiled")
     if codes is None:
         codes = {}

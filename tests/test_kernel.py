@@ -581,3 +581,54 @@ def test_composition_context_mismatch():
     g = ContextMorphism(Context.of(("y", Unit())), Context(), ())
     with pytest.raises(TypeCheckError):
         compose_context_morphisms(f, g)
+
+
+# A family F over G, and the dependent context (x G) (y (F x))
+# (h (-> (F x) G)), whose later entries' types read the first entry.
+FAMILY = Signature("family", ("G",), (FunSymbol("F", (G,), Universe()),), ())
+DEPENDENT = Context.of(("x", G), ("y", FamApp("F", (Var("x"),))),
+                       ("h", arrow(FamApp("F", (Var("x"),)), G)))
+TWO = Context.of(("a", G), ("b", FamApp("F", (Var("a"),))),
+                 ("c", G), ("d", FamApp("F", (Var("c"),))))
+
+
+def _same_morphism(f: ContextMorphism, g: ContextMorphism) -> bool:
+    return (f.source == g.source and f.target == g.target
+            and len(f.components) == len(g.components)
+            and all(map(alpha_eq, f.components, g.components)))
+
+
+def _into_dependent(first: str, second: str, fiber: str) -> ContextMorphism:
+    """(first, second, (lambda (k (F fiber)) a)) from TWO to DEPENDENT."""
+    return ContextMorphism(TWO, DEPENDENT, (
+        Var(first), Var(second),
+        Lambda("k", FamApp("F", (Var(fiber),)), Var("a"))))
+
+
+def test_a_dependent_context_morphism_checks_each_component_in_turn():
+    """Each component is checked against its entry's type with the
+    components before it put for the entries they stand for."""
+    assert check_context_morphism(FAMILY, identity_morphism(DEPENDENT))
+    assert check_context_morphism(FAMILY, identity_morphism(TWO))
+    assert check_context_morphism(FAMILY, _into_dependent("a", "b", "a"))
+    assert check_context_morphism(FAMILY, _into_dependent("c", "d", "c"))
+    v = check_context_morphism(
+        FAMILY, ContextMorphism(TWO, DEPENDENT, (Var("a"), Var("b"))))
+    assert not v
+    assert v.reason == "component count 2 does not match target length 3"
+    for m, index in ((_into_dependent("a", "d", "a"), 1),
+                     (_into_dependent("c", "b", "c"), 1),
+                     (_into_dependent("a", "b", "c"), 2)):
+        v = check_context_morphism(FAMILY, m)
+        assert not v and v.reason.startswith(f"component {index}: "), v.reason
+
+
+def test_dependent_context_morphisms_compose_with_identities():
+    f = _into_dependent("c", "d", "c")
+    left = compose_context_morphisms(identity_morphism(TWO), f)
+    right = compose_context_morphisms(f, identity_morphism(DEPENDENT))
+    assert _same_morphism(left, f) and _same_morphism(right, f)
+    assert check_context_morphism(FAMILY, left)
+    assert check_context_morphism(FAMILY, right)
+    with pytest.raises(TypeCheckError, match="context mismatch"):
+        compose_context_morphisms(identity_morphism(DEPENDENT), f)

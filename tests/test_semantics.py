@@ -520,6 +520,21 @@ def test_no_finite_function_is_total_on_infinitely_many_trees():
                       arrow(Sigma("x", G, G), Prop()), budget=2)
 
 
+def test_a_table_on_one_function_into_infinitely_many_trees_is_checked():
+    """The arrows from the empty type into the trees of the test above are
+    one, the empty table, though the trees are infinitely many: a table
+    with that one entry is a function on them, and an empty table is
+    not."""
+    x0, x1 = Atom("X", 0), Atom("X", 1)
+    sig = Signature("trees", ("X",), (), (RelSymbol("R", (X,)),))
+    st = Structure(sig, {"X": FinSet.of(x0, x1)},
+                   rel_tables={"R": frozenset({(x0,)})})
+    trees = W("x0", X, PropType(RelAtom("R", (Var("x0"),))))
+    t = arrow(arrow(Zero(), trees), Unit())
+    assert value_in_type(st, TableV(((TableV(()), StarV()),)), t) is True
+    assert value_in_type(st, TableV(()), t) is False
+
+
 def test_a_well_typed_formula_over_function_constants_does_not_go_wrong():
     """Whatever the kernel accepts, the evaluator runs to an answer: a
     power, an arrow into Prop and a Pi into Prop are each applied,
@@ -1751,6 +1766,25 @@ def reads_by_key(st):
             yield got, outcome(lambda: plain(st, node, env)), taken
 
 
+def test_a_formula_compiles_once_per_environment_shape():
+    """Under environments of the same names in the same order, a formula
+    compiles once, whatever their values: a name it does not read only
+    fills a slot, and one its binder shadows is read from the binder.
+    Another order of the names is another shape, compiled once more."""
+    double = App("star", (Var("x"), Var("x")))
+    f = Exists("x", G, Eq(G, double, App("star", (Var("a"), Var("b")))))
+    rng = random.Random(32)
+    atoms = list(Z12.carrier("G"))
+    for shape, entries in ((("a", "x", "b", "c"), 1), (("c", "b", "a"), 2)):
+        truths = []
+        for _ in range(100):
+            env = {name: rng.choice(atoms) for name in shape}
+            truths.append(eval_formula(Z12, f, env))
+            assert truths[-1] == plain_truth(Z12, f, env)
+        assert len(f.__dict__["_compiled"]) == entries
+        assert set(truths) == {True, False}
+
+
 def test_binders_and_constants_are_typed_under_an_environment():
     for st in (cyclic_group_structure(12), subtraction_structure(5)):
         for got, want, taken in reads_by_key(st):
@@ -1788,9 +1822,10 @@ def test_a_constant_read_as_a_name_or_an_application_gives_one_error():
 # value hashes
 # ---------------------------------------------------------------------------
 
-# An Atom keeps the hash it is built with and a PairV the hash it first
-# computes; either must equal the hash a frozen dataclass generates, and
-# must not depend on anything but the hash seed and the field values.
+# An Atom is the one object of its carrier and index, and hashes by
+# identity.  A PairV keeps the hash it first computes, which must equal
+# the hash a frozen dataclass generates, and must not depend on anything
+# but the hash seed and the field values.
 HASH_PARITY = """
 import dataclasses, pathlib, pickle, random, sys
 from generators import random_value
@@ -1801,10 +1836,11 @@ TWINS = {}
 
 def twin(value):
     # the value rebuilt from dataclasses generated by make_dataclass;
-    # TreeV keeps its own hash, as in the record-twin test
+    # TreeV keeps its own hash, as in the record-twin test, and an atom,
+    # which hashes by identity, is its own twin
     if isinstance(value, tuple):
         return tuple(twin(v) for v in value)
-    if not dataclasses.is_dataclass(value):
+    if isinstance(value, Atom) or not dataclasses.is_dataclass(value):
         return value
     cls = type(value)
     names = [f.name for f in dataclasses.fields(cls)]
@@ -1845,7 +1881,8 @@ for _ in range(400):
     for node in nodes(value):
         checked += 1
         if isinstance(node, Atom):
-            assert hash(node) == hash((node.carrier, node.index))
+            assert Atom(node.carrier, node.index) is node
+            assert hash(node) == object.__hash__(node)
         if isinstance(node, PairV):
             assert hash(node) == hash((node.first, node.second))
             other = Atom("X", checked)
@@ -1915,10 +1952,68 @@ def test_an_index_of_another_type_makes_another_atom():
         other = Atom("X", index)
         assert other is not one and other != one and other is Atom("X", index)
         assert repr(other) == f"Atom(carrier='X', index={index!r})"
-        assert hash(other) == hash(("X", index)) == hash(one)
     assert Atom("X", 1.0) is not Atom("X", True)
     assert repr(one) == "Atom(carrier='X', index=1)"
-    assert hash(one) == hash(("X", 1))
+    atoms = (one, Atom("X", 1.0), Atom("X", True))
+    assert all(hash(atom) == object.__hash__(atom) for atom in atoms)
+    assert len(set(atoms)) == 3
+
+
+# Atoms hash by identity, so a set of atoms iterates in an order that
+# follows their addresses.  This script interns, before anything else,
+# the atoms a plain run of the pinned tests interns, in a seeded shuffled
+# order, which moves every atom's address and hash; then it runs those
+# tests, which pin the outputs of a run without the shuffle.  Without a
+# seed it runs them plainly and writes down the atoms they interned.
+SHUFFLED_ATOMS = """
+import ast, pathlib, random, sys
+import pytest
+from mulingua import semantics
+
+kept, seed, tests = pathlib.Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
+if seed:
+    keys = ast.literal_eval(kept.read_text())
+    random.Random(int(seed)).shuffle(keys)
+    for carrier, index in keys:
+        semantics.Atom(carrier, index)
+code = pytest.main(["-q", "-p", "no:cacheprovider", *tests])
+if seed:
+    assert len(semantics._ATOMS) == len(keys), "an atom was not shuffled"
+else:
+    kept.write_text(repr([key[:2] for key in semantics._ATOMS]))
+sys.exit(code)
+"""
+
+PINNED_OUTPUTS = (
+    "tests/test_evaluation.py::test_seeded_outcomes_match_the_pinned_digest",
+    "tests/test_proofs.py::test_all_interval_proofs_match_golden_digest",
+    "tests/test_proofs.py::test_formula_proofs_match_golden_digest",
+    "tests/test_semantics.py::"
+    "test_seeded_type_interpretation_matches_the_pinned_digest",
+    "tests/test_musiclib.py::test_group_declarations_match_the_goldens",
+    "tests/test_voiceleading.py::test_ordered_output_is_pinned",
+    "tests/test_docs.py::test_documented_command_exits_as_documented",
+)
+
+
+def test_no_output_depends_on_an_atoms_address(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    kept = tmp_path / "atoms"
+
+    def run(seed):
+        return subprocess.Popen(
+            [sys.executable, "-c", SHUFFLED_ATOMS, str(kept), seed,
+             *PINNED_OUTPUTS],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+    runs = [run("")]
+    runs[0].wait(timeout=120)
+    runs += [run(seed) for seed in ("0", "1")]  # two shuffles, side by side
+    for done in runs:
+        out, _ = done.communicate(timeout=120)
+        assert done.returncode == 0 and "\n25 passed in " in out, out
+    assert len(eval(kept.read_text())) > 100
 
 
 def _atoms_in(value):

@@ -219,7 +219,9 @@ def test_node_classes_behave_as_frozen_dataclasses():
         if cls.__init__ not in _INITS:  # takes its fields by keyword too
             assert (dataclasses.replace(record) == record) is eq
         assert (again == record, again != record) == (eq, not eq)
-        if not isinstance(record, _Binding):  # these hash up to renaming
+        if isinstance(record, Atom):  # one object per element, as its eq
+            assert _hash(record) == "identity"
+        elif not isinstance(record, _Binding):  # these hash up to renaming
             assert _hash(record) == _hash(twin)
         for name in (*cls.__match_args__, "other"):
             assert _outcome(lambda: setattr(again, name, 1)) \
