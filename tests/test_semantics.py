@@ -1,6 +1,7 @@
 """Finite-set interpretation, evaluation, theory checking, and
 structure homomorphisms."""
 
+import ast
 import copy
 import dataclasses
 import hashlib
@@ -2007,13 +2008,14 @@ def test_no_output_depends_on_an_atoms_address(tmp_path):
             cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
 
-    runs = [run("")]
-    runs[0].wait(timeout=120)
-    runs += [run(seed) for seed in ("0", "1")]  # two shuffles, side by side
-    for done in runs:
-        out, _ = done.communicate(timeout=120)
-        assert done.returncode == 0 and "\n25 passed in " in out, out
-    assert len(eval(kept.read_text())) > 100
+    def finish(process):
+        out, _ = process.communicate(timeout=120)
+        assert process.returncode == 0 and "\n25 passed in " in out, out
+
+    finish(run(""))
+    for shuffled in [run(seed) for seed in ("0", "1")]:  # side by side
+        finish(shuffled)
+    assert len(ast.literal_eval(kept.read_text())) > 100
 
 
 def _atoms_in(value):
