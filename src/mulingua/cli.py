@@ -12,9 +12,10 @@ form such as ``(winding 12 1)``, read as the rule of a
 
 Exit codes: 0 for success (all axioms pass, formula true, type
 inhabited, files loaded), 1 for a refutation (a failing axiom, a false
-formula, an uninhabited type), 2 for usage, parse, or budget errors,
-for a declaration the loader refuses (an ill-formed axiom among them),
-and for input nested too deeply; ``check`` never exits 1.  Built-in
+formula, an uninhabited type), 2 for usage, parse (a file that is not
+UTF-8 among them), or budget errors, for a declaration the loader
+refuses (an ill-formed axiom among them), and for input nested too
+deeply; ``check`` never exits 1.  Built-in
 names (the group/gis theories, the cyclic and interval-system models,
 the pitch-class structures, the transposition/inversion quiver) are
 available without loading any files; `.mul` files extend them.
@@ -57,11 +58,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ws = builtin_workspace()
         for path in getattr(args, "files", []):
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
             try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
                 load_source(text, ws)
-            except ParseError as err:
+            except (ParseError, UnicodeDecodeError) as err:
                 print(f"{path}: {err}", file=sys.stderr)
                 return 2
         return args.run(args, ws)

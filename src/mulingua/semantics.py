@@ -1002,8 +1002,9 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
 # is every constant.  ``_frame`` writes each site's typed reads
 # (``Structure._typed_of``) into its slot when the symbol's domain
 # carriers are those the site's arguments are drawn from, and None
-# otherwise; a site that finds None takes ``_symbol``'s key lookup,
-# which gives every error.
+# otherwise.  A site that finds None, and every other symbol read, takes
+# ``_symbol``'s key lookup, one closure for every arity, which builds
+# the argument tuple, reads the table by it and gives every error.
 
 _STRUCTURE, _BUDGET, _FIRST_SLOT = 0, 1, 2
 
@@ -1316,54 +1317,7 @@ def _symbol(head: str, parts: list[Code]) -> Code:
     """A function symbol applied to arguments, read by key: the path of
     every symbol outside a typed site, and of a typed site whose frame
     holds no reads.  The table is looked up before any argument is
-    evaluated, so a missing table is reported first.  Symbols of arity
-    0, 1 and 2 are written out: a call per lookup, or a list
-    comprehension before Python 3.12, would cost more than the read."""
-
-    def missing(st: Structure, key: tuple):
-        raise StructureError(
-            f"table for {head!r} has no entry for "
-            f"{tuple(map(st.render, key))}") from None
-
-    if not parts:
-        def symbol(fr):
-            st = fr[_STRUCTURE]
-            table = st.fun_tables.get(head)
-            if table is None:
-                raise StructureError(f"no table for symbol {head!r}")
-            try:
-                return table[()]
-            except KeyError:
-                missing(st, ())
-        return symbol
-    if len(parts) == 1:
-        (only,) = parts
-
-        def symbol(fr):
-            st = fr[_STRUCTURE]
-            table = st.fun_tables.get(head)
-            if table is None:
-                raise StructureError(f"no table for symbol {head!r}")
-            key = (only(fr),)
-            try:
-                return table[key]
-            except KeyError:
-                missing(st, key)
-        return symbol
-    if len(parts) == 2:
-        first, second = parts
-
-        def symbol(fr):
-            st = fr[_STRUCTURE]
-            table = st.fun_tables.get(head)
-            if table is None:
-                raise StructureError(f"no table for symbol {head!r}")
-            key = (first(fr), second(fr))
-            try:
-                return table[key]
-            except KeyError:
-                missing(st, key)
-        return symbol
+    evaluated, so a missing table is reported first."""
     arguments = _tuple_of(parts)
 
     def symbol(fr):
@@ -1375,14 +1329,18 @@ def _symbol(head: str, parts: list[Code]) -> Code:
         try:
             return table[key]
         except KeyError:
-            missing(st, key)
+            raise StructureError(
+                f"table for {head!r} has no entry for "
+                f"{tuple(map(st.render, key))}") from None
     return symbol
 
 
 def _tuple_of(parts: list[Code]) -> Callable[[Frame], tuple]:
-    """The argument tuple of a symbol or relation.  Unary and binary
-    symbols build theirs without a list comprehension, which costs a
+    """The argument tuple of a symbol or relation.  Tuples of at most
+    two arguments are built without a list comprehension, which costs a
     function call per lookup before Python 3.12."""
+    if not parts:
+        return lambda fr: ()
     if len(parts) == 1:
         (only,) = parts
         return lambda fr: (only(fr),)

@@ -218,6 +218,8 @@ class Quiver(_Node):
     """A vertex set and the fibers of the space: for each ordered vertex
     pair (x, y) that has arrows, the arrows ((x, y), t) from x to y.
     ``arrows`` is their sum, fiber after fiber in the order given.
+    ``vls`` builds a quiver and is where a space is checked; the
+    constructor takes its fibers as given and checks nothing.
 
     ``element_names`` is display metadata (atom tag to name tuple) used
     only when rendering."""
@@ -238,12 +240,6 @@ class Quiver(_Node):
         self.fibers = fibers
         self.rule = rule
         self.element_names = {} if element_names is None else element_names
-        for (x, y), fiber in fibers.items():
-            if x not in self.vertices or y not in self.vertices:
-                raise StructureError("a fiber's endpoints leave the vertex set")
-            pair = PairV(x, y)
-            if any(not isinstance(a, PairV) or a.first != pair for a in fiber):
-                raise StructureError("an arrow lies outside its fiber's pair")
         self.arrows = FinSet(tuple(
             itertools.chain.from_iterable(self.fibers.values())))
 

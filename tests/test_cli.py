@@ -745,6 +745,15 @@ def test_numbers_past_the_digit_limit_exit_two_with_a_position(tmp_path):
         2, "", "parse error: 1:1: number of 5000 digits is too long\n")
 
 
+def test_a_file_that_is_not_utf8_exits_two_with_its_path(tmp_path):
+    path = tmp_path / "bad.mul"
+    path.write_bytes(b"\xff\xfe")
+    done = run_subprocess(["check", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
+
+
 def test_small_table_over_a_domain_past_the_budget_is_not_total(tmp_path):
     path = tmp_path / "wide.mul"
     path.write_text("""

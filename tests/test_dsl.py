@@ -675,6 +675,20 @@ def test_builtin_export_reload_consistency():
         "not the atoms (atom Chord 0), (atom Chord 1), ..."))]
 
 
+def test_a_relations_entries_print_in_rendered_order():
+    # a relation is a frozenset of tuples of atoms, which hash by their
+    # addresses, so its set order varies from run to run; the printed
+    # order sorts by rendering, not by carrier index or declaration order
+    st = load_source("""
+    (signature order (types X) (rel (R (X X))))
+    (structure s of order (carrier X (c a b))
+      (rel R (c a) (b b) (a c) (c c) (b a) (a b) (c b)))""").structures["s"]
+    assert structure_to_dsl(st, "s") == (
+        "(structure s of order\n"
+        "  (carrier X (c a b))\n"
+        "  (rel R (a b) (a c) (b a) (b b) (c a) (c b) (c c)))")
+
+
 FIBERS = """
 (signature quiv (types Pitch Arrow) (fun (Fiber (Pitch Pitch) Type)))
 (structure loops of quiv

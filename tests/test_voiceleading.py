@@ -90,10 +90,8 @@ def test_hand_built_quiver_keeps_arrows_in_their_fibers():
     loop = PairV(PairV(x, x), ti("T0"))
     q = Quiver(points, {(x, x): (loop,)})
     assert q.arrows.elements == (loop,)
-    with pytest.raises(StructureError, match="outside its fiber's pair"):
-        Quiver(points, {(x, y): (loop,)})
-    with pytest.raises(StructureError, match="leave the vertex set"):
-        Quiver(FinSet.of(y), {(x, x): (loop,)})
+    with pytest.raises(StructureError, match="outside the pitch set"):
+        vls(FinSet.of(y), ExplicitTable({(x, x): FinSet.of(ti("T0"))}))
 
 
 def test_transporter_sets():
@@ -206,6 +204,38 @@ def test_an_explicit_space_matches_the_all_pairs_scan():
             return q.fibers, q.arrows
         assert explicit_outcome(built) == explicit_outcome(
             lambda: scanned_explicit_space(pitch, table))
+
+
+def built_spaces():
+    """A space of every kind that vls builds: TI on 1..12 pitch classes,
+    the 12-point winding space with maximum winding 0, 1 and 2, the
+    seeded explicit tables that vls accepts, and the README's rot
+    action, a group action read from a .mul source."""
+    for n in range(1, 13):
+        yield vls(pitch_universe(n).carrier, ti_group(n))
+    for max_winding in range(3):
+        yield vls(PITCH, WindingPaths(12, max_winding))
+    for pitch, table in explicit_tables(random.Random(2402)):
+        try:
+            yield vls(pitch, ExplicitTable(table))
+        except StructureError as err:
+            assert str(err) == \
+                "explicit table mentions vertices outside the pitch set"
+    yield vls(*rot_action())
+
+
+def test_every_built_space_keeps_each_arrow_at_its_fibers_pair():
+    spaces = 0
+    for q in built_spaces():
+        spaces += 1
+        for (x, y), fiber in q.fibers.items():
+            assert x in q.vertices and y in q.vertices
+            for arrow in fiber:
+                assert isinstance(arrow, PairV) and arrow.first == PairV(x, y)
+                assert (arrow_source(arrow), arrow_target(arrow)) == (x, y)
+        assert q.arrows.elements == tuple(
+            itertools.chain.from_iterable(q.fibers.values()))
+    assert spaces == 12 + 3 + 248 + 1  # TI, winding, explicit, rot
 
 
 def test_per_pair_transporters_have_size_two():
