@@ -27,10 +27,10 @@ from .semantics import (
 )
 from .syntax import (
     Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp,
-    Forall, Formula, FunSymbol, Implies, Inl, Inr, Lambda, Member, Not, Or,
-    Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, RelSymbol, Sigma,
-    Signature, Star, Sup, Term, Top, TupleProj, TypeExpr, Unit, Universe,
-    Var, W, Zero, alpha_eq, arrow, free_vars, product, show, substitute,
+    Forall, Formula, FunSymbol, Implies, Inl, Inr, Lambda, Member, Or, Pair,
+    Pi, Prop, PropType, Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature,
+    Star, Sup, Term, Top, TupleProj, TypeExpr, Universe, Var, W, alpha_eq,
+    arrow, free_vars, product, show, substitute,
 )
 
 __version__ = "0.1.0"

@@ -59,7 +59,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ws = builtin_workspace()
         for path in getattr(args, "files", []):
             try:
-                with open(path, "r", encoding="utf-8") as handle:
+                with open(path, "r", encoding="utf-8-sig") as handle:
                     text = handle.read()
                 load_source(text, ws)
             except (ParseError, UnicodeDecodeError) as err:

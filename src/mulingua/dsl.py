@@ -52,9 +52,11 @@ are variables, ``star``, symbol application ``(f t ...)``,
 term the kernel types ``Prop``.  The reader follows ``syntax._KEYWORDS``,
 the table ``show`` prints with, and the sugar ``syntax.SUGAR``:
 ``(-> A B)`` and ``(power A)`` read as a Pi, ``(* A B)`` as a Sigma,
-and ``(formula F)`` inside a term as F.  One generic reader covers
-types and terms, with ``*``, ``+``, ``->``, ``and``, ``or`` and
-``implies`` also taking more than two arguments, nested to the right.
+``0`` and ``1`` as ``(prop bottom)`` and ``(prop top)``, ``(not F)`` as
+``(implies F bottom)``, and ``(formula F)`` inside a term as F.  One
+generic reader covers types and terms, with ``*``, ``+``, ``->``,
+``and``, ``or`` and ``implies`` also taking more than two arguments,
+nested to the right.
 A value ``(pair s t)`` reads s against its Sigma's index type, t
 against a body without the binder.
 

@@ -16,10 +16,13 @@ finite index types that are resolved at evaluation time.
 
 Formulas are the terms of type ``Prop``: a formula node synthesizes
 ``Prop``, and a connective's operands, a quantifier's body and the F of
-``(prop F)`` check at ``Prop``.  A lambda's binder that shadows a
-context variable is renamed apart, and so is a quantifier's where a type
-of the context mentions its name, so neither captures a variable of
-those types.
+``(prop F)`` check at ``Prop``.  ``star`` synthesizes ``(prop top)``,
+the unit type that ``1`` is the reader's sugar for, and ``absurd``
+checks its argument at ``(prop bottom)``, the empty type ``0``;
+``(not F)`` is the sugar for ``(implies F bottom)``.  A lambda's binder
+that shadows a context variable is renamed apart, and so is a
+quantifier's where a type of the context mentions its name, so neither
+captures a variable of those types.
 
 Diagnostics report the leftmost-innermost failure: recursion fails fast
 left to right and the deepest message propagates unchanged.
@@ -31,9 +34,9 @@ from .diagnostics import TypeCheckError, Verdict
 from .records import _Node, _node, _set
 from .syntax import (
     FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Not, Or, Pair,
+    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Or, Pair,
     Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma, Signature, Star, Sup,
-    Term, Top, TupleProj, TypeExpr, Unit, Universe, Var, W, Zero, _Binding,
+    Term, Top, TupleProj, TypeExpr, Universe, Var, W, _Binding,
     _fields, alpha_eq, arrow, free_vars, fresh_name, product, show,
     substitute,
 )
@@ -64,7 +67,7 @@ def _wf_type(sig: Signature, ctx: Context, t: TypeExpr) -> None:
         case Base(name):
             if not sig.has_base(name):
                 raise TypeCheckError(f"unknown base type {name!r}")
-        case Zero() | Unit() | Prop():
+        case Prop():
             pass
         case Universe():
             raise TypeCheckError(
@@ -221,7 +224,7 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
                 x, body = _rename_apart(ctx, x, body)
             return Pi(x, annot, _infer(sig, ctx.extend(x, annot), body))
         case Star():
-            return Unit()
+            return PropType(Top())
         case RelAtom(name, args):
             r = sig.rel(name)
             if r is None:
@@ -256,8 +259,6 @@ def _infer(sig: Signature, ctx: Context, term: Term) -> TypeExpr:
             return Prop()
         case And(l, r) | Or(l, r) | Implies(l, r):
             operands = (l, r)
-        case Not(body):
-            operands = (body,)
         case Forall(x, t, body) | Exists(x, t, body):
             _wf_type(sig, ctx, t)
             # renamed only where it would capture: a chain of quantifiers
@@ -321,7 +322,7 @@ def _check(sig: Signature, ctx: Context, term: Term, expected: TypeExpr) -> None
             raise TypeCheckError(
                 f"sup checked against non-tree type {show(expected)}")
         case (Absurd(t), _):
-            _check(sig, ctx, t, Zero())
+            _check(sig, ctx, t, PropType(Bottom()))
         case _:
             inferred = _infer(sig, ctx, term)
             if not _same_type(sig, ctx, inferred, expected):

@@ -30,8 +30,8 @@ from .semantics import (
 from .semantics import type_size  # noqa: F401
 from .syntax import (
     And, App, Base, Bottom, Coproduct, Eq, Exists, FamApp, Forall, Implies,
-    Lambda, Member, Not, Or, Pi, PropType, Proj1, Proj2, RelAtom, Sigma,
-    Term, Top, TypeExpr, Unit, Var, W, Zero, arrow, free_vars, product, show,
+    Lambda, Member, Or, Pi, PropType, Proj1, Proj2, RelAtom, Sigma,
+    Term, TypeExpr, Var, W, arrow, free_vars, product, show,
 )
 
 __all__ = [
@@ -78,7 +78,7 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
     if next(iter_type(st, t, env, budget), None) is not None:
         return None
     match t:
-        case Zero():
+        case PropType(Bottom()):
             return "the empty type has no elements"
         case Base(name):
             return f"carrier {name!r} is empty"
@@ -96,8 +96,10 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
             return left if left is not None else explain_refutation(st, b, env, budget)
         case Sigma(_, index_type, _):
             return f"no element of {show(index_type)} admits a witness"
-        case W(_, _, _):
-            return "every label demands branches, so no finite tree exists"
+        case W(_, label_type, _):
+            no_label = explain_refutation(st, label_type, env, budget)
+            return (f"the tree type has no labels: {no_label}" if no_label
+                    else "every label demands branches, so no finite tree exists")
         case PropType(f):
             return f"proposition {show(f)} is false"
         case FamApp(_, _):
@@ -111,22 +113,19 @@ def explain_refutation(st: Structure, t: TypeExpr, env: Optional[Env] = None,
 
 def prop_as_type(f: Term) -> TypeExpr:
     """Conjunction becomes product, disjunction coproduct, implication
-    function type, negation functions into the empty type, and the
-    quantifiers dependent product and sum; atoms, and any other term of
-    type Prop, stay propositions (sub-singleton types)."""
+    function type (so ``(not F)``, the sugar for ``(implies F bottom)``,
+    becomes functions into the empty type), and the quantifiers
+    dependent product and sum; atoms, ``top`` and ``bottom``, and any
+    other term of type Prop, stay propositions (sub-singleton types):
+    ``(prop top)`` is the unit type ``1`` and ``(prop bottom)`` the empty
+    type ``0``."""
     match f:
-        case Top():
-            return Unit()
-        case Bottom():
-            return Zero()
         case And(l, r):
             return product(prop_as_type(l), prop_as_type(r))
         case Or(l, r):
             return Coproduct(prop_as_type(l), prop_as_type(r))
         case Implies(l, r):
             return arrow(prop_as_type(l), prop_as_type(r))
-        case Not(body):
-            return arrow(prop_as_type(body), Zero())
         case Forall(x, t, body):
             return Pi(x, t, prop_as_type(body))
         case Exists(x, t, body):

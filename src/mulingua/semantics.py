@@ -6,11 +6,15 @@ to type families.  Types are interpreted compositionally: a dependent
 sum as its pairs (the cartesian product when its binder does not
 occur), coproducts as tagged unions, a dependent product as all its
 sections (all tables when its binder does not occur, so a power is the
-tables into the two truth values), and tree types by their leaves (a
-tree type that also has a branching label has infinitely many trees).
+tables into the two truth values), a proposition as its proofs (one
+element when it holds, none when not, so ``1``, the reader's sugar for
+``(prop top)``, has one and ``0``, for ``(prop bottom)``, none), and
+tree types by their leaves (a tree type that also has a branching label
+has infinitely many trees).
 
 Truth values are classical: ``Prop`` denotes {false, true}, conjunction
-is meet, disjunction join, implication the order, and the quantifiers
+is meet, disjunction join, implication the order (so ``(not F)``, the
+sugar for ``(implies F bottom)``, is the complement), and the quantifiers
 are iterated meets and joins over the interpreted bound type; a formula
 is a term whose value is a truth value.  Terms and formulas are
 evaluated by compiling each node once into nested closures over a frame
@@ -51,9 +55,9 @@ from .diagnostics import BudgetError, StructureError, Verdict
 from .records import _Node, _node, _set
 from .syntax import (
     FORMULAS, Absurd, And, App, Base, Bottom, Context, Coproduct, Eq, Exists,
-    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Not, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
-    Signature, Star, Sup, Term, Top, TypeExpr, Unit, Universe,
-    Var, W, Zero, _Binding, _children, _fields, free_vars, show,
+    FamApp, Forall, Implies, Inl, Inr, Lambda, Member, Node, Or, Pair, Pi, Prop, PropType, Proj1, Proj2, RelAtom, Sigma,
+    Signature, Star, Sup, Term, Top, TypeExpr, Universe,
+    Var, W, _Binding, _children, _fields, free_vars, show,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -600,10 +604,6 @@ def type_size(st: Structure, t: TypeExpr, env: Optional[Env] = None,
     match t:
         case Base(name):
             return len(st.carrier(name))
-        case Zero():
-            return 0
-        case Unit():
-            return 1
         case Prop():
             return 2
         case Coproduct(a, b):
@@ -749,10 +749,6 @@ def iter_type(st: Structure, t: TypeExpr, env: Optional[Env] = None,
                 yield StarV()
         case Base(name):
             yield from st.carrier(name)
-        case Zero():
-            return
-        case Unit():
-            yield StarV()
         case Prop():
             yield from PROP_SET
         case Coproduct(a, b):
@@ -910,10 +906,6 @@ def value_in_type(st: Structure, v: Value, t: TypeExpr,
     match t:
         case Base(name):
             return v in st.carrier(name)
-        case Zero():
-            return False
-        case Unit():
-            return v == StarV()
         case Prop():
             return isinstance(v, TruthV)
         case Coproduct(a, b):
@@ -1217,9 +1209,6 @@ def _formula(f: Term, slots: dict[str, int],
             left = _formula(l, slots, layout)
             right = _formula(r, slots, layout)
             return lambda fr: (not left(fr)) or right(fr)
-        case Not(b):
-            body = _formula(b, slots, layout)
-            return lambda fr: not body(fr)
         case Forall(x, t, b) | Exists(x, t, b):
             domain = _domain(t, slots)
             slot, inner = _bind(x, t, slots, layout)
@@ -1704,7 +1693,7 @@ def _transport(h: StructureHom, v: Value, t: TypeExpr, budget: int) -> Value:
             except KeyError:
                 raise StructureError(
                     f"component map for {name!r} is not total") from None
-        case Unit() | Prop() | PropType():
+        case Prop() | PropType():
             return v
         case Sigma(_, a, b):
             assert isinstance(v, PairV)

@@ -19,15 +19,18 @@ name, a type the binder does not scope over, and the body it does scope
 over.  So ``alpha_key``, ``free_vars`` and ``substitute`` are each
 written once, over the fields, with variables and binders as the only
 special cases; ``show`` is one keyword table plus the bare names
-(``Var``, ``Base``), the head forms (``App`` of a symbol, ``FamApp``),
-the arrow and the product.
+(``Var``, ``Base``), the head forms (``App`` of a symbol, ``FamApp``)
+and the sugar below.
 
 There is one function type, ``Pi``, and one pair type, ``Sigma``: the
 reader's sugar ``(-> A B)`` and ``(* A B)`` are a Pi and a Sigma whose
 binder does not occur in B (see ``arrow`` and ``product``), ``(power A)``
 is ``(-> A Prop)``, and ``show`` prints such a Pi as the arrow and such
-a Sigma as the product.  The reader reads ``(formula F)`` inside a term
-as F itself.
+a Sigma as the product.  Propositions are types: the empty type ``0``
+is ``(prop bottom)``, the unit type ``1`` is ``(prop top)``, and the
+negation ``(not F)`` is ``(implies F bottom)``; ``show`` prints them
+back as ``0``, ``1`` and ``(not F)``.  The reader reads ``(formula F)``
+inside a term as F itself.
 
 Binding forms compare and hash up to renaming of their bound variable;
 all other nodes are plain structural data.  ``substitute`` performs
@@ -72,16 +75,6 @@ class _Binding(_Node):
 @_node
 class Base(_Node):
     name: str
-
-
-@_node
-class Zero(_Node):
-    pass
-
-
-@_node
-class Unit(_Node):
-    pass
 
 
 @_node
@@ -145,8 +138,7 @@ class PropType(_Node):
 
 
 TypeExpr = Union[
-    Base, Zero, Unit, Prop, Universe, Coproduct, Pi, Sigma, W, FamApp,
-    PropType,
+    Base, Prop, Universe, Coproduct, Pi, Sigma, W, FamApp, PropType,
 ]
 
 
@@ -298,11 +290,6 @@ class Implies(_Node):
 
 
 @_node
-class Not(_Node):
-    body: "Term"
-
-
-@_node
 class Forall(_Binding):
     binder: str
     var_type: "TypeExpr"
@@ -317,7 +304,7 @@ class Exists(_Binding):
 
 
 Formula = Union[
-    RelAtom, Eq, Member, Top, Bottom, And, Or, Implies, Not, Forall, Exists,
+    RelAtom, Eq, Member, Top, Bottom, And, Or, Implies, Forall, Exists,
 ]
 FORMULAS = get_args(Formula)
 
@@ -574,25 +561,29 @@ def _under_binder(x: str, inner: Node,
 # ---------------------------------------------------------------------------
 
 _KEYWORDS: dict[type, str] = {
-    Zero: "0", Unit: "1", Prop: "Prop", Universe: "Type",
+    Prop: "Prop", Universe: "Type",
     Coproduct: "+", Pi: "pi", Sigma: "sigma", W: "w",
     PropType: "prop",
     App: "apply", Pair: "pair", Proj1: "pr1", Proj2: "pr2", Inl: "inl",
     Inr: "inr", Lambda: "lambda", TupleProj: "proj", Sup: "sup",
     Star: "star", Absurd: "absurd",
     RelAtom: "rel", Eq: "=", Member: "in", Top: "top", Bottom: "bottom",
-    And: "and", Or: "or", Implies: "implies", Not: "not",
+    And: "and", Or: "or", Implies: "implies",
     Forall: "forall", Exists: "exists",
 }
 
 
 # The reader's sugar: keywords with no class of their own, each with the
 # sort it reads as, the function that builds its node and the sorts of
-# its fields.  ``(formula F)`` is F itself.
+# its fields.  ``(formula F)`` is F itself.  Each read builds a fresh
+# node: a node keeps its compiled code, per environment shape.
 SUGAR: dict[str, tuple[str, Callable[..., Node], tuple[str, ...]]] = {
     "*": ("TypeExpr", product, ("TypeExpr", "TypeExpr")),
     "->": ("TypeExpr", arrow, ("TypeExpr", "TypeExpr")),
     "power": ("TypeExpr", lambda dom: arrow(dom, Prop()), ("TypeExpr",)),
+    "0": ("TypeExpr", lambda: PropType(Bottom()), ()),
+    "1": ("TypeExpr", lambda: PropType(Top()), ()),
+    "not": ("Term", lambda f: Implies(f, Bottom()), ("Term",)),
     "formula": ("Term", lambda f: f, ("Term",)),
 }
 
@@ -628,6 +619,12 @@ def show(node: Node) -> str:
             return f"(-> {show(dom)} {show(cod)})"
         case Sigma(x, left, right) if x not in free_vars(right):
             return f"(* {show(left)} {show(right)})"
+        case PropType(Top()):
+            return "1"
+        case PropType(Bottom()):
+            return "0"
+        case Implies(f, Bottom()):
+            return f"(not {show(f)})"
         case _Binding():
             x, outer, inner = _fields(node)
             return f"({_KEYWORDS[type(node)]} ({x} {show(outer)}) {show(inner)})"

@@ -20,7 +20,7 @@ from .records import _Node, _node, _set
 from .semantics import (
     InlV, InrV, PairV, RatV, StarV, TreeV, Value, tree_text, wfold,
 )
-from .syntax import Base, Coproduct, Eq, Exists, Inr, PropType, Unit, Var, W
+from .syntax import Base, Coproduct, Eq, Exists, Inr, PropType, Top, Var, W
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ from .syntax import Base, Coproduct, Eq, Exists, Inr, PropType, Unit, Var, W
 
 NIL_LABEL = InlV(StarV())
 
-_LIST_LABEL = Coproduct(Unit(), Base("A"))
+_LIST_LABEL = Coproduct(PropType(Top()), Base("A"))
 
 # (w (l (+ 1 A)) (prop (exists (a A) (= (+ 1 A) l (inr a))))): the empty
 # list is the leaf labelled (inl star); a cons labelled (inr a) has one

@@ -14,13 +14,26 @@ from mulingua.semantics import (
 )
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
-    Formula, FunSymbol, Implies, Lambda, Member, Not, Or, Pair,
-    Pi, Prop, PropType, Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature,
-    Term, Top, TypeExpr, Unit, Universe, Var, W, Zero, _Node, arrow, product,
-    substitute,
+    Formula, FunSymbol, Implies, Lambda, Member, Or, Pair, Pi, Prop, PropType,
+    Proj1, Proj2, RelAtom, RelSymbol, Sigma, Signature, Term, Top, TypeExpr,
+    Universe, Var, W, _Node, arrow, product, substitute,
 )
 
 G = Base("G")
+
+
+# The empty type, the unit type and negation, as the reader reads 0, 1
+# and (not F); fresh nodes, as each read builds.
+def zero() -> PropType:
+    return PropType(Bottom())
+
+
+def unit() -> PropType:
+    return PropType(Top())
+
+
+def neg(f: Term) -> Implies:
+    return Implies(f, Bottom())
 
 
 def random_group_element_term(rng: random.Random, ctx: Context,
@@ -122,7 +135,7 @@ def random_formula(rng: random.Random, vars_in_scope: list[str],
         ctor = rng.choice([And, Or, Implies])
         return ctor(left, right)
     if allow_negation and roll < 0.7:
-        return Not(random_formula(rng, vars_in_scope, depth - 1, fresh,
+        return neg(random_formula(rng, vars_in_scope, depth - 1, fresh,
                                   allow_negation))
     fresh[0] += 1
     name = f"v{fresh[0]}"
@@ -176,7 +189,7 @@ def random_type(rng: random.Random, depth: int,
     proposition types; a W type whose arity is empty at some labels and
     not at others has infinitely many trees."""
     x = Base("X")
-    leaves = [x, Base("Y"), Zero(), Unit(), Prop()]
+    leaves = [x, Base("Y"), zero(), unit(), Prop()]
     if scope:
         leaves += [FamApp("F", (_random_x_term(rng, scope),)),
                    PropType(_random_x_formula(rng, scope, 1))]
@@ -216,7 +229,7 @@ def _random_x_formula(rng: random.Random, scope: tuple[str, ...],
         return Eq(Base("X"), _random_x_term(rng, scope),
                   _random_x_term(rng, scope))
     if roll < 0.7:
-        return Not(_random_x_formula(rng, scope, depth - 1))
+        return neg(_random_x_formula(rng, scope, depth - 1))
     binder = f"y{len(scope)}"
     ctor = Forall if rng.random() < 0.5 else Exists
     return ctor(binder, Base("X"),
@@ -342,7 +355,7 @@ def random_function_formula(rng: random.Random, depth: int) -> Formula:
             return rng.choice((And, Or, Implies))(formula(scope, depth - 1),
                                                   formula(scope, depth - 1))
         if roll < 0.65:
-            return Not(formula(scope, depth - 1))
+            return neg(formula(scope, depth - 1))
         x = binder()
         t = rng.choice((A_TYPE, B_TYPE) + PREDICATE_TYPES)
         return rng.choice((Forall, Exists))(
@@ -392,7 +405,7 @@ def random_prop_formula(rng: random.Random, depth: int) -> Formula:
             return rng.choice((And, Or, Implies))(formula(scope, depth - 1),
                                                   formula(scope, depth - 1))
         if roll < 0.5:
-            return Not(formula(scope, depth - 1))
+            return neg(formula(scope, depth - 1))
         if roll < 0.65:
             return Eq(Prop(), formula(scope, depth - 1),
                       formula(scope, depth - 1))

@@ -547,7 +547,7 @@ def test_a_lambda_annotation_whose_projection_does_not_check_mismatches(
     done = run_subprocess(["eval", "z12", "bad", str(src)])
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"formula is not well-formed here: lambda domain annotation "
-               f"{annot} does not match expected domain (prop top)\n")
+               f"{annot} does not match expected domain 1\n")
 
 
 def test_a_type_family_in_term_position_exits_2(tmp_path):
@@ -752,6 +752,25 @@ def test_a_file_that_is_not_utf8_exits_two_with_its_path(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
                "invalid start byte\n")
+
+
+def test_a_file_with_a_utf8_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "bom.mul"
+    path.write_bytes(b"\xef\xbb\xbf(signature s (types G))")
+    done = run_subprocess(["check", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "signature s: ok\n", "")
+
+
+@pytest.mark.parametrize("goal, reason", [
+    ("(w (x 0) 1)", "the tree type has no labels: the empty type has no "
+                    "elements"),
+    ("(w (x G) 1)", "every label demands branches, so no finite tree exists"),
+])
+def test_a_tree_type_is_refuted_by_its_labels(goal, reason):
+    """An empty label type is the reason when there is one; otherwise
+    every label demands a branch."""
+    assert run(["prove", "z12", goal]) == (1, f"uninhabited: {reason}\n", "")
 
 
 def test_small_table_over_a_domain_past_the_budget_is_not_total(tmp_path):

@@ -26,10 +26,10 @@ from mulingua.voiceleading import arrow_payload, vls_of_structure
 from mulingua.sexpr import parse_sexprs, write_sexpr
 from mulingua.syntax import (
     App, Base, Context, Eq, FamApp, Forall, Lambda, Pi, Prop, Sigma, Star,
-    Universe, Var, Zero, arrow, product, show,
+    Universe, Var, arrow, product, show,
 )
 
-from generators import calls_into, random_formula
+from generators import calls_into, random_formula, zero
 
 GROUP_SOURCE = "(signature G (types G) (fun (star (G G) G) (e () G) (inv (G) G)))"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -89,7 +89,7 @@ def test_parse_types():
         Pi("x", Base("G"), arrow(Base("G"), Prop()))
     assert parse_type_node(parse_one("(sigma (x PC) (fin x))")) == \
         Sigma("x", Base("PC"), FamApp("fin", (Var("x"),)))
-    assert parse_type_node(parse_one("0")) == Zero()
+    assert parse_type_node(parse_one("0")) == zero()
     assert parse_type_node(parse_one("Type")) == Universe()
     # n-ary arrows nest to the right
     assert parse_type_node(parse_one("(-> G G G)")) == \

@@ -25,12 +25,12 @@ from mulingua.semantics import (
 )
 from mulingua.syntax import (
     And, App, Base, Context, Eq, Exists, FamApp, Forall, Lambda, Or, Pair,
-    Proj1, Proj2, Prop, Top, Unit, Var, arrow,
+    Proj1, Proj2, Prop, Top, Var, arrow,
 )
 
 from generators import (
     random_formula, random_group_element_term, random_tiny_structure,
-    random_typed_term,
+    random_typed_term, unit,
 )
 
 G = Base("G")
@@ -132,7 +132,7 @@ def test_seeded_outcomes_match_the_pinned_digest(monkeypatch):
 
 Z12 = cyclic_group_structure(12)
 # one element, over 2^4096 arguments
-HUGE = arrow(arrow(arrow(G, Prop()), Prop()), Unit())
+HUGE = arrow(arrow(arrow(G, Prop()), Prop()), unit())
 
 
 def eval_source(monkeypatch, tmp_path, structure, source):

@@ -24,11 +24,13 @@ from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
     Absurd, App, Base, Context, Coproduct, Eq, Exists, FamApp, Forall,
     FunSymbol, Inl, Lambda, Pair, Pi, Prop, PropType, Proj1, Proj2, Sigma,
-    Signature, Star, Sup, TupleProj, Unit, Universe, Var, W, Zero, alpha_eq,
-    arrow, free_vars, product, show, substitute,
+    Signature, Star, Sup, TupleProj, Universe, Var, W, alpha_eq, arrow,
+    free_vars, product, show, substitute,
 )
 
-from generators import random_group_element_term, random_typed_term
+from generators import (
+    random_group_element_term, random_typed_term, unit, zero,
+)
 
 GROUP = group_signature()
 HARMONY = harmony_signature()
@@ -46,7 +48,7 @@ def test_product_of_declared_bases_is_well_formed():
 
 
 def test_unknown_base_type_is_rejected():
-    v = well_formed_type(GROUP, EMPTY, Pi("x", Zero(), Base("Mystery")))
+    v = well_formed_type(GROUP, EMPTY, Pi("x", zero(), Base("Mystery")))
     assert not v
     assert "unknown base type" in v.reason
 
@@ -86,7 +88,7 @@ def test_level_violation_is_rejected():
 
 
 def test_simple_types_and_constructors():
-    for t in (Zero(), Unit(), Prop(), arrow(G, Prop()), Coproduct(G, Unit()),
+    for t in (zero(), unit(), Prop(), arrow(G, Prop()), Coproduct(G, unit()),
               arrow(product(G, G), Prop())):
         assert well_formed_type(GROUP, EMPTY, t)
 
@@ -115,7 +117,7 @@ def test_interval_judgment():
 
 
 def test_star_checks_against_unit():
-    assert check_term(GROUP, EMPTY, Star(), Unit())
+    assert check_term(GROUP, EMPTY, Star(), unit())
 
 
 def test_triad_judgment():
@@ -158,16 +160,16 @@ def test_applying_a_section_substitutes_the_argument():
 
 
 def test_sup_branch_domain_mismatch():
-    wtype = W("x", Coproduct(Unit(), G), Unit())
-    bad = Sup(Inl(Star()), Lambda("b", Zero(), Var("b")))
+    wtype = W("x", Coproduct(unit(), G), unit())
+    bad = Sup(Inl(Star()), Lambda("b", zero(), Var("b")))
     v = check_term(GROUP, EMPTY, bad, wtype)
     assert not v and "domain" in v.reason
 
 
 def test_sup_accepts_leaf_nodes():
     # constant empty arity: every label is a leaf
-    wtype = W("x", G, Zero())
-    leaf = Sup(App("e"), Lambda("b", Zero(), Absurd(Var("b"))))
+    wtype = W("x", G, zero())
+    leaf = Sup(App("e"), Lambda("b", zero(), Absurd(Var("b"))))
     assert check_term(GROUP, EMPTY, leaf, wtype)
 
 
@@ -184,9 +186,9 @@ def test_dependent_pair_checking():
 
 
 def test_tuple_projection_on_spine():
-    ctx = Context.of(("t", product(G, product(G, Unit()))))
+    ctx = Context.of(("t", product(G, product(G, unit()))))
     assert infer_term(GROUP, ctx, TupleProj(Var("t"), 0)) == G
-    assert infer_term(GROUP, ctx, TupleProj(Var("t"), 2)) == Unit()
+    assert infer_term(GROUP, ctx, TupleProj(Var("t"), 2)) == unit()
     v = check_term(GROUP, ctx, TupleProj(Var("t"), 3), G)
     assert not v and "out of range" in v.reason
 
@@ -235,7 +237,7 @@ def test_the_last_component_of_a_dependent_tail_checks_and_evaluates():
 
 def test_elaboration_rewrites_each_projection_into_its_chain():
     t = Var("t")
-    spine = product(G, product(G, Unit()))
+    spine = product(G, product(G, unit()))
     f = parse_formula_node(parse_sexprs(
         "(forall (t (* G (* G 1))) (and (= G (proj t 0) (proj t 1))"
         " (= 1 (proj t 2) star)))")[0])
@@ -269,14 +271,14 @@ def test_an_unelaborated_projection_does_not_evaluate():
 
 
 def test_absurd_checks_at_any_type():
-    ctx = Context.of(("z", Zero()))
+    ctx = Context.of(("z", zero()))
     assert check_term(GROUP, ctx, Absurd(Var("z")), G)
     assert check_term(GROUP, ctx, Absurd(Var("z")), product(G, Prop()))
 
 
 def test_lambda_against_arrow_and_pi():
     assert check_term(GROUP, EMPTY, Lambda("x", G, Var("x")), arrow(G, G))
-    wrong = check_term(GROUP, EMPTY, Lambda("x", Unit(), Var("x")),
+    wrong = check_term(GROUP, EMPTY, Lambda("x", unit(), Var("x")),
                        arrow(G, G))
     assert not wrong and "domain" in wrong.reason
     pc = Base("PC")
@@ -290,10 +292,10 @@ def test_lambda_against_arrow_and_pi():
 
 def test_a_lambda_domain_that_does_not_match_is_refused_with_its_reason():
     pc = Base("PC")
-    assert check_term(GROUP, EMPTY, Lambda("x", Unit(), Var("x")),
+    assert check_term(GROUP, EMPTY, Lambda("x", unit(), Var("x")),
                       arrow(G, G)).reason == (
         "lambda domain annotation 1 does not match expected domain G")
-    assert check_term(MUSIC, EMPTY, Lambda("k", Unit(), Var("k")),
+    assert check_term(MUSIC, EMPTY, Lambda("k", unit(), Var("k")),
                       Pi("x", pc, pc)).reason == (
         "lambda domain annotation 1 does not match expected domain PC")
 
@@ -578,7 +580,7 @@ def test_composition_substitutes():
 
 def test_composition_context_mismatch():
     f = ContextMorphism(Context.of(("a", G)), Context.of(("x", G)), (Var("a"),))
-    g = ContextMorphism(Context.of(("y", Unit())), Context(), ())
+    g = ContextMorphism(Context.of(("y", unit())), Context(), ())
     with pytest.raises(TypeCheckError):
         compose_context_morphisms(f, g)
 

@@ -13,9 +13,8 @@ from mulingua.proofs import inhabit, prop_as_type
 from mulingua.semantics import eval_formula
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
-    And, App, Base, Context, Eq, Exists, Forall, Implies, Lambda, Member,
-    Not, Or, Prop, RelAtom, Top, Var, alpha_eq, arrow, free_vars, show,
-    substitute,
+    And, App, Base, Context, Eq, Exists, Forall, Implies, Lambda, Member, Or,
+    Prop, RelAtom, Top, Var, alpha_eq, arrow, free_vars, show, substitute,
 )
 
 from generators import (
@@ -178,8 +177,6 @@ def _free_vars_oracle(f):
             return set()
         case s.And(l, r) | s.Or(l, r) | s.Implies(l, r):
             return _free_vars_oracle(l) | _free_vars_oracle(r)
-        case s.Not(b):
-            return _free_vars_oracle(b)
         case s.Forall(x, _, b) | s.Exists(x, _, b):
             return _free_vars_oracle(b) - {x}
     raise AssertionError(f)
@@ -264,5 +261,5 @@ def _formula_positions(f):
         case And(l, r) | Or(l, r) | Implies(l, r):
             yield from _formula_positions(l)
             yield from _formula_positions(r)
-        case Not(body) | Forall(_, _, body) | Exists(_, _, body):
+        case Forall(_, _, body) | Exists(_, _, body):
             yield from _formula_positions(body)

@@ -24,14 +24,13 @@ from mulingua.semantics import (
     value_in_type,
 )
 from mulingua.syntax import (
-    And, App, Base, Coproduct, Eq, FunSymbol, Not, Pi, Proj1, Proj2, Prop,
-    PropType, RelAtom, Sigma, Top, Unit, Var, Zero, arrow, free_vars, product,
-    show,
+    And, App, Base, Coproduct, Eq, FunSymbol, Pi, Proj1, Proj2, Prop, PropType,
+    RelAtom, Sigma, Top, Var, arrow, free_vars, product, show,
 )
 
 from generators import (
-    family_signature, random_closed_formula, random_family_structure,
-    random_pair_sigma, random_tiny_structure,
+    family_signature, neg, random_closed_formula, random_family_structure,
+    random_pair_sigma, random_tiny_structure, unit, zero,
 )
 
 MUSIC12 = z_music_structure(12)
@@ -48,22 +47,22 @@ def pcs(*values):
 # ---------------------------------------------------------------------------
 
 def test_unit_is_inhabited_by_star():
-    proof = inhabit(Z12, Unit())
+    proof = inhabit(Z12, unit())
     assert proof is not None and proof.value == StarV()
 
 
 def test_zero_is_uninhabited():
-    assert inhabit(Z12, Zero()) is None
+    assert inhabit(Z12, zero()) is None
 
 
 def test_pi_over_empty_index_has_empty_section():
-    t = Pi("x", Zero(), G)
+    t = Pi("x", zero(), G)
     proof = inhabit(Z12, t)
     assert proof is not None and proof.value == SectionV(())
 
 
 def test_arrow_out_of_empty_domain():
-    proof = inhabit(Z12, arrow(Zero(), Zero()))
+    proof = inhabit(Z12, arrow(zero(), zero()))
     assert proof is not None and proof.value == TableV(())
 
 
@@ -72,7 +71,7 @@ def test_a_pi_that_does_not_use_its_binder_is_proved_as_an_arrow():
     proof = inhabit(Z12, Pi("x", G, G))
     assert type(proof.value) is TableV
     assert render_witness(proof.value, Z12).startswith("(table (0 0) (1 0)")
-    for t in (Pi("x", G, Zero()), arrow(G, Zero())):
+    for t in (Pi("x", G, zero()), arrow(G, zero())):
         assert explain_refutation(Z12, t) == "the empty type has no elements"
     dependent = Pi("x", G, PropType(Eq(G, Var("x"), App("e"))))
     assert explain_refutation(Z12, dependent) == (
@@ -86,8 +85,8 @@ def test_power_is_inhabited_by_empty_subset():
 
 
 def test_witnesses_lie_in_their_types():
-    for t in (Unit(), product(G, G), Coproduct(Zero(), G), arrow(G, G),
-              arrow(G, Prop()), Sigma("x", G, Unit()), Pi("x", G, G)):
+    for t in (unit(), product(G, G), Coproduct(zero(), G), arrow(G, G),
+              arrow(G, Prop()), Sigma("x", G, unit()), Pi("x", G, G)):
         proof = inhabit(Z12, t)
         assert proof is not None
         assert value_in_type(Z12, proof.value, t)
@@ -99,9 +98,7 @@ def _decides(st, t, env=None):
     from mulingua.semantics import iter_type
     env = env or {}
     match t:
-        case s.Zero():
-            return False
-        case s.Unit() | s.Prop():
+        case s.Prop():
             return True
         case s.Base(name):
             return len(st.carrier(name)) > 0
@@ -124,7 +121,7 @@ def _decides(st, t, env=None):
 
 def test_sigma_and_pi_decompose():
     rng = random.Random(53)
-    bases = [Zero(), Unit(), G, Coproduct(Zero(), Zero())]
+    bases = [zero(), unit(), G, Coproduct(zero(), zero())]
 
     def random_type(depth):
         if depth == 0:
@@ -154,17 +151,17 @@ def test_sigma_and_pi_decompose():
 
 def test_translation_shapes():
     from mulingua.syntax import (
-        And, Bottom, Exists, Forall, Implies, Not, Or, RelAtom, Top, Var,
+        And, Bottom, Exists, Forall, Implies, Or, RelAtom, Top, Var,
     )
     x = Base("X")
-    assert prop_as_type(Top()) == Unit()
-    assert prop_as_type(Bottom()) == Zero()
-    assert prop_as_type(And(Top(), Bottom())) == product(Unit(), Zero())
-    assert prop_as_type(Or(Top(), Bottom())) == Coproduct(Unit(), Zero())
-    assert prop_as_type(Implies(Top(), Bottom())) == arrow(Unit(), Zero())
-    assert prop_as_type(Not(Top())) == arrow(Unit(), Zero())
-    assert prop_as_type(Forall("x", x, Top())) == Pi("x", x, Unit())
-    assert prop_as_type(Exists("x", x, Top())) == Sigma("x", x, Unit())
+    assert prop_as_type(Top()) == unit()
+    assert prop_as_type(Bottom()) == zero()
+    assert prop_as_type(And(Top(), Bottom())) == product(unit(), zero())
+    assert prop_as_type(Or(Top(), Bottom())) == Coproduct(unit(), zero())
+    assert prop_as_type(Implies(Top(), Bottom())) == arrow(unit(), zero())
+    assert prop_as_type(neg(Top())) == arrow(unit(), zero())
+    assert prop_as_type(Forall("x", x, Top())) == Pi("x", x, unit())
+    assert prop_as_type(Exists("x", x, Top())) == Sigma("x", x, unit())
     atom = RelAtom("R", (Var("x"),))
     assert prop_as_type(atom) == PropType(atom)
 
@@ -302,7 +299,7 @@ def test_witness_is_first_in_enumeration_order():
     pc = Base("PC")
     cases = [
         (Z12, product(G, G)),
-        (Z12, Coproduct(Zero(), G)),
+        (Z12, Coproduct(zero(), G)),
         (Z12, arrow(G, Prop())),
         (Z12, arrow(Prop(), Prop())),
         (Z12, Pi("x", Prop(), G)),
@@ -376,7 +373,7 @@ NO_F_OF_Y = "table for 'f' has no entry for ('(atom Y 0)',)"
 
 
 def test_a_false_leading_conjunct_hides_a_later_error():
-    never = Not(Eq(X, Proj1(Q), Proj1(Q)))
+    never = neg(Eq(X, Proj1(Q), Proj1(Q)))
     raising = RelAtom("R", (App("f", (Proj2(Q),)),))
     t = _pair_sigma(product(X, Y), never, raising)
     assert _first_component_split(t) is not None
@@ -398,10 +395,11 @@ def test_an_empty_second_factor_evaluates_no_conjunct(monkeypatch):
     monkeypatch.setattr(semantics, "eval_formula",
                         lambda *args: calls.append(args))
     raising = RelAtom("R", (App("f", (Proj1(Q),)),))
-    t = _pair_sigma(product(Y, Zero()), raising, Top())
+    t = _pair_sigma(product(Y, zero()), raising, Top())
     assert _first_component_split(t) is not None
     assert list(iter_type(FAMILY, t)) == []
-    assert calls == []
+    # only the empty factor's proposition, bottom, is evaluated
+    assert {args[1] for args in calls} <= {zero().prop}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from mulingua.diagnostics import BudgetError, MulinguaError, StructureError
-from mulingua.dsl import load_source, parse_type_node
+from mulingua.dsl import load_source, parse_term_node, parse_type_node
 from mulingua.kernel import check_term, infer_term
 from mulingua.logic import well_formed_formula
 from mulingua.musiclib import (
@@ -28,6 +28,7 @@ from mulingua.musiclib import (
     ti_group, triad_model, trivial_group_structure, z_gis_structure,
     z_music_structure,
 )
+from mulingua.proofs import prop_as_type
 from mulingua.semantics import (
     Atom, FinSet, InlV, InrV, PairV, SectionV, StarV, Structure,
     StructureHom, TableV, TreeV, TruthV, all_environments,
@@ -39,19 +40,19 @@ from mulingua.semantics import (
 from mulingua.sexpr import parse_sexprs
 from mulingua.syntax import (
     And, App, Base, Bottom, Context, Coproduct, Eq, Exists, FamApp, Forall,
-    FunSymbol, Implies, Lambda, Member, Not, Or, Pair, Pi, Prop, PropType,
-    RelAtom, RelSymbol, Sigma, Signature, Top, Unit, Universe, Var, W, Zero,
-    arrow, free_vars, fresh_name, product, show, substitute,
+    FunSymbol, Implies, Lambda, Member, Or, Pair, Pi, Prop, PropType, RelAtom,
+    RelSymbol, Sigma, Signature, Star, Top, Universe, Var, W, arrow,
+    free_vars, fresh_name, product, show, substitute,
 )
 
 from mulingua.voiceleading import transporters
 
 from generators import (
-    BINDERS, FUNCTION_CONTEXT, function_signature, random_closed_formula,
-    random_family_structure, random_formula, random_function_formula,
-    random_function_structure, random_group_element_term,
-    random_tiny_structure, random_type, random_typed_term, rename_bound,
-    tiny_signature,
+    BINDERS, FUNCTION_CONTEXT, _random_x_formula, family_signature,
+    function_signature, neg, random_closed_formula, random_family_structure,
+    random_formula, random_function_formula, random_function_structure,
+    random_group_element_term, random_tiny_structure, random_type,
+    random_typed_term, rename_bound, tiny_signature, unit, zero,
 )
 
 GROUP = group_signature()
@@ -76,7 +77,7 @@ def test_product_counts_multiply():
 
 
 def test_pi_over_empty_index_is_terminal():
-    empty_sigma = Sigma("x", Zero(), G)
+    empty_sigma = Sigma("x", zero(), G)
     assert type_size(Z12, empty_sigma) == 0
     pi = Pi("p", empty_sigma, G)
     carrier = interpret_type(Z12, pi)
@@ -84,13 +85,13 @@ def test_pi_over_empty_index_is_terminal():
 
 
 def test_arrow_and_power_sizes():
-    assert type_size(Z12, arrow(Unit(), G)) == 12
+    assert type_size(Z12, arrow(unit(), G)) == 12
     assert type_size(Z12, arrow(G, Prop())) == 2 ** 12
     assert type_size(Z12, Pi("x", G, Prop())) == 2 ** 12
 
 
 def test_coproduct_enumeration_order():
-    c = interpret_type(Z12, Coproduct(Unit(), Prop()))
+    c = interpret_type(Z12, Coproduct(unit(), Prop()))
     rendered = [render_value(v) for v in c]
     assert rendered == ["(inl star)", "(inr false)", "(inr true)"]
 
@@ -112,7 +113,7 @@ def test_sizes_are_exact_up_to_the_budget_and_budget_plus_one_above():
         (Sigma("x", G, G), Z12, 144),
         (Sigma("p", Base("PC"), fin), MUSIC12, sum(range(12))),
         (Pi("p", Base("PC"), fin), MUSIC12, 0),
-        (Pi("p", Base("PC"), Coproduct(Unit(), fin)), MUSIC12, 479001600),
+        (Pi("p", Base("PC"), Coproduct(unit(), fin)), MUSIC12, 479001600),
         (Pi("x", Base("PC"), fin), MUSIC12, 5 ** 12),
     ]
     env = {"p": Atom("PC", 5)}
@@ -191,7 +192,7 @@ def test_theory_check_reads_the_budget_variable_once(monkeypatch):
 
 
 def test_tree_type_of_leaves_is_finite():
-    t = W("x", G, Zero())
+    t = W("x", G, zero())
     carrier = interpret_type(Z12, t)
     assert len(carrier) == 12
     assert all(v.branches == () for v in carrier)
@@ -216,8 +217,8 @@ def test_infinite_tree_type_yields_its_leaves_then_refuses():
 
 
 def test_tree_type_without_leaves_is_empty():
-    assert type_size(Z12, W("x", G, Unit())) == 0
-    assert interpret_type(Z12, W("x", Zero(), Unit())) == FinSet(())
+    assert type_size(Z12, W("x", G, unit())) == 0
+    assert interpret_type(Z12, W("x", zero(), unit())) == FinSet(())
 
 
 def test_product_reads_one_element_per_factor_before_the_first_tuple():
@@ -262,7 +263,7 @@ def test_arrow_witness_searches_the_codomain_once(monkeypatch):
     # the first x with x * x = e other than e itself is 6
     square_root = Sigma("x", G, PropType(And(
         Eq(G, App("star", (Var("x"), Var("x"))), App("e")),
-        Not(Eq(G, Var("x"), App("e"))))))
+        neg(Eq(G, Var("x"), App("e"))))))
     alone = inhabit(Z12, square_root).value
     searched = len(calls)
     calls.clear()
@@ -290,7 +291,7 @@ def test_a_proposition_domain_evaluates_its_formula_once(monkeypatch):
 
 def test_value_in_type():
     assert value_in_type(Z12, Atom("G", 3), G)
-    assert not value_in_type(Z12, Atom("G", 3), Unit())
+    assert not value_in_type(Z12, Atom("G", 3), unit())
     table = eval_term(Z12, Lambda("x", G, Var("x")))
     assert value_in_type(Z12, table, arrow(G, G))
     assert not value_in_type(Z12, table, arrow(G, Prop()))
@@ -436,6 +437,72 @@ def test_a_product_and_a_sigma_whose_binder_does_not_occur_are_one_type():
         assert verdicts[0] == verdicts[1], show(term)
 
 
+def test_each_sugar_form_and_its_expansion_are_one_type():
+    """0 and (prop bottom), 1 and (prop top), and (not F) and (implies F
+    bottom) read as equal nodes with equal hashes, printed as the sugar.
+    0 and 1 have the size, elements and members of their expansions at a
+    budget above and below their size, alone, inside a product, as an
+    arrow's codomain and as a tree type's arity, and so has (prop (not
+    F)) as an arity over F's variable; (not F) and its expansion have one
+    truth value and one proof type.  The kernel takes star at (prop top)
+    but not at (prop bottom), and absurd of a proof of bottom."""
+    def read(text, sort=parse_type_node):
+        return sort(parse_sexprs(text)[0])
+
+    rng = random.Random(34)
+    for _ in range(40):
+        st = random_family_structure(rng)
+        a = show(random_type(rng, 1))
+        f = show(_random_x_formula(rng, ("x0",), 2))
+        arity = "(w (x0 X) {})"  # the one shape that binds F's x0
+        closed = ("{}", f"(* {a} {{}})", f"(-> {a} {{}})", arity)
+        for sugar, expansion, shapes in (
+                ("0", "(prop bottom)", closed), ("1", "(prop top)", closed),
+                (f"(prop (not {f}))", f"(prop (implies {f} bottom))",
+                 (arity,))):
+            for shape in shapes:
+                text = shape.format(sugar)
+                types = [read(shape.format(t)) for t in (sugar, expansion)]
+                assert types[0] == types[1], text
+                assert hash(types[0]) == hash(types[1]), text
+                assert [show(t) for t in types] == [text, text]
+                for budget in (1000, 2):
+                    sizes, element_lists, verdicts = [], [], []
+                    for t in types:
+                        sizes.append(_outcome(
+                            lambda: type_size(st, t, budget=budget)))
+                        elements = _outcome(lambda: list(itertools.islice(
+                            iter_type(st, t, budget=budget), 50)))
+                        element_lists.append(elements)
+                        values = elements[:5] if isinstance(
+                            elements, list) else []
+                        verdicts.append([_outcome(lambda: value_in_type(
+                            st, v, t, budget=budget))
+                            for v in (*values, *STRANGERS)])
+                    assert sizes[0] == sizes[1], text
+                    assert element_lists[0] == element_lists[1], text
+                    assert verdicts[0] == verdicts[1], text
+        formulas = [read(text, parse_term_node) for text in (
+            f"(not {f})", f"(implies {f} bottom)")]
+        assert formulas[0] == formulas[1]
+        assert hash(formulas[0]) == hash(formulas[1])
+        assert [show(g) for g in formulas] == [f"(not {f})"] * 2
+        for x0 in st.carrier("X"):
+            truths = [_outcome(lambda: eval_formula(st, g, {"x0": x0}))
+                      for g in formulas]
+            assert truths[0] == truths[1], f
+        assert prop_as_type(formulas[0]) == prop_as_type(formulas[1])
+    sig, empty = family_signature(), Context()
+    for text in ("1", "(prop top)"):
+        assert check_term(sig, empty, Star(), read(text))
+    assert [check_term(sig, empty, Star(), read(text)).reason
+            for text in ("0", "(prop bottom)")] == [
+        "type mismatch: star has type 1, expected 0"] * 2
+    proof_of_bottom = Context.of(("z", read("(prop bottom)")))
+    assert check_term(sig, proof_of_bottom, read("(absurd z)", parse_term_node),
+                      Base("X"))
+
+
 def test_a_table_and_a_section_are_members_of_a_function_type_alike():
     """Both membership tests take a function by its entries, whatever
     its class: a table and a section with the entries of an element of
@@ -477,8 +544,8 @@ def test_a_function_whose_length_cannot_match_its_domain_is_refused_in_budget():
     with pytest.raises(BudgetError):
         value_in_type(Z12, TableV(((pair, TruthV(True)),) * 3),
                       arrow(pairs, Prop()), budget=2)
-    assert list(iter_type(Z12, Sigma("x", G, Zero()), budget=2)) == []
-    empty = Coproduct(arrow(G, Zero()), Zero())
+    assert list(iter_type(Z12, Sigma("x", G, zero()), budget=2)) == []
+    empty = Coproduct(arrow(G, zero()), zero())
     assert type_size(Z12, empty, budget=2) == 0
     with pytest.raises(BudgetError):
         list(iter_type(Z12, empty, budget=2))
@@ -500,16 +567,16 @@ def test_no_finite_function_is_total_on_infinitely_many_trees():
     st = Structure(sig, {"X": FinSet.of(x0, x1)},
                    rel_tables={"R": frozenset({(x0,)})})
     trees = W("x0", X, PropType(RelAtom("R", (Var("x0"),))))
-    assert value_in_type(st, SectionV(()), Pi("t", trees, Unit()),
+    assert value_in_type(st, SectionV(()), Pi("t", trees, unit()),
                          budget=1000) is False
     leaf = TreeV(x1, ())
     for dom in (trees, product(X, trees), arrow(X, trees),
-                Coproduct(Zero(), trees)):
+                Coproduct(zero(), trees)):
         for v in (TableV(()), SectionV(()), TableV(((leaf, StarV()),))):
-            assert value_in_type(st, v, arrow(dom, Unit()), budget=1000) \
+            assert value_in_type(st, v, arrow(dom, unit()), budget=1000) \
                 is False, show(dom)
-    for empty in (product(Zero(), trees), arrow(trees, Zero())):
-        assert value_in_type(st, TableV(()), arrow(empty, Unit()),
+    for empty in (product(zero(), trees), arrow(trees, zero())):
+        assert value_in_type(st, TableV(()), arrow(empty, unit()),
                              budget=1000), show(empty)
     for thunk in (lambda: type_size(st, trees, budget=1000),
                   lambda: list(iter_type(st, trees, budget=1000))):
@@ -531,7 +598,7 @@ def test_a_table_on_one_function_into_infinitely_many_trees_is_checked():
     st = Structure(sig, {"X": FinSet.of(x0, x1)},
                    rel_tables={"R": frozenset({(x0,)})})
     trees = W("x0", X, PropType(RelAtom("R", (Var("x0"),))))
-    t = arrow(arrow(Zero(), trees), Unit())
+    t = arrow(arrow(zero(), trees), unit())
     assert value_in_type(st, TableV(((TableV(()), StarV()),)), t) is True
     assert value_in_type(st, TableV(()), t) is False
 
@@ -608,7 +675,7 @@ def test_evaluation_matches_checker():
 # ---------------------------------------------------------------------------
 
 def test_vacuous_universal_is_true():
-    assert eval_formula(Z12, Forall("x", Zero(), Bottom()))
+    assert eval_formula(Z12, Forall("x", zero(), Bottom()))
 
 
 def test_interval_composition_law_holds():
@@ -652,14 +719,14 @@ def test_boolean_laws_hold():
         g = random_closed_formula(rng, 3)
         h = random_closed_formula(rng, 2)
         fv, gv, hv = (eval_formula(st, x) for x in (f, g, h))
-        assert eval_formula(st, Not(And(f, g))) == eval_formula(
-            st, Or(Not(f), Not(g)))
-        assert eval_formula(st, Not(Or(f, g))) == eval_formula(
-            st, And(Not(f), Not(g)))
+        assert eval_formula(st, neg(And(f, g))) == eval_formula(
+            st, Or(neg(f), neg(g)))
+        assert eval_formula(st, neg(Or(f, g))) == eval_formula(
+            st, And(neg(f), neg(g)))
         assert eval_formula(st, And(f, Or(g, h))) == (fv and (gv or hv))
         assert eval_formula(st, Or(f, And(g, h))) == (fv or (gv and hv))
         assert eval_formula(st, Implies(f, g)) == ((not fv) or gv)
-        assert eval_formula(st, Not(Not(f))) == fv
+        assert eval_formula(st, neg(neg(f))) == fv
 
 
 def test_quantifier_adjunction_instances():
@@ -897,7 +964,7 @@ A0, A1 = Atom("X", 0), Atom("X", 1)
     (Pi("x", Base("X"), Base("X")), SectionV(((A0, A1), (A1, A0))), ""),
     (Sigma("x", Base("X"), Base("X")), PairV(A0, A1), ""),
     (PropType(Top()), StarV(), ""),
-    (W("x", Base("X"), Zero()), TreeV(A0, ()), ""),
+    (W("x", Base("X"), zero()), TreeV(A0, ()), ""),
     (Pi("x", Base("X"), FamApp("F", (Var("x"),))),
      SectionV(((A0, A1), (A1, Atom("Tag", 0)))), ""),
 ], ids=["pi", "sigma", "prop", "w", "pi-family"])
@@ -932,7 +999,7 @@ def test_a_section_into_a_family_moves_each_member_with_its_carrier():
 def test_a_tree_is_transported_label_by_label_at_any_depth():
     """A tree moves by the component map at every label, on an explicit
     stack, so a tree deeper than the recursion limit moves too."""
-    chain = W("x", Base("X"), Unit())
+    chain = W("x", Base("X"), unit())
     sig = Signature(name="one", base_types=("X",),
                     fun_symbols=(FunSymbol("c", (), chain),))
     xs = FinSet.of(A0, A1)
@@ -1491,8 +1558,6 @@ def plain_truth(st, f, env):
             return plain_truth(st, l, env) or plain_truth(st, r, env)
         case Implies(l, r):
             return not plain_truth(st, l, env) or plain_truth(st, r, env)
-        case Not(b):
-            return not plain_truth(st, b, env)
         case Forall(x, t, b):
             return all(plain_truth(st, b, {**env, x: v})
                        for v in interpret_type(st, t, env))
@@ -1559,7 +1624,7 @@ def random_group_formula(rng, scope, depth):
             random_group_formula(rng, scope, depth - 1),
             random_group_formula(rng, scope, depth - 1))
     if roll < 0.7:
-        return Not(random_group_formula(rng, scope, depth - 1))
+        return neg(random_group_formula(rng, scope, depth - 1))
     x = rng.choice(["a", "b", "x", "y"])
     return rng.choice((Forall, Exists))(
         x, G, random_group_formula(rng, [*scope, x], depth - 1))
@@ -1712,7 +1777,7 @@ def test_a_context_that_repeats_a_name_types_the_later_entry():
                          "H": FinSet(tuple(hs))},
                    {"h": {(a,): hs[(a.index + 1) % 3] for a in hs}})
     ctx = Context.of(("x", G), ("x", H))
-    f = Not(Eq(H, App("h", (Var("x"),)), Var("x")))
+    f = neg(Eq(H, App("h", (Var("x"),)), Var("x")))
     assert filled_sites(st, ctx, f) == (["h"], [])
     assert counterexample(st, ctx, f) is None
     hx = App("h", (Var("x"),))
